@@ -16,7 +16,7 @@ from repro.config import SystemConfig, mb
 from repro.core import Representation, RuleBasedOptimizer
 from repro.engines import HybridExecutor
 from repro.models import encoder_fc
-from repro.storage import BufferPool, Catalog, InMemoryDiskManager
+from repro.storage import BufferPool, Catalog, InMemoryDiskManager, VersionRecord
 
 from _util import emit, fmt_seconds, measure_stable, render_table
 
@@ -32,7 +32,7 @@ def setup():
         BufferPool(InMemoryDiskManager(64 * 1024), capacity_pages=1024)
     )
     model = encoder_fc()
-    info = catalog.register_model("encoder", model)
+    info = VersionRecord("encoder", model)
     x = np.random.default_rng(61).normal(size=(BATCH, 76))
     return catalog, model, info, x
 

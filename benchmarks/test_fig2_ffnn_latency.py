@@ -84,7 +84,7 @@ def _dl_centric(db: Database, flavor: str, model_name: str, table: str, cols: li
         Connector(db.config.connector),
         ExternalRuntime(flavor, MemoryBudget(mb(2048))),
     )
-    model = db.catalog.get_model(model_name).model
+    model = db.model_info(model_name).model
     return engine.run_from_source(model, source, cols)
 
 
@@ -195,7 +195,7 @@ def test_fig2_gap_grows_with_rows(db, benchmark, capsys):
             ExternalRuntime("tensorflow-sim", MemoryBudget(mb(2048))),
         )
         dl = engine.run_from_source(
-            db.catalog.get_model(model).model, source, cols
+            db.model_info(model).model, source, cols
         )
         results.append((limit, ours_seconds, dl.measured_seconds))
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)

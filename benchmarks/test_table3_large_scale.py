@@ -56,12 +56,12 @@ def config():
 
 @pytest.fixture(scope="module")
 def amazon_setup(config):
-    from repro.storage import BufferPool, Catalog, FileDiskManager
+    from repro.storage import BufferPool, Catalog, FileDiskManager, VersionRecord
 
     disk = FileDiskManager(config.page_size)
     catalog = Catalog(BufferPool(disk, config.buffer_pool_pages))
     model = amazon_14k_fc(scale=AMAZON_SCALE)
-    info = catalog.register_model("amazon", model)
+    info = VersionRecord("amazon", model)
     rng = np.random.default_rng(31)
     features = rng.normal(size=(max(AMAZON_BATCHES), model.input_shape[0]))
     yield config, catalog, model, info, features
@@ -70,12 +70,12 @@ def amazon_setup(config):
 
 @pytest.fixture(scope="module")
 def landcover_setup(config):
-    from repro.storage import BufferPool, Catalog, FileDiskManager
+    from repro.storage import BufferPool, Catalog, FileDiskManager, VersionRecord
 
     disk = FileDiskManager(config.page_size)
     catalog = Catalog(BufferPool(disk, config.buffer_pool_pages))
     model = landcover(spatial=LC_SPATIAL, out_channels=LC_CHANNELS)
-    info = catalog.register_model("lc", model)
+    info = VersionRecord("lc", model)
     tiles = landcover_tiles(max(LC_BATCHES), spatial=LC_SPATIAL, seed=32)
     yield config, catalog, model, info, tiles
     disk.close()

@@ -22,7 +22,7 @@ from repro.dlruntime import ExternalRuntime, MemoryBudget
 from repro.engines import RelationCentricEngine
 from repro.errors import OutOfMemoryError
 from repro.models import landcover
-from repro.storage import BufferPool, Catalog, FileDiskManager
+from repro.storage import BufferPool, Catalog, FileDiskManager, VersionRecord
 
 
 def main() -> None:
@@ -61,7 +61,7 @@ def main() -> None:
     print("\nrelation-centric execution (ours):")
     disk = FileDiskManager(config.page_size)
     catalog = Catalog(BufferPool(disk, config.buffer_pool_pages))
-    info = catalog.register_model("landcover", model)
+    info = VersionRecord("landcover", model)
     engine = RelationCentricEngine(catalog, config, stripe_rows=2048)
     pool = catalog.pool
     result = engine.run_conv_stage(conv, tiles, info, result_table="feature_map")

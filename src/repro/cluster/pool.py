@@ -4,8 +4,9 @@
 the consistent-hash :class:`~repro.cluster.placement.Placement` that
 shards models onto them, and the health-aware
 :class:`~repro.cluster.router.ClusterRouter` that picks a replica per
-request.  The serving front-end calls :meth:`predict` exactly where the
-thread path calls ``Database.predict_labels`` — everything above (the
+request.  The serving front-end passes :meth:`predict` to the database's
+predict path as the version executor, where the thread path runs the
+version in-process — everything above (lifecycle routing, the
 micro-batcher, admission control, per-model breakers, SLO tracking)
 stays unchanged.
 
@@ -217,23 +218,27 @@ class ClusterPool:
 
     # -- client API ------------------------------------------------------
 
-    def predict(self, model: str, features: np.ndarray) -> np.ndarray:
+    def predict(self, model, features: np.ndarray) -> np.ndarray:
         """Run one batched inference on a placed replica.
 
-        Drop-in for ``Database.predict_labels`` on the serving hot path;
-        blocks the calling (server worker) thread, never the client.
+        ``model`` is a name (resolved like ``Database.model_info``: the
+        serving version of ``"m"``, or an explicit ``"m@v"``) or an
+        already-resolved version record, which is what the server's
+        routed predict path hands over.  Blocks the calling (server
+        worker) thread, never the client.
         Reroutes transparently on worker crashes; raises
         :class:`WorkerCrashedError` / :class:`ClusterUnavailableError`
         when the placement cannot serve within the request timeout.
         """
         if self._closing:
             raise ClusterError("cluster pool is closed")
-        name = model.lower()
+        info = self._db.model_info(model) if isinstance(model, str) else model
+        name = info.name
         features = np.asarray(features, dtype=np.float64)
         if features.ndim == 1:
             features = features[np.newaxis, :]
         deadline = time.monotonic() + self._request_timeout_s
-        replicas = self._ensure_placed(name)
+        replicas = self._ensure_placed(info)
         tried: set[int] = set()
         last_crash: WorkerCrashedError | None = None
         while True:
@@ -373,14 +378,15 @@ class ClusterPool:
 
     def ensure_model(self, model: str) -> tuple[int, ...]:
         """Place (and start loading) a model; returns its replica ids."""
-        return self._ensure_placed(model.lower())
+        return self._ensure_placed(self._db.model_info(model))
 
-    def _ensure_placed(self, name: str) -> tuple[int, ...]:
+    def _ensure_placed(self, info) -> tuple[int, ...]:
+        """Place one version record under its wire id (``info.name``)."""
+        name = info.name
         with self._lock:
             placed = self._placed.get(name)
             if placed is not None:
                 return placed
-            info = self._db.model_info(name)  # raises CatalogError if unknown
             in_features = int(np.prod(info.model.input_shape))
             replicas = self._placement.replicas(name, in_features)
             self._model_bytes[name] = pickle.dumps(info.model)

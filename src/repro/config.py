@@ -232,9 +232,6 @@ class SystemConfig:
     # shutdown, and ClusterPool rolling restarts wait for in-flight and
     # queued requests to finish before abandoning them.
     lifecycle_drain_timeout_s: float = 30.0
-    # Default traffic percentage for canary deployments when the DEPLOY
-    # statement (or Database API call) does not give one.
-    deploy_canary_percent: float = 10.0
     # Canary-routed rows that must complete with zero failures before an
     # auto-promote fires (when deploy_auto_promote is on).
     deploy_canary_min_requests: int = 64
@@ -351,11 +348,6 @@ class SystemConfig:
             )
         if self.lifecycle_drain_timeout_s < 0:
             raise ConfigError("lifecycle_drain_timeout_s must be >= 0")
-        if not 0 < self.deploy_canary_percent <= 100:
-            raise ConfigError(
-                "deploy_canary_percent must be in (0, 100], "
-                f"got {self.deploy_canary_percent}"
-            )
         for name in ("deploy_canary_min_requests", "deploy_shadow_min_requests"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")

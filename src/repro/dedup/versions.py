@@ -16,17 +16,9 @@ from typing import Callable
 import numpy as np
 
 from ..dlruntime.layers import Conv2d, Linear, Model
-from ..errors import ModelError, NoServableVersionError, SlaViolationError
+from ..errors import ModelError, SlaViolationError
 from .prune import magnitude_prune
 from .quantize import dequantize, quantize
-
-#: Version serving states (see :meth:`ModelVersionManager.select` with
-#: ``require_servable=True``): a version is *servable* once it has been
-#: loaded or promoted; freshly created versions are not.
-CREATED = "created"
-LOADED = "loaded"
-PROMOTED = "promoted"
-
 
 @dataclass
 class ModelVersion:
@@ -38,11 +30,6 @@ class ModelVersion:
     accuracy: float
     kind: str  # "full", "quantized", "pruned"
     detail: str = ""
-    state: str = CREATED  # "created", "loaded", or "promoted"
-
-    @property
-    def servable(self) -> bool:
-        return self.state in (LOADED, PROMOTED)
 
 
 def _transform_model(model: Model, transform: Callable[[np.ndarray], np.ndarray], suffix: str) -> Model:
@@ -110,11 +97,7 @@ class ModelVersionManager:
         return version
 
     def add_pruned(self, sparsity_level: float) -> ModelVersion:
-        clone = _transform_model(
-            self._base,
-            lambda w: magnitude_prune(w, sparsity_level),
-            f"p{int(sparsity_level * 100)}",
-        )
+        clone = derive_version(self._base, prune_sparsity=sparsity_level)
         # Sparse storage cost: values + 4-byte indices for the survivors.
         survivors = sum(
             int(np.count_nonzero(layer.weight.data))
@@ -136,30 +119,8 @@ class ModelVersionManager:
         self._versions[version.name] = version
         return version
 
-    def mark_loaded(self, name: str) -> ModelVersion:
-        """Record that a version was loaded into a serving tier."""
-        version = self.get(name)
-        if version.state == CREATED:
-            version.state = LOADED
-        return version
-
-    def mark_promoted(self, name: str) -> ModelVersion:
-        """Record that a version was promoted to primary serving."""
-        version = self.get(name)
-        version.state = PROMOTED
-        return version
-
-    def select(
-        self, min_accuracy: float, require_servable: bool = False
-    ) -> ModelVersion:
-        """Smallest version meeting the accuracy SLA.
-
-        With ``require_servable=True`` only loaded/promoted versions are
-        candidates; if versions meet the SLA but none is servable, the
-        failure names every candidate and its state
-        (:class:`~repro.errors.NoServableVersionError`) instead of a
-        generic error, so the caller can see *why* each was skipped.
-        """
+    def select(self, min_accuracy: float) -> ModelVersion:
+        """Smallest version meeting the accuracy SLA."""
         feasible = [
             v for v in self._versions.values() if v.accuracy >= min_accuracy
         ]
@@ -168,24 +129,12 @@ class ModelVersionManager:
                 f"no model version reaches accuracy {min_accuracy:.2%}; best is "
                 f"{max(v.accuracy for v in self._versions.values()):.2%}"
             )
-        if require_servable:
-            servable = [v for v in feasible if v.servable]
-            if not servable:
-                raise NoServableVersionError(
-                    self._base.name,
-                    [(v.name, v.state) for v in feasible],
-                )
-            feasible = servable
         return min(feasible, key=lambda v: v.size_bytes)
 
     def get(self, name: str) -> ModelVersion:
         if name not in self._versions:
             raise ModelError(f"no version named {name!r}")
         return self._versions[name]
-
-
-#: Historical alias: the SLA-driven selection entry point.
-SlaVersionManager = ModelVersionManager
 
 
 def derive_version(

@@ -58,7 +58,7 @@ from ..dlruntime.runtime import ExternalRuntime
 from ..errors import PlanError, StageTimeoutError
 from ..faults import NULL_INJECTOR, FaultInjector
 from ..resilience import BreakerBoard, Deadline, RecoveryLedger
-from ..storage.catalog import Catalog, ModelInfo
+from ..storage.catalog import Catalog, VersionRecord
 from ..telemetry import DISABLED, Telemetry
 from .base import EngineResult
 from .dl_centric import DlCentricEngine
@@ -153,7 +153,7 @@ class HybridExecutor:
         self,
         plan: InferencePlan,
         x: np.ndarray,
-        model_info: ModelInfo,
+        model_info: VersionRecord,
     ) -> EngineResult:
         """Run a plan over an input array; returns combined accounting."""
         current = np.asarray(x, dtype=np.float64)
@@ -295,7 +295,7 @@ class HybridExecutor:
         self,
         stage: PlanStage,
         x: np.ndarray,
-        model_info: ModelInfo,
+        model_info: VersionRecord,
         plan: InferencePlan,
         stage_index: int,
         node_base: int,
@@ -361,7 +361,7 @@ class HybridExecutor:
         )
 
     def _relower(
-        self, stage: PlanStage, x: np.ndarray, model_info: ModelInfo
+        self, stage: PlanStage, x: np.ndarray, model_info: VersionRecord
     ) -> EngineResult:
         """Re-run a whole-tensor stage through the relation engine."""
         with self._relation_lock:
@@ -370,7 +370,7 @@ class HybridExecutor:
             )
 
     def _split_stage(
-        self, stage: PlanStage, x: np.ndarray, model_info: ModelInfo
+        self, stage: PlanStage, x: np.ndarray, model_info: VersionRecord
     ) -> tuple[EngineResult, int]:
         """Retry an OOMed stage on recursively halved batches.
 
@@ -385,7 +385,7 @@ class HybridExecutor:
         return _merge_results(left, right), pieces_l + pieces_r
 
     def _run_split(
-        self, stage: PlanStage, chunk: np.ndarray, model_info: ModelInfo
+        self, stage: PlanStage, chunk: np.ndarray, model_info: VersionRecord
     ) -> tuple[EngineResult, int]:
         try:
             return self._run_stage(stage, chunk, model_info), 1
@@ -422,7 +422,7 @@ class HybridExecutor:
         self,
         stage: PlanStage,
         x: np.ndarray,
-        model_info: ModelInfo,
+        model_info: VersionRecord,
         checkpoint=None,
     ) -> EngineResult:
         if stage.representation is Representation.UDF_CENTRIC:
@@ -438,7 +438,7 @@ class HybridExecutor:
         self,
         stage: PlanStage,
         x: np.ndarray,
-        model_info: ModelInfo,
+        model_info: VersionRecord,
         checkpoint=None,
     ) -> EngineResult:
         first_op = stage.nodes[0].op

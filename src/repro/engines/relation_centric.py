@@ -30,7 +30,7 @@ from ..dlruntime.memory import MemoryBudget
 from ..errors import PlanError
 from ..models.store import weight_block_table
 from ..relational.operators import Operator
-from ..storage.catalog import Catalog, ModelInfo, TableInfo
+from ..storage.catalog import Catalog, VersionRecord, TableInfo
 from ..telemetry import DISABLED, Telemetry
 from ..tensor.blocked import BlockedMatrix
 from ..tensor.im2col import im2col
@@ -87,7 +87,7 @@ class RelationCentricEngine:
         self,
         layers: list,
         x: np.ndarray,
-        model_info: ModelInfo,
+        model_info: VersionRecord,
         checkpoint=None,
     ) -> EngineResult:
         """Chain MATMUL/RELU/SIGMOID/SOFTMAX pipelines over row stripes.
@@ -123,7 +123,7 @@ class RelationCentricEngine:
         )
 
     def _run_stripe(
-        self, layers: list, stripe: np.ndarray, model_info: ModelInfo
+        self, layers: list, stripe: np.ndarray, model_info: VersionRecord
     ) -> np.ndarray:
         block_shape = self._block_shape
         current = BlockedMatrix.from_dense(stripe, block_shape)
@@ -185,7 +185,7 @@ class RelationCentricEngine:
         self,
         conv: Conv2d,
         images: np.ndarray,
-        model_info: ModelInfo,
+        model_info: VersionRecord,
         apply_relu: bool = False,
         result_table: str | None = None,
     ) -> EngineResult:

@@ -1,4 +1,9 @@
-"""The versioned, copy-on-write model catalog.
+"""The versioned, copy-on-write model catalog: the one owner of models.
+
+Each model version is one :class:`VersionRecord` (model name, version,
+the ``Model`` object, its block tables, state, generation), and
+:meth:`CatalogSnapshot.resolve` is the one resolver from user-visible
+names to records.
 
 Serving reads and catalog writes are decoupled MVCC-style: every mutation
 (register a version, start a canary, promote, roll back) builds a brand
@@ -26,24 +31,17 @@ import threading
 from dataclasses import dataclass, replace
 
 from ..errors import CatalogError, DeploymentError
+from ..storage.catalog import (
+    BASE_VERSION,
+    V_CANARY,
+    V_READY,
+    V_RETIRED,
+    V_SERVING,
+    V_SHADOW,
+    VersionRecord,
+    split_version_name,
+)
 from ..telemetry.events import NULL_RECORDER
-
-#: Version lifecycle states tracked per :class:`VersionRecord`.
-V_READY = "ready"          # prepared and compiled, not taking traffic
-V_SERVING = "serving"      # the stable version, takes non-canary traffic
-V_CANARY = "canary"        # taking the deterministic canary slice
-V_SHADOW = "shadow"        # mirrored traffic only, outputs compared
-V_RETIRED = "retired"      # was serving (or deployed) and was replaced
-
-
-@dataclass(frozen=True)
-class VersionRecord:
-    """One immutable version entry: name, executable catalog key, state."""
-
-    version: str
-    key: str  # storage-catalog / compiled-model key that executes this version
-    state: str
-    since_generation: int = 0
 
 
 @dataclass(frozen=True)
@@ -62,14 +60,6 @@ class ModelEntry:
             if rec.version == version:
                 return rec
         return None
-
-    def key_of(self, version: str) -> str:
-        rec = self.record(version)
-        if rec is None:
-            raise DeploymentError(
-                f"model {self.model!r} has no version {version!r}"
-            )
-        return rec.key
 
     def candidates(self) -> list[tuple[str, str]]:
         """``(version, state)`` pairs, for :class:`NoServableVersionError`."""
@@ -90,6 +80,29 @@ class CatalogSnapshot:
 
     def models(self) -> list[str]:
         return sorted(self._entries)
+
+    def records(self) -> list[VersionRecord]:
+        """Every version of every model, models in name order."""
+        return [
+            rec for name in self.models() for rec in self._entries[name].versions
+        ]
+
+    def resolve(self, name: str) -> VersionRecord:
+        """The one name resolver: ``"m"`` is model ``m``'s serving
+        version, ``"m@v"`` that explicit version."""
+        entry = self._entries.get(name.lower())
+        if entry is not None:
+            return entry.record(entry.serving)
+        model, version = split_version_name(name)
+        entry = self._entries.get(model)
+        record = entry.record(version) if entry and version else None
+        if record is None:
+            raise CatalogError(f"no model named {name!r}")
+        return record
+
+
+#: Routing fields of an entry with no canary or shadow in flight.
+_NO_SPLIT = {"canary": None, "canary_percent": 0.0, "shadow": None}
 
 
 class ModelCatalog:
@@ -126,40 +139,25 @@ class ModelCatalog:
 
     # -- write side (serialized on the mutation lock) -------------------
 
-    def register_base(self, model: str, version: str = "v1") -> int:
+    def register_base(
+        self, model: str, model_obj, version: str = BASE_VERSION
+    ) -> VersionRecord:
         """Register a freshly created model as its own serving version."""
         model = model.lower()
         with self._mutate:
             if self._head.entry(model) is not None:
-                raise CatalogError(
-                    f"model {model!r} already registered in the lifecycle "
-                    "catalog"
-                )
-            gen = self._head.generation + 1
-            entry = ModelEntry(
-                model=model,
-                serving=version,
-                versions=(VersionRecord(version, model, V_SERVING, gen),),
+                raise CatalogError(f"model {model!r} already registered")
+            record = VersionRecord(
+                model, model_obj, version, V_SERVING, self._head.generation + 1
             )
-            return self._publish_locked(
+            entry = ModelEntry(model=model, serving=version, versions=(record,))
+            self._publish_locked(
                 model, entry, site=None, change=f"{model}: base {version}"
             )
+            return record
 
-    def forget(self, model: str) -> None:
-        """Drop a model's entry (mirror of ``Catalog.unregister_model``)."""
-        model = model.lower()
-        with self._mutate:
-            if self._head.entry(model) is None:
-                return
-            entries = dict(self._head._entries)
-            del entries[model]
-            gen = self._head.generation + 1
-            snapshot = CatalogSnapshot(gen, entries)
-            self._history.append((gen, f"{model}: forgotten"))
-            self._head = snapshot
-
-    def add_version(self, model: str, version: str, key: str) -> int:
-        """Publish a prepared (compiled, registered) version as READY."""
+    def add_version(self, model: str, version: str, model_obj) -> VersionRecord:
+        """Publish a prepared (compiled) version as READY."""
         model, version = model.lower(), version.lower()
         with self._mutate:
             entry = self._require_locked(model)
@@ -167,49 +165,33 @@ class ModelCatalog:
                 raise DeploymentError(
                     f"model {model!r} already has a version {version!r}"
                 )
-            gen = self._head.generation + 1
-            entry = replace(
-                entry,
-                versions=entry.versions
-                + (VersionRecord(version, key, V_READY, gen),),
+            record = VersionRecord(
+                model, model_obj, version, V_READY, self._head.generation + 1
             )
-            return self._publish_locked(
+            entry = replace(entry, versions=entry.versions + (record,))
+            self._publish_locked(
                 model, entry, site=None,
                 change=f"{model}: prepared {version}",
             )
+            return record
 
     def route_shadow(self, model: str, version: str) -> int:
         """Mirror serving traffic to ``version``; outputs are compared."""
         model, version = model.lower(), version.lower()
         with self._mutate:
-            entry = self._require_locked(model)
-            gen = self._head.generation + 1
-            entry = replace(
-                entry,
-                shadow=version,
-                versions=self._restate_locked(entry, {version: V_SHADOW}, gen),
-            )
-            return self._publish_locked(
-                model, entry, site="lifecycle.swap",
-                change=f"{model}: shadow {version}",
+            return self._reroute_locked(
+                self._require_locked(model), "lifecycle.swap",
+                f"shadow {version}", {version: V_SHADOW}, shadow=version,
             )
 
     def route_canary(self, model: str, version: str, percent: float) -> int:
         """Send ``percent``% of fingerprint-hashed traffic to ``version``."""
         model, version = model.lower(), version.lower()
         with self._mutate:
-            entry = self._require_locked(model)
-            gen = self._head.generation + 1
-            entry = replace(
-                entry,
-                canary=version,
-                canary_percent=float(percent),
-                shadow=None,
-                versions=self._restate_locked(entry, {version: V_CANARY}, gen),
-            )
-            return self._publish_locked(
-                model, entry, site="lifecycle.swap",
-                change=f"{model}: canary {version} {percent:g}%",
+            return self._reroute_locked(
+                self._require_locked(model), "lifecycle.swap",
+                f"canary {version} {percent:g}%", {version: V_CANARY},
+                canary=version, canary_percent=float(percent), shadow=None,
             )
 
     def promote(self, model: str, version: str) -> int:
@@ -217,21 +199,10 @@ class ModelCatalog:
         model, version = model.lower(), version.lower()
         with self._mutate:
             entry = self._require_locked(model)
-            gen = self._head.generation + 1
-            states = {version: V_SERVING}
-            if entry.serving != version:
-                states[entry.serving] = V_RETIRED
-            entry = replace(
-                entry,
-                serving=version,
-                canary=None,
-                canary_percent=0.0,
-                shadow=None,
-                versions=self._restate_locked(entry, states, gen),
-            )
-            return self._publish_locked(
-                model, entry, site="lifecycle.swap",
-                change=f"{model}: promote {version}",
+            return self._reroute_locked(
+                entry, "lifecycle.swap", f"promote {version}",
+                {entry.serving: V_RETIRED, version: V_SERVING},
+                serving=version, **_NO_SPLIT,
             )
 
     def rollback(self, model: str, serving: str | None = None) -> int:
@@ -241,29 +212,18 @@ class ModelCatalog:
         (the stable version never stopped serving); with a version name
         it reverts a promotion, re-pointing serving in the same swap.
         """
-        model = model.lower()
         with self._mutate:
-            entry = self._require_locked(model)
-            gen = self._head.generation + 1
-            states: dict[str, str] = {}
-            for cancelled in (entry.canary, entry.shadow):
-                if cancelled is not None:
-                    states[cancelled] = V_RETIRED
+            entry = self._require_locked(model.lower())
             target = entry.serving if serving is None else serving.lower()
-            if target != entry.serving:
-                states[entry.serving] = V_RETIRED
-                states[target] = V_SERVING
-            entry = replace(
-                entry,
-                serving=target,
-                canary=None,
-                canary_percent=0.0,
-                shadow=None,
-                versions=self._restate_locked(entry, states, gen),
-            )
-            return self._publish_locked(
-                model, entry, site="lifecycle.rollback",
-                change=f"{model}: rollback to {target}",
+            states = {
+                cancelled: V_RETIRED
+                for cancelled in (entry.canary, entry.shadow, entry.serving)
+                if cancelled is not None
+            }
+            states[target] = V_SERVING
+            return self._reroute_locked(
+                entry, "lifecycle.rollback", f"rollback to {target}", states,
+                serving=target, **_NO_SPLIT,
             )
 
     # -- internals -------------------------------------------------------
@@ -276,15 +236,28 @@ class ModelCatalog:
             )
         return entry
 
-    @staticmethod
-    def _restate_locked(
-        entry: ModelEntry, states: dict[str, str], generation: int
-    ) -> tuple[VersionRecord, ...]:
-        return tuple(
+    def _reroute_locked(
+        self,
+        entry: ModelEntry,
+        site: str,
+        change: str,
+        states: dict[str, str],
+        **routing: object,
+    ) -> int:
+        """One routing change: restate the named versions, re-point the
+        entry, publish."""
+        generation = self._head.generation + 1
+        versions = tuple(
             replace(rec, state=states[rec.version], since_generation=generation)
-            if rec.version in states and rec.state != states[rec.version]
+            if states.get(rec.version, rec.state) != rec.state
             else rec
             for rec in entry.versions
+        )
+        return self._publish_locked(
+            entry.model,
+            replace(entry, versions=versions, **routing),
+            site,
+            f"{entry.model}: {change}",
         )
 
     def _publish_locked(

@@ -13,8 +13,9 @@ copy-on-write :class:`~repro.lifecycle.catalog.ModelCatalog` owns the
 Auto-rollback fires on any of three signals, all fed from the serving
 path via :meth:`observe_canary` / :meth:`observe_shadow`:
 
-- the deployment's per-version circuit breaker (keyed ``model@version``,
-  separate from the server's per-model breakers) trips OPEN;
+- the deployment's per-version circuit breaker (named by the version
+  record's ``m@v`` id, separate from the server's per-model breakers)
+  trips OPEN;
 - the model's SLO enters fast burn while the deployment is live;
 - the shadow-divergence rate exceeds the configured threshold once
   enough rows have been compared.
@@ -140,7 +141,8 @@ class DeploymentController:
     def breaker_for(self, model: str, version: str):
         if self.breakers is None:
             return None
-        return self.breakers.get(f"{model}@{version}")
+        record = self._catalog.snapshot().entry(model).record(version)
+        return self.breakers.get(record.name)
 
     # -- the state machine ----------------------------------------------
 
@@ -313,18 +315,9 @@ class DeploymentController:
             dep.requests += canary_rows
             if not ok:
                 dep.failures += canary_rows
-        if canary_rows == 0:
+        if canary_rows == 0 or self._breaker_tripped(model, version, ok):
             return
-        breaker = self.breaker_for(model, version)
-        if breaker is not None:
-            if ok:
-                breaker.record_success()
-            else:
-                breaker.record_failure()
-                if breaker.state == OPEN:
-                    self.rollback(model, reason="breaker-open")
-                    return
-        if not ok and breaker is None:
+        if not ok and self.breakers is None:
             # Breakers disabled: a single canary failure still rolls back
             # rather than keep burning the slice on a broken version.
             self.rollback(model, reason="canary-failure")
@@ -363,15 +356,8 @@ class DeploymentController:
             dep.shadow_diverged += diverged
             if not ok:
                 dep.failures += 1
-        breaker = self.breaker_for(model, version)
-        if breaker is not None:
-            if ok:
-                breaker.record_success()
-            else:
-                breaker.record_failure()
-                if breaker.state == OPEN:
-                    self.rollback(model, reason="breaker-open")
-                    return
+        if self._breaker_tripped(model, version, ok):
+            return
         with self._lock:
             dep = self._active.get(model)
             if dep is None or dep.state != SHADOWING:
@@ -404,6 +390,21 @@ class DeploymentController:
                 self._emit_state(dep)
             else:
                 self._promote_locked(dep)
+
+    def _breaker_tripped(self, model: str, version: str, ok: bool) -> bool:
+        """Feed one outcome to the version's breaker; roll back (and
+        return True) when that trips it OPEN."""
+        breaker = self.breaker_for(model, version)
+        if breaker is None:
+            return False
+        if ok:
+            breaker.record_success()
+            return False
+        breaker.record_failure()
+        if breaker.state != OPEN:
+            return False
+        self.rollback(model, reason="breaker-open")
+        return True
 
     def _slo_fast_burning(self, model: str) -> bool:
         telemetry = self._db._telemetry

@@ -38,28 +38,27 @@ def canary_mask(hashes: np.ndarray, percent: float) -> np.ndarray:
     return (hashes % 10_000) < int(round(percent * 100))
 
 
-def routed_predict(controller, entry, features, execute, snapshot):
+def routed_predict(controller, entry, features, execute):
     """Execute one prediction call against a pinned snapshot's routing.
 
-    ``execute(key, features)`` runs the underlying engine (in-process
-    path or cluster path) for one version key.  Returns the label array;
-    the caller already knows the pinned generation from ``snapshot``.
+    ``entry`` comes from the snapshot the caller pinned;
+    ``execute(record, features)`` runs the underlying engine (in-process
+    path or cluster path) for one version record.  Returns the label
+    array.
     """
-    serving_key = entry.key_of(entry.serving)
+    serving = entry.record(entry.serving)
     if entry.canary is None and entry.shadow is None:
-        return execute(serving_key, features)
+        return execute(serving, features)
 
     if entry.canary is not None:
-        return _canary_predict(controller, entry, features, execute,
-                               serving_key)
+        return _canary_predict(controller, entry, features, execute, serving)
 
     # Shadow: the stable version answers; the shadow version sees a copy
     # and its outputs are compared row-for-row (label disagreement is the
     # serving error bound used by the divergence threshold).
-    out = execute(serving_key, features)
-    shadow_key = entry.key_of(entry.shadow)
+    out = execute(serving, features)
     try:
-        mirrored = execute(shadow_key, features)
+        mirrored = execute(entry.record(entry.shadow), features)
     except Exception as exc:
         controller.observe_shadow(
             entry.model, entry.shadow, compared=0, diverged=0,
@@ -77,22 +76,22 @@ def routed_predict(controller, entry, features, execute, snapshot):
     return out
 
 
-def _canary_predict(controller, entry, features, execute, serving_key):
+def _canary_predict(controller, entry, features, execute, serving):
     n = int(features.shape[0])
     mask = canary_mask(routing_hashes(features), entry.canary_percent)
     canary_idx = np.flatnonzero(mask)
     stable_idx = np.flatnonzero(~mask)
-    canary_key = entry.key_of(entry.canary)
+    canary = entry.record(entry.canary)
 
     stable_out = (
-        execute(serving_key, features[stable_idx])
+        execute(serving, features[stable_idx])
         if stable_idx.size
         else None
     )
     canary_out = None
     if canary_idx.size:
         try:
-            canary_out = execute(canary_key, features[canary_idx])
+            canary_out = execute(canary, features[canary_idx])
             controller.observe_canary(
                 entry.model, entry.canary, ok=True,
                 canary_rows=int(canary_idx.size), total_rows=n,
@@ -104,7 +103,7 @@ def _canary_predict(controller, entry, features, execute, serving_key):
             )
             # The stable version absorbs the canary slice: a broken new
             # version costs one extra execute, never a client error.
-            canary_out = execute(serving_key, features[canary_idx])
+            canary_out = execute(serving, features[canary_idx])
     else:
         controller.observe_canary(
             entry.model, entry.canary, ok=True, canary_rows=0, total_rows=n,

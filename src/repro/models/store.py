@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..dlruntime.layers import Conv2d, Layer, Linear
-from ..storage.catalog import Catalog, ModelInfo, TableInfo
+from ..storage.catalog import Catalog, VersionRecord, TableInfo
 from ..tensor.blocked import BlockedMatrix
 
 
@@ -32,7 +32,7 @@ def block_table_name(model_name: str, layer_name: str) -> str:
 
 def store_model_blocks(
     catalog: Catalog,
-    info: ModelInfo,
+    info: VersionRecord,
     block_shape: tuple[int, int],
 ) -> dict[str, str]:
     """Materialise every weight matrix of a registered model into block tables.
@@ -55,7 +55,7 @@ def store_model_blocks(
 
 
 def weight_block_table(
-    catalog: Catalog, info: ModelInfo, layer: Layer, block_shape: tuple[int, int]
+    catalog: Catalog, info: VersionRecord, layer: Layer, block_shape: tuple[int, int]
 ) -> TableInfo:
     """The block table for one layer's weights, storing it on first use."""
     layer_name = layer.name
@@ -66,7 +66,7 @@ def weight_block_table(
 
 def load_model_weights(
     catalog: Catalog,
-    info: ModelInfo,
+    info: VersionRecord,
     layer_name: str,
     block_shape: tuple[int, int],
 ) -> BlockedMatrix:

@@ -89,14 +89,8 @@ class ModelServer:
         #: everything above the execute call (batching, admission,
         #: breakers, retries, tracing) is identical on both paths.
         self.cluster = cluster
-        # Both paths route through the database's lifecycle catalog, so
-        # canary/shadow deployments apply identically whether a batch
-        # executes in-process or on cluster workers.
-        self._predict_fn = (
-            db.route_cluster_predict
-            if cluster is not None
-            else db.predict_labels
-        )
+        #: What runs one model version: the pool, or (None) in-process.
+        self._execute = cluster.predict if cluster is not None else None
         self._injector = getattr(db, "faults", NULL_INJECTOR)
         self.retry_limit = int(
             retry_limit if retry_limit is not None else config.server_retry_limit
@@ -588,7 +582,7 @@ class ModelServer:
     def _handle_worker_error(self, batch: Batch, exc: BaseException) -> None:
         """Unhandled worker failure: fail the batch, record the postmortem.
 
-        ``_execute_batch`` resolves expected engine errors onto futures;
+        ``_serve`` resolves expected engine errors onto futures;
         anything that escapes it is a server bug or an unmodeled fault,
         so the flight recorder logs it and — when ``diagnostics_dir`` is
         configured — a diagnostics bundle is written automatically.
@@ -636,30 +630,61 @@ class ModelServer:
                 self._slo.observe(batcher.model, False, 0.0)
 
     def _execute_batch(self, batch: Batch) -> None:
-        state = self._models[batch.model]
-        features = (
-            batch.requests[0].features
-            if len(batch.requests) == 1
-            else np.vstack([r.features for r in batch.requests])
-        )
         started = time.monotonic()
-        attempts = 0
+        requests = batch.requests
+        if self._serve(batch.model, requests, started) or len(requests) == 1:
+            return
+        # The batch is poisoned past its retry budget: isolate, so each
+        # request gets its own engine invocation and only the poisoned
+        # request(s) fail, not all riders.
+        salvaged = [
+            self._serve(batch.model, [request], started, isolated=True)
+            for request in requests
+        ]
+        if any(salvaged):
+            self._injector.record_recovery("server.batch")
+
+    def _serve(
+        self,
+        model: str,
+        requests: list[RequestFuture],
+        started: float,
+        isolated: bool = False,
+    ) -> bool:
+        """Run ``requests`` as one engine invocation and settle them.
+
+        The whole per-invocation sequence: run (retrying transient faults)
+        → time → resolve futures → emit events → feed breaker/SLO.  Returns
+        False on a terminal failure; a lone request is failed here, a
+        coalesced batch is left unresolved for the caller to isolate.
+        ``isolated`` marks those one-request re-runs: no retries, no
+        batch-level metrics.
+        """
+        state = self._models[model]
         # The worker executes under the FIRST member's trace context: the
         # batch span (and every engine span under it) inherits that
         # request's trace id and parents to its root span; the other
         # members are attached via flow-event links.
-        first = batch.requests[0]
-        member_traces = tuple(
-            r.trace_id for r in batch.requests if r.trace_id is not None
+        first = requests[0]
+        features = (
+            first.features
+            if len(requests) == 1
+            else np.vstack([r.features for r in requests])
         )
+        rows = int(features.shape[0])
+        member_traces = tuple(
+            r.trace_id for r in requests if r.trace_id is not None
+        )
+        tag = {"isolated": True} if isolated else {}
+        attempts = 0
         while True:
             try:
                 with self._tracer.context(first.trace):
                     with self._tracer.span(
-                        f"serve-batch:{batch.model}",
+                        f"serve-{'isolated' if isolated else 'batch'}:{model}",
                         category="server",
-                        rows=int(features.shape[0]),
-                        requests=len(batch.requests),
+                        rows=rows,
+                        requests=len(requests),
                     ) as batch_span:
                         batch_span.link(
                             *(t for t in member_traces if t != first.trace_id)
@@ -667,23 +692,31 @@ class ModelServer:
                         start = time.perf_counter()
                         self._injector.fire(
                             "server.batch",
-                            model=batch.model,
-                            rows=int(features.shape[0]),
+                            model=model,
+                            rows=rows,
                             attempt=attempts,
+                            **tag,
                         )
-                        predictions = self._predict_fn(
-                            batch.model, features
+                        # Thread and cluster mode share the database's one
+                        # predict path, so canary/shadow deployments apply
+                        # identically; only the version executor differs.
+                        predictions, __ = self._db._predict(
+                            model, features, execute=self._execute
                         )
                         execute_seconds = time.perf_counter() - start
                 break
             except BaseException as exc:
-                if is_transient(exc) and attempts < self.retry_limit:
+                if (
+                    not isolated
+                    and is_transient(exc)
+                    and attempts < self.retry_limit
+                ):
                     attempts += 1
                     self._injector.record_retry("server.batch")
                     self._recorder.emit(
                         "request.retried",
                         trace_id=first.trace_id,
-                        model=batch.model,
+                        model=model,
                         attempt=attempts,
                         error=type(exc).__name__,
                         traces=member_traces,
@@ -691,138 +724,70 @@ class ModelServer:
                     if self.retry_backoff_s:
                         time.sleep(self.retry_backoff_s * attempts)
                     continue
-                if len(batch.requests) > 1:
-                    # The batch is poisoned past its retry budget: isolate
-                    # so only the poisoned request(s) fail, not all riders.
+                if len(requests) > 1:
                     self._recorder.emit(
                         "batch.isolated",
                         trace_id=first.trace_id,
-                        model=batch.model,
-                        requests=len(batch.requests),
+                        model=model,
+                        requests=len(requests),
                         error=type(exc).__name__,
                         traces=member_traces,
                     )
-                    self._execute_isolated(batch, started)
-                    return
+                    return False
                 self._recorder.emit(
                     "request.failed",
                     trace_id=first.trace_id,
-                    model=batch.model,
+                    model=model,
                     request_id=first.request_id,
                     error=type(exc).__name__,
+                    **tag,
                 )
                 first._fail(exc)
                 self._m_requests["failed"].inc()
-                self._record_outcome(batch.model, ok=False)
+                self._record_outcome(model, ok=False)
                 self._postmortem(exc)
-                return
+                return False
         if attempts:
             # Succeeded only because we retried past a transient fault.
             self._injector.record_recovery("server.batch")
-        state.estimator.observe(int(features.shape[0]), execute_seconds)
-        self._m_batches.inc()
-        self._m_batch_rows.observe(float(features.shape[0]))
-        self._m_execute_seconds.observe(execute_seconds)
-        self._recorder.emit(
-            "batch.executed",
-            trace_id=first.trace_id,
-            model=batch.model,
-            rows=int(features.shape[0]),
-            requests=len(batch.requests),
-            attempts=attempts,
-            execute_ms=round(execute_seconds * 1e3, 3),
-            traces=member_traces,
-        )
+        state.estimator.observe(rows, execute_seconds)
+        if not isolated:
+            self._m_batches.inc()
+            self._m_batch_rows.observe(float(rows))
+            self._m_execute_seconds.observe(execute_seconds)
+            self._recorder.emit(
+                "batch.executed",
+                trace_id=first.trace_id,
+                model=model,
+                rows=rows,
+                requests=len(requests),
+                attempts=attempts,
+                execute_ms=round(execute_seconds * 1e3, 3),
+                traces=member_traces,
+            )
         offset = 0
-        for request in batch.requests:
-            rows = request.rows
+        for request in requests:
             queue_seconds = max(0.0, started - request.enqueued_at)
             self._m_queue_seconds.observe(queue_seconds)
             request._resolve(
-                predictions[offset : offset + rows], queue_seconds, execute_seconds
+                predictions[offset : offset + request.rows],
+                queue_seconds,
+                execute_seconds,
             )
-            offset += rows
+            offset += request.rows
             self._recorder.emit(
                 "request.completed",
                 trace_id=request.trace_id,
-                model=batch.model,
+                model=model,
                 request_id=request.request_id,
                 queue_ms=round(queue_seconds * 1e3, 3),
                 execute_ms=round(execute_seconds * 1e3, 3),
+                **tag,
             )
             self._record_outcome(
-                batch.model,
+                model,
                 ok=True,
                 latency_ms=(queue_seconds + execute_seconds) * 1e3,
             )
-        self._m_requests["completed"].inc(len(batch.requests))
-
-    def _execute_isolated(self, batch: Batch, started: float) -> None:
-        """Re-run a failed multi-request batch one request at a time.
-
-        A fault that poisons the coalesced batch (one bad request, or a
-        site that keeps firing) must not fail the innocent riders: each
-        request gets its own engine invocation and only the ones that
-        still fail see the error on their own future.
-        """
-        state = self._models[batch.model]
-        succeeded = 0
-        for request in batch.requests:
-            try:
-                # Each isolated run executes under its OWN request's
-                # context, so rescue spans land in the right trace.
-                with self._tracer.context(request.trace):
-                    with self._tracer.span(
-                        f"serve-isolated:{batch.model}",
-                        category="server",
-                        rows=request.rows,
-                        requests=1,
-                    ):
-                        start = time.perf_counter()
-                        self._injector.fire(
-                            "server.batch",
-                            model=batch.model,
-                            rows=request.rows,
-                            isolated=True,
-                        )
-                        predictions = self._predict_fn(
-                            batch.model, request.features
-                        )
-                        execute_seconds = time.perf_counter() - start
-            except BaseException as exc:
-                self._recorder.emit(
-                    "request.failed",
-                    trace_id=request.trace_id,
-                    model=batch.model,
-                    request_id=request.request_id,
-                    error=type(exc).__name__,
-                    isolated=True,
-                )
-                request._fail(exc)
-                self._m_requests["failed"].inc()
-                self._record_outcome(batch.model, ok=False)
-                self._postmortem(exc)
-                continue
-            state.estimator.observe(request.rows, execute_seconds)
-            queue_seconds = max(0.0, started - request.enqueued_at)
-            self._m_queue_seconds.observe(queue_seconds)
-            request._resolve(predictions, queue_seconds, execute_seconds)
-            self._recorder.emit(
-                "request.completed",
-                trace_id=request.trace_id,
-                model=batch.model,
-                request_id=request.request_id,
-                queue_ms=round(queue_seconds * 1e3, 3),
-                execute_ms=round(execute_seconds * 1e3, 3),
-                isolated=True,
-            )
-            self._m_requests["completed"].inc()
-            self._record_outcome(
-                batch.model,
-                ok=True,
-                latency_ms=(queue_seconds + execute_seconds) * 1e3,
-            )
-            succeeded += 1
-        if succeeded:
-            # Isolation salvaged at least part of a poisoned batch.
-            self._injector.record_recovery("server.batch")
+        self._m_requests["completed"].inc(len(requests))
+        return True

@@ -54,7 +54,7 @@ from .storage.buffer_pool import (
     LruPolicy,
     TwoQueuePolicy,
 )
-from .storage.catalog import Catalog, ModelInfo
+from .storage.catalog import Catalog, VersionRecord, split_version_name
 from .storage.disk import FileDiskManager, InMemoryDiskManager
 from .telemetry import (
     AUDIT_COLUMNS,
@@ -68,7 +68,6 @@ from .telemetry import (
     Telemetry,
     timeline_rows,
 )
-from .telemetry.events import NULL_RECORDER
 
 #: Relational schema of the ``SHOW EVENTS`` system view (what a WHERE
 #: clause binds against).
@@ -289,12 +288,7 @@ class Database:
         # a single pointer swap) and the deployment state machine behind
         # DEPLOY / ROLLBACK / SHOW DEPLOYMENTS.
         self._lifecycle = ModelCatalog(
-            injector=self._faults,
-            recorder=(
-                self._telemetry.events
-                if self._telemetry.enabled
-                else NULL_RECORDER
-            ),
+            injector=self._faults, recorder=self._telemetry.events
         )
         self._deployments = DeploymentController(self)
         # Rescues the executor performs feed the optimizer's next plan;
@@ -302,8 +296,7 @@ class Database:
         self._ledger = RecoveryLedger(
             threshold=self._config.resilience_ledger_threshold
         )
-        self._compiled: dict[str, CompiledModel] = {}
-        self._caches: dict[str, object] = {}
+        self._caches: dict[str, object] = {}  # model name -> result cache
         self._vector_indexes: dict[str, _VectorIndexEntry] = {}
         self._rwlock = ReadWriteLock()
         self._server = None  # attached ModelServer, if any
@@ -322,14 +315,20 @@ class Database:
         )
         if snapshot is None:
             return
-        persist.restore_catalog(self._catalog, snapshot)
-        for info in self._catalog.models():
-            self._compiled[info.name] = self._compiler.compile(info.model)
-            # Version keys ("name@version") come back as plain catalog
-            # entries; routing state is session-scoped, so every restored
-            # model serves its base version until redeployed.
-            if "@" not in info.name:
-                self._lifecycle.register_base(info.name)
+        # Routing state is session-scoped: every restored model serves its
+        # base version, and an "m@v" entry comes back as READY version v
+        # of model m (or, with no m in the file, as a model of that name).
+        for name, model, tables, metadata in persist.restore_catalog(
+            self._catalog, snapshot
+        ):
+            self._compiled_for(model)
+            base, version = split_version_name(name)
+            if version and self._lifecycle.snapshot().entry(base):
+                record = self._lifecycle.add_version(base, version, model)
+            else:
+                record = self._lifecycle.register_base(name, model)
+            record.block_tables.update(tables)
+            record.metadata.update(metadata)
 
     # -- configuration ------------------------------------------------------
 
@@ -447,7 +446,7 @@ class Database:
             ("bufferpool.evictions", pool.evictions),
             ("bufferpool.dirty_writebacks", pool.dirty_writebacks),
             ("catalog.tables", len(list(self._catalog.tables()))),
-            ("catalog.models", len(list(self._catalog.models()))),
+            ("catalog.models", len(self._lifecycle.snapshot().records())),
             ("config.eviction_policy", self._config.eviction_policy),
             ("config.memory_threshold_bytes", self._config.memory_threshold_bytes),
             ("config.telemetry_enabled", self._config.telemetry_enabled),
@@ -520,31 +519,61 @@ class Database:
         with self._rwlock.write():
             self._config = self._config.with_options(**{name: value})
             self._rebuild_planning()
-            for model_name in list(self._compiled):
-                self._compiled[model_name] = self._compiler.compile(
-                    self._catalog.get_model(model_name).model
-                )
+            for record in self._lifecycle.snapshot().records():
+                self._compiled_for(record.model)
 
     def _rebuild_planning(self) -> None:
         self._ledger.threshold = self._config.resilience_ledger_threshold
+        self._plans: dict[Model, CompiledModel] = {}
         self._optimizer = RuleBasedOptimizer(
             self._config, telemetry=self._telemetry, ledger=self._ledger
         )
         self._compiler = AotCompiler(
             self._config, telemetry=self._telemetry, ledger=self._ledger
         )
-        self._executor = HybridExecutor(
+        self._executor = self._make_executor()
+        self._planner = Planner(
+            self._catalog,
+            predict_fn=lambda name, features, proba_class: self._predict(
+                name, features, proba_class
+            )[0],
+            telemetry=self._telemetry,
+            has_model=self._has_model,
+        )
+
+    def _make_executor(
+        self, dl_budget: MemoryBudget | None = None
+    ) -> HybridExecutor:
+        return HybridExecutor(
             self._catalog,
             self._config,
+            dl_budget=dl_budget,
             telemetry=self._telemetry,
             injector=self._faults,
             ledger=self._ledger,
         )
-        self._planner = Planner(
-            self._catalog,
-            predict_fn=self._predict_labels,
-            telemetry=self._telemetry,
-        )
+
+    def _has_model(self, name: str) -> bool:
+        return self._lifecycle.snapshot().entry(name.lower()) is not None
+
+    def _compiled_for(self, model: Model) -> CompiledModel:
+        """The model's AoT plans: a cache derived from the model, the
+        config (dropped on ``set_option``) and the ledger generation.
+
+        Runtime rescues advance the ledger's per-model generation; a
+        stale compilation re-plans here so the rescued operator is
+        lowered up-front instead of failing (and being rescued) again.
+        """
+        compiled = self._plans.get(model)
+        if (
+            compiled is None
+            or compiled.ledger_generation != self._ledger.generation(model.name)
+        ):
+            with self._telemetry.tracer.span(
+                f"compile:{model.name}", category="optimizer"
+            ):
+                compiled = self._plans[model] = self._compiler.compile(model)
+        return compiled
 
     # -- SQL ------------------------------------------------------------
 
@@ -738,7 +767,7 @@ class Database:
             if what == "models":
                 rows = [
                     (m.name, m.model.name, m.model.param_count)
-                    for m in self._catalog.models()
+                    for m in self._lifecycle.snapshot().records()
                 ]
                 return Cursor(("name", "model", "params"), sorted(rows))
             if what == "faults":
@@ -857,11 +886,10 @@ class Database:
         op = self._planner.plan_select(stmt)
         lines = op.explain().split("\n")
         for model in predict_models(stmt):
-            compiled = self._compiled.get(model.lower())
-            if compiled is not None:
-                plan = compiled.select(self._config.default_batch_size)
-                lines.append("")
-                lines.extend(plan.explain().split("\n"))
+            compiled = self._compiled_for(self.model_info(model).model)
+            plan = compiled.select(self._config.default_batch_size)
+            lines.append("")
+            lines.extend(plan.explain().split("\n"))
         return lines
 
     # -- bulk loading ----------------------------------------------------
@@ -887,12 +915,8 @@ class Database:
         """Register a model and AoT-compile its plans (Sec. 2)."""
         model_name = (name or model.name).lower()
         with self._rwlock.write():
-            self._catalog.register_model(model_name, model)
-            with self._telemetry.tracer.span(
-                f"compile:{model_name}", category="optimizer"
-            ):
-                self._compiled[model_name] = self._compiler.compile(model)
-        self._lifecycle.register_base(model_name)
+            self._compiled_for(model)
+            self._lifecycle.register_base(model_name, model)
         return model_name
 
     def register_model_version(
@@ -905,43 +929,34 @@ class Database:
     ) -> str:
         """Prepare a new version of a registered model, off the write lock.
 
-        Compiles and registers the version concurrently with serving (the
-        whole prepare path runs without the database write lock; the only
-        shared mutations are single-key dict/catalog inserts under keys no
-        reader resolves yet) and publishes it as READY in the lifecycle
-        catalog.  The version takes no traffic until ``DEPLOY MODEL``.
+        Compiles the version concurrently with serving (the whole prepare
+        path runs without the database write lock) and publishes it as a
+        READY record through the copy-on-write lifecycle catalog.  The
+        version takes no traffic until ``DEPLOY MODEL``.
 
         Give either an explicit ``model`` or one of ``quantize_bits`` /
-        ``prune_sparsity`` to derive the version from the base weights.
-        Returns the internal catalog key (``"name@version"``).
+        ``prune_sparsity`` to derive the version from the serving weights.
+        Returns the version's name (``"name@version"``), which every
+        name-taking method resolves to exactly this version.
         """
         model_name, version = name.lower(), version.lower()
         self._faults.fire(
             "lifecycle.prepare", model=model_name, version=version
         )
-        base = self._catalog.get_model(model_name)
         if model is None:
             from .dedup.versions import derive_version
 
             model = derive_version(
-                base.model,
+                self.model_info(model_name).model,
                 quantize_bits=quantize_bits,
                 prune_sparsity=prune_sparsity,
             )
-        key = f"{model_name}@{version}"
-        with self._telemetry.tracer.span(
-            f"compile:{key}", category="optimizer"
-        ):
-            compiled = self._compiler.compile(model)
-        self._catalog.register_model(key, model)
-        base.versions[version] = model
-        self._compiled[key] = compiled
-        self._lifecycle.add_version(model_name, version, key)
-        if self._telemetry.enabled:
-            self._telemetry.events.emit(
-                "deploy.prepare", model=model_name, version=version, key=key
-            )
-        return key
+        self._compiled_for(model)
+        record = self._lifecycle.add_version(model_name, version, model)
+        self._telemetry.events.emit(
+            "deploy.prepare", model=model_name, version=version, key=record.name
+        )
+        return record.name
 
     def deploy_model(
         self,
@@ -975,33 +990,24 @@ class Database:
         # risk) serving stale-version outputs.
         self._caches.pop(name.lower(), None)
 
-    def model_info(self, name: str) -> ModelInfo:
-        return self._catalog.get_model(name)
+    def model_info(self, name: str) -> VersionRecord:
+        """The version record ``name`` resolves to right now: the serving
+        version of model ``"m"``, or the explicit version ``"m@v"``."""
+        return self._lifecycle.snapshot().resolve(name)
 
     def inference_plan(
         self, name: str, batch_size: int, force: Representation | str | None = None
     ) -> InferencePlan:
         """The plan PREDICT would use for this model and batch size."""
-        model = self._catalog.get_model(name).model
+        return self._plan(self.model_info(name).model, batch_size, force)
+
+    def _plan(
+        self, model: Model, batch_size: int, force: Representation | str | None
+    ) -> InferencePlan:
         if force is not None:
             plan = self._optimizer.plan_model(model, batch_size, force=force)
         else:
-            compiled = self._compiled.get(name.lower())
-            if compiled is None:
-                raise CatalogError(
-                    f"model {name!r} was not registered through this session"
-                )
-            # Runtime rescues advance the ledger's per-model generation;
-            # a stale compilation re-plans here so the rescued operator is
-            # lowered up-front instead of failing (and being rescued) again.
-            current_gen = self._ledger.generation(compiled.model.name)
-            if compiled.ledger_generation != current_gen:
-                with self._telemetry.tracer.span(
-                    f"recompile:{name.lower()}", category="optimizer"
-                ):
-                    compiled = self._compiler.compile(compiled.model)
-                self._compiled[name.lower()] = compiled
-            plan = compiled.select(batch_size)
+            plan = self._compiled_for(model).select(batch_size)
         for stage in plan.stages:
             self._m_plan_selections[stage.representation].inc()
         return plan
@@ -1015,19 +1021,21 @@ class Database:
     ) -> EngineResult:
         """Run inference through the adaptive (or forced) plan."""
         with self._rwlock.read():
-            info = self._catalog.get_model(name)
-            plan = self.inference_plan(name, features.shape[0], force=force)
-            executor = self._executor
-            if dl_budget is not None:
-                executor = HybridExecutor(
-                    self._catalog,
-                    self._config,
-                    dl_budget=dl_budget,
-                    telemetry=self._telemetry,
-                    injector=self._faults,
-                    ledger=self._ledger,
-                )
-            return executor.execute(plan, features, info)
+            return self._run(self.model_info(name), features, force, dl_budget)
+
+    def _run(
+        self,
+        record: VersionRecord,
+        features: np.ndarray,
+        force: Representation | str | None = None,
+        dl_budget: MemoryBudget | None = None,
+    ) -> EngineResult:
+        """Execute one version in-process; callers hold the read lock."""
+        plan = self._plan(record.model, features.shape[0], force)
+        executor = (
+            self._executor if dl_budget is None else self._make_executor(dl_budget)
+        )
+        return executor.execute(plan, features, record)
 
     def predict_labels(self, name: str, features: np.ndarray) -> np.ndarray:
         """Class labels for a feature batch (result cache honoured).
@@ -1037,8 +1045,14 @@ class Database:
         database read lock, so it is safe to call from many threads
         concurrently with SELECT/PREDICT queries.
         """
-        with self._rwlock.read():
-            return self._predict_labels(name, features)
+        return self._predict(name, features)[0]
+
+    def predict_labels_v(
+        self, name: str, features: np.ndarray
+    ) -> tuple[np.ndarray, int]:
+        """Like :meth:`predict_labels`, also returning the generation of
+        the lifecycle snapshot the call was served from."""
+        return self._predict(name, features)
 
     # -- vector indexes (Sec. 5.1 / the Sec. 6.3 retrieval engine) --------
 
@@ -1110,9 +1124,22 @@ class Database:
             raise CatalogError(f"no vector index named {index_name!r}")
         return entry
 
-    def _build_vector_index(self, entry: "_VectorIndexEntry") -> int:
+    def _make_index(self, kind: str, dim: int, what: str, **hnsw_options):
         from .indexes import FlatIndex, HnswIndex, IvfIndex, LshIndex
 
+        makers = {
+            "hnsw": lambda: HnswIndex(dim, seed=self._config.seed, **hnsw_options),
+            "lsh": lambda: LshIndex(dim, seed=self._config.seed),
+            "ivf": lambda: IvfIndex(dim, seed=self._config.seed),
+            "flat": lambda: FlatIndex(dim),
+        }
+        if kind not in makers:
+            raise SqlError(
+                f"unknown {what} {kind!r}; expected one of {sorted(makers)}"
+            )
+        return makers[kind]()
+
+    def _build_vector_index(self, entry: "_VectorIndexEntry") -> int:
         info = self._catalog.get_table(entry.table)
         col_idx = info.schema.index_of(entry.column)
         vectors = []
@@ -1132,19 +1159,7 @@ class Database:
             raise SqlError(
                 f"column {entry.column!r} holds vectors of mixed dimensions {sorted(dims)}"
             )
-        dim = dims.pop()
-        makers = {
-            "hnsw": lambda: HnswIndex(dim, seed=self._config.seed),
-            "lsh": lambda: LshIndex(dim, seed=self._config.seed),
-            "ivf": lambda: IvfIndex(dim, seed=self._config.seed),
-            "flat": lambda: FlatIndex(dim),
-        }
-        if entry.kind not in makers:
-            raise SqlError(
-                f"unknown vector index kind {entry.kind!r}; expected one of "
-                f"{sorted(makers)}"
-            )
-        index = makers[entry.kind]()
+        index = self._make_index(entry.kind, dims.pop(), "vector index kind")
         with self._telemetry.tracer.span(
             f"vector-build:{entry.kind}", category="index", vectors=len(rids)
         ):
@@ -1174,40 +1189,26 @@ class Database:
         within ``distance_threshold``.  Cache entries are persisted into a
         catalog table, making the cache an ordinary managed relation.
         """
-        from .indexes import FlatIndex, HnswIndex, IvfIndex, LshIndex
         from .serving.result_cache import ExactResultCache, InferenceResultCache
 
         with self._rwlock.write():
-            info = self._catalog.get_model(name)
+            info = self.model_info(name)
             model = info.model
             metrics = (
                 self._telemetry.registry if self._telemetry.enabled else None
             )
             if exact:
-                self._caches[info.name] = ExactResultCache(
+                self._caches[info.model_name] = ExactResultCache(
                     model, metrics=metrics, injector=self._faults
                 )
                 return
             dim = int(np.prod(model.input_shape))
-            index_types = {
-                "hnsw": lambda: HnswIndex(
-                    dim, m=8, ef_search=16, seed=self._config.seed
-                ),
-                "lsh": lambda: LshIndex(dim, seed=self._config.seed),
-                "ivf": lambda: IvfIndex(dim, seed=self._config.seed),
-                "flat": lambda: FlatIndex(dim),
-            }
-            if index not in index_types:
-                raise SqlError(
-                    f"unknown cache index {index!r}; expected one of "
-                    f"{sorted(index_types)}"
-                )
-            self._caches[info.name] = InferenceResultCache(
+            self._caches[info.model_name] = InferenceResultCache(
                 model,
-                index_types[index](),
+                self._make_index(index, dim, "cache index", m=8, ef_search=16),
                 distance_threshold=distance_threshold,
                 catalog=self._catalog,
-                table_name=f"__cache_{info.name}",
+                table_name=f"__cache_{info.model_name}",
                 metrics=metrics,
                 injector=self._faults,
             )
@@ -1220,97 +1221,54 @@ class Database:
         """The model's active cache object (None if caching is disabled)."""
         return self._caches.get(name.lower())
 
-    def _predict_labels(
-        self, name: str, features: np.ndarray, proba_class: int | None = None
-    ) -> np.ndarray:
-        return self._predict_labels_routed(name, features, proba_class)[0]
-
-    def _predict_labels_routed(
-        self, name: str, features: np.ndarray, proba_class: int | None = None
+    def _predict(
+        self,
+        name: str,
+        features: np.ndarray,
+        proba_class: int | None = None,
+        execute=None,
     ) -> tuple[np.ndarray, int]:
-        """Label prediction through the lifecycle catalog's routing.
+        """The one predict path: ``(labels, generation served from)``.
 
         Pins one immutable snapshot for the whole call, so every response
         is attributable to exactly one published generation even while a
-        deploy/rollback swaps routing concurrently.
+        deploy/rollback swaps routing concurrently.  ``execute(record,
+        features)`` runs one version; the default runs it in-process, the
+        server passes the cluster pool's ``predict`` instead.
         """
-        key = name.lower()
+        if execute is None:
+            def execute(record, feats):
+                return self._run_labels(record, feats, proba_class)
+
         snapshot = self._lifecycle.snapshot()
-        entry = snapshot.entry(key)
-        if entry is None:
-            # Internal version keys ("m@v") and models that bypassed
-            # register_model have no routing entry: execute directly.
-            return (
-                self._predict_labels_raw(key, features, proba_class),
-                snapshot.generation,
-            )
-        if proba_class is not None:
-            # Probability outputs are served by the stable version only
-            # (no canary slice: scores are not comparable label-wise).
-            serving = entry.key_of(entry.serving)
-            return (
-                self._predict_labels_raw(serving, features, proba_class),
-                snapshot.generation,
-            )
-        labels = routed_predict(
-            self._deployments,
-            entry,
-            features,
-            lambda version_key, feats: self._predict_labels_raw(
-                version_key, feats
-            ),
-            snapshot,
-        )
+        entry = snapshot.entry(name.lower())
+        if entry is None or proba_class is not None:
+            # An explicit "m@v" pins that version; probability outputs
+            # are served by the stable version only (no canary slice:
+            # scores are not comparable label-wise).
+            labels = execute(snapshot.resolve(name), features)
+        else:
+            labels = routed_predict(self._deployments, entry, features, execute)
         return labels, snapshot.generation
 
-    def predict_labels_v(
-        self, name: str, features: np.ndarray
-    ) -> tuple[np.ndarray, int]:
-        """Like :meth:`predict_labels`, also returning the generation of
-        the lifecycle snapshot the call was served from."""
-        with self._rwlock.read():
-            return self._predict_labels_routed(name, features)
-
-    def route_cluster_predict(self, name: str, features: np.ndarray):
-        """Cluster-path entry point: lifecycle routing over pool workers.
-
-        The attached :class:`~repro.cluster.ClusterPool` executes version
-        keys directly (each version is its own catalog entry, so it gets
-        its own consistent-hash placement); this wrapper applies the same
-        canary/shadow split the in-process path uses.
-        """
-        cluster = self._cluster
-        key = name.lower()
-        snapshot = self._lifecycle.snapshot()
-        entry = snapshot.entry(key)
-        if cluster is None or entry is None:
-            target = cluster.predict if cluster is not None else (
-                lambda n, f: self.predict_labels(n, f)
-            )
-            return target(key, features)
-        return routed_predict(
-            self._deployments, entry, features, cluster.predict, snapshot
-        )
-
-    def _predict_labels_raw(
-        self, name: str, features: np.ndarray, proba_class: int | None = None
+    def _run_labels(
+        self, record: VersionRecord, features: np.ndarray, proba_class: int | None
     ) -> np.ndarray:
-        if proba_class is not None:
-            # Probability outputs bypass the result cache (it stores labels).
-            result = self.predict(name, features)
-            scores = result.outputs
-            if not 0 <= proba_class < scores.shape[-1]:
-                raise SqlError(
-                    f"PREDICT_PROBA class {proba_class} out of range for "
-                    f"model {name!r} with {scores.shape[-1]} outputs"
-                )
-            return scores[:, proba_class]
-        cache = self._caches.get(name.lower())
-        if cache is not None:
-            predictions, __ = cache.serve(features)
-            return predictions
-        result = self.predict(name, features)
-        return np.argmax(result.outputs, axis=-1)
+        with self._rwlock.read():
+            if proba_class is not None:
+                # Probability outputs bypass the result cache (it stores
+                # labels).
+                scores = self._run(record, features).outputs
+                if not 0 <= proba_class < scores.shape[-1]:
+                    raise SqlError(
+                        f"PREDICT_PROBA class {proba_class} out of range for "
+                        f"model {record.name!r} with {scores.shape[-1]} outputs"
+                    )
+                return scores[:, proba_class]
+            cache = self._caches.get(record.model_name)
+            if cache is not None and cache.model is record.model:
+                return cache.serve(features)[0]
+            return np.argmax(self._run(record, features).outputs, axis=-1)
 
     # -- serving ---------------------------------------------------------
 
@@ -1472,7 +1430,9 @@ class Database:
             # before the sidecar that references those pages is
             # committed.  The old order (sidecar first) could commit a
             # catalog pointing at pages a crash never wrote.
-            snapshot = persist.serialize_catalog(self._catalog, block_shape)
+            snapshot = persist.serialize_catalog(
+                self._catalog, block_shape, self._lifecycle.snapshot().records()
+            )
             self._pool.flush_all()
             self._disk.sync()
             persist.save_sidecar(

@@ -66,9 +66,13 @@ class Planner:
         predict_fn: PredictFunction | None = None,
         predict_batch_size: int = 1024,
         telemetry: Telemetry | None = None,
+        has_model: Callable[[str], bool] | None = None,
     ):
         self._catalog = catalog
         self._predict_fn = predict_fn
+        # Models live outside the table catalog; with no checker (a
+        # stubbed predict_fn) unknown names surface at execution.
+        self._has_model = has_model
         self._batch_size = predict_batch_size
         self._telemetry = telemetry if telemetry is not None else DISABLED
         self._m_plans = self._telemetry.registry.counter(
@@ -210,7 +214,7 @@ class Planner:
             if isinstance(item.expr, Star):
                 raise PlanError("SELECT * cannot be combined with PREDICT")
             if isinstance(item.expr, PredictCall):
-                if not self._catalog.has_model(item.expr.model):
+                if self._has_model and not self._has_model(item.expr.model):
                     raise BindError(f"no model named {item.expr.model!r}")
                 predicts.append((slot, item.expr, name))
                 ctype = (

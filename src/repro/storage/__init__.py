@@ -17,7 +17,7 @@ from .buffer_pool import (
 )
 from .serde import RowSerde
 from .heap import HeapFile, RowId
-from .catalog import Catalog, TableInfo, ModelInfo
+from .catalog import Catalog, TableInfo, VersionRecord
 
 __all__ = [
     "Page",
@@ -36,5 +36,5 @@ __all__ = [
     "RowId",
     "Catalog",
     "TableInfo",
-    "ModelInfo",
+    "VersionRecord",
 ]

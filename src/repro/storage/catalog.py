@@ -1,10 +1,12 @@
-"""The system catalog: tables, registered models, and vector indexes.
+"""The system catalog: tables, and the record type of registered models.
 
 The paper argues that managing models *inside* the RDBMS catalog (Sec. 4)
 binds each model to its storage representation and training metadata, which
-enables the optimizer to pick representations per operator.  Our catalog
-therefore tracks, for every registered model, both the in-process object and
-the tensor-block tables created for its relation-centric representation.
+enables the optimizer to pick representations per operator.  A model
+version's :class:`VersionRecord` therefore carries both the in-process
+object and the tensor-block tables created for its relation-centric
+representation; the records themselves are owned by the copy-on-write
+:class:`~repro.lifecycle.ModelCatalog`, :class:`Catalog` holds tables only.
 """
 
 from __future__ import annotations
@@ -37,35 +39,67 @@ class TableInfo:
         return self.heap.first_page_id
 
 
-@dataclass
-class ModelInfo:
-    """Catalog entry for one registered model.
+#: Version lifecycle states tracked per :class:`VersionRecord`.
+V_READY = "ready"          # prepared and compiled, not taking traffic
+V_SERVING = "serving"      # the stable version, takes non-canary traffic
+V_CANARY = "canary"        # taking the deterministic canary slice
+V_SHADOW = "shadow"        # mirrored traffic only, outputs compared
+V_RETIRED = "retired"      # was serving (or deployed) and was replaced
 
-    ``block_tables`` maps parameter names (e.g. ``"fc1.weight"``) to the
-    relational tables holding their tensor blocks, populated lazily the
-    first time the relation-centric engine needs them.
+#: The version ``register_model`` creates; it displays under the bare
+#: model name.
+BASE_VERSION = "v1"
+
+
+@dataclass(frozen=True, eq=False)
+class VersionRecord:
+    """The one catalog record of a model version.
+
+    Owned by the copy-on-write :class:`~repro.lifecycle.ModelCatalog`:
+    routing changes replace ``state`` / ``since_generation`` in a new
+    snapshot, while ``block_tables`` and ``metadata`` are shared by every
+    copy of the record.  ``block_tables`` maps parameter names (e.g.
+    ``"fc1.weight"``) to the relational tables holding their tensor
+    blocks, populated lazily the first time the relation-centric engine
+    needs them.
     """
 
-    name: str
+    model_name: str
     model: "Model"
+    version: str = BASE_VERSION
+    state: str = V_SERVING
+    since_generation: int = 0
     block_tables: dict[str, str] = field(default_factory=dict)
-    versions: dict[str, "Model"] = field(default_factory=dict)
     metadata: dict[str, object] = field(default_factory=dict)
+
+    @property
+    def name(self) -> str:
+        """Display / wire id: ``m`` for the base version, else ``m@v``.
+
+        Names block tables, per-version breakers, cluster placement and
+        ``SHOW MODELS`` rows; :func:`split_version_name` is its inverse.
+        """
+        if self.version == BASE_VERSION:
+            return self.model_name
+        return f"{self.model_name}@{self.version}"
+
+
+def split_version_name(name: str) -> tuple[str, str | None]:
+    """``"m@v"`` → ``("m", "v")``; a bare ``"m"`` → ``("m", None)``."""
+    model, sep, version = name.lower().rpartition("@")
+    return (model, version) if sep else (version, None)
 
 
 class Catalog:
-    """Name → object resolution for tables and models."""
+    """Name → object resolution for tables."""
 
     def __init__(self, pool: BufferPool):
         self._pool = pool
         self._tables: dict[str, TableInfo] = {}
-        self._models: dict[str, ModelInfo] = {}
 
     @property
     def pool(self) -> BufferPool:
         return self._pool
-
-    # -- tables --------------------------------------------------------
 
     def create_table(self, name: str, schema: Schema) -> TableInfo:
         key = name.lower()
@@ -81,12 +115,6 @@ class Catalog:
         if info.name in self._tables:
             raise CatalogError(f"table {info.name!r} already exists")
         self._tables[info.name] = info
-
-    def attach_model(self, info: ModelInfo) -> None:
-        """Re-register a model restored from a persisted catalog."""
-        if info.name in self._models:
-            raise CatalogError(f"model {info.name!r} already registered")
-        self._models[info.name] = info
 
     def drop_table(self, name: str) -> None:
         key = name.lower()
@@ -106,32 +134,3 @@ class Catalog:
 
     def tables(self) -> Iterator[TableInfo]:
         return iter(self._tables.values())
-
-    # -- models ----------------------------------------------------------
-
-    def register_model(self, name: str, model: "Model", **metadata: object) -> ModelInfo:
-        key = name.lower()
-        if key in self._models:
-            raise CatalogError(f"model {name!r} already registered")
-        info = ModelInfo(name=key, model=model, metadata=dict(metadata))
-        self._models[key] = info
-        return info
-
-    def unregister_model(self, name: str) -> None:
-        key = name.lower()
-        if key not in self._models:
-            raise CatalogError(f"no model named {name!r}")
-        del self._models[key]
-
-    def get_model(self, name: str) -> ModelInfo:
-        key = name.lower()
-        info = self._models.get(key)
-        if info is None:
-            raise CatalogError(f"no model named {name!r}")
-        return info
-
-    def has_model(self, name: str) -> bool:
-        return name.lower() in self._models
-
-    def models(self) -> Iterator[ModelInfo]:
-        return iter(self._models.values())

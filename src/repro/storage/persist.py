@@ -34,6 +34,7 @@ import json
 import logging
 import os
 import shutil
+from typing import Sequence
 
 import numpy as np
 
@@ -52,7 +53,7 @@ from ..errors import StorageError
 from ..faults import NULL_INJECTOR, FaultInjector
 from ..relational.schema import Column, ColumnType, Schema
 from ..tensor.blocked import BlockedMatrix
-from .catalog import Catalog, ModelInfo
+from .catalog import Catalog, VersionRecord
 from .heap import HeapFile
 from .serde import RowSerde
 
@@ -170,12 +171,17 @@ def _load_blocks(
 # -- catalog (de)serialization ------------------------------------------
 
 
-def serialize_catalog(catalog: Catalog, block_shape: tuple[int, int]) -> dict:
-    """Snapshot the catalog; ensures every model's weights are in block
-    tables first (so only metadata needs the sidecar)."""
+def serialize_catalog(
+    catalog: Catalog,
+    block_shape: tuple[int, int],
+    models: Sequence[VersionRecord] = (),
+) -> dict:
+    """Snapshot the tables and the given model version records; ensures
+    every model's weights are in block tables first (so only metadata
+    needs the sidecar)."""
     from ..models.store import store_model_blocks
 
-    for info in catalog.models():
+    for info in models:
         store_model_blocks(catalog, info, block_shape)
     tables = [
         {
@@ -186,7 +192,7 @@ def serialize_catalog(catalog: Catalog, block_shape: tuple[int, int]) -> dict:
         }
         for info in catalog.tables()
     ]
-    models = [
+    model_entries = [
         {
             "name": info.name,
             "input_shape": list(info.model.input_shape),
@@ -197,18 +203,21 @@ def serialize_catalog(catalog: Catalog, block_shape: tuple[int, int]) -> dict:
                 k: v for k, v in info.metadata.items() if _json_safe(v)
             },
         }
-        for info in catalog.models()
+        for info in models
     ]
     return {
         "version": FORMAT_VERSION,
         "block_shape": list(block_shape),
         "tables": tables,
-        "models": models,
+        "models": model_entries,
     }
 
 
-def restore_catalog(catalog: Catalog, snapshot: dict) -> None:
-    """Rebuild tables and models into an empty catalog.
+def restore_catalog(
+    catalog: Catalog, snapshot: dict
+) -> list[tuple[str, Model, dict, dict]]:
+    """Rebuild tables into an empty catalog and return the persisted
+    models as ``(name, model, block_tables, metadata)`` in file order.
 
     A structurally malformed snapshot (missing keys, wrong value types)
     raises :class:`StorageError` rather than leaking ``KeyError`` /
@@ -219,14 +228,14 @@ def restore_catalog(catalog: Catalog, snapshot: dict) -> None:
             f"unsupported catalog format version {snapshot.get('version')!r}"
         )
     try:
-        _restore_catalog(catalog, snapshot)
+        return _restore_catalog(catalog, snapshot)
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise StorageError(
             f"malformed catalog snapshot: {type(exc).__name__}: {exc}"
         ) from exc
 
 
-def _restore_catalog(catalog: Catalog, snapshot: dict) -> None:
+def _restore_catalog(catalog: Catalog, snapshot: dict) -> list:
     from .catalog import TableInfo
 
     block_shape = tuple(snapshot["block_shape"])
@@ -245,6 +254,7 @@ def _restore_catalog(catalog: Catalog, snapshot: dict) -> None:
                 row_count=table["row_count"],
             )
         )
+    models = []
     for model_snapshot in snapshot["models"]:
         block_tables = model_snapshot["block_tables"]
         layers = [
@@ -256,14 +266,15 @@ def _restore_catalog(catalog: Catalog, snapshot: dict) -> None:
             layers,
             input_shape=tuple(model_snapshot["input_shape"]),
         )
-        catalog.attach_model(
-            ModelInfo(
-                name=model_snapshot["name"],
-                model=model,
-                block_tables=dict(block_tables),
-                metadata=dict(model_snapshot["metadata"]),
+        models.append(
+            (
+                model_snapshot["name"],
+                model,
+                dict(block_tables),
+                dict(model_snapshot["metadata"]),
             )
         )
+    return models
 
 
 def _json_safe(value: object) -> bool:

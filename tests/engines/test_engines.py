@@ -13,7 +13,7 @@ from repro.engines import (
 from repro.errors import OutOfMemoryError
 from repro.models import amazon_14k_fc, fraud_fc_256, landcover
 from repro.relational.operators import SeqScan
-from repro.storage import BufferPool, Catalog, InMemoryDiskManager
+from repro.storage import BufferPool, Catalog, InMemoryDiskManager, VersionRecord
 from repro.data import fraud_schema, fraud_transactions
 
 
@@ -94,7 +94,7 @@ def test_dl_engine_accounts_transfer(rng):
 def test_relation_engine_vector_stage_matches_udf(rng, config):
     catalog, __ = make_catalog()
     model = fraud_fc_256()
-    model_info = catalog.register_model("fraud", model)
+    model_info = VersionRecord("fraud", model)
     x = rng.normal(size=(100, 28))
     engine = RelationCentricEngine(catalog, config, stripe_rows=48)
     result = engine.run_vector_stage(model.layers, x, model_info)
@@ -105,7 +105,7 @@ def test_relation_engine_bounded_peak_memory(rng, config):
     """Peak accounted memory stays near stripe size, not operator size."""
     catalog, __ = make_catalog(capacity=256)
     model = amazon_14k_fc(scale=0.002)  # 1195 features
-    model_info = catalog.register_model("amazon", model)
+    model_info = VersionRecord("amazon", model)
     x = rng.normal(size=(200, model.input_shape[0]))
     engine = RelationCentricEngine(catalog, config, stripe_rows=32)
     result = engine.run_vector_stage(model.layers, x, model_info)
@@ -118,7 +118,7 @@ def test_relation_engine_conv_stage(rng, config):
     catalog, __ = make_catalog(capacity=256)
     model = landcover(spatial=16, out_channels=8)
     conv = model.layers[0]
-    model_info = catalog.register_model("lc", model)
+    model_info = VersionRecord("lc", model)
     images = rng.normal(size=(2, 16, 16, 3))
     engine = RelationCentricEngine(catalog, config, stripe_rows=64)
     result = engine.run_conv_stage(
@@ -132,7 +132,7 @@ def test_relation_engine_conv_stage(rng, config):
 def test_hybrid_executes_adaptive_plan_end_to_end(rng, config):
     catalog, __ = make_catalog(capacity=256)
     model = amazon_14k_fc(scale=0.002)
-    model_info = catalog.register_model("amazon", model)
+    model_info = VersionRecord("amazon", model)
     plan = RuleBasedOptimizer(
         config.with_options(memory_threshold_bytes=4 * 1195 * 1024)
     ).plan_model(model, batch_size=64)
@@ -146,7 +146,7 @@ def test_hybrid_executes_adaptive_plan_end_to_end(rng, config):
 def test_hybrid_single_udf_plan(rng, config):
     catalog, __ = make_catalog()
     model = fraud_fc_256()
-    model_info = catalog.register_model("fraud", model)
+    model_info = VersionRecord("fraud", model)
     plan = RuleBasedOptimizer(config).plan_model(model, batch_size=64)
     assert plan.is_single_udf
     executor = HybridExecutor(catalog, config)
@@ -158,7 +158,7 @@ def test_hybrid_single_udf_plan(rng, config):
 def test_hybrid_dl_stage_charges_boundary_wire(rng, config):
     catalog, __ = make_catalog()
     model = fraud_fc_256()
-    model_info = catalog.register_model("fraud", model)
+    model_info = VersionRecord("fraud", model)
     plan = RuleBasedOptimizer(config).plan_model(
         model, batch_size=64, force="dl-centric"
     )
@@ -182,7 +182,7 @@ def test_whole_tensor_engines_oom_where_relation_survives(rng):
     # float32 scale); with the batch added, both whole-tensor engines
     # exceed the 5 MB budget.
     model = amazon_14k_fc(scale=0.002)
-    model_info = catalog.register_model("amazon", model)
+    model_info = VersionRecord("amazon", model)
     x = rng.normal(size=(128, model.input_shape[0]))
 
     udf = UdfCentricEngine(MemoryBudget(config.dl_memory_limit_bytes))

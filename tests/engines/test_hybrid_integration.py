@@ -11,7 +11,7 @@ from repro.dlruntime import MemoryBudget
 from repro.engines import HybridExecutor, RelationCentricEngine
 from repro.errors import OutOfMemoryError, PlanError
 from repro.models import cache_cnn, deepbench_conv1, fraud_fc_256
-from repro.storage import BufferPool, Catalog, InMemoryDiskManager
+from repro.storage import BufferPool, Catalog, InMemoryDiskManager, VersionRecord
 
 
 def make_catalog(capacity=128):
@@ -33,7 +33,7 @@ def test_hybrid_runs_full_cnn_as_single_udf(rng, config):
     threshold at small batch and runs as one fused UDF stage."""
     catalog = make_catalog()
     model = cache_cnn(seed=1)
-    info = catalog.register_model("cnn", model)
+    info = VersionRecord("cnn", model)
     plan = RuleBasedOptimizer(config).plan_model(model, batch_size=4)
     assert plan.is_single_udf
     x = rng.normal(size=(4, 28, 28, 1))
@@ -45,7 +45,7 @@ def test_hybrid_relation_conv_plan(rng, config):
     """A conv forced relation-centric flows through the conv stage path."""
     catalog = make_catalog(capacity=512)
     model = deepbench_conv1(scale=0.2)  # 22×22×13
-    info = catalog.register_model("conv", model)
+    info = VersionRecord("conv", model)
     plan = RuleBasedOptimizer(config).plan_model(
         model, batch_size=2, force="relation-centric"
     )
@@ -59,7 +59,7 @@ def test_relation_conv_stage_with_relu(rng, config):
     catalog = make_catalog(capacity=512)
     model = deepbench_conv1(scale=0.2)
     conv = model.layers[0]
-    info = catalog.register_model("conv", model)
+    info = VersionRecord("conv", model)
     engine = RelationCentricEngine(catalog, config, stripe_rows=64)
     images = rng.normal(size=(1,) + model.input_shape)
     engine.run_conv_stage(
@@ -75,7 +75,7 @@ def test_relation_conv_stage_with_relu(rng, config):
 def test_relation_vector_stage_rejects_images(rng, config):
     catalog = make_catalog()
     model = fraud_fc_256()
-    info = catalog.register_model("fraud", model)
+    info = VersionRecord("fraud", model)
     engine = RelationCentricEngine(catalog, config)
     with pytest.raises(PlanError):
         engine.run_vector_stage(model.layers, rng.normal(size=(2, 3, 3, 1)), info)
@@ -84,7 +84,7 @@ def test_relation_vector_stage_rejects_images(rng, config):
 def test_relation_conv_stage_rejects_vectors(rng, config):
     catalog = make_catalog()
     model = deepbench_conv1(scale=0.2)
-    info = catalog.register_model("conv", model)
+    info = VersionRecord("conv", model)
     engine = RelationCentricEngine(catalog, config)
     with pytest.raises(PlanError):
         engine.run_conv_stage(model.layers[0], rng.normal(size=(2, 5)), info)
@@ -93,7 +93,7 @@ def test_relation_conv_stage_rejects_vectors(rng, config):
 def test_unassigned_stage_rejected(rng, config):
     catalog = make_catalog()
     model = fraud_fc_256()
-    info = catalog.register_model("fraud", model)
+    info = VersionRecord("fraud", model)
     nodes = lower_model(model)
     bad_plan_stage = PlanStage(Representation.UNASSIGNED, nodes)
     from repro.core.ir import InferencePlan
@@ -154,7 +154,7 @@ def test_hybrid_runs_pooled_cnn_as_udf(rng, config):
         input_shape=(16, 16, 1),
     )
     catalog = make_catalog()
-    info = catalog.register_model("pooled", model)
+    info = VersionRecord("pooled", model)
     plan = RuleBasedOptimizer(config).plan_model(model, batch_size=3)
     assert plan.is_single_udf
     from repro.core import LinAlgOp, lower_model

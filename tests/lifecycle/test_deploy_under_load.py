@@ -168,6 +168,47 @@ def test_shadow_agreement_promotes():
         assert db.lifecycle.snapshot().entry("fraud").serving == "v2"
 
 
+@pytest.mark.parametrize(
+    "split", [{}, {"canary_percent": 50.0}, {"shadow": True}],
+    ids=["no-split", "canary-50", "shadow"],
+)
+def test_every_predict_path_agrees_under_every_split(split):
+    """One seeded batch through direct, SQL, thread-mode and cluster-mode
+    serving returns identical labels whatever the traffic split, and each
+    call is attributable to a published generation."""
+    from repro.data import feature_column_names, fraud_schema, fraud_transactions
+
+    features, __, rows = fraud_transactions(48, seed=21)
+    model = fraud_fc_256()
+    expected = model.predict(features)
+    query = (
+        f"SELECT PREDICT(fraud, {', '.join(feature_column_names())}) AS p "
+        "FROM tx"
+    )
+    # No auto-promote: the split stays live for every path.
+    with Database(deploy_auto_promote=False) as db:
+        db.create_table("tx", fraud_schema())
+        db.load_rows("tx", rows)
+        db.register_model(model, name="fraud")
+        if split:
+            db.register_model_version("fraud", "v2", model=fraud_fc_256())
+            db.deploy_model("fraud", "v2", **split)
+
+        def check(labels):
+            np.testing.assert_array_equal(np.asarray(labels), expected)
+            __, gen = db.predict_labels_v("fraud", features)
+            assert gen in db.lifecycle.generations()
+
+        check(db.predict_labels("fraud", features))
+        check(db.execute(query).column("p"))
+        for cluster_workers in (0, 2):
+            with db.serve(workers=2, cluster_workers=cluster_workers) as server:
+                check(server.predict("fraud", features))
+        if split:
+            (dep,) = db.deployments.active()
+            assert dep.total_rows + dep.shadow_compared >= 4 * len(features)
+
+
 def test_close_drains_serving_tier_and_reports_abandoned():
     db = Database()
     db.register_model(fraud_fc_256(), name="fraud")

@@ -9,7 +9,6 @@ from repro import Database
 from repro.errors import (
     DeploymentError,
     NoServableVersionError,
-    SlaViolationError,
     SqlParseError,
 )
 from repro.lifecycle import ModelCatalog
@@ -25,10 +24,10 @@ from repro.sql.unparse import unparse
 def test_snapshots_are_immutable_and_generation_stamped():
     catalog = ModelCatalog()
     assert catalog.generation == 0
-    catalog.register_base("m")
+    catalog.register_base("m", fraud_fc_256())
     pinned = catalog.snapshot()
     gen_at_pin = pinned.generation
-    catalog.add_version("m", "v2", "m@v2")
+    catalog.add_version("m", "v2", fraud_fc_256())
     catalog.route_canary("m", "v2", 25.0)
     # The pinned snapshot never changed: readers keep the view they took.
     assert pinned.generation == gen_at_pin
@@ -39,8 +38,8 @@ def test_snapshots_are_immutable_and_generation_stamped():
 
 def test_publication_history_is_monotonic_and_complete():
     catalog = ModelCatalog()
-    catalog.register_base("m")
-    catalog.add_version("m", "v2", "m@v2")
+    catalog.register_base("m", fraud_fc_256())
+    catalog.add_version("m", "v2", fraud_fc_256())
     catalog.route_canary("m", "v2", 10.0)
     catalog.promote("m", "v2")
     catalog.rollback("m", serving="v1")
@@ -52,8 +51,8 @@ def test_publication_history_is_monotonic_and_complete():
 
 def test_promote_and_rollback_restate_version_records():
     catalog = ModelCatalog()
-    catalog.register_base("m")
-    catalog.add_version("m", "v2", "m@v2")
+    catalog.register_base("m", fraud_fc_256())
+    catalog.add_version("m", "v2", fraud_fc_256())
     catalog.promote("m", "v2")
     entry = catalog.snapshot().entry("m")
     assert entry.serving == "v2"
@@ -68,10 +67,10 @@ def test_promote_and_rollback_restate_version_records():
 
 def test_duplicate_version_rejected():
     catalog = ModelCatalog()
-    catalog.register_base("m")
-    catalog.add_version("m", "v2", "m@v2")
+    catalog.register_base("m", fraud_fc_256())
+    catalog.add_version("m", "v2", fraud_fc_256())
     with pytest.raises(DeploymentError):
-        catalog.add_version("m", "v2", "m@v2")
+        catalog.add_version("m", "v2", fraud_fc_256())
 
 
 # -- deterministic canary hashing ---------------------------------------
@@ -171,27 +170,86 @@ def test_promoted_deployment_rolls_back_to_previous():
         assert db.lifecycle.snapshot().entry("fraud").serving == "v1"
 
 
+# -- one resolver: every name-taking path follows routing ---------------
+
+
+def _negated(model):
+    """A copy whose output layer is negated: every 2-class label flips."""
+    import copy
+
+    from repro.dlruntime.layers import Linear
+
+    clone = copy.deepcopy(model)
+    clone.name = f"{model.name}-neg"
+    last = [layer for layer in clone.layers if isinstance(layer, Linear)][-1]
+    last.weight.data = -last.weight.data
+    last.bias.data = -last.bias.data
+    return clone
+
+
+def _fraud_db_with_negated_v2():
+    from repro.data import fraud_schema, fraud_transactions
+
+    db = Database()
+    features, __, rows = fraud_transactions(32, seed=3)
+    db.create_table("tx", fraud_schema())
+    db.load_rows("tx", rows)
+    model = fraud_fc_256()
+    db.register_model(model, name="fraud")
+    db.register_model_version("fraud", "v2", model=_negated(model))
+    return db, features, model.predict(features)
+
+
+def test_name_resolution_follows_routing_everywhere():
+    from repro.data import feature_column_names
+
+    query = (
+        f"SELECT PREDICT(fraud, {', '.join(feature_column_names())}) AS p "
+        "FROM tx"
+    )
+    db, features, v1 = _fraud_db_with_negated_v2()
+    with db:
+        def served():
+            return (
+                np.argmax(db.predict("fraud", features).outputs, axis=-1),
+                db.predict_labels("fraud", features),
+                np.array(db.execute(query).column("p")),
+            )
+
+        db.execute("DEPLOY MODEL fraud VERSION v2")
+        for labels in served():
+            np.testing.assert_array_equal(labels, 1 - v1)
+        assert db.inference_plan("fraud", 8).model.name == "fraud-fc-256-neg"
+        assert "model=fraud-fc-256-neg" in db.explain(query)
+        # An explicit "m@v" pins a version whatever the routing says.
+        np.testing.assert_array_equal(
+            db.predict_labels("fraud@v1", features), v1
+        )
+
+        db.execute("ROLLBACK MODEL fraud")
+        for labels in served():
+            np.testing.assert_array_equal(labels, v1)
+        assert "model=fraud-fc-256," in db.explain(query)
+
+
+def test_result_cache_attaches_to_the_serving_version():
+    db, features, v1 = _fraud_db_with_negated_v2()
+    with db:
+        db.execute("DEPLOY MODEL fraud VERSION v2")
+        db.enable_result_cache("fraud", 0.0, exact=True)
+        first = db.predict_labels("fraud", features)
+        second = db.predict_labels("fraud", features)
+        np.testing.assert_array_equal(first, 1 - v1)
+        np.testing.assert_array_equal(second, 1 - v1)
+        stats = db.result_cache("fraud").stats
+        assert (stats.misses, stats.hits) == (len(features), len(features))
+        # A routing change still drops the cache: it was filled by v2.
+        db.execute("ROLLBACK MODEL fraud")
+        assert db.result_cache("fraud") is None
+        np.testing.assert_array_equal(db.predict_labels("fraud", features), v1)
+
+
 # -- the version manager satellite --------------------------------------
-
-
-def test_version_manager_select_requires_servable():
-    from repro.dedup.versions import SlaVersionManager
-
-    manager = SlaVersionManager(fraud_fc_256(), accuracy_fn=lambda m: 0.9)
-    manager.add_quantized(8)
-    # Default behaviour unchanged: accuracy-only selection still works.
-    assert manager.select(0.5) is not None
-    with pytest.raises(SlaViolationError):
-        manager.select(0.99)
-    # Versions exist but none is loaded/promoted: typed, named failure.
-    with pytest.raises(NoServableVersionError) as excinfo:
-        manager.select(0.5, require_servable=True)
-    assert ("full", "created") in excinfo.value.candidates
-    assert ("int8", "created") in excinfo.value.candidates
-    manager.mark_loaded("int8")
-    assert manager.select(0.5, require_servable=True).name == "int8"
-    manager.mark_promoted("full")
-    assert manager.get("full").state == "promoted"
 
 
 def test_derive_version_demands_one_transform():

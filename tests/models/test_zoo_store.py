@@ -18,7 +18,7 @@ from repro.models import (
     zoo_entries,
 )
 from repro.models.store import weight_block_table
-from repro.storage import BufferPool, Catalog, InMemoryDiskManager
+from repro.storage import BufferPool, Catalog, InMemoryDiskManager, VersionRecord
 from repro.tensor import BlockedMatrix
 
 
@@ -89,7 +89,7 @@ def test_store_model_blocks_round_trip(rng):
     pool = BufferPool(InMemoryDiskManager(16 * 1024), capacity_pages=64)
     catalog = Catalog(pool)
     model = fraud_fc_256()
-    info = catalog.register_model("fraud", model)
+    info = VersionRecord("fraud", model)
     tables = store_model_blocks(catalog, info, (32, 32))
     assert set(tables) == {"fc1", "fc2"}
     fc1_table = catalog.get_table(tables["fc1"])
@@ -104,7 +104,7 @@ def test_weight_block_table_lazy_creation(rng):
     pool = BufferPool(InMemoryDiskManager(16 * 1024), capacity_pages=64)
     catalog = Catalog(pool)
     model = deepbench_conv1(scale=0.1)
-    info = catalog.register_model("db1", model)
+    info = VersionRecord("db1", model)
     conv = model.layers[0]
     table = weight_block_table(catalog, info, conv, (16, 16))
     out_ch = conv.out_channels

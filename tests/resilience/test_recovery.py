@@ -12,7 +12,7 @@ from repro.data import fraud_transactions
 from repro.engines import HybridExecutor
 from repro.errors import OutOfMemoryError
 from repro.models import deepbench_conv1, fraud_fc_256
-from repro.storage import BufferPool, Catalog, InMemoryDiskManager
+from repro.storage import BufferPool, Catalog, InMemoryDiskManager, VersionRecord
 
 #: Fraud-FC-256's weights are 63,504 bytes: a 40 KiB whole-tensor budget
 #: OOMs on the very first charge, while the 64 MiB threshold keeps the
@@ -136,7 +136,7 @@ def test_non_relowerable_oom_splits_the_batch(rng):
     )
     model = deepbench_conv1(scale=0.2)  # 22×22×13 input, 1×1 conv
     catalog = make_catalog()
-    info = catalog.register_model("conv", model)
+    info = VersionRecord("conv", model)
     plan = RuleBasedOptimizer(config).plan_model(model, batch_size=8)
     assert plan.representations == [Representation.UDF_CENTRIC]
     x = rng.normal(size=(8,) + model.input_shape)
@@ -159,7 +159,7 @@ def test_split_gives_up_below_the_floor(rng):
     )
     model = deepbench_conv1(scale=0.2)
     catalog = make_catalog()
-    info = catalog.register_model("conv", model)
+    info = VersionRecord("conv", model)
     plan = RuleBasedOptimizer(config).plan_model(model, batch_size=8)
     x = rng.normal(size=(8,) + model.input_shape)
     with pytest.raises(OutOfMemoryError):

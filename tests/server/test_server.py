@@ -81,13 +81,13 @@ def test_stress_concurrent_clients_deterministic(db, rng):
 
 
 def test_backpressure_raises_server_overloaded(db, features):
-    real_predict = db.predict_labels
+    real_predict = db._predict
 
-    def slow_predict(name, feats):
+    def slow_predict(name, feats, **kwargs):
         time.sleep(0.05)
-        return real_predict(name, feats)
+        return real_predict(name, feats, **kwargs)
 
-    db.predict_labels = slow_predict
+    db._predict = slow_predict
     try:
         with db.serve(workers=1, queue_capacity=2, max_queue_delay_ms=0.0) as server:
             futures, rejected = [], 0
@@ -103,17 +103,17 @@ def test_backpressure_raises_server_overloaded(db, features):
             rows = dict(server.stats_rows())
             assert rows["server.requests.rejected"] == rejected
     finally:
-        db.predict_labels = real_predict
+        db._predict = real_predict
 
 
 def test_sla_shedding_visible_in_stats_and_metrics(db, features):
-    real_predict = db.predict_labels
+    real_predict = db._predict
 
-    def slow_predict(name, feats):
+    def slow_predict(name, feats, **kwargs):
         time.sleep(0.05)
-        return real_predict(name, feats)
+        return real_predict(name, feats, **kwargs)
 
-    db.predict_labels = slow_predict
+    db._predict = slow_predict
     try:
         with db.serve(workers=1, max_queue_delay_ms=0.0) as server:
             # Warm the estimator past its confidence gate (~50ms/batch).
@@ -127,20 +127,20 @@ def test_sla_shedding_visible_in_stats_and_metrics(db, features):
             rows = dict(server.stats_rows())
             assert rows["server.requests.shed"] >= 1
     finally:
-        db.predict_labels = real_predict
+        db._predict = real_predict
     snapshot = db.telemetry.registry.snapshot()
     shed = [v for k, v in snapshot.items() if "server_requests_total" in k and "shed" in k]
     assert shed and shed[0] >= 1
 
 
 def test_queued_requests_expire_while_waiting(db, features):
-    real_predict = db.predict_labels
+    real_predict = db._predict
 
-    def slow_predict(name, feats):
+    def slow_predict(name, feats, **kwargs):
         time.sleep(0.15)
-        return real_predict(name, feats)
+        return real_predict(name, feats, **kwargs)
 
-    db.predict_labels = slow_predict
+    db._predict = slow_predict
     try:
         with db.serve(workers=1, max_queue_delay_ms=0.0) as server:
             first = server.submit("fraud", features[0])
@@ -157,7 +157,7 @@ def test_queued_requests_expire_while_waiting(db, features):
             assert rows["server.model.fraud.deadline_drops"] >= 1
             assert rows["server.requests.expired"] >= 1
     finally:
-        db.predict_labels = real_predict
+        db._predict = real_predict
 
 
 def test_show_server_sql(db, features):
@@ -203,13 +203,13 @@ def test_only_one_server_per_database(db):
 
 
 def test_close_without_drain_fails_queued_requests(db, features):
-    real_predict = db.predict_labels
+    real_predict = db._predict
 
-    def slow_predict(name, feats):
+    def slow_predict(name, feats, **kwargs):
         time.sleep(0.1)
-        return real_predict(name, feats)
+        return real_predict(name, feats, **kwargs)
 
-    db.predict_labels = slow_predict
+    db._predict = slow_predict
     try:
         server = db.serve(workers=1, max_queue_delay_ms=0.0)
         futures = [server.submit("fraud", features[i]) for i in range(6)]
@@ -218,7 +218,7 @@ def test_close_without_drain_fails_queued_requests(db, features):
         # Everything resolved: executed, or failed with ServerClosedError.
         assert outcomes <= {"NoneType", "ServerClosedError"}
     finally:
-        db.predict_labels = real_predict
+        db._predict = real_predict
 
 
 def test_serving_concurrent_with_sql_queries(db, rng):

@@ -72,7 +72,7 @@ def test_fresh_path_has_no_sidecar_effects(tmp_path):
     # Reopen: sidecar exists but is empty of content.
     with Database(path=path) as db:
         assert list(db.catalog.tables()) == []
-        assert list(db.catalog.models()) == []
+        assert db.lifecycle.snapshot().models() == []
 
 
 def test_in_memory_database_does_not_write_sidecars(tmp_path, monkeypatch):
@@ -82,3 +82,62 @@ def test_in_memory_database_does_not_write_sidecars(tmp_path, monkeypatch):
     import os
 
     assert not any(p.endswith(".catalog") for p in os.listdir(tmp_path))
+
+
+def _prepared_v2(path):
+    """A file-backed database holding ``fraud`` plus a prepared ``v2``."""
+    db = Database(path=path)
+    db.register_model(fraud_fc_256(), name="fraud")
+    db.register_model_version("fraud", "v2", model=fraud_fc_256(seed=5))
+    return db
+
+
+def test_prepared_versions_survive_reopen(tmp_path):
+    from repro.errors import DeploymentError
+
+    path = str(tmp_path / "db.pages")
+    features, __, ___ = fraud_transactions(32, seed=73)
+    v2_labels = fraud_fc_256(seed=5).predict(features)
+    with _prepared_v2(path) as db:
+        shown = db.execute("SHOW MODELS").rows
+        assert [row[0] for row in shown] == ["fraud", "fraud@v2"]
+    with Database(path=path) as db:
+        assert db.execute("SHOW MODELS").rows == shown
+        entry = db.lifecycle.snapshot().entry("fraud")
+        assert entry.candidates() == [("v1", "serving"), ("v2", "ready")]
+        with pytest.raises(DeploymentError, match="already has a version"):
+            db.register_model_version("fraud", "v2", model=fraud_fc_256())
+        db.execute("DEPLOY MODEL fraud VERSION v2")
+        np.testing.assert_array_equal(
+            db.predict_labels("fraud", features), v2_labels
+        )
+
+
+def test_sidecar_keeps_the_flat_format_2_layout(tmp_path):
+    """The writer's output is what the pre-record-collapse writer produced
+    (format 2: one flat ``models`` list, versions named ``m@v``), so files
+    written before and after it restore through the same path."""
+    import json
+
+    from repro.storage.persist import sidecar_path
+
+    path = str(tmp_path / "db.pages")
+    _prepared_v2(path).close()
+    with open(sidecar_path(path), encoding="utf-8") as f:
+        sidecar = json.load(f)
+    assert set(sidecar) == {"version", "block_shape", "tables", "models"}
+    assert sidecar["version"] == 2
+    assert [m["name"] for m in sidecar["models"]] == ["fraud", "fraud@v2"]
+    for entry in sidecar["models"]:
+        assert set(entry) == {
+            "name", "input_shape", "model_name", "layers", "block_tables",
+            "metadata",
+        }
+    # An "m@v" entry whose base model is absent restores as a model of
+    # that name rather than failing the whole open.
+    sidecar["models"] = sidecar["models"][1:]
+    with open(sidecar_path(path), "w", encoding="utf-8") as f:
+        json.dump(sidecar, f)
+    with Database(path=path) as db:
+        assert [row[0] for row in db.execute("SHOW MODELS").rows] == ["fraud@v2"]
+        assert db.predict_labels("fraud@v2", np.zeros((1, 28))).shape == (1,)
