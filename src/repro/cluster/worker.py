@@ -66,13 +66,17 @@ def _worker_main(conn, worker_id: int, config) -> None:
     # (KeyError tracebacks in the shared tracker).  The state must be
     # reset *in place* — ``shared_memory`` binds the module-level
     # register/unregister to the original instance — so the first attach
-    # spawns a tracker private to this process.
+    # spawns a tracker private to this process.  Its lock is replaced too:
+    # a parent thread creating a segment may hold it at fork time, and
+    # the copy would stay locked forever, hanging this worker's first
+    # attach while its heartbeats kept it looking healthy.
     try:
         tracker = resource_tracker._resource_tracker
         if tracker._fd is not None:
             os.close(tracker._fd)
         tracker._fd = None
         tracker._pid = None
+        tracker._lock = threading.RLock()
     except Exception:  # pragma: no cover - tracker internals vary
         pass
     shm_transport.IN_WORKER = True

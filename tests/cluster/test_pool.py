@@ -100,6 +100,7 @@ def test_show_cluster_surfaces_pool_state(pool, cluster_db, features):
     assert rows["cluster.requests.completed"] >= 1
     assert rows["cluster.placement.fraud"]
     assert "cluster.worker.0.pid" in rows
+    # Deterministic: the pool fixture's __enter__ waited for readiness.
     assert rows["cluster.worker.0.state"] == "ready"
 
 
@@ -117,6 +118,7 @@ def test_show_server_gains_worker_rows_only_in_cluster_mode(
     try:
         server.submit("fraud", features).result(timeout=30)
         rows = dict(cluster_db.execute("SHOW SERVER").fetchall())
+        # serve() returned only once every worker was ready.
         assert rows["server.worker.0.state"] == "ready"
         assert rows["server.worker.1.state"] == "ready"
         assert "fraud" in rows["server.worker.0.models"] or (
@@ -149,6 +151,47 @@ def test_worker_processes_share_the_core_budget(cluster_db):
         assert budget == max(1, cluster_db.config.num_cores // pool.workers)
         assert pool._worker_config.cluster_workers == 0  # no recursion
         assert pool._worker_config.telemetry_enabled is False
+
+
+def test_wait_ready_returns_once_every_worker_is_ready(cluster_db):
+    from repro.errors import ClusterUnavailableError
+
+    pool = ClusterPool(cluster_db)  # no `with`: nothing has waited yet
+    try:
+        pool.wait_ready(timeout=30)
+        assert {h.state for h in pool._handles.values()} == {"ready"}
+    finally:
+        pool.close()
+    with pytest.raises(ClusterUnavailableError):
+        pool.wait_ready(timeout=30)  # a closed pool never becomes ready
+
+
+def test_worker_forked_while_tracker_lock_held_still_serves(
+    cluster_db, features
+):
+    # A client thread creating a shared-memory segment holds the resource
+    # tracker's lock; a worker forked (or respawned) at that moment must
+    # not inherit it locked and hang on its first attach.
+    from multiprocessing import resource_tracker
+
+    expected = cluster_db.predict_labels("fraud", features)
+    held, release = threading.Event(), threading.Event()
+
+    def hold_tracker_lock():
+        with resource_tracker._resource_tracker._lock:
+            held.set()
+            release.wait(30)
+
+    holder = threading.Thread(target=hold_tracker_lock)
+    holder.start()
+    assert held.wait(5)
+    try:
+        pool = ClusterPool(cluster_db)
+    finally:
+        release.set()
+        holder.join(5)
+    with pool:
+        np.testing.assert_array_equal(pool.predict("fraud", features), expected)
 
 
 def test_predict_after_close_raises(cluster_db, features):
@@ -189,7 +232,8 @@ def test_load_failure_surfaces_real_error_and_retires_model(
             pool.predict("badload", features)
         # The caller sees the real worker-side error, not a timeout.
         assert "weights corrupted beyond repair" in str(excinfo.value)
-        # The worker survived: no crash/respawn loop.
+        # The worker survived: no crash/respawn loop.  Every worker was
+        # ready before the first request (__enter__ waited for it).
         snapshot = pool.snapshot()
         assert snapshot["counters"]["crashes"] == 0
         assert all(worker["state"] == "ready" for worker in snapshot["workers"])
