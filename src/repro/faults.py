@@ -45,6 +45,7 @@ import zlib
 from dataclasses import dataclass, field, replace
 
 from .errors import ConfigError, InjectedFaultError
+from .relational.schema import ColumnType, Schema
 from .telemetry.registry import NULL_REGISTRY, MetricsRegistry
 
 #: Fault kinds.  ``ERROR`` raises at the site; the corruption kinds damage
@@ -409,15 +410,16 @@ class FaultInjector:
 #: fault wiring (unit tests, benchmarks) pay one boolean check per site.
 NULL_INJECTOR = FaultInjector()
 
-#: Column names for ``SHOW FAULTS``.
-FAULT_COLUMNS = (
-    "site",
-    "kind",
-    "trigger",
-    "transient",
-    "armed",
-    "hits",
-    "fires",
-    "retries",
-    "recoveries",
+#: The ``faults`` system relation (``SHOW FAULTS``, see ``rows``).
+FAULT_SCHEMA = Schema.of(
+    ("site", ColumnType.TEXT),
+    ("kind", ColumnType.TEXT),
+    ("trigger", ColumnType.TEXT),
+    ("transient", ColumnType.BOOL),
+    ("armed", ColumnType.BOOL),
+    ("hits", ColumnType.INT),
+    ("fires", ColumnType.INT),
+    ("retries", ColumnType.INT),
+    ("recoveries", ColumnType.INT),
 )
+FAULT_COLUMNS = FAULT_SCHEMA.names

@@ -22,10 +22,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .relational.schema import ColumnType, Schema
 from .resilience.breaker import CLOSED, HALF_OPEN, OPEN
 
-#: Columns for ``SHOW HEALTH`` cursors.
-HEALTH_COLUMNS: tuple[str, ...] = ("component", "status", "detail")
+#: The ``health`` system relation (``SHOW HEALTH``, see ``HealthReport.rows``).
+HEALTH_SCHEMA = Schema.of(
+    ("component", ColumnType.TEXT),
+    ("status", ColumnType.TEXT),
+    ("detail", ColumnType.TEXT),
+)
+HEALTH_COLUMNS = HEALTH_SCHEMA.names
 
 OK = "ok"
 DEGRADED = "degraded"

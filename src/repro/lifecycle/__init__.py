@@ -23,6 +23,7 @@ from .catalog import (
 from .controller import (
     CANARY,
     DEPLOYMENT_COLUMNS,
+    DEPLOYMENT_SCHEMA,
     PREPARING,
     PROMOTED,
     ROLLED_BACK,
@@ -40,6 +41,7 @@ __all__ = [
     "Deployment",
     "DeploymentController",
     "DEPLOYMENT_COLUMNS",
+    "DEPLOYMENT_SCHEMA",
     "PREPARING",
     "SHADOWING",
     "CANARY",

@@ -30,6 +30,7 @@ import threading
 from dataclasses import dataclass, field
 
 from ..errors import DeploymentError, NoServableVersionError
+from ..relational.schema import ColumnType, Schema
 from ..resilience.breaker import OPEN, BreakerBoard
 from .catalog import V_READY, V_RETIRED
 
@@ -40,23 +41,25 @@ CANARY = "canary"
 PROMOTED = "promoted"
 ROLLED_BACK = "rolled_back"
 
-#: Columns for ``SHOW DEPLOYMENTS`` cursors.
-DEPLOYMENT_COLUMNS: tuple[str, ...] = (
-    "deploy_id",
-    "model",
-    "version",
-    "state",
-    "canary_percent",
-    "shadow",
-    "requests",
-    "failures",
-    "total_rows",
-    "shadow_compared",
-    "shadow_diverged",
-    "generation",
-    "reason",
-    "history",
+#: The ``deployments`` system relation (``SHOW DEPLOYMENTS``, see
+#: ``Deployment.as_row``).
+DEPLOYMENT_SCHEMA = Schema.of(
+    ("deploy_id", ColumnType.INT),
+    ("model", ColumnType.TEXT),
+    ("version", ColumnType.TEXT),
+    ("state", ColumnType.TEXT),
+    ("canary_percent", ColumnType.DOUBLE),
+    ("shadow", ColumnType.BOOL),
+    ("requests", ColumnType.INT),
+    ("failures", ColumnType.INT),
+    ("total_rows", ColumnType.INT),
+    ("shadow_compared", ColumnType.INT),
+    ("shadow_diverged", ColumnType.INT),
+    ("generation", ColumnType.INT),
+    ("reason", ColumnType.TEXT),
+    ("history", ColumnType.TEXT),
 )
+DEPLOYMENT_COLUMNS = DEPLOYMENT_SCHEMA.names
 
 
 @dataclass
@@ -426,9 +429,8 @@ class DeploymentController:
             return [dep.as_row() for dep in self._deployments]
 
     def snapshot(self) -> dict:
-        """JSON-safe state for the diagnostics bundle's lifecycle section."""
-        with self._lock:
-            rows = [list(dep.as_row()) for dep in self._deployments]
+        """JSON-safe state for the diagnostics bundle's lifecycle section
+        (the deployment rows travel as the ``deployments`` relation)."""
         breaker_rows = (
             [list(row) for row in self.breakers.rows()]
             if self.breakers is not None
@@ -439,7 +441,5 @@ class DeploymentController:
             "history": [
                 [gen, change] for gen, change in self._catalog.history()[-64:]
             ],
-            "columns": list(DEPLOYMENT_COLUMNS),
-            "deployments": rows,
             "breakers": breaker_rows,
         }

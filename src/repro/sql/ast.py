@@ -146,51 +146,28 @@ class ExplainAnalyze(Statement):
 
 @dataclass
 class Show(Statement):
-    """``SHOW TABLES`` / ``MODELS`` / ``METRICS`` / ``STATS`` / ``SERVER``
-    / ``CLUSTER`` / ``AUDIT`` / ``FAULTS`` / ``HEALTH``.
+    """``SHOW <target> [WHERE <expr>]``: read one system relation.
 
-    CLUSTER renders the attached process pool's live state — worker
-    pids, heartbeat ages, restart counts, the model placement map, and
-    the ``cluster_*`` counters (empty when no cluster is attached).
-
-    METRICS renders the session's telemetry registry as a cursor; STATS
-    renders system-level statistics (buffer pool, caches, catalog sizes);
-    SERVER renders the attached ModelServer's live queue/batch state
-    (empty when no server is attached); AUDIT renders the plan-quality
-    audit's estimate-vs-actual records; FAULTS renders the fault
-    injector's sites with armed specs, hit/fire counts, and
-    retry/recovery totals; HEALTH renders the aggregated resilience
-    report (breaker states, recovery counters, budget utilisation,
-    queue depths) with an overall status row.
+    ``what`` names one of the relations the session registers (the
+    grammar's :data:`~repro.sql.lexer.SHOW_TARGETS`); the optional WHERE
+    filters its rows with the same binder and coercion as SELECT, e.g.
+    ``SHOW EVENTS WHERE kind = 'request.shed'``.  API.md lists every
+    relation and its columns.
     """
 
-    what: str  # "tables", "models", "metrics", "stats", "server", "audit", "faults"
-
-
-@dataclass
-class ShowEvents(Statement):
-    """``SHOW EVENTS [WHERE <expr>]``: query the flight recorder.
-
-    Renders the telemetry flight recorder's retained events as a cursor
-    with columns ``(seq, ts_ms, kind, trace_id, detail)``, oldest first.
-    The optional WHERE clause filters against that schema with the same
-    expression language as SELECT (e.g.
-    ``SHOW EVENTS WHERE kind = 'request.shed'``).
-    """
-
+    what: str  # one of repro.sql.lexer.SHOW_TARGETS
     where: Expression | None = None
 
 
 @dataclass
 class ShowWorkload(Statement):
-    """``SHOW WORKLOAD [TOP k BY latency|count|bytes]`` or
+    """``SHOW WORKLOAD TOP k BY latency|count|bytes`` or
     ``SHOW WORKLOAD '<fingerprint>'``.
 
-    Renders the workload-intelligence store: one aggregated row per query
-    fingerprint (normalized statement with literals stripped), or the
-    per-fingerprint detail view when a fingerprint string is given.  The
-    grammar only produces ``by`` together with ``top``, so the canonical
-    form ``ShowWorkload()`` unparses as plain ``SHOW workload``.
+    TOP ranks the workload relation by a total that is not one of its
+    columns; a fingerprint string selects that query shape's
+    ``(stat, value)`` detail view.  Plain ``SHOW WORKLOAD`` is a
+    :class:`Show`.
     """
 
     top: int | None = None

@@ -23,13 +23,14 @@ KEYWORDS = frozenset(
 # tokens; the parser special-cases them by value.
 SOFT_KEYWORDS = frozenset({"METRICS", "STATS", "AUDIT", "ANALYZE"})
 
-#: The soft keywords valid as a SHOW target.  WORKLOAD / SLO / PROFILE
-#: back the workload-intelligence layer (per-fingerprint aggregates,
-#: burn-rate objectives, and the sampling stage profiler); WORKLOAD is
-#: parsed specially for its TOP k BY / fingerprint forms.
-SHOW_TARGETS = frozenset(
-    {"METRICS", "STATS", "AUDIT", "SERVER", "CLUSTER", "FAULTS", "HEALTH",
-     "EVENTS", "TIMELINE", "WORKLOAD", "SLO", "PROFILE", "DEPLOYMENTS"}
+#: Every ``SHOW <target> [WHERE ...]`` target: the names of the system
+#: relations a ``Database`` registers (a test keeps the two equal).
+#: Besides these, only ``SHOW TIMELINE <trace_id>`` and ``SHOW WORKLOAD
+#: TOP k BY x | '<fingerprint>'`` parse after SHOW.
+SHOW_TARGETS: tuple[str, ...] = (
+    "tables", "models", "metrics", "stats", "server", "cluster", "audit",
+    "faults", "health", "events", "slo", "profile", "deployments",
+    "workload",
 )
 
 

@@ -18,6 +18,7 @@ from ..relational.expressions import (
 )
 from ..relational.operators.aggregate import aggregate_function_names
 from ..relational.schema import ColumnType
+from ..telemetry.workload import ORDER_TARGETS
 from .ast import (
     AggregateCall,
     CreateTable,
@@ -35,7 +36,6 @@ from .ast import (
     Select,
     SelectItem,
     Show,
-    ShowEvents,
     ShowTimeline,
     ShowWorkload,
     Star,
@@ -133,36 +133,7 @@ class _Parser:
             stmt = self._parse_update()
         elif token.is_keyword("SHOW"):
             self._advance()
-            what = self._advance()
-            if what.is_keyword("TABLES"):
-                stmt = Show("tables")
-            elif what.is_keyword("MODELS"):
-                stmt = Show("models")
-            elif what.type is TokenType.IDENT and what.value == "events":
-                where = None
-                if self._accept_keyword("WHERE"):
-                    where = self._parse_expression()
-                stmt = ShowEvents(where)
-            elif what.type is TokenType.IDENT and what.value == "timeline":
-                trace = self._peek()
-                if trace.type is not TokenType.NUMBER:
-                    raise SqlParseError(
-                        "expected a numeric trace id after SHOW TIMELINE"
-                    )
-                self._advance()
-                stmt = ShowTimeline(int(_parse_number(trace.value)))
-            elif what.type is TokenType.IDENT and what.value == "workload":
-                stmt = self._parse_show_workload()
-            elif (
-                what.type is TokenType.IDENT and what.value.upper() in SHOW_TARGETS
-            ):
-                stmt = Show(what.value)
-            else:
-                raise SqlParseError(
-                    "expected TABLES, MODELS, METRICS, STATS, SERVER, "
-                    "AUDIT, FAULTS, HEALTH, EVENTS, TIMELINE, WORKLOAD, "
-                    "SLO, PROFILE, or DEPLOYMENTS after SHOW"
-                )
+            stmt = self._parse_show()
         elif token.type is TokenType.IDENT and token.value == "deploy":
             stmt = self._parse_deploy()
         elif token.type is TokenType.IDENT and token.value == "rollback":
@@ -326,41 +297,61 @@ class _Parser:
                 break
         return Insert(table, rows)
 
-    def _parse_show_workload(self) -> ShowWorkload:
-        """``SHOW WORKLOAD [TOP k BY latency|count|bytes | '<fingerprint>']``.
+    def _parse_show(self) -> Statement:
+        """``SHOW <target> [WHERE <expr>]``, ``SHOW TIMELINE <trace_id>``,
+        or ``SHOW WORKLOAD TOP k BY latency|count|bytes | '<fingerprint>'``.
 
-        TOP is a soft keyword (only meaningful here, stays usable as an
-        identifier elsewhere); BY is required whenever TOP is given so
-        the statement round-trips through unparse unambiguously.
+        Targets other than TABLES / MODELS are soft keywords, and so is
+        TOP: they lex as identifiers and keep working as names elsewhere.
         """
-        token = self._peek()
-        if token.type is TokenType.STRING:
-            self._advance()
-            return ShowWorkload(fingerprint=token.value)
-        if token.type is TokenType.IDENT and token.value == "top":
-            self._advance()
-            count = self._peek()
-            if count.type is not TokenType.NUMBER:
+        token = self._advance()
+        what = (
+            token.value.lower()
+            if token.type in (TokenType.IDENT, TokenType.KEYWORD)
+            else ""
+        )
+        if what == "timeline":
+            trace = self._peek()
+            if trace.type is not TokenType.NUMBER:
                 raise SqlParseError(
-                    "expected a row count after SHOW WORKLOAD TOP"
+                    "expected a numeric trace id after SHOW TIMELINE"
                 )
             self._advance()
-            top = int(_parse_number(count.value))
-            if top < 1:
-                raise SqlParseError("SHOW WORKLOAD TOP count must be >= 1")
-            self._expect_keyword("BY")
-            target = self._advance()
-            if target.type is not TokenType.IDENT or target.value not in (
-                "latency",
-                "count",
-                "bytes",
-            ):
-                raise SqlParseError(
-                    "expected latency, count, or bytes after "
-                    "SHOW WORKLOAD TOP k BY"
-                )
-            return ShowWorkload(top=top, by=target.value)
-        return ShowWorkload()
+            return ShowTimeline(int(_parse_number(trace.value)))
+        if what == "workload" and self._peek().type is TokenType.STRING:
+            return ShowWorkload(fingerprint=self._advance().value)
+        if what == "workload" and self._accept_word("top"):
+            return self._parse_workload_top()
+        if what not in SHOW_TARGETS:
+            raise SqlParseError(
+                "expected "
+                + ", ".join(target.upper() for target in SHOW_TARGETS)
+                + ", or TIMELINE after SHOW"
+            )
+        where = self._parse_expression() if self._accept_keyword("WHERE") else None
+        return Show(what, where)
+
+    def _parse_workload_top(self) -> ShowWorkload:
+        """The ``k BY latency|count|bytes`` after ``SHOW WORKLOAD TOP``.
+
+        BY is required so the statement round-trips through unparse
+        unambiguously.
+        """
+        count = self._peek()
+        if count.type is not TokenType.NUMBER:
+            raise SqlParseError("expected a row count after SHOW WORKLOAD TOP")
+        self._advance()
+        top = int(_parse_number(count.value))
+        if top < 1:
+            raise SqlParseError("SHOW WORKLOAD TOP count must be >= 1")
+        self._expect_keyword("BY")
+        target = self._advance()
+        if target.type is not TokenType.IDENT or target.value not in ORDER_TARGETS:
+            raise SqlParseError(
+                f"expected one of {', '.join(ORDER_TARGETS)} after "
+                "SHOW WORKLOAD TOP k BY"
+            )
+        return ShowWorkload(top=top, by=target.value)
 
     def _parse_literal_value(self) -> object:
         token = self._peek()

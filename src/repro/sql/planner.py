@@ -46,10 +46,10 @@ def filter_rows(
 ) -> list[tuple]:
     """Filter materialised rows with a bound WHERE expression.
 
-    The system-view statements (``SHOW EVENTS WHERE ...``) expose
-    telemetry rings as relations; this binds the predicate against the
-    view's schema — the same expression language and coercion rules as a
-    table scan — and keeps the rows where it evaluates truthy.
+    ``SHOW <target> WHERE ...`` exposes system state as relations; this
+    binds the predicate against the relation's schema — the same
+    expression language and coercion rules as a table scan — and keeps
+    the rows where it evaluates truthy.
     """
     if where is None:
         return rows

@@ -56,7 +56,6 @@ from .ast import (
     Select,
     SelectItem,
     Show,
-    ShowEvents,
     ShowTimeline,
     ShowWorkload,
     Star,
@@ -107,8 +106,8 @@ def unparse(stmt: Statement) -> str:
         if stmt.where is not None:
             sql += f" WHERE {unparse_expression(stmt.where)}"
         return sql
-    if isinstance(stmt, ShowEvents):
-        sql = "SHOW events"
+    if isinstance(stmt, Show):
+        sql = f"SHOW {stmt.what}"
         if stmt.where is not None:
             sql += f" WHERE {unparse_expression(stmt.where)}"
         return sql
@@ -117,11 +116,7 @@ def unparse(stmt: Statement) -> str:
     if isinstance(stmt, ShowWorkload):
         if stmt.fingerprint is not None:
             return f"SHOW workload {_string(stmt.fingerprint)}"
-        if stmt.top is not None:
-            return f"SHOW workload TOP {stmt.top} BY {stmt.by}"
-        return "SHOW workload"
-    if isinstance(stmt, Show):
-        return f"SHOW {stmt.what}"
+        return f"SHOW workload TOP {stmt.top} BY {stmt.by}"
     if isinstance(stmt, DeployModel):
         sql = f"DEPLOY MODEL {stmt.model} VERSION {stmt.version}"
         if stmt.canary_percent is not None:

@@ -35,6 +35,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterator
 
+from ..relational.schema import ColumnType, Schema
+
 #: Byte-scaled histogram buckets (64 KiB .. 1 GiB) for memory peaks.
 PEAK_BYTE_BUCKETS: tuple[float, ...] = tuple(
     float(1 << p) for p in range(16, 31, 2)
@@ -110,21 +112,22 @@ class StageAudit:
         )
 
 
-#: Column names for ``SHOW AUDIT`` cursors, aligned with ``as_row``.
-AUDIT_COLUMNS: tuple[str, ...] = (
-    "model",
-    "stage",
-    "representation",
-    "ops",
-    "rows",
-    "time_ms",
-    "estimated_bytes",
-    "actual_peak_bytes",
-    "ratio",
-    "verdict",
-    "note",
-    "recovery",
+#: The ``audit`` system relation (``SHOW AUDIT``), aligned with ``as_row``.
+AUDIT_SCHEMA = Schema.of(
+    ("model", ColumnType.TEXT),
+    ("stage", ColumnType.INT),
+    ("representation", ColumnType.TEXT),
+    ("ops", ColumnType.TEXT),
+    ("rows", ColumnType.INT),
+    ("time_ms", ColumnType.DOUBLE),
+    ("estimated_bytes", ColumnType.INT),
+    ("actual_peak_bytes", ColumnType.INT),
+    ("ratio", ColumnType.DOUBLE),
+    ("verdict", ColumnType.TEXT),
+    ("note", ColumnType.TEXT),
+    ("recovery", ColumnType.TEXT),
 )
+AUDIT_COLUMNS = AUDIT_SCHEMA.names
 
 
 def classify(

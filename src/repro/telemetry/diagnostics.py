@@ -1,12 +1,16 @@
 """Postmortem diagnostics bundles: one JSON artifact per incident.
 
 A bundle is the serialized answer to "what was the system doing when it
-broke?": the effective config, a metrics snapshot, the health report,
-breaker states, the recovery ledger, armed faults (with the injector
-seed, so a chaos failure replays deterministically), the last-N flight
-recorder events, the last-N finished spans, the workload top-K (which
-query shapes dominated), the SLO burn state, and the stage-profiler
-summary.
+broke?".  Its tabular part is the database's system relations — the same
+``(columns, rows)`` ``SHOW <target>`` returns, dumped under
+``relations`` (health, armed faults, SLO burn state, the workload
+store, the stage profile, deployments, server state, plus tables,
+models and the plan audit).  The rest is state that is not a relation:
+the effective config, a metrics snapshot, breaker states, the recovery
+ledger, the fault injector's seed (so a chaos failure replays
+deterministically), the last-N flight-recorder events and finished
+spans, the collapsed profile stacks, the cluster snapshot, and the
+lifecycle catalog's generation and publication history.
 
 ``Database.dump_diagnostics(path)`` writes one on request;
 the serving worker's unhandled-error path writes one automatically when
@@ -22,16 +26,25 @@ import json
 import os
 import time
 
-from .profiler import PROFILE_COLUMNS
-from .slo import SLO_COLUMNS
-from .workload import WORKLOAD_COLUMNS
+from ..sql.lexer import SHOW_TARGETS
+from .events import json_safe
 
 #: Bumped when the bundle layout changes incompatibly.  v2 added the
 #: workload / slo / profile sections; v3 added the cluster section
 #: (null when no process pool is attached); v4 added the lifecycle
-#: section (catalog generation, publication history, deployments, and
-#: the per-version breaker rows).
-BUNDLE_VERSION = 4
+#: section; v5 moved every tabular section into ``relations``.
+BUNDLE_VERSION = 5
+
+#: System relations a bundle leaves out because it already holds their
+#: state in richer form — ``metrics`` (the registry snapshot),
+#: ``events`` (full event dicts), ``cluster`` (the pool snapshot) — or
+#: because they only re-aggregate other state (``stats``).
+_HELD_ELSEWHERE = frozenset({"metrics", "events", "cluster", "stats"})
+
+#: The relations every bundle carries.
+BUNDLED_RELATIONS: tuple[str, ...] = tuple(
+    name for name in SHOW_TARGETS if name not in _HELD_ELSEWHERE
+)
 
 #: Keys every well-formed bundle must carry.
 REQUIRED_KEYS: tuple[str, ...] = (
@@ -40,7 +53,6 @@ REQUIRED_KEYS: tuple[str, ...] = (
     "reason",
     "config",
     "metrics",
-    "health",
     "breakers",
     "recovery_ledger",
     "faults",
@@ -51,10 +63,8 @@ REQUIRED_KEYS: tuple[str, ...] = (
     "profile",
     "cluster",
     "lifecycle",
+    "relations",
 )
-
-#: Query shapes included in a bundle's workload section.
-WORKLOAD_TOP_K = 20
 
 
 def build_bundle(
@@ -63,7 +73,8 @@ def build_bundle(
 ) -> dict:
     """Assemble the diagnostics dict for one database (JSON-safe)."""
     telemetry = db._telemetry
-    bundle: dict = {
+    cluster = db._cluster
+    return {
         "bundle_version": BUNDLE_VERSION,
         "created_unix": time.time(),
         "reason": reason,
@@ -74,67 +85,41 @@ def build_bundle(
         ),
         "config": dataclasses.asdict(db.config),
         "metrics": telemetry.registry.snapshot(),
-        "health": [list(row) for row in db.health().rows()],
         "breakers": _breaker_rows(db),
         "recovery_ledger": [list(row) for row in db.recovery_ledger.rows()],
-        "faults": {
-            "seed": db.faults.seed,
-            "armed": db.faults.armed_count,
-            "rows": [list(row) for row in db.faults.rows()],
-        },
+        "faults": {"seed": db.faults.seed, "armed": db.faults.armed_count},
         "events": telemetry.events.as_dicts(limit=max_events),
         "events_dropped": telemetry.events.dropped,
         "traces": _span_dicts(telemetry.tracer, max_spans),
         "spans_dropped": getattr(telemetry.tracer, "dropped", 0),
-        # Workload intelligence: which query shapes dominated (top-K by
-        # total latency), whether any SLO was burning, and where sampled
-        # stage time went — the "what was hot" half of the postmortem.
         "workload": {
-            "columns": list(WORKLOAD_COLUMNS),
-            "top": [
-                [_json_safe(v) for v in row]
-                for row in telemetry.workload.top_rows(
-                    top=WORKLOAD_TOP_K, by="latency"
-                )
-            ],
-            "fingerprints": len(telemetry.workload),
             "evicted": telemetry.workload.evicted_total,
             "regressions": telemetry.workload.regressions_total(),
         },
         "slo": {
-            "columns": list(SLO_COLUMNS),
-            "rows": [[_json_safe(v) for v in row] for row in telemetry.slo.rows()],
             "models": {
-                model: {k: _json_safe(v) for k, v in state.items()}
+                model: {k: json_safe(v) for k, v in state.items()}
                 for model, state in telemetry.slo.snapshot().items()
             },
         },
         "profile": {
-            "columns": list(PROFILE_COLUMNS),
             "running": bool(telemetry.profiler.running),
             "samples": telemetry.profiler.sampled,
-            "top": [
-                [_json_safe(v) for v in row]
-                for row in telemetry.profiler.top_rows(top=WORKLOAD_TOP_K)
-            ],
             "collapsed": telemetry.profiler.collapsed(),
         },
+        # Which process hosted what, and who had been crashing.
+        "cluster": cluster.snapshot() if cluster is not None else None,
+        # Which catalog generation was serving and how it got there.
+        "lifecycle": db.deployments.snapshot(),
+        "relations": {
+            name: {
+                "columns": list(schema.names),
+                "rows": [[json_safe(v) for v in row] for row in rows()],
+            }
+            for name, (schema, rows) in db._relations.items()
+            if name not in _HELD_ELSEWHERE
+        },
     }
-    # Cluster tier: the placement map and per-worker heartbeat/restart
-    # state — which process hosted what, and who had been crashing.
-    cluster = getattr(db, "_cluster", None)
-    bundle["cluster"] = cluster.snapshot() if cluster is not None else None
-    # Lifecycle tier: the versioned catalog's generation and publication
-    # history plus every deployment's state-machine record — which
-    # version was serving, what was mid-canary, and what rolled back why.
-    deployments = getattr(db, "_deployments", None)
-    bundle["lifecycle"] = (
-        deployments.snapshot() if deployments is not None else None
-    )
-    server = getattr(db, "_server", None)
-    if server is not None:
-        bundle["server"] = [list(row) for row in server.stats_rows()]
-    return bundle
 
 
 def _breaker_rows(db) -> list[list]:
@@ -160,18 +145,10 @@ def _span_dicts(tracer, max_spans: int) -> list[dict]:
             "tid": s.tid,
             "start_s": s.start_s,
             "end_s": s.end_s,
-            "args": {k: _json_safe(v) for k, v in s.args.items()},
+            "args": {k: json_safe(v) for k, v in s.args.items()},
         }
         for s in finished[-max_spans:]
     ]
-
-
-def _json_safe(value: object) -> object:
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
-    if isinstance(value, (tuple, list)):
-        return [_json_safe(v) for v in value]
-    return str(value)
 
 
 def write_bundle(bundle: dict, path: str) -> str:
@@ -209,31 +186,47 @@ def validate_bundle(bundle: dict) -> list[str]:
     faults = bundle.get("faults")
     if not isinstance(faults, dict) or "seed" not in faults:
         problems.append("faults must be an object carrying the injector seed")
-    for key in ("health", "breakers", "recovery_ledger", "events", "traces"):
+    for key in ("breakers", "recovery_ledger", "events", "traces"):
         if key in bundle and not isinstance(bundle[key], list):
             problems.append(f"{key} must be an array")
     for i, event in enumerate(bundle.get("events", [])):
         if not isinstance(event, dict) or "kind" not in event or "seq" not in event:
             problems.append(f"events[{i}] must be an object with seq and kind")
             break
-    workload = bundle.get("workload")
-    if workload is not None:
-        if not isinstance(workload, dict) or "top" not in workload:
-            problems.append("workload must be an object carrying top rows")
-        else:
-            columns = workload.get("columns", [])
-            for i, row in enumerate(workload.get("top", [])):
-                if not isinstance(row, list) or len(row) != len(columns):
+    relations = bundle.get("relations")
+    if relations is not None:
+        if not isinstance(relations, dict):
+            relations = {}
+            problems.append("relations must be an object")
+        for name in BUNDLED_RELATIONS:
+            if name not in relations:
+                problems.append(f"relations must carry the {name!r} relation")
+        for name, relation in relations.items():
+            if not isinstance(relation, dict) or not (
+                isinstance(relation.get("columns"), list)
+                and isinstance(relation.get("rows"), list)
+            ):
+                problems.append(
+                    f"relations.{name} must be an object carrying columns "
+                    "and rows"
+                )
+                continue
+            for i, row in enumerate(relation["rows"]):
+                if not isinstance(row, list) or len(row) != len(
+                    relation["columns"]
+                ):
                     problems.append(
-                        f"workload.top[{i}] must be a row matching "
-                        "workload.columns"
+                        f"relations.{name}.rows[{i}] must be a row matching "
+                        f"relations.{name}.columns"
                     )
                     break
+    if "workload" in bundle and not isinstance(bundle["workload"], dict):
+        problems.append("workload must be an object")
     slo = bundle.get("slo")
     if slo is not None and (
-        not isinstance(slo, dict) or not isinstance(slo.get("rows"), list)
+        not isinstance(slo, dict) or not isinstance(slo.get("models"), dict)
     ):
-        problems.append("slo must be an object carrying rows")
+        problems.append("slo must be an object carrying per-model burn state")
     profile = bundle.get("profile")
     if profile is not None:
         if not isinstance(profile, dict) or "collapsed" not in profile:
@@ -285,17 +278,7 @@ def validate_bundle(bundle: dict) -> list[str]:
                     "lifecycle must be null or an object carrying the "
                     "catalog generation"
                 )
-            elif not isinstance(lifecycle.get("deployments"), list):
-                problems.append("lifecycle.deployments must be an array")
             else:
-                columns = lifecycle.get("columns", [])
-                for i, row in enumerate(lifecycle["deployments"]):
-                    if not isinstance(row, list) or len(row) != len(columns):
-                        problems.append(
-                            f"lifecycle.deployments[{i}] must be a row "
-                            "matching lifecycle.columns"
-                        )
-                        break
                 for i, entry in enumerate(lifecycle.get("history", [])):
                     if not isinstance(entry, list) or len(entry) != 2:
                         problems.append(

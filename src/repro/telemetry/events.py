@@ -26,6 +26,8 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 
+from ..relational.schema import ColumnType, Schema
+
 #: Event kinds the system emits (free-form kinds are allowed; these are
 #: the ones wired in and asserted on by tests).
 EVENT_KINDS: tuple[str, ...] = (
@@ -71,8 +73,15 @@ EVENT_KINDS: tuple[str, ...] = (
     "cluster.rolling_restart",
 )
 
-#: Columns for ``SHOW EVENTS`` cursors.
-EVENT_COLUMNS: tuple[str, ...] = ("seq", "ts_ms", "kind", "trace_id", "detail")
+#: The ``events`` system relation (``SHOW EVENTS [WHERE ...]``).
+EVENT_SCHEMA = Schema.of(
+    ("seq", ColumnType.INT),
+    ("ts_ms", ColumnType.DOUBLE),
+    ("kind", ColumnType.TEXT),
+    ("trace_id", ColumnType.INT),
+    ("detail", ColumnType.TEXT),
+)
+EVENT_COLUMNS = EVENT_SCHEMA.names
 
 #: Columns for ``SHOW TIMELINE <trace_id>`` cursors.
 TIMELINE_COLUMNS: tuple[str, ...] = ("at_ms", "source", "what", "detail")
@@ -190,7 +199,7 @@ class FlightRecorder:
                 "ts_ms": round(e.ts_s * 1e3, 3),
                 "kind": e.kind,
                 "trace_id": e.trace_id,
-                "fields": {k: _json_safe(v) for k, v in e.fields},
+                "fields": {k: json_safe(v) for k, v in e.fields},
             }
             for e in self.events(limit=limit)
         ]
@@ -202,11 +211,11 @@ class FlightRecorder:
             self.evicted_total = 0
 
 
-def _json_safe(value: object) -> object:
+def json_safe(value: object) -> object:
     if isinstance(value, (str, int, float, bool)) or value is None:
         return value
     if isinstance(value, (tuple, list)):
-        return [_json_safe(v) for v in value]
+        return [json_safe(v) for v in value]
     return str(value)
 
 

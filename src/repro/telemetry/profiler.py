@@ -23,14 +23,16 @@ from __future__ import annotations
 import threading
 
 from ..errors import TelemetryError
+from ..relational.schema import ColumnType, Schema
 
-#: Columns for ``SHOW PROFILE`` cursors.
-PROFILE_COLUMNS: tuple[str, ...] = (
-    "frame",
-    "samples",
-    "est_ms",
-    "share",
+#: The ``profile`` system relation (``SHOW PROFILE``).
+PROFILE_SCHEMA = Schema.of(
+    ("frame", ColumnType.TEXT),
+    ("samples", ColumnType.INT),
+    ("est_ms", ColumnType.DOUBLE),
+    ("share", ColumnType.DOUBLE),
 )
+PROFILE_COLUMNS = PROFILE_SCHEMA.names
 
 #: Catch-all frame once ``max_frames`` distinct stages are tracked.
 OVERFLOW_FRAME = "<other>"
@@ -205,18 +207,6 @@ class StageProfiler:
                 fh.write(line + "\n")
         return len(lines)
 
-    def stats_rows(self) -> list[tuple[str, object]]:
-        """(stat, value) pairs for SHOW STATS / diagnostics."""
-        with self._lock:
-            return [
-                ("running", self.running),
-                ("interval_ms", self.interval_ms),
-                ("ticks", self._ticks),
-                ("samples", self._sampled),
-                ("idle_ticks", self._idle_ticks),
-                ("frames", len(self._counts)),
-            ]
-
     def clear(self) -> None:
         """Drop accumulated samples (the sampler keeps running if started)."""
         with self._lock:
@@ -256,9 +246,6 @@ class NullStageProfiler:
 
     def export(self, path) -> int:
         return 0
-
-    def stats_rows(self) -> list[tuple[str, object]]:
-        return []
 
     def clear(self) -> None:
         pass

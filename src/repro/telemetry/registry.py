@@ -14,7 +14,8 @@ disabled fast path costs a method call that immediately returns.
 Rendering follows the Prometheus text exposition format
 (``render_prometheus``), so the output can be scraped or diffed by
 standard tooling; :meth:`MetricsRegistry.snapshot` gives the same data as
-a flat ``{name{labels}: value}`` dict for ``SHOW METRICS``.
+a flat ``{name{labels}: value}`` dict, and :meth:`MetricsRegistry.rows`
+as the ``SHOW METRICS`` relation.
 """
 
 from __future__ import annotations
@@ -24,6 +25,16 @@ import threading
 from typing import Iterator
 
 from ..errors import TelemetryError
+from ..relational.schema import ColumnType, Schema
+
+#: The ``metrics`` system relation (``SHOW METRICS``, see ``rows``).
+METRICS_SCHEMA = Schema.of(
+    ("name", ColumnType.TEXT),
+    ("value", ColumnType.DOUBLE),
+    ("p50", ColumnType.DOUBLE),
+    ("p95", ColumnType.DOUBLE),
+    ("p99", ColumnType.DOUBLE),
+)
 
 #: Default histogram buckets, tuned for operator/query latencies (seconds).
 DEFAULT_LATENCY_BUCKETS: tuple[float, ...] = (
@@ -310,28 +321,27 @@ class MetricsRegistry:
                 out[rendered] = value
         return out
 
-    def quantile_rows(
-        self, quantiles: tuple[float, ...] = (0.5, 0.95, 0.99)
-    ) -> list[tuple]:
-        """One summary row per histogram: ``(name, count, *quantiles)``.
+    def rows(self) -> list[tuple]:
+        """``SHOW METRICS`` rows (:data:`METRICS_SCHEMA`), sorted by name.
 
-        Feeds the p50/p95/p99 columns of ``SHOW METRICS``; scalar metrics
-        have no distribution and contribute no row here.  A histogram
-        with zero observations has no quantiles at all — its columns
-        render as SQL NULL (``None``), not a misleading ``0.0``.
+        Every sample of :meth:`snapshot` with NULL quantiles, plus one
+        summary row per histogram: ``(name, count, p50, p95, p99)``.  A
+        histogram with zero observations has no quantiles at all — its
+        columns render as SQL NULL (``None``), not a misleading ``0.0``.
         """
-        rows: list[tuple] = []
+        nulls = (None, None, None)
+        rows = [(name, value) + nulls for name, value in self.snapshot().items()]
         for metric in self:
             if isinstance(metric, Histogram):
                 rendered = metric.name + _render_labels(metric.labels)
                 if metric.count == 0:
-                    rows.append(
-                        (rendered, 0.0) + (None,) * len(quantiles)
-                    )
+                    rows.append((rendered, 0.0) + nulls)
                 else:
                     rows.append(
                         (rendered, float(metric.count))
-                        + tuple(round(metric.quantile(q), 9) for q in quantiles)
+                        + tuple(
+                            round(metric.quantile(q), 9) for q in (0.5, 0.95, 0.99)
+                        )
                     )
         return sorted(rows, key=lambda r: r[0])
 
@@ -430,9 +440,7 @@ class NullRegistry:
     def snapshot(self) -> dict[str, float]:
         return {}
 
-    def quantile_rows(
-        self, quantiles: tuple[float, ...] = (0.5, 0.95, 0.99)
-    ) -> list[tuple]:
+    def rows(self) -> list[tuple]:
         return []
 
     def render_prometheus(self) -> str:

@@ -30,18 +30,20 @@ from collections import deque
 from dataclasses import dataclass
 
 from ..errors import TelemetryError
+from ..relational.schema import ColumnType, Schema
 
-#: Columns for ``SHOW SLO`` cursors: one row per (model, window).
-SLO_COLUMNS: tuple[str, ...] = (
-    "model",
-    "objective",
-    "target",
-    "window",
-    "samples",
-    "bad",
-    "burn_rate",
-    "status",
+#: The ``slo`` system relation (``SHOW SLO``): one row per (model, window).
+SLO_SCHEMA = Schema.of(
+    ("model", ColumnType.TEXT),
+    ("objective", ColumnType.TEXT),
+    ("target", ColumnType.DOUBLE),
+    ("window", ColumnType.TEXT),
+    ("samples", ColumnType.INT),
+    ("bad", ColumnType.INT),
+    ("burn_rate", ColumnType.DOUBLE),
+    ("status", ColumnType.TEXT),
 )
+SLO_COLUMNS = SLO_SCHEMA.names
 
 
 @dataclass(frozen=True)

@@ -42,6 +42,7 @@ from ..relational.expressions import (
     LogicalOp,
     UnaryOp,
 )
+from ..relational.schema import ColumnType, Schema
 from .registry import DEFAULT_LATENCY_BUCKETS, Histogram
 
 # The sql package transitively imports storage (which imports telemetry
@@ -61,21 +62,22 @@ def _ensure_sql() -> None:
         sql_ast = _ast
         unparse = _unparse
 
-#: Columns for ``SHOW WORKLOAD [TOP k BY ...]`` cursors.
-WORKLOAD_COLUMNS: tuple[str, ...] = (
-    "fingerprint",
-    "statement",
-    "calls",
-    "mean_ms",
-    "p50_ms",
-    "p95_ms",
-    "rows",
-    "bytes",
-    "cache_hit_rate",
-    "recoveries",
-    "plan",
-    "sql",
+#: The ``workload`` system relation (``SHOW WORKLOAD [TOP k BY ...]``).
+WORKLOAD_SCHEMA = Schema.of(
+    ("fingerprint", ColumnType.TEXT),
+    ("statement", ColumnType.TEXT),
+    ("calls", ColumnType.INT),
+    ("mean_ms", ColumnType.DOUBLE),
+    ("p50_ms", ColumnType.DOUBLE),
+    ("p95_ms", ColumnType.DOUBLE),
+    ("rows", ColumnType.INT),
+    ("bytes", ColumnType.INT),
+    ("cache_hit_rate", ColumnType.DOUBLE),
+    ("recoveries", ColumnType.INT),
+    ("plan", ColumnType.TEXT),
+    ("sql", ColumnType.TEXT),
 )
+WORKLOAD_COLUMNS = WORKLOAD_SCHEMA.names
 
 #: The literal placeholder normalized statements carry.
 PLACEHOLDER = "?"
@@ -192,9 +194,9 @@ def normalize(stmt):
             stmt.table,
             _norm_expr(stmt.where) if stmt.where is not None else None,
         )
-    if isinstance(stmt, sql_ast.ShowEvents):
-        return sql_ast.ShowEvents(
-            _norm_expr(stmt.where) if stmt.where is not None else None
+    if isinstance(stmt, sql_ast.Show):
+        return sql_ast.Show(
+            stmt.what, _norm_expr(stmt.where) if stmt.where is not None else None
         )
     if isinstance(stmt, sql_ast.ShowTimeline):
         return sql_ast.ShowTimeline(0)
@@ -204,7 +206,7 @@ def normalize(stmt):
             by=stmt.by,
             fingerprint=PLACEHOLDER if stmt.fingerprint is not None else None,
         )
-    # CreateTable / DropTable / Show carry no literals.
+    # CreateTable / DropTable carry no literals.
     return stmt
 
 

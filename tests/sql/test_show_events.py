@@ -9,7 +9,8 @@ from repro import Database
 from repro.config import SystemConfig
 from repro.errors import SqlError, SqlParseError
 from repro.models import fraud_fc_256
-from repro.sql.ast import ShowEvents, ShowTimeline
+from repro.relational.expressions import ColumnRef, Comparison, Literal
+from repro.sql.ast import Show, ShowTimeline
 from repro.sql.parser import parse
 from repro.sql.unparse import unparse
 
@@ -34,10 +35,10 @@ def _serve_some(db, rng, n=6):
 
 
 def test_parse_show_events():
-    assert parse("SHOW EVENTS") == ShowEvents(None)
-    stmt = parse("SHOW EVENTS WHERE kind = 'batch.formed'")
-    assert isinstance(stmt, ShowEvents)
-    assert stmt.where is not None
+    assert parse("SHOW EVENTS") == Show("events")
+    assert parse("SHOW EVENTS WHERE kind = 'batch.formed'") == Show(
+        "events", Comparison("=", ColumnRef("kind"), Literal("batch.formed"))
+    )
 
 
 def test_parse_show_timeline():

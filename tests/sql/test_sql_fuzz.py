@@ -58,12 +58,15 @@ from repro.sql.ast import (
     Select,
     SelectItem,
     Show,
+    ShowTimeline,
+    ShowWorkload,
     Star,
     TableRef,
     UnionAll,
     Update,
 )
-from repro.sql.lexer import KEYWORDS, SOFT_KEYWORDS
+from repro.sql.lexer import KEYWORDS, SHOW_TARGETS, SOFT_KEYWORDS
+from repro.telemetry.workload import ORDER_TARGETS
 
 RESERVED = (
     {k.lower() for k in KEYWORDS}
@@ -225,18 +228,14 @@ statements = st.one_of(
         st.lists(st.tuples(idents, expressions(4)), min_size=1, max_size=3),
         st.one_of(st.none(), expressions(4)),
     ).map(lambda t: Update(t[0], t[1], where=t[2])),
-    st.sampled_from(
-        [
-            "tables",
-            "models",
-            "metrics",
-            "stats",
-            "server",
-            "audit",
-            "faults",
-            "health",
-        ]
-    ).map(Show),
+    st.tuples(
+        st.sampled_from(SHOW_TARGETS), st.one_of(st.none(), expressions(4))
+    ).map(lambda t: Show(t[0], where=t[1])),
+    st.integers(min_value=0, max_value=10**9).map(ShowTimeline),
+    st.tuples(
+        st.integers(min_value=1, max_value=999), st.sampled_from(ORDER_TARGETS)
+    ).map(lambda t: ShowWorkload(top=t[0], by=t[1])),
+    safe_strings.map(lambda s: ShowWorkload(fingerprint=s)),
 )
 
 FUZZ_SETTINGS = settings(
@@ -289,6 +288,10 @@ SEED_CORPUS = [
     "SHOW AUDIT",
     "SHOW SERVER",
     "show metrics",
+    "SHOW EVENTS WHERE (kind LIKE 'deploy.%') AND seq > 3",
+    "SHOW TIMELINE 42",
+    "SHOW WORKLOAD TOP 5 BY count",
+    "SHOW WORKLOAD 'abc123'",
 ]
 
 MUTATION_BYTES = b"'\"();,.*=<>!%+-_ abcSELECT09\x00\xff"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import json
 import os
 
@@ -15,6 +16,7 @@ from repro.faults import FaultPlan, FaultSpec
 from repro.models import fraud_fc_256
 from repro.telemetry.diagnostics import (
     BUNDLE_VERSION,
+    BUNDLED_RELATIONS,
     REQUIRED_KEYS,
     build_bundle,
     validate_bundle,
@@ -73,17 +75,24 @@ def test_bundle_workload_slo_profile_sections(db):
     db.execute("SELECT * FROM tx WHERE id = 2")
     db.set_slo("fraud", latency_ms=250.0)
     bundle = build_bundle(db)
-    workload = bundle["workload"]
+    relations = bundle["relations"]
+    assert set(relations) == set(BUNDLED_RELATIONS)
+    workload = relations["workload"]
     assert workload["columns"][0] == "fingerprint"
-    assert workload["fingerprints"] == len(workload["top"]) > 0
-    calls = {row[-1]: row[2] for row in workload["top"]}
+    assert len(workload["rows"]) == len(db.telemetry.workload) > 0
+    calls = {row[-1]: row[2] for row in workload["rows"]}
     assert 2 in calls.values(), "the two point lookups share one fingerprint"
-    slo = bundle["slo"]
-    assert [r[0] for r in slo["rows"]] == ["fraud", "fraud"]
-    assert slo["models"]["fraud"]["latency_ms"] == 250.0
+    assert bundle["workload"] == {"evicted": 0, "regressions": 0}
+    assert [r[0] for r in relations["slo"]["rows"]] == ["fraud", "fraud"]
+    assert bundle["slo"]["models"]["fraud"]["latency_ms"] == 250.0
     profile = bundle["profile"]
     assert profile["running"] is False
-    assert profile["collapsed"] == [] and profile["top"] == []
+    assert profile["collapsed"] == [] and relations["profile"]["rows"] == []
+    # Each relation is exactly what SHOW returns for it.
+    for name in ("tables", "models", "faults", "deployments"):
+        cursor = db.execute(f"SHOW {name}")
+        assert relations[name]["columns"] == list(cursor.columns)
+        assert relations[name]["rows"] == [list(row) for row in cursor.rows]
     assert validate_bundle(bundle) == []
 
 
@@ -110,14 +119,127 @@ def test_validate_bundle_reports_problems():
     assert any("events[0]" in p for p in problems)
     problems = validate_bundle(
         {
-            "workload": {"columns": ["a", "b"], "top": [[1]]},
-            "slo": {"no_rows": True},
+            "relations": {"workload": {"columns": ["a", "b"], "rows": [[1]]}},
+            "slo": {"no_models": True},
             "profile": {"collapsed": ["not-a-folded-line"]},
         }
     )
-    assert any("workload.top[0]" in p for p in problems)
+    assert any("relations.workload.rows[0]" in p for p in problems)
     assert any("slo must be" in p for p in problems)
     assert any("profile.collapsed[0]" in p for p in problems)
+
+
+_DELETE = object()
+
+
+def _edit(*path, value=_DELETE):
+    """A mutation that deletes (or replaces) one entry of a bundle."""
+
+    def apply(bundle):
+        *parents, last = path
+        node = bundle
+        for key in parents:
+            node = node[key]
+        if value is _DELETE:
+            del node[last]
+        else:
+            node[last] = value
+        return bundle
+
+    return apply
+
+
+# One case per check validate_bundle performs (v4's, each in its v5
+# form, plus the v5 relation checks): (id, mutation, expected problem).
+MALFORMED = [
+    ("not-an-object", lambda bundle: [], "bundle must be a JSON object"),
+    ("missing-key", _edit("traces"), "missing required key 'traces'"),
+    ("version", _edit("bundle_version", value=4), "bundle_version must be 5"),
+    ("created-unix", _edit("created_unix", value="now"), "created_unix must be"),
+    ("config", _edit("config", value=[]), "config must be an object"),
+    ("metrics", _edit("metrics", value=None), "metrics must be an object"),
+    ("faults-seed", _edit("faults", "seed"), "faults must be an object carrying"),
+    ("breakers", _edit("breakers", value={}), "breakers must be an array"),
+    ("ledger", _edit("recovery_ledger", value={}), "recovery_ledger must be an"),
+    ("events", _edit("events", value={}), "events must be an array"),
+    ("traces", _edit("traces", value={}), "traces must be an array"),
+    ("event", _edit("events", 0, value={"oops": 1}), "events[0] must be"),
+    ("relations", _edit("relations", value=[]), "relations must be an object"),
+    ("health", _edit("relations", "health", value=[]), "relations.health must"),
+    ("workload-missing", _edit("relations", "workload"), "the 'workload' relation"),
+    (
+        "workload-row",
+        _edit("relations", "workload", "rows", value=[[1]]),
+        "relations.workload.rows[0] must be a row",
+    ),
+    ("workload", _edit("workload", value=[]), "workload must be an object"),
+    ("slo", _edit("slo", value=[]), "slo must be an object"),
+    ("slo-rows", _edit("relations", "slo", "rows", value=None), "relations.slo must"),
+    ("profile", _edit("profile", value={}), "profile must be an object"),
+    (
+        "profile-line",
+        _edit("profile", "collapsed", value=["no-count"]),
+        "profile.collapsed[0] must be",
+    ),
+    (
+        "cluster",
+        _edit("cluster", value={"workers": []}),
+        "cluster must be null or an object",
+    ),
+    (
+        "cluster-workers",
+        _edit("cluster", value={"placement": {}, "workers": {}}),
+        "cluster.workers must be an array",
+    ),
+    (
+        "cluster-worker",
+        _edit("cluster", value={"placement": {}, "workers": [{"worker_id": 0}]}),
+        "cluster.workers[0] must carry",
+    ),
+    (
+        "lifecycle",
+        _edit("lifecycle", "generation", value="3"),
+        "lifecycle must be null or an object",
+    ),
+    (
+        "deployments",
+        _edit("relations", "deployments", "rows", value={}),
+        "relations.deployments must",
+    ),
+    (
+        "deployment-row",
+        _edit("relations", "deployments", "rows", value=[["x"]]),
+        "relations.deployments.rows[0] must be a row",
+    ),
+    (
+        "history",
+        _edit("lifecycle", "history", value=[[1]]),
+        "lifecycle.history[0] must be",
+    ),
+]
+
+
+@pytest.fixture(scope="module")
+def valid_bundle():
+    db = Database()
+    db.register_model(fraud_fc_256(), name="fraud")
+    db.register_model_version("fraud", "v2", model=fraud_fc_256())
+    db.execute("DEPLOY MODEL fraud VERSION v2")
+    db.predict_labels("fraud", np.random.default_rng(3).normal(size=(4, 28)))
+    bundle = json.loads(json.dumps(build_bundle(db), default=str))
+    db.close()
+    assert validate_bundle(bundle) == []
+    return bundle
+
+
+@pytest.mark.parametrize(
+    "mutate, problem",
+    [case[1:] for case in MALFORMED],
+    ids=[case[0] for case in MALFORMED],
+)
+def test_validate_bundle_reports_each_malformation(valid_bundle, mutate, problem):
+    problems = validate_bundle(mutate(copy.deepcopy(valid_bundle)))
+    assert any(problem in p for p in problems), problems
 
 
 def test_close_dumps_bundle_on_request(tmp_path, rng):
