@@ -10,12 +10,18 @@ Encoding per row:
 BLOBs carry tensor blocks in the relation-centric representation, so rows
 can be far larger than a page; the heap file handles that with overflow
 chains — the serde itself is size-agnostic.
+
+When every column is INT, DOUBLE or BOOL, a row without NULLs has one
+fixed length and every value sits at a fixed offset, so a page of such
+rows can be decoded at once through :attr:`RowSerde.record_dtype`.
 """
 
 from __future__ import annotations
 
 import struct
 from typing import Sequence
+
+import numpy as np
 
 from ..errors import StorageError
 from ..relational.schema import ColumnType, Schema
@@ -24,6 +30,8 @@ _I64 = struct.Struct("<q")
 _F64 = struct.Struct("<d")
 _U32 = struct.Struct("<I")
 
+_FIXED_FORMATS = {ColumnType.INT: "<i8", ColumnType.DOUBLE: "<f8", ColumnType.BOOL: "u1"}
+
 
 class RowSerde:
     """Serialize/deserialize rows for one schema."""
@@ -31,10 +39,43 @@ class RowSerde:
     def __init__(self, schema: Schema):
         self._schema = schema
         self._bitmap_len = (len(schema) + 7) // 8
+        self.record_dtype = self._record_dtype()
 
     @property
     def schema(self) -> Schema:
         return self._schema
+
+    def _record_dtype(self) -> np.dtype | None:
+        """The encoding of a NULL-free row as a structured dtype, or None.
+
+        Field ``nulls`` is the bitmap; column ``i`` is field ``c<i>``.  Only
+        schemas of INT, DOUBLE and BOOL columns have one.
+        """
+        if not len(self._schema) or any(
+            col.ctype not in _FIXED_FORMATS for col in self._schema
+        ):
+            return None
+        names, formats, offsets = ["nulls"], [("u1", (self._bitmap_len,))], [0]
+        offset = self._bitmap_len
+        for i, col in enumerate(self._schema):
+            names.append(f"c{i}")
+            formats.append(_FIXED_FORMATS[col.ctype])
+            offsets.append(offset)
+            offset += 1 if col.ctype is ColumnType.BOOL else 8
+        return np.dtype(
+            {"names": names, "formats": formats, "offsets": offsets, "itemsize": offset}
+        )
+
+    def record_columns(self, records: np.ndarray) -> list[np.ndarray]:
+        """The columns of NULL-free records viewed through ``record_dtype``.
+
+        ``.tolist()`` on a column gives the Python values :meth:`deserialize`
+        would: BOOL decodes as byte ``!= 0``.
+        """
+        return [
+            records[f"c{i}"] != 0 if col.ctype is ColumnType.BOOL else records[f"c{i}"]
+            for i, col in enumerate(self._schema)
+        ]
 
     def serialize(self, row: Sequence[object]) -> bytes:
         if len(row) != len(self._schema):
