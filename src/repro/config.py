@@ -96,8 +96,10 @@ class SystemConfig:
     # per-query stats.  Disabling swaps in no-op collectors so the hot
     # paths pay only a null method call.
     telemetry_enabled: bool = True
-    # Bound on retained finished spans (oldest kept, newest dropped).
-    telemetry_max_spans: int = 65536
+    # Bound on retained finished spans (oldest kept, newest dropped).  A
+    # span holds ~430 bytes, so this caps the buffer near 7 MB; until it is
+    # full, memory grows with every statement served.
+    telemetry_max_spans: int = 16384
     # Ring size of retained plan-quality audit records (estimate-vs-actual
     # memory per executed inference stage; backs ``SHOW AUDIT``).
     audit_max_records: int = 1024

@@ -1,6 +1,7 @@
 """Relational data model: schemas, typed columns, and bound expressions."""
 
 from .schema import Column, ColumnType, Schema
+from .batch import Batch
 from .expressions import (
     BinaryOp,
     CaseWhen,
@@ -17,6 +18,7 @@ from .expressions import (
 )
 
 __all__ = [
+    "Batch",
     "Column",
     "ColumnType",
     "Schema",

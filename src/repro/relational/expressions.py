@@ -15,16 +15,29 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from ..errors import BindError
+from .batch import Batch, ColumnValues
 from .schema import ColumnType, Schema
 
 
 @dataclass(frozen=True)
 class BoundExpression:
-    """An expression compiled against a schema: a closure plus a result type."""
+    """An expression compiled against a schema: a closure plus a result type.
+
+    ``column`` is the input position when the expression is a bare column
+    reference, so batch operators can take the column instead of
+    evaluating row by row.
+    """
 
     eval: Callable[[Sequence[object]], object]
     ctype: ColumnType
     name: str = "expr"
+    column: int | None = None
+
+    def eval_batch(self, batch: Batch) -> ColumnValues:
+        """This expression's values over ``batch``, as one column."""
+        if self.column is not None:
+            return batch.column(self.column)
+        return list(map(self.eval, batch.rows()))
 
 
 class Expression:
@@ -85,7 +98,7 @@ class ColumnRef(Expression):
                     f"no column {self.name!r}; available: {list(schema.names)}"
                 )
         ctype = schema[idx].ctype
-        return BoundExpression(operator.itemgetter(idx), ctype, name=name)
+        return BoundExpression(operator.itemgetter(idx), ctype, name=name, column=idx)
 
 
 @dataclass(frozen=True)

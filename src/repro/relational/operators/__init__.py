@@ -1,9 +1,11 @@
 """Physical relational operators (Volcano-style iterator model).
 
 Every operator exposes an output :class:`~repro.relational.schema.Schema`
-and is iterable, yielding plain tuples.  The relation-centric engine builds
-its matmul-as-join-plus-aggregation pipelines from exactly these operators,
-so they are shared between ordinary SQL queries and tensor computation.
+and is iterable, yielding plain tuples; ``batches()`` yields the same rows
+as :class:`~repro.relational.batch.Batch` es.  The relation-centric engine
+builds its matmul-as-join-plus-aggregation pipelines from exactly these
+operators, so they are shared between ordinary SQL queries and tensor
+computation.
 """
 
 from .base import Operator, MaterializedResult, collect
@@ -17,7 +19,7 @@ from .sort import Sort, SortKey
 from .limit import Limit
 from .distinct import Distinct
 from .concat import Concat
-from .map_rows import MapRows
+from .map_rows import MapBatches, MapRows
 
 __all__ = [
     "Operator",
@@ -39,4 +41,5 @@ __all__ = [
     "Distinct",
     "Concat",
     "MapRows",
+    "MapBatches",
 ]

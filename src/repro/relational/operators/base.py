@@ -3,19 +3,28 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterator
 
+from ..batch import Batch
 from ..schema import Schema
 
 Row = tuple
+
+#: Rows per batch when :meth:`Operator.batches` adapts a row-at-a-time
+#: operator.  Small, because those rows may carry tensor blocks that the
+#: row stream would otherwise hand on one at a time.
+ADAPTER_BATCH_ROWS = 64
 
 
 class Operator:
     """A physical operator producing a stream of tuples.
 
-    Subclasses implement :meth:`rows` (a generator) and set ``_schema`` in
-    their constructor.  Operators are restartable: iterating twice replays
-    the computation (children are re-iterated).
+    Subclasses implement one of :meth:`rows` (a generator of tuples) or
+    :meth:`batches` (a generator of :class:`~repro.relational.batch.Batch`)
+    and set ``_schema`` in their constructor; the base class derives the
+    other.  Operators are restartable: iterating twice replays the
+    computation (children are re-iterated).
     """
 
     _schema: Schema
@@ -25,7 +34,14 @@ class Operator:
         return self._schema
 
     def rows(self) -> Iterator[Row]:
-        raise NotImplementedError
+        for batch in self.batches():
+            yield from batch.rows()
+
+    def batches(self) -> Iterator[Batch]:
+        """The output as non-empty batches, in row order."""
+        rows = self.rows()
+        while chunk := list(islice(rows, ADAPTER_BATCH_ROWS)):
+            yield Batch(len(chunk), rows=chunk)
 
     def __iter__(self) -> Iterator[Row]:
         return self.rows()

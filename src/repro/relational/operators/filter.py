@@ -4,10 +4,13 @@ from __future__ import annotations
 
 from typing import Iterator
 
+import numpy as np
+
 from ...errors import PlanError
+from ..batch import Batch
 from ..expressions import BoundExpression, Expression
 from ..schema import ColumnType
-from .base import Operator, Row
+from .base import Operator
 
 
 class Filter(Operator):
@@ -26,11 +29,14 @@ class Filter(Operator):
             )
         self._predicate = bound
 
-    def rows(self) -> Iterator[Row]:
+    def batches(self) -> Iterator[Batch]:
         predicate = self._predicate.eval
-        for row in self._child:
-            if predicate(row):
-                yield row
+        for batch in self._child.batches():
+            keep = np.fromiter(map(predicate, batch.rows()), dtype=bool, count=len(batch))
+            if keep.all():
+                yield batch
+            elif keep.any():
+                yield batch.take(keep)
 
     def describe(self) -> str:
         return f"Filter({self._predicate.name})"

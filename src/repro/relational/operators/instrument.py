@@ -2,18 +2,18 @@
 
 Wraps every node of a physical plan so that executing it records, per
 operator, the rows produced and the inclusive wall-clock time spent
-producing them.  Instrumentation shadows the instance's ``rows`` method
-with a counting generator — the plan's structure and semantics are
-untouched, so analysis runs the exact plan it reports on.
+producing them.  Instrumentation shadows the instance's ``rows`` and
+``batches`` methods with counting generators — the plan's structure and
+semantics are untouched, so analysis runs the exact plan it reports on.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Callable, Iterator
 
-from .base import Operator, Row
+from .base import Operator
 
 
 @dataclass
@@ -54,38 +54,60 @@ class AnalyzeReport:
 def instrument(root: Operator) -> AnalyzeReport:
     """Attach counters to every node of the plan (idempotent per node).
 
+    Both ``rows`` and ``batches`` are wrapped, so a node is counted
+    whichever one its parent pulls.  When one of them is derived from the
+    other, the inner call runs inside the outer wrapper and passes through
+    uncounted: each output row is billed once.
+
     Re-instrumenting an already-instrumented plan *replaces* the previous
-    wrapper instead of stacking a second counting layer: each wrapper
-    carries the pristine ``rows`` it shadowed in an
-    ``_instrument_original`` sentinel attribute, and wrapping always
-    starts from that original.  Stacked wrappers would drive every
-    report's counters at once and bill each generator's bookkeeping
-    overhead to the reports below it.
+    wrappers instead of stacking a second counting layer: each wrapper
+    carries the pristine method it shadowed in an ``_instrument_original``
+    sentinel attribute, and wrapping always starts from that original.
+    Stacked wrappers would drive every report's counters at once and bill
+    each generator's bookkeeping overhead to the reports below it.
     """
     report = AnalyzeReport()
 
     def wrap(node: Operator) -> None:
         stats = report.for_node(node)
-        original_rows = getattr(node.rows, "_instrument_original", node.rows)
+        producing = [False]  # one of this node's wrappers is pulling
 
-        def counting_rows() -> Iterator[Row]:
-            stats.opened += 1
-            start = time.perf_counter()
-            try:
-                for row in original_rows():
+        def counting(method: str, size: Callable[[object], int]) -> None:
+            original = getattr(node, method)
+            original = getattr(original, "_instrument_original", original)
+
+            def counted() -> Iterator:
+                if producing[0]:
+                    yield from original()
+                    return
+                stats.opened += 1
+                items = original()
+                start = time.perf_counter()
+                try:
+                    while True:
+                        producing[0] = True
+                        try:
+                            item = next(items)
+                        except StopIteration:
+                            break
+                        finally:
+                            producing[0] = False
+                        stats.inclusive_seconds += time.perf_counter() - start
+                        stats.rows += size(item)
+                        yield item
+                        start = time.perf_counter()
                     stats.inclusive_seconds += time.perf_counter() - start
-                    stats.rows += 1
-                    yield row
-                    start = time.perf_counter()
-                stats.inclusive_seconds += time.perf_counter() - start
-            except GeneratorExit:
-                stats.inclusive_seconds += time.perf_counter() - start
-                raise
+                except GeneratorExit:
+                    stats.inclusive_seconds += time.perf_counter() - start
+                    raise
 
-        # Shadow the bound method on the instance only; the sentinel lets
-        # a later instrument() call find the unwrapped original.
-        counting_rows._instrument_original = original_rows  # type: ignore[attr-defined]
-        node.rows = counting_rows  # type: ignore[method-assign]
+            # Shadow the bound method on the instance only; the sentinel
+            # lets a later instrument() call find the unwrapped original.
+            counted._instrument_original = original  # type: ignore[attr-defined]
+            setattr(node, method, counted)
+
+        counting("rows", lambda row: 1)
+        counting("batches", len)
         for child in node.children():
             wrap(child)
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import Callable, Iterable, Iterator
 
 from ...errors import PlanError
+from ..batch import Batch, rechunk
 from ..schema import Schema
 from .base import Operator, Row
 
@@ -52,3 +53,18 @@ class MapRows(Operator):
 
     def children(self) -> tuple[Operator, ...]:
         return (self._child,)
+
+
+class MapBatches(MapRows):
+    """``MapRows`` over column batches: ``udf(Batch) -> Batch``.
+
+    The child's batches are re-cut to exactly ``batch_size`` rows (the last
+    may be shorter), so the UDF sees the batch sizes ``MapRows`` would give
+    it, without a tuple per input row.
+    """
+
+    rows = Operator.rows  # derived from batches(), not MapRows' row loop
+
+    def batches(self) -> Iterator[Batch]:
+        for batch in rechunk(self._child.batches(), self._batch_size):
+            yield self._udf(batch)

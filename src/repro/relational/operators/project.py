@@ -4,13 +4,18 @@ from __future__ import annotations
 
 from typing import Iterator, Sequence
 
+from ..batch import Batch
 from ..expressions import BoundExpression, Expression
 from ..schema import Column, Schema
-from .base import Operator, Row
+from .base import Operator
 
 
 class Project(Operator):
-    """Evaluate a list of (expression, output name) pairs per row."""
+    """Evaluate a list of (expression, output name) pairs per row.
+
+    A bare column reference passes its input column through as is; other
+    expressions are evaluated row by row.
+    """
 
     def __init__(
         self,
@@ -29,10 +34,10 @@ class Project(Operator):
             Column(name, expr.ctype) for expr, name in bound
         )
 
-    def rows(self) -> Iterator[Row]:
-        evals = [expr.eval for expr, __ in self._items]
-        for row in self._child:
-            yield tuple(e(row) for e in evals)
+    def batches(self) -> Iterator[Batch]:
+        exprs = [expr for expr, __ in self._items]
+        for batch in self._child.batches():
+            yield Batch(len(batch), [e.eval_batch(batch) for e in exprs])
 
     def describe(self) -> str:
         cols = ", ".join(f"{expr.name} AS {name}" for expr, name in self._items)

@@ -6,6 +6,7 @@ from typing import Callable, Iterable, Iterator
 
 from ...errors import SchemaError
 from ...storage.catalog import TableInfo
+from ..batch import Batch
 from ..schema import Schema
 from .base import Operator, Row
 
@@ -31,9 +32,8 @@ class SeqScan(Operator):
     def estimated_rows(self) -> int:
         return self._table.row_count
 
-    def rows(self) -> Iterator[Row]:
-        for __, row in self._table.heap.scan():
-            yield row
+    def batches(self) -> Iterator[Batch]:
+        return self._table.heap.scan_batches()
 
     def describe(self) -> str:
         suffix = f" AS {self._alias}" if self._alias else ""

@@ -60,7 +60,7 @@ from .storage.buffer_pool import (
     LruPolicy,
     TwoQueuePolicy,
 )
-from .storage.catalog import Catalog, VersionRecord, split_version_name
+from .storage.catalog import Catalog, TableInfo, VersionRecord, split_version_name
 from .storage.disk import FileDiskManager, InMemoryDiskManager
 from .telemetry import (
     TIMELINE_COLUMNS,
@@ -127,6 +127,13 @@ def _render_inference_stages(
             f"est={estimated}B, actual={actual}B, verdict={verdict}]"
         )
     return lines
+
+
+def _append_rows(info: TableInfo, rows: list[tuple]) -> None:
+    """Insert already-coerced rows and count them."""
+    for row in rows:
+        info.heap.insert(row)
+    info.row_count += len(rows)
 
 
 def _make_policy(name: str) -> EvictionPolicy:
@@ -705,11 +712,12 @@ class Database:
         if isinstance(stmt, sql_ast.DropTable):
             self._catalog.drop_table(stmt.name)
             return Cursor((), [])
+        # Writes are validate-then-apply: every row is produced and coerced
+        # before the first insert, so a bad row leaves the table unchanged
+        # and INSERT ... SELECT never reads the pages it is appending.
         if isinstance(stmt, sql_ast.Insert):
             info = self._catalog.get_table(stmt.table)
-            for row in stmt.rows:
-                info.heap.insert(info.schema.coerce_row(row))
-                info.row_count += 1
+            _append_rows(info, [info.schema.coerce_row(row) for row in stmt.rows])
             return Cursor((), [])
         if isinstance(stmt, sql_ast.InsertSelect):
             info = self._catalog.get_table(stmt.table)
@@ -719,20 +727,12 @@ class Database:
                     f"INSERT INTO {stmt.table}: query yields "
                     f"{len(op.schema)} columns, table has {len(info.schema)}"
                 )
-            count = 0
-            for row in op:
-                info.heap.insert(info.schema.coerce_row(row))
-                count += 1
-            info.row_count += count
+            _append_rows(info, [info.schema.coerce_row(row) for row in op])
             return Cursor((), [])
         if isinstance(stmt, sql_ast.CreateTableAs):
             op = self._planner.plan_select(stmt.query)
-            info = self._catalog.create_table(stmt.name, op.schema)
-            count = 0
-            for row in op:
-                info.heap.insert(info.schema.coerce_row(row))
-                count += 1
-            info.row_count = count
+            rows = [op.schema.coerce_row(row) for row in op]
+            _append_rows(self._catalog.create_table(stmt.name, op.schema), rows)
             return Cursor((), [])
         if isinstance(stmt, sql_ast.Update):
             info = self._catalog.get_table(stmt.table)

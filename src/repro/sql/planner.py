@@ -10,11 +10,12 @@ paper's unified architecture.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
 from ..errors import BindError, PlanError
+from ..relational.batch import Batch
 from ..relational.expressions import ColumnRef, Comparison, Expression, LogicalOp
 from ..relational.operators import (
     Aggregate,
@@ -23,7 +24,7 @@ from ..relational.operators import (
     Filter,
     HashJoin,
     Limit,
-    MapRows,
+    MapBatches,
     NestedLoopJoin,
     Operator,
     Project,
@@ -242,25 +243,21 @@ class Planner:
         width = slot
         predict_fn = self._predict_fn
 
-        def predict_udf(batch: list[tuple]) -> Iterator[tuple]:
-            out_rows = [[None] * width for __ in batch]
+        def predict_udf(batch: Batch) -> Batch:
+            columns: list = [None] * width
             for s, bound in plain_bound:
-                for row_idx, row in enumerate(batch):
-                    out_rows[row_idx][s] = bound.eval(row)
+                columns[s] = bound.eval_batch(batch)
             for s, model_name, args, proba_class in predict_bound:
-                features = np.array(
-                    [[arg.eval(row) for arg in args] for row in batch],
-                    dtype=np.float64,
-                )
+                features = np.empty((len(batch), len(args)))
+                for j, arg in enumerate(args):
+                    features[:, j] = arg.eval_batch(batch)  # NULL becomes NaN
                 outputs = predict_fn(model_name, features, proba_class)
-                convert = float if proba_class is not None else int
-                for row_idx, value in enumerate(outputs):
-                    out_rows[row_idx][s] = convert(value)
-            for out in out_rows:
-                yield tuple(out)
+                dtype = np.float64 if proba_class is not None else np.int64
+                columns[s] = np.asarray(outputs).astype(dtype, copy=False)
+            return Batch(len(batch), columns)
 
         model_names = ", ".join(call.model for __, call, __n in predicts)
-        return MapRows(
+        return MapBatches(
             source,
             predict_udf,
             Schema(output_columns),

@@ -88,7 +88,7 @@ class Telemetry:
         enabled: bool = True,
         registry: MetricsRegistry | None = None,
         tracer: Tracer | None = None,
-        max_spans: int = 65536,
+        max_spans: int = 16384,
         max_audit_records: int = 1024,
         max_events: int = 4096,
         workload_max_fingerprints: int = 512,

@@ -128,7 +128,7 @@ class Tracer:
 
     enabled = True
 
-    def __init__(self, max_spans: int = 65536):
+    def __init__(self, max_spans: int = 16384):
         if max_spans < 1:
             from ..errors import TelemetryError
 

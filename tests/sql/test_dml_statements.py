@@ -3,7 +3,7 @@
 import pytest
 
 from repro import Database
-from repro.errors import SqlError, SqlParseError
+from repro.errors import SchemaError, SqlError, SqlParseError
 from repro.sql import parse
 from repro.sql.ast import CreateTableAs, Delete, InsertSelect
 
@@ -79,3 +79,46 @@ def test_delete_then_insert_reuses_table(db):
 def test_delete_is_not_an_identifier(db):
     with pytest.raises(SqlParseError):
         db.execute("SELECT delete FROM src")
+
+
+# -- validate-then-apply: a failed write leaves the table as it was ----------
+
+
+def counted_rows(db, table):
+    """``COUNT(*)``, checked against the catalog's ``row_count``."""
+    (count,) = db.execute(f"SELECT COUNT(*) FROM {table}").fetchone()
+    assert count == db.catalog.get_table(table).row_count
+    return count
+
+
+def test_insert_values_with_a_bad_row_writes_nothing(db):
+    with pytest.raises(SchemaError):
+        db.execute("INSERT INTO src VALUES (5, 5.0), (6, 6.0), ('bad', 7.0)")
+    assert counted_rows(db, "src") == 4
+    assert sorted(r[0] for r in db.execute("SELECT id FROM src")) == [1, 2, 3, 4]
+
+
+def test_insert_select_failing_midway_writes_nothing(db):
+    db.execute("CREATE TABLE dst (id INT, v DOUBLE)")
+    with pytest.raises(ZeroDivisionError):  # at id = 3, after two rows
+        db.execute("INSERT INTO dst SELECT id, v / (id - 3) FROM src")
+    assert counted_rows(db, "dst") == 0
+
+
+def test_create_table_as_failing_midway_creates_nothing(db):
+    with pytest.raises(ZeroDivisionError):
+        db.execute("CREATE TABLE bad AS SELECT id, v / (id - 3) AS r FROM src")
+    assert not db.catalog.has_table("bad")
+
+
+def test_insert_select_from_itself_doubles_the_table_once():
+    db = Database()
+    try:
+        db.execute("CREATE TABLE t (id INT, x DOUBLE)")
+        db.load_rows("t", [(i, float(i)) for i in range(8000)])  # four pages
+        db.execute("INSERT INTO t SELECT id, x FROM t")
+        assert counted_rows(db, "t") == 16_000
+        (total,) = db.execute("SELECT SUM(id) FROM t").fetchone()
+        assert total == 2 * sum(range(8000))
+    finally:
+        db.close()
