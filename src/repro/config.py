@@ -96,7 +96,7 @@ class SystemConfig:
     # per-query stats.  Disabling swaps in no-op collectors so the hot
     # paths pay only a null method call.
     telemetry_enabled: bool = True
-    # Bound on retained finished spans (oldest kept, newest dropped).  A
+    # Bound on retained finished spans (a ring: the newest are kept).  A
     # span holds ~430 bytes, so this caps the buffer near 7 MB; until it is
     # full, memory grows with every statement served.
     telemetry_max_spans: int = 16384

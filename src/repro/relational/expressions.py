@@ -77,6 +77,9 @@ class ColumnRef(Expression):
     name: str
 
     def bind(self, schema: Schema) -> BoundExpression:
+        return schema.bound(self.name, self._resolve)
+
+    def _resolve(self, schema: Schema) -> BoundExpression:
         name = self.name.lower()
         if schema.has_column(name):
             idx = schema.index_of(name)

@@ -10,11 +10,16 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
 from ..errors import SchemaError
+
+T = TypeVar("T")
+
+# Column references memoised per schema by Schema.bound.
+_MAX_BOUND = 1024
 
 
 class ColumnType(enum.Enum):
@@ -91,12 +96,13 @@ class Schema:
     schemas (joins) qualify columns first.
     """
 
-    __slots__ = ("_columns", "_index")
+    __slots__ = ("_columns", "_index", "_bound")
 
     def __init__(self, columns: Iterable[Column]):
         self._columns: tuple[Column, ...] = tuple(
             Column(c.name.lower(), c.ctype) for c in columns
         )
+        self._bound: dict[str, object] = {}
         self._index: dict[str, int] = {}
         for i, col in enumerate(self._columns):
             if col.name in self._index:
@@ -148,6 +154,20 @@ class Schema:
 
     def has_column(self, name: str) -> bool:
         return name.lower() in self._index
+
+    def bound(self, name: str, resolve: Callable[["Schema"], T]) -> T:
+        """``resolve(self)``, memoised under the column reference ``name``.
+
+        A schema never changes, so a binding never goes stale.  The memo
+        holds every spelling of every column a query names and is bounded
+        for names that resolve by suffix ("x.id", "y.id").
+        """
+        value = self._bound.get(name)
+        if value is None:
+            value = resolve(self)
+            if len(self._bound) < _MAX_BOUND:
+                self._bound[name] = value
+        return value
 
     def column(self, name: str) -> Column:
         return self._columns[self.index_of(name)]

@@ -51,7 +51,7 @@ from .resilience import RecoveryLedger
 from .server.locks import ReadWriteLock
 from .sql import ast as sql_ast
 from .sql.lexer import SHOW_TARGETS
-from .sql.parser import parse
+from .sql.parser import STATEMENTS, parse
 from .sql.planner import Planner, filter_rows, predict_models
 from .storage.buffer_pool import (
     BufferPool,
@@ -653,7 +653,7 @@ class Database:
         start = time.perf_counter()
         with tracer.span("query", category="sql", sql=sql.strip()[:200]) as query_span:
             with tracer.span("parse", category="sql"):
-                stmt = parse(sql)
+                stmt, shape = STATEMENTS.parse(sql)
             with self._statement_lock(stmt):
                 if isinstance(stmt, sql_ast.Select):
                     op = self._planner.plan_select(stmt)  # emits the "plan" span
@@ -688,7 +688,9 @@ class Database:
             stage_audits=telemetry.audit.records_since(audit_marker),
             trace_id=query_span.trace_id,
         )
-        telemetry.workload.record(stmt, cursor.stats)
+        telemetry.workload.record(
+            stmt, cursor.stats, shape.fingerprint if shape is not None else None
+        )
         return cursor
 
     def _statement_lock(self, stmt: sql_ast.Statement):

@@ -1,9 +1,10 @@
-"""SQL tokenizer."""
+"""SQL tokenizer: one compiled pattern, one pass over the text."""
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 from ..errors import SqlLexError
 
@@ -44,8 +45,7 @@ class TokenType(enum.Enum):
     EOF = "eof"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     type: TokenType
     value: str
     position: int
@@ -54,94 +54,123 @@ class Token:
         return self.type is TokenType.KEYWORD and self.value == word.upper()
 
 
-_OPERATORS = ("<=", ">=", "!=", "<>", "=", "<", ">", "+", "-", "*", "/", "%")
-_PUNCT = "(),.;"
+#: Shape lexemes standing in for literal tokens (see :func:`lex`).
+INT, FLOAT, STR = "#int", "#float", "#str"
+
+# The pattern works on ASCII: a text with other characters is scanned
+# through _STAND_INS, which maps each character to one the pattern
+# classifies as str.isspace / isdigit / isalpha / isalnum would (\x80
+# stands for alphanumerics that are neither digits nor letters, \x00 for
+# everything else), so positions and token boundaries carry over.  Each
+# group number is a token kind; whitespace and -- comments lead every
+# match, and the last two branches (an unexpected character, the end of
+# the text) guarantee a match without backtracking into that prefix.
+_SPACE = r"[\t-\r\x1c-\x1f ]"
+_TOKEN = re.compile(
+    rf"{_SPACE}*(?:--[^\n]*{_SPACE}*)*(?:"
+    r"([0-9]+)(?![.eE0-9])"  # 1 integer
+    r"|((?=\.?[0-9])[0-9]*(?:\.[0-9]*)?(?:[eE][+-]?[0-9]*)?)"  # 2 other number
+    r"|([A-Za-z_][0-9A-Za-z_\x80]*)"  # 3 word
+    r"|'([^']*(?:''[^']*)*)('?)"  # 4 string body, 5 its closing quote
+    r'|"([^"]*)("?)'  # 6 quoted identifier, 7 its closing quote
+    r"|(<=|>=|!=|<>|[=<>+\-*/%])"  # 8 operator
+    r"|([(),.;])"  # 9 punctuation
+    r"|(.)"  # 10 unexpected character
+    r"|\Z)",
+    re.DOTALL,
+)
+
+
+class _StandIns(dict):
+    """``str.translate`` table: non-ASCII characters to ASCII stand-ins."""
+
+    def __missing__(self, code: int) -> str:
+        ch = chr(code)
+        if ch.isspace():
+            stand_in = " "
+        elif ch.isdigit():
+            stand_in = "0"
+        elif ch.isalpha():
+            stand_in = "a"
+        elif ch.isalnum():
+            stand_in = "\x80"
+        else:
+            stand_in = "\x00"
+        if len(self) < 65536:
+            self[code] = stand_in
+        return stand_in
+
+
+_STAND_INS = _StandIns({code: code for code in range(128)})
+_new_token = tuple.__new__  # Token(...) without NamedTuple's argument parsing
+
+
+def lex(text: str) -> tuple[list[Token], list[str], list[str]]:
+    """``(tokens, shape, literals)`` of SQL text, in one pass.
+
+    ``tokens`` is :func:`tokenize`'s result.  ``shape`` has one lexeme per
+    token but the EOF: a keyword, identifier, operator or punctuation
+    token's value (``'"'`` + name for a quoted identifier, so it cannot
+    pass for another kind), and :data:`INT` / :data:`FLOAT` / :data:`STR`
+    for a literal.  ``literals`` holds the literals in text order: a
+    number's text, a string's unescaped value.
+    """
+    tokens: list[Token] = []
+    shape: list[str] = []
+    literals: list[str] = []
+    add_token, add_lexeme, add_literal = tokens.append, shape.append, literals.append
+    scan = text if text.isascii() else text.translate(_STAND_INS)
+    for match in _TOKEN.finditer(scan):
+        kind = match.lastindex
+        if kind is None:
+            add_token(_new_token(Token, (TokenType.EOF, "", len(text))))
+            return tokens, shape, literals
+        start, end = match.span(kind)
+        if kind == 3:
+            word = text[start:end]
+            upper = word.upper()
+            if upper in KEYWORDS:
+                token = _new_token(Token, (TokenType.KEYWORD, upper, start))
+                add_lexeme(upper)
+            else:
+                value = word.lower()
+                token = _new_token(Token, (TokenType.IDENT, value, start))
+                add_lexeme(value)
+        elif kind == 9 or kind == 8:
+            value = text[start:end]
+            token = _new_token(
+                Token,
+                (TokenType.PUNCT if kind == 9 else TokenType.OPERATOR, value, start),
+            )
+            add_lexeme(value)
+        elif kind <= 2:
+            value = text[start:end]
+            token = _new_token(Token, (TokenType.NUMBER, value, start))
+            add_lexeme(INT if kind == 1 else FLOAT)
+            add_literal(value)
+        elif kind == 5:  # the closing quote is empty only at the end of the text
+            opening = match.start(4) - 1
+            if start == end:
+                raise SqlLexError(f"unterminated string starting at {opening}")
+            value = text[opening + 1 : start].replace("''", "'")
+            token = _new_token(Token, (TokenType.STRING, value, opening))
+            add_lexeme(STR)
+            add_literal(value)
+        elif kind == 7:
+            opening = match.start(6) - 1
+            if start == end:
+                raise SqlLexError(f"unterminated quoted identifier at {opening}")
+            value = text[opening + 1 : start].lower()
+            token = _new_token(Token, (TokenType.IDENT, value, opening))
+            add_lexeme('"' + value)
+        else:
+            raise SqlLexError(
+                f"unexpected character {text[start]!r} at position {start}"
+            )
+        add_token(token)
+    raise AssertionError("unreachable: the pattern always matches")
 
 
 def tokenize(text: str) -> list[Token]:
     """Tokenize SQL text; raises :class:`SqlLexError` on bad input."""
-    tokens: list[Token] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch == "-" and i + 1 < n and text[i + 1] == "-":  # line comment
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
-            start = i
-            seen_dot = False
-            seen_exp = False
-            while i < n:
-                c = text[i]
-                if c.isdigit():
-                    i += 1
-                elif c == "." and not seen_dot and not seen_exp:
-                    seen_dot = True
-                    i += 1
-                elif c in "eE" and not seen_exp and i > start:
-                    seen_exp = True
-                    i += 1
-                    if i < n and text[i] in "+-":
-                        i += 1
-                else:
-                    break
-            tokens.append(Token(TokenType.NUMBER, text[start:i], start))
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            while i < n and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-            word = text[start:i]
-            if word.upper() in KEYWORDS:
-                tokens.append(Token(TokenType.KEYWORD, word.upper(), start))
-            else:
-                tokens.append(Token(TokenType.IDENT, word.lower(), start))
-            continue
-        if ch == "'":
-            start = i
-            i += 1
-            chunks: list[str] = []
-            while i < n:
-                if text[i] == "'":
-                    if i + 1 < n and text[i + 1] == "'":  # escaped quote
-                        chunks.append("'")
-                        i += 2
-                        continue
-                    break
-                chunks.append(text[i])
-                i += 1
-            if i >= n:
-                raise SqlLexError(f"unterminated string starting at {start}")
-            i += 1  # closing quote
-            tokens.append(Token(TokenType.STRING, "".join(chunks), start))
-            continue
-        if ch == '"':  # quoted identifier
-            start = i
-            i += 1
-            end = text.find('"', i)
-            if end < 0:
-                raise SqlLexError(f"unterminated quoted identifier at {start}")
-            tokens.append(Token(TokenType.IDENT, text[i:end].lower(), start))
-            i = end + 1
-            continue
-        matched = False
-        for op in _OPERATORS:
-            if text.startswith(op, i):
-                tokens.append(Token(TokenType.OPERATOR, op, i))
-                i += len(op)
-                matched = True
-                break
-        if matched:
-            continue
-        if ch in _PUNCT:
-            tokens.append(Token(TokenType.PUNCT, ch, i))
-            i += 1
-            continue
-        raise SqlLexError(f"unexpected character {ch!r} at position {i}")
-    tokens.append(Token(TokenType.EOF, "", n))
-    return tokens
+    return lex(text)[0]

@@ -1,6 +1,9 @@
-"""Recursive-descent SQL parser."""
+"""Recursive-descent SQL parser behind a statement-shape cache."""
 
 from __future__ import annotations
+
+import threading
+from collections import OrderedDict
 
 from ..errors import SchemaError, SqlParseError
 from ..relational.expressions import (
@@ -18,7 +21,7 @@ from ..relational.expressions import (
 )
 from ..relational.operators.aggregate import aggregate_function_names
 from ..relational.schema import ColumnType
-from ..telemetry.workload import ORDER_TARGETS
+from ..telemetry.workload import ORDER_TARGETS, fingerprint
 from .ast import (
     AggregateCall,
     CreateTable,
@@ -44,20 +47,29 @@ from .ast import (
     UnionAll,
     Update,
 )
-from .lexer import SHOW_TARGETS, Token, TokenType, tokenize
+from .lexer import SHOW_TARGETS, Token, TokenType, lex
+from .template import builder
 
 _AGGREGATES = aggregate_function_names()
 
 
 def parse(text: str) -> Statement:
-    """Parse one SQL statement."""
-    return _Parser(tokenize(text)).parse_statement()
+    """Parse one SQL statement.
+
+    A statement whose shape was parsed before is rebuilt from
+    :data:`STATEMENTS` with its own literal values instead of being
+    parsed again; the result is the same either way.
+    """
+    return STATEMENTS.parse(text)[0]
 
 
 class _Parser:
     def __init__(self, tokens: list[Token]):
         self._tokens = tokens
         self._pos = 0
+        #: ``(token position, node)`` of every Literal made from a NUMBER
+        #: or STRING token: the slots of the statement cache's template.
+        self.slots: list[tuple[int, Literal]] = []
 
     # -- token plumbing ------------------------------------------------
 
@@ -655,12 +667,15 @@ class _Parser:
             if not branches:
                 raise SqlParseError("CASE requires at least one WHEN branch")
             return CaseWhen(tuple(branches), default)
-        if token.type is TokenType.NUMBER:
+        if token.type is TokenType.NUMBER or token.type is TokenType.STRING:
             self._advance()
-            return Literal(_parse_number(token.value))
-        if token.type is TokenType.STRING:
-            self._advance()
-            return Literal(token.value)
+            literal = Literal(
+                _parse_number(token.value)
+                if token.type is TokenType.NUMBER
+                else token.value
+            )
+            self.slots.append((token.position, literal))
+            return literal
         if token.is_keyword("TRUE"):
             self._advance()
             return Literal(True)
@@ -703,3 +718,122 @@ def _parse_number(text: str) -> object:
         return int(text)
     except ValueError as exc:
         raise SqlParseError(f"malformed numeric literal {text!r}") from exc
+
+
+class Shape:
+    """One cached statement shape: its template and how to refill it."""
+
+    __slots__ = ("_template", "_build", "_numbers", "_fingerprint")
+
+    def __init__(
+        self, template: Statement, slots: dict[int, int], numbers: tuple[int, ...]
+    ):
+        self._template = template
+        self._build = builder(template, slots)
+        self._numbers = numbers  # slot literals that are NUMBER tokens
+        self._fingerprint: tuple[str, str] | None = None
+
+    def build(self, literals: list[str]) -> Statement:
+        """The statement with these literals (:func:`~repro.sql.lexer.lex`'s)."""
+        values: list[object] = list(literals)
+        for i in self._numbers:
+            values[i] = _parse_number(literals[i])
+        return self._build(values)
+
+    @property
+    def fingerprint(self) -> tuple[str, str]:
+        """The shape's ``(fingerprint, normalized sql)`` workload key."""
+        if self._fingerprint is None:
+            self._fingerprint = fingerprint(self._template)
+        return self._fingerprint
+
+
+# Shapes kept by a StatementCache (least recently used out): room for every
+# shape a serving workload repeats, bounded for ad-hoc text.
+_CAPACITY = 256
+
+
+class StatementCache:
+    """Parsed statements by shape, so that each shape is parsed once.
+
+    The key is the statement's lexemes with every literal replaced by its
+    class (int, float, string).  A miss parses the tokens and records which
+    literal tokens became ``Literal`` nodes: the slots.  Every other
+    literal (LIMIT / OFFSET counts, LIKE patterns, the PREDICT_PROBA
+    class, SHOW and DEPLOY arguments, INSERT values) joins the key by
+    value.  A hit rebuilds the statement with its own slot values.
+
+    Parsing is a pure function of the text, so entries never go stale and
+    nothing invalidates them; ``_CAPACITY`` only bounds memory (least
+    recently used out).  A statement with literals but no slot, such as
+    ``INSERT ... VALUES``, would take one entry per text and is not kept.
+    Thread-safe.
+    """
+
+    def __init__(self):
+        # shape lexemes -> positions (among the literals) kept by value
+        self._by_value: OrderedDict[tuple[str, ...], tuple[int, ...]] = OrderedDict()
+        # (shape lexemes, values kept by value) -> Shape
+        self._shapes: OrderedDict[tuple, Shape] = OrderedDict()
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._shapes)
+
+    def clear(self) -> None:
+        with self._lock:
+            self._by_value.clear()
+            self._shapes.clear()
+
+    def parse(self, text: str) -> tuple[Statement, Shape | None]:
+        """``(statement, its cached shape or None)`` for one SQL statement."""
+        tokens, lexemes, literals = lex(text)
+        lexemes = tuple(lexemes)
+        shape = None
+        with self._lock:
+            by_value = self._by_value.get(lexemes)
+            if by_value is not None:
+                key = (lexemes, tuple([literals[i] for i in by_value]))
+                shape = self._shapes.get(key)
+                if shape is not None:
+                    self._by_value.move_to_end(lexemes)
+                    self._shapes.move_to_end(key)
+        if shape is None:
+            parser = _Parser(tokens)
+            stmt = parser.parse_statement()
+            if literals and not parser.slots:
+                return stmt, None
+            shape, by_value = self._shape(stmt, parser.slots, tokens)
+            key = (lexemes, tuple([literals[i] for i in by_value]))
+            with self._lock:
+                self._put(self._by_value, lexemes, by_value)
+                self._put(self._shapes, key, shape)
+        return shape.build(literals), shape
+
+    @staticmethod
+    def _shape(
+        stmt: Statement, slots: list[tuple[int, Literal]], tokens: list[Token]
+    ) -> tuple[Shape, tuple[int, ...]]:
+        """The new shape and the literals (by position) it keeps by value."""
+        literal_tokens = [
+            t for t in tokens if t.type is TokenType.NUMBER or t.type is TokenType.STRING
+        ]
+        index = {t.position: i for i, t in enumerate(literal_tokens)}
+        slot_of = {id(node): index[position] for position, node in slots}
+        used = set(slot_of.values())
+        numbers = tuple(
+            i for i in sorted(used) if literal_tokens[i].type is TokenType.NUMBER
+        )
+        by_value = tuple(i for i in range(len(literal_tokens)) if i not in used)
+        return Shape(stmt, slot_of, numbers), by_value
+
+    @staticmethod
+    def _put(entries: OrderedDict, key, value) -> None:
+        entries[key] = value
+        entries.move_to_end(key)
+        if len(entries) > _CAPACITY:
+            entries.popitem(last=False)
+
+
+#: The process-wide statement cache behind :func:`parse`.
+STATEMENTS = StatementCache()

@@ -21,9 +21,10 @@ longer shatters into per-thread orphans.  Spans that outlive a single
 :meth:`Tracer.start_span` and finish from any thread via
 :meth:`Span.finish`.
 
-Finished spans accumulate (bounded by ``max_spans``; overflow counts into
-``Tracer.dropped`` and, when wired, a ``tracer_spans_dropped_total``
-metric) until exported with :meth:`Tracer.export_chrome_trace`, which
+Finished spans accumulate in a ring of the newest ``max_spans`` (each
+eviction counts into ``Tracer.dropped`` and, when wired, a
+``tracer_spans_dropped_total`` metric) until exported with
+:meth:`Tracer.export_chrome_trace`, which
 writes the Chrome trace-event JSON format — load the file at
 ``chrome://tracing`` or https://ui.perfetto.dev.  The export carries
 ``process_name``/``thread_name`` metadata records (real thread ids, so
@@ -41,6 +42,7 @@ import json
 import os
 import threading
 import time
+from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -133,8 +135,7 @@ class Tracer:
             from ..errors import TelemetryError
 
             raise TelemetryError("max_spans must be >= 1")
-        self._max_spans = max_spans
-        self._finished: list[Span] = []
+        self._finished: deque[Span] = deque(maxlen=max_spans)
         self._local = threading.local()
         self._ids = itertools.count(1)
         self._lock = threading.Lock()
@@ -182,12 +183,11 @@ class Tracer:
 
     def _collect(self, span: Span) -> None:
         with self._lock:
-            if len(self._finished) < self._max_spans:
-                self._finished.append(span)
-            else:
-                self.dropped += 1
+            if len(self._finished) == self._finished.maxlen:
+                self.dropped += 1  # the ring evicts its oldest span
                 if self.drop_counter is not None:
                     self.drop_counter.inc()
+            self._finished.append(span)
 
     @contextmanager
     def span(self, name: str, category: str = "repro", **args: object) -> Iterator[Span]:

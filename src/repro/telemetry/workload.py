@@ -347,14 +347,18 @@ class WorkloadStore:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def record(self, stmt: sql_ast.Statement, stats) -> str:
+    def record(
+        self, stmt: sql_ast.Statement, stats, fingerprinted: tuple[str, str] | None = None
+    ) -> str:
         """Fold one executed statement's ``QueryStats`` into the store.
 
-        Returns the statement's fingerprint.  Called by
+        Returns the statement's fingerprint.  ``fingerprinted`` is
+        :func:`fingerprint`'s result when the caller already has it (the
+        statement cache keeps it per shape).  Called by
         ``Database.execute`` after the per-query stats are assembled, so
         it never holds the store lock while the query runs.
         """
-        fp, text = fingerprint(stmt)
+        fp, text = fingerprinted or fingerprint(stmt)
         bytes_read = stats.pool_misses * self.page_size
         with self._lock:
             self._clock += 1
@@ -531,7 +535,7 @@ class NullWorkloadStore:
     def __len__(self) -> int:
         return 0
 
-    def record(self, stmt, stats) -> str:
+    def record(self, stmt, stats, fingerprinted=None) -> str:
         return ""
 
     def top_rows(self, top: int | None = None, by: str = "latency") -> list[tuple]:

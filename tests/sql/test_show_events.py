@@ -169,3 +169,19 @@ def test_tracer_drop_counter_surfaces_in_metrics():
         )
     finally:
         db.close()
+
+
+def test_timeline_of_latest_query_survives_a_full_span_ring():
+    # Once the span buffer is full the newest spans must be the ones kept:
+    # dropping new spans left SHOW TIMELINE empty for every recent query.
+    db = Database(config=SystemConfig(telemetry_max_spans=64))
+    try:
+        db.execute("CREATE TABLE t (id INT)")
+        db.execute("INSERT INTO t VALUES (1), (2), (3)")
+        for i in range(100):
+            cursor = db.execute(f"SELECT id FROM t WHERE id = {i % 3}")
+        rows = db.execute(f"SHOW TIMELINE {cursor.stats.trace_id}").rows
+        assert [row[2] for row in rows if row[1] == "span"][:2] == ["query", "parse"]
+        assert db.telemetry.tracer.dropped > 0
+    finally:
+        db.close()

@@ -50,6 +50,7 @@ def test_max_spans_bounds_memory():
         with tracer.span(f"s{i}"):
             pass
     assert len(tracer.finished) == 2
+    assert [s.name for s in tracer.finished] == ["s3", "s4"]  # newest kept
     assert tracer.dropped == 3
     tracer.clear()
     assert tracer.finished == [] and tracer.dropped == 0
