@@ -16,9 +16,11 @@ across worker *processes* instead:
 * :mod:`~repro.cluster.pool` — the orchestrator tying them together,
   with crash detection, rerouting, and respawn.
 
-Opt in with ``Database.serve(cluster_workers=N)`` or the ``cluster_*``
-config knobs; ``cluster_workers=0`` (the default) keeps the pure
-thread path byte-for-byte unchanged.
+Opt in with ``Database.serve(cluster_workers=N)`` or the
+``cluster_workers`` config field (the other ``cluster_*`` fields tune
+heartbeats, timeouts and the shared-memory size cap);
+``cluster_workers=0`` (the default) keeps the pure thread path
+byte-for-byte unchanged.
 """
 
 from .placement import Placement, shard_key

@@ -118,29 +118,25 @@ class ClusterPool:
     #: names and fail with FileExistsError).
     _pool_seq = itertools.count()
 
-    def __init__(self, db, workers: int | None = None, replication: int | None = None):
+    def __init__(self, db, workers: int | None = None, replication: int = 2):
         config = db.config
         self.workers = int(
             workers if workers is not None else config.cluster_workers
         )
         if self.workers < 1:
             raise ClusterError("a cluster pool needs at least one worker")
-        self.replication = int(
-            replication if replication is not None else config.cluster_replication
-        )
         self._db = db
         self._config = config
         self.shm_max_bytes = int(config.cluster_shm_max_bytes)
         self._hb_interval_s = config.cluster_heartbeat_interval_ms / 1e3
         self._hb_timeout_s = config.cluster_heartbeat_timeout_ms / 1e3
         self._request_timeout_s = config.cluster_request_timeout_ms / 1e3
-        method = config.cluster_start_method or (
+        self.start_method = (
             "fork"
             if "fork" in multiprocessing.get_all_start_methods()
             else "spawn"
         )
-        self.start_method = method
-        self._ctx = multiprocessing.get_context(method)
+        self._ctx = multiprocessing.get_context(self.start_method)
         # Per-worker thread budget: each child's BLAS/engine threading is
         # sized from its share of the cores, not the whole machine.
         self._worker_config = replace(
@@ -190,10 +186,10 @@ class ClusterPool:
         }
         self._placement = Placement(
             list(self._handles),
-            replication=self.replication,
-            vnodes=config.cluster_vnodes,
+            replication=replication,
             block_rows=config.tensor_block_rows,
         )
+        #: Replicas per model: ``replication`` clamped to the worker count.
         self.replication = self._placement.replication
         self.router = ClusterRouter(self._handles, config, slo=db.telemetry.slo)
         self._placed: dict[str, tuple[int, ...]] = {}

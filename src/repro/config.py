@@ -7,14 +7,21 @@ relationship ``operator memory  >  optimizer threshold  >  what the
 whole-tensor engines can hold`` for the large workloads, and the reverse for
 the small ones, which is all the paper's conclusions depend on.
 
-All knobs live in one immutable dataclass so a :class:`repro.session.Database`
-can be spun up with a single object and experiments can sweep parameters
-without global state.
+The system-wide knobs live in one immutable dataclass so a
+:class:`repro.session.Database` can be spun up with a single object and
+experiments can sweep parameters without global state.
+
+The rule for what belongs here: a field exists only while something (a
+caller, test, benchmark or example) sets it, and every default is written
+once, at the component that uses it.  A setting nobody overrides (the
+server's batch size, a telemetry ring's capacity, the placement ring's
+virtual nodes) stays a constructor default of its component, validated
+there, and is not forwarded through this class.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from .errors import ConfigError
 
@@ -60,9 +67,9 @@ class ConnectorCostModel:
 
 @dataclass(frozen=True)
 class SystemConfig:
-    """Every tunable of the reproduced system in one place.
+    """The system-wide tunables of the reproduced system.
 
-    Attributes mirror the paper's experimental knobs:
+    The central ones are the paper's experimental knobs:
 
     * ``memory_threshold_bytes`` — the rule-based optimizer's threshold
       (2 GB in the paper; 2 MB at our default scale).
@@ -100,36 +107,10 @@ class SystemConfig:
     # span holds ~430 bytes, so this caps the buffer near 7 MB; until it is
     # full, memory grows with every statement served.
     telemetry_max_spans: int = 16384
-    # Ring size of retained plan-quality audit records (estimate-vs-actual
-    # memory per executed inference stage; backs ``SHOW AUDIT``).
-    audit_max_records: int = 1024
-    # Ring size of the flight recorder (structured lifecycle events;
-    # backs ``SHOW EVENTS`` / ``SHOW TIMELINE`` and diagnostics bundles).
-    telemetry_max_events: int = 4096
     # When non-empty, unhandled server worker errors automatically write
     # a postmortem bundle (``Database.dump_diagnostics``) into this
     # directory; empty disables auto-dump.
     diagnostics_dir: str = ""
-    # -- concurrent serving front-end (repro.server) ---------------------
-    # Worker threads draining per-model request queues into batched
-    # engine invocations.
-    server_workers: int = 2
-    # Hard cap on rows coalesced into one batched engine invocation.
-    server_max_batch_size: int = 64
-    # How long the micro-batcher waits for more requests once one is
-    # queued, before dispatching a partial batch.
-    server_max_queue_delay_ms: float = 2.0
-    # Per-model bound on queued (not yet executing) requests; submits
-    # beyond it raise ServerOverloadedError (backpressure).
-    server_queue_capacity: int = 256
-    # Default per-request deadline in milliseconds; 0 means no deadline.
-    server_default_deadline_ms: float = 0.0
-    # How many times a server worker re-runs a batch that failed with a
-    # *transient* fault (repro.faults.is_transient) before isolating the
-    # batch into per-request executions; 0 disables retries.
-    server_retry_limit: int = 2
-    # Base backoff between retries; attempt k sleeps k * this.
-    server_retry_backoff_ms: float = 1.0
     # -- deterministic fault injection (repro.faults) --------------------
     # Seed for the session's FaultInjector (probabilistic triggers, bit
     # positions); 0 means "derive from `seed`" so a plain config is still
@@ -145,9 +126,6 @@ class SystemConfig:
     # Batch-split recovery halves the batch recursively; stop splitting
     # once a half would drop below this many rows.
     resilience_split_floor_rows: int = 16
-    # A (model, operator) pair rescued at least this many times is lowered
-    # to relation-centric up-front by the optimizer on the next plan.
-    resilience_ledger_threshold: int = 1
     # Cooperative per-stage wall-clock deadline, checked at layer/stripe/
     # stage boundaries; 0 disables the watchdog.
     resilience_stage_timeout_ms: float = 0.0
@@ -156,54 +134,21 @@ class SystemConfig:
     breaker_enabled: bool = True
     # Sliding window of most-recent request outcomes a breaker evaluates.
     breaker_window: int = 8
-    # The breaker opens when the window's failure rate reaches this, ...
-    breaker_failure_threshold: float = 0.5
-    # ... but only once the window holds at least this many outcomes.
+    # A breaker opens on its window's failure rate only once the window
+    # holds at least this many outcomes.
     breaker_min_samples: int = 4
     # An open breaker moves to half-open after rejecting this many
     # requests (request-count based, so scenarios replay deterministically
     # regardless of wall-clock speed).
     breaker_cooldown_requests: int = 4
-    # In half-open, each arrival becomes the probe with this probability,
-    # drawn from the breaker's seeded RNG (1.0 = first arrival probes).
-    breaker_probe_probability: float = 1.0
-    # -- workload intelligence (repro.telemetry.workload) ----------------
-    # Bound on distinct query fingerprints tracked; least-recently-seen
-    # shapes are evicted beyond it (backs ``SHOW WORKLOAD``).
-    workload_max_fingerprints: int = 512
-    # A fresh execution slower than factor * the fingerprint's rolling
-    # baseline flags a latency regression ...
-    workload_regression_factor: float = 3.0
-    # ... once the fingerprint has at least this many baseline calls ...
-    workload_regression_warmup: int = 8
-    # ... and the absolute slowdown is at least this many milliseconds
-    # (suppresses microsecond-scale noise on trivially fast shapes).
-    workload_regression_min_ms: float = 5.0
     # -- service-level objectives (repro.telemetry.slo) ------------------
-    # Default per-model latency objective applied to models without an
-    # explicit ``Database.set_slo`` policy; 0 disables auto-tracking.
-    slo_latency_ms: float = 0.0
-    # Tolerated bad-request fraction (0.01 = 99% of requests good).
-    slo_error_budget: float = 0.01
-    # Multi-window burn-rate evaluation: the fast window catches acute
-    # incidents, the slow window confirms sustained burns.
-    slo_fast_window_s: float = 60.0
-    slo_slow_window_s: float = 3600.0
     # Burn rates are 0 until a window holds this many outcomes.
     slo_min_samples: int = 8
-    # An objective is "burning" when burn rate reaches this (1.0 spends
-    # the error budget exactly as fast as allowed).
-    slo_burn_threshold: float = 1.0
     # -- process-parallel serving (repro.cluster) ------------------------
     # Worker *processes* hosting sharded model replicas behind the
     # serving front-end.  0 disables the cluster entirely: serving stays
     # on the in-process thread path and none of the knobs below matter.
     cluster_workers: int = 0
-    # How many workers each model is placed on (hot-model replication);
-    # clamped to the worker count at placement time.
-    cluster_replication: int = 2
-    # Virtual nodes per worker on the consistent-hash placement ring.
-    cluster_vnodes: int = 32
     # Tensor payloads up to this size cross the process boundary via
     # shared-memory segments (zero pickling); larger batches fall back to
     # pickling through the control pipe (cluster_shm_fallback_total).
@@ -217,18 +162,12 @@ class SystemConfig:
     # Upper bound on one cluster PREDICT, covering reroutes and the wait
     # for a respawning worker.
     cluster_request_timeout_ms: float = 30000.0
-    # multiprocessing start method: "fork", "spawn", or "" to pick fork
-    # where the platform offers it (Linux) and spawn elsewhere.
-    cluster_start_method: str = ""
     # -- sampling stage profiler (repro.telemetry.profiler) --------------
     # Start the background stage sampler with the Database (opt-in; it
     # can also be toggled at runtime via Database.start_profiler()).
     profiler_enabled: bool = False
     # Sampling period of the profiler's daemon thread.
     profiler_interval_ms: float = 5.0
-    # Bound on distinct stage frames tracked; overflow attributes to a
-    # catch-all "<other>" frame.
-    profiler_max_stages: int = 256
     # -- online model lifecycle (repro.lifecycle) ------------------------
     # Bound on graceful drain: how long Database.close(), ModelServer
     # shutdown, and ClusterPool rolling restarts wait for in-flight and
@@ -239,10 +178,6 @@ class SystemConfig:
     deploy_canary_min_requests: int = 64
     # Shadow-compared rows required before the divergence verdict.
     deploy_shadow_min_requests: int = 64
-    # Fraction of shadow-compared rows allowed to disagree with the
-    # serving version (the label-disagreement serving error bound)
-    # before the deployment auto-rolls-back.
-    deploy_shadow_divergence_threshold: float = 0.02
     # Whether shadow/canary deployments advance on their own once their
     # minimums are met; False leaves the traffic split in place until an
     # explicit DEPLOY (promote) or ROLLBACK.
@@ -261,44 +196,25 @@ class SystemConfig:
             "default_batch_size",
             "num_cores",
             "telemetry_max_spans",
-            "audit_max_records",
-            "telemetry_max_events",
-            "server_workers",
-            "server_max_batch_size",
-            "server_queue_capacity",
         ):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
-        if self.server_max_queue_delay_ms < 0:
-            raise ConfigError("server_max_queue_delay_ms must be >= 0")
-        if self.server_retry_limit < 0:
-            raise ConfigError("server_retry_limit must be >= 0")
-        if self.server_retry_backoff_ms < 0:
-            raise ConfigError("server_retry_backoff_ms must be >= 0")
         if self.faults_seed < 0:
             raise ConfigError("faults_seed must be >= 0")
         if self.resilience_max_recoveries_per_query < 0:
             raise ConfigError("resilience_max_recoveries_per_query must be >= 0")
         if self.resilience_split_floor_rows < 1:
             raise ConfigError("resilience_split_floor_rows must be >= 1")
-        if self.resilience_ledger_threshold < 1:
-            raise ConfigError("resilience_ledger_threshold must be >= 1")
         if self.resilience_stage_timeout_ms < 0:
             raise ConfigError("resilience_stage_timeout_ms must be >= 0")
         if self.breaker_window < 1:
             raise ConfigError("breaker_window must be >= 1")
-        if not 0.0 < self.breaker_failure_threshold <= 1.0:
-            raise ConfigError("breaker_failure_threshold must be in (0, 1]")
         if self.breaker_min_samples < 1:
             raise ConfigError("breaker_min_samples must be >= 1")
         if self.breaker_min_samples > self.breaker_window:
             raise ConfigError("breaker_min_samples cannot exceed breaker_window")
         if self.breaker_cooldown_requests < 1:
             raise ConfigError("breaker_cooldown_requests must be >= 1")
-        if not 0.0 < self.breaker_probe_probability <= 1.0:
-            raise ConfigError("breaker_probe_probability must be in (0, 1]")
-        if self.server_default_deadline_ms < 0:
-            raise ConfigError("server_default_deadline_ms must be >= 0")
         if self.framework_compute_efficiency <= 0:
             raise ConfigError("framework_compute_efficiency must be positive")
         if self.eviction_policy not in ("lru", "clock", "2q"):
@@ -306,34 +222,14 @@ class SystemConfig:
                 f"eviction_policy must be 'lru', 'clock', or '2q', "
                 f"got {self.eviction_policy!r}"
             )
-        for name in ("workload_max_fingerprints", "workload_regression_warmup",
-                     "slo_min_samples", "profiler_max_stages"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
-        if self.workload_regression_factor <= 1.0:
-            raise ConfigError("workload_regression_factor must be > 1")
-        if self.workload_regression_min_ms < 0:
-            raise ConfigError("workload_regression_min_ms must be >= 0")
-        if self.slo_latency_ms < 0:
-            raise ConfigError("slo_latency_ms must be >= 0")
-        if not 0.0 < self.slo_error_budget <= 1.0:
-            raise ConfigError("slo_error_budget must be in (0, 1]")
-        if self.slo_fast_window_s <= 0 or self.slo_slow_window_s <= 0:
-            raise ConfigError("slo windows must be positive")
-        if self.slo_slow_window_s < self.slo_fast_window_s:
-            raise ConfigError(
-                "slo_slow_window_s must be >= slo_fast_window_s"
-            )
-        if self.slo_burn_threshold <= 0:
-            raise ConfigError("slo_burn_threshold must be positive")
+        if self.slo_min_samples < 1:
+            raise ConfigError("slo_min_samples must be >= 1")
         if self.profiler_interval_ms <= 0:
             raise ConfigError("profiler_interval_ms must be positive")
         if self.cluster_workers < 0:
             raise ConfigError("cluster_workers must be >= 0")
-        for name in ("cluster_replication", "cluster_vnodes",
-                     "cluster_shm_max_bytes"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
+        if self.cluster_shm_max_bytes < 1:
+            raise ConfigError("cluster_shm_max_bytes must be >= 1")
         if self.cluster_heartbeat_interval_ms <= 0:
             raise ConfigError("cluster_heartbeat_interval_ms must be positive")
         if self.cluster_heartbeat_timeout_ms <= self.cluster_heartbeat_interval_ms:
@@ -343,21 +239,11 @@ class SystemConfig:
             )
         if self.cluster_request_timeout_ms <= 0:
             raise ConfigError("cluster_request_timeout_ms must be positive")
-        if self.cluster_start_method not in ("", "fork", "spawn"):
-            raise ConfigError(
-                f"cluster_start_method must be '', 'fork', or 'spawn', "
-                f"got {self.cluster_start_method!r}"
-            )
         if self.lifecycle_drain_timeout_s < 0:
             raise ConfigError("lifecycle_drain_timeout_s must be >= 0")
         for name in ("deploy_canary_min_requests", "deploy_shadow_min_requests"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
-        if not 0 <= self.deploy_shadow_divergence_threshold <= 1:
-            raise ConfigError(
-                "deploy_shadow_divergence_threshold must be in [0, 1], "
-                f"got {self.deploy_shadow_divergence_threshold}"
-            )
 
     @property
     def buffer_pool_pages(self) -> int:
@@ -366,7 +252,11 @@ class SystemConfig:
 
     def with_options(self, **overrides: object) -> "SystemConfig":
         """Return a copy with the given fields replaced (validates again)."""
+        for name in overrides:
+            if name not in _FIELD_NAMES:
+                raise ConfigError(f"unknown option {name!r}")
         return replace(self, **overrides)  # type: ignore[arg-type]
 
 
+_FIELD_NAMES = frozenset(f.name for f in fields(SystemConfig))
 DEFAULT_CONFIG = SystemConfig()

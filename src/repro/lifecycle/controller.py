@@ -17,8 +17,9 @@ path via :meth:`observe_canary` / :meth:`observe_shadow`:
   record's ``m@v`` id, separate from the server's per-model breakers)
   trips OPEN;
 - the model's SLO enters fast burn while the deployment is live;
-- the shadow-divergence rate exceeds the configured threshold once
-  enough rows have been compared.
+- the shadow-divergence rate exceeds
+  :data:`SHADOW_DIVERGENCE_THRESHOLD` once enough rows have been
+  compared.
 
 Rollback re-points traffic in one swap and emits a ``deploy.rollback``
 flight-recorder event carrying the reason.
@@ -60,6 +61,11 @@ DEPLOYMENT_SCHEMA = Schema.of(
     ("history", ColumnType.TEXT),
 )
 DEPLOYMENT_COLUMNS = DEPLOYMENT_SCHEMA.names
+
+#: Fraction of shadow-compared rows allowed to disagree with the serving
+#: version (the label-disagreement serving error bound) before a shadow
+#: deployment auto-rolls-back.
+SHADOW_DIVERGENCE_THRESHOLD = 0.02
 
 
 @dataclass
@@ -369,7 +375,7 @@ class DeploymentController:
             if dep.shadow_compared < cfg.deploy_shadow_min_requests:
                 return
             rate = dep.shadow_diverged / dep.shadow_compared
-            if rate > cfg.deploy_shadow_divergence_threshold:
+            if rate > SHADOW_DIVERGENCE_THRESHOLD:
                 self._recorder().emit(
                     "deploy.shadow_diverged",
                     deploy_id=dep.deploy_id,

@@ -190,25 +190,14 @@ class CircuitBreaker:
 
 
 class BreakerBoard:
-    """A named registry of breakers sharing one configuration."""
+    """A named registry of breakers sharing one configuration.
 
-    def __init__(
-        self,
-        window: int = 8,
-        failure_threshold: float = 0.5,
-        min_samples: int = 4,
-        cooldown_requests: int = 4,
-        probe_probability: float = 1.0,
-        seed: int = 0,
-    ):
-        self._kwargs = dict(
-            window=window,
-            failure_threshold=failure_threshold,
-            min_samples=min_samples,
-            cooldown_requests=cooldown_requests,
-            probe_probability=probe_probability,
-            seed=seed,
-        )
+    ``breaker_options`` are :class:`CircuitBreaker` keyword arguments,
+    applied to every breaker the board creates.
+    """
+
+    def __init__(self, **breaker_options: object):
+        self._kwargs = breaker_options
         self._lock = threading.Lock()
         self._breakers: dict[str, CircuitBreaker] = {}
         #: Optional flight recorder propagated to breakers at creation.
@@ -219,10 +208,8 @@ class BreakerBoard:
         """A board configured from ``breaker_*`` SystemConfig knobs."""
         return cls(
             window=config.breaker_window,
-            failure_threshold=config.breaker_failure_threshold,
             min_samples=config.breaker_min_samples,
             cooldown_requests=config.breaker_cooldown_requests,
-            probe_probability=config.breaker_probe_probability,
             seed=seed if seed is not None else (config.faults_seed or config.seed),
         )
 

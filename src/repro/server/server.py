@@ -68,18 +68,30 @@ class _ModelState:
 
 
 class ModelServer:
-    """A thread-safe, micro-batching request front-end for PREDICT."""
+    """A thread-safe, micro-batching request front-end for PREDICT.
+
+    ``workers`` threads drain the queues (default two, or one per cluster
+    worker process if that is more, so every process stays busy).  A
+    batch holds at most ``max_batch_size`` rows and waits up to
+    ``max_queue_delay_ms`` for more requests once one is queued; past
+    ``queue_capacity`` queued requests per model, submits raise
+    :class:`ServerOverloadedError`.  ``default_deadline_ms`` applies to
+    requests without their own deadline (0: none).  A batch that fails
+    with a transient fault is re-run up to ``retry_limit`` times, attempt
+    k sleeping k * ``retry_backoff_ms``, before it is split into
+    per-request executions.
+    """
 
     def __init__(
         self,
         db,
         workers: int | None = None,
-        max_batch_size: int | None = None,
-        max_queue_delay_ms: float | None = None,
-        queue_capacity: int | None = None,
-        default_deadline_ms: float | None = None,
-        retry_limit: int | None = None,
-        retry_backoff_ms: float | None = None,
+        max_batch_size: int = 64,
+        max_queue_delay_ms: float = 2.0,
+        queue_capacity: int = 256,
+        default_deadline_ms: float = 0.0,
+        retry_limit: int = 2,
+        retry_backoff_ms: float = 1.0,
         cluster=None,
     ):
         config = db.config
@@ -92,37 +104,19 @@ class ModelServer:
         #: What runs one model version: the pool, or (None) in-process.
         self._execute = cluster.predict if cluster is not None else None
         self._injector = getattr(db, "faults", NULL_INJECTOR)
-        self.retry_limit = int(
-            retry_limit if retry_limit is not None else config.server_retry_limit
-        )
-        self.retry_backoff_s = (
-            retry_backoff_ms
-            if retry_backoff_ms is not None
-            else config.server_retry_backoff_ms
-        ) / 1e3
+        self.retry_limit = int(retry_limit)
+        self.retry_backoff_s = retry_backoff_ms / 1e3
         if self.retry_limit < 0:
             raise ValueError("retry_limit must be >= 0")
         if self.retry_backoff_s < 0:
             raise ValueError("retry_backoff_ms must be >= 0")
-        self.workers = int(workers if workers is not None else config.server_workers)
-        self.max_batch_size = int(
-            max_batch_size if max_batch_size is not None
-            else config.server_max_batch_size
-        )
-        self.max_queue_delay_s = (
-            max_queue_delay_ms
-            if max_queue_delay_ms is not None
-            else config.server_max_queue_delay_ms
-        ) / 1e3
-        self.queue_capacity = int(
-            queue_capacity if queue_capacity is not None
-            else config.server_queue_capacity
-        )
-        self.default_deadline_ms = (
-            default_deadline_ms
-            if default_deadline_ms is not None
-            else config.server_default_deadline_ms
-        )
+        if workers is None:
+            workers = max(2, cluster.workers if cluster is not None else 0)
+        self.workers = int(workers)
+        self.max_batch_size = int(max_batch_size)
+        self.max_queue_delay_s = max_queue_delay_ms / 1e3
+        self.queue_capacity = int(queue_capacity)
+        self.default_deadline_ms = default_deadline_ms
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         if self.max_batch_size < 1:

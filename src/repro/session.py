@@ -35,7 +35,7 @@ from .dlruntime.layers import Model
 from .dlruntime.memory import MemoryBudget
 from .engines.base import EngineResult
 from .engines.hybrid import HybridExecutor
-from .errors import CatalogError, ReproError, SqlError
+from .errors import CatalogError, ConfigError, ReproError, SqlError
 from .faults import FAULT_SCHEMA, FaultInjector, FaultPlan
 from .health import HEALTH_SCHEMA, HealthReport
 from .health import collect as collect_health
@@ -196,6 +196,21 @@ _LIFECYCLE_STATEMENTS = (
     sql_ast.RollbackModel,
 )
 
+#: What ``set_option`` may change on a live database: the fields (or
+#: field-name prefixes) read by the optimizer, compiler, executor and
+#: planner that ``_rebuild_planning`` rebuilds.  Everything else — page
+#: size, buffer pool, telemetry, cluster — is fixed once the Database is
+#: built.
+_PLANNING_OPTIONS = (
+    "memory_threshold_bytes",
+    "dl_memory_limit_bytes",
+    "tensor_block_",
+    "default_batch_size",
+    "framework_compute_efficiency",
+    "resilience_",
+    "breaker_",
+)
+
 
 class Database:
     """An embedded RDBMS with in-database model serving.
@@ -226,21 +241,9 @@ class Database:
         self._telemetry = Telemetry(
             enabled=self._config.telemetry_enabled,
             max_spans=self._config.telemetry_max_spans,
-            max_audit_records=self._config.audit_max_records,
-            max_events=self._config.telemetry_max_events,
-            workload_max_fingerprints=self._config.workload_max_fingerprints,
-            workload_regression_factor=self._config.workload_regression_factor,
-            workload_regression_warmup=self._config.workload_regression_warmup,
-            workload_regression_min_ms=self._config.workload_regression_min_ms,
             page_size=self._config.page_size,
-            slo_fast_window_s=self._config.slo_fast_window_s,
-            slo_slow_window_s=self._config.slo_slow_window_s,
             slo_min_samples=self._config.slo_min_samples,
-            slo_burn_threshold=self._config.slo_burn_threshold,
-            slo_latency_ms=self._config.slo_latency_ms,
-            slo_error_budget=self._config.slo_error_budget,
             profiler_interval_ms=self._config.profiler_interval_ms,
-            profiler_max_stages=self._config.profiler_max_stages,
         )
         if self._config.profiler_enabled:
             self._telemetry.profiler.start()
@@ -301,9 +304,7 @@ class Database:
         self._deployments = DeploymentController(self)
         # Rescues the executor performs feed the optimizer's next plan;
         # the ledger survives set_option() planning rebuilds on purpose.
-        self._ledger = RecoveryLedger(
-            threshold=self._config.resilience_ledger_threshold
-        )
+        self._ledger = RecoveryLedger()
         self._caches: dict[str, object] = {}  # model name -> result cache
         self._vector_indexes: dict[str, _VectorIndexEntry] = {}
         self._rwlock = ReadWriteLock()
@@ -565,8 +566,15 @@ class Database:
         """Change a planning option (e.g. ``memory_threshold_bytes``).
 
         Invalidates pre-compiled plans, since representation choices may
-        change.
+        change.  Only options the planning objects read can change here;
+        any other name raises :class:`ConfigError` (pass it to the
+        constructor instead).
         """
+        if not name.startswith(_PLANNING_OPTIONS):
+            raise ConfigError(
+                f"set_option cannot change {name!r}: only planning options "
+                "can change on a live Database"
+            )
         with self._rwlock.write():
             self._config = self._config.with_options(**{name: value})
             self._rebuild_planning()
@@ -574,7 +582,6 @@ class Database:
                 self._compiled_for(record.model)
 
     def _rebuild_planning(self) -> None:
-        self._ledger.threshold = self._config.resilience_ledger_threshold
         self._plans: dict[Model, CompiledModel] = {}
         self._optimizer = RuleBasedOptimizer(
             self._config, telemetry=self._telemetry, ledger=self._ledger
@@ -1263,23 +1270,18 @@ class Database:
     # -- serving ---------------------------------------------------------
 
     def serve(
-        self,
-        workers: int | None = None,
-        max_batch_size: int | None = None,
-        max_queue_delay_ms: float | None = None,
-        queue_capacity: int | None = None,
-        default_deadline_ms: float | None = None,
-        retry_limit: int | None = None,
-        retry_backoff_ms: float | None = None,
-        cluster_workers: int | None = None,
+        self, *, cluster_workers: int | None = None, **options: object
     ) -> "ModelServer":
         """Start the concurrent serving front-end for this database.
 
         Returns a :class:`~repro.server.ModelServer` whose ``submit``
         accepts point PREDICT requests from many client threads,
         coalesces them via dynamic micro-batching, and executes them
-        through the hybrid engine under the database read lock.  Knobs
-        default to the ``server_*`` fields of :class:`SystemConfig`.
+        through the hybrid engine under the database read lock.
+        ``options`` are passed through to the server and take its
+        defaults: ``workers``, ``max_batch_size``, ``max_queue_delay_ms``,
+        ``queue_capacity``, ``default_deadline_ms``, ``retry_limit``,
+        ``retry_backoff_ms``.
         At most one server may be attached at a time; ``SHOW SERVER``
         reports the attached server's live state.  Close the server
         (or this database) to detach it.
@@ -1290,10 +1292,10 @@ class Database:
         sharded by consistent hashing, tensors crossing via shared
         memory) instead of in this process.  ``workers`` still sets the
         *thread* count of the front-end; with a cluster attached it
-        defaults to the worker-process count so every process stays
-        busy.  ``cluster_workers=0`` is the plain thread path.  With a
-        cluster, ``serve`` returns only once every worker process is
-        ready.
+        defaults to at least the worker-process count so every process
+        stays busy.  ``cluster_workers=0`` is the plain thread path.
+        With a cluster, ``serve`` returns only once every worker process
+        is ready.
         """
         from .server import ModelServer
 
@@ -1312,22 +1314,10 @@ class Database:
             from .cluster import ClusterPool
 
             pool = ClusterPool(self, workers=n_cluster)
-            if workers is None:
-                workers = max(self._config.server_workers, n_cluster)
         try:
             if pool is not None:
                 pool.wait_ready()
-            server = ModelServer(
-                self,
-                workers=workers,
-                max_batch_size=max_batch_size,
-                max_queue_delay_ms=max_queue_delay_ms,
-                queue_capacity=queue_capacity,
-                default_deadline_ms=default_deadline_ms,
-                retry_limit=retry_limit,
-                retry_backoff_ms=retry_backoff_ms,
-                cluster=pool,
-            )
+            server = ModelServer(self, cluster=pool, **options)
         except BaseException:
             if pool is not None:
                 pool.close()

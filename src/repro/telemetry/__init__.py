@@ -89,21 +89,9 @@ class Telemetry:
         registry: MetricsRegistry | None = None,
         tracer: Tracer | None = None,
         max_spans: int = 16384,
-        max_audit_records: int = 1024,
-        max_events: int = 4096,
-        workload_max_fingerprints: int = 512,
-        workload_regression_factor: float = 3.0,
-        workload_regression_warmup: int = 8,
-        workload_regression_min_ms: float = 5.0,
         page_size: int = 64 * 1024,
-        slo_fast_window_s: float = 60.0,
-        slo_slow_window_s: float = 3600.0,
         slo_min_samples: int = 8,
-        slo_burn_threshold: float = 1.0,
-        slo_latency_ms: float = 0.0,
-        slo_error_budget: float = 0.01,
         profiler_interval_ms: float = 5.0,
-        profiler_max_stages: int = 256,
     ):
         self.enabled = enabled
         if enabled:
@@ -120,35 +108,20 @@ class Telemetry:
                 "Finished spans dropped by the tracer ring buffer",
             )
             register_tracer(self.tracer)  # log-record trace correlation
-            self.audit: PlanAuditor | NullAuditor = PlanAuditor(
-                self.registry, max_records=max_audit_records
-            )
+            self.audit: PlanAuditor | NullAuditor = PlanAuditor(self.registry)
             self.events: FlightRecorder | NullRecorder = FlightRecorder(
-                max_events=max_events, metrics=self.registry
+                metrics=self.registry
             )
             self.workload: WorkloadStore | NullWorkloadStore = WorkloadStore(
-                max_fingerprints=workload_max_fingerprints,
-                page_size=page_size,
-                regression_factor=workload_regression_factor,
-                regression_warmup=workload_regression_warmup,
-                regression_min_ms=workload_regression_min_ms,
-                metrics=self.registry,
-                recorder=self.events,
+                page_size=page_size, metrics=self.registry, recorder=self.events
             )
             self.slo: SloTracker | NullSloTracker = SloTracker(
-                fast_window_s=slo_fast_window_s,
-                slow_window_s=slo_slow_window_s,
                 min_samples=slo_min_samples,
-                burn_threshold=slo_burn_threshold,
-                default_latency_ms=slo_latency_ms,
-                default_error_budget=slo_error_budget,
                 metrics=self.registry,
                 recorder=self.events,
             )
             self.profiler: StageProfiler | NullStageProfiler = StageProfiler(
-                interval_ms=profiler_interval_ms,
-                max_frames=profiler_max_stages,
-                metrics=self.registry,
+                interval_ms=profiler_interval_ms, metrics=self.registry
             )
         else:
             self.registry = NULL_REGISTRY

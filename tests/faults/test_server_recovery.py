@@ -66,7 +66,6 @@ def test_persistent_fault_poisons_one_request_not_the_batch(db, features):
     fails.  Regardless of how the batcher coalesced the submissions,
     exactly one future fails."""
     expected = db.predict_labels("fraud", features)
-    retry_limit = db.config.server_retry_limit
     real_predict = db._predict
 
     def slow_predict(name, feats, **kwargs):
@@ -76,6 +75,7 @@ def test_persistent_fault_poisons_one_request_not_the_batch(db, features):
     db._predict = slow_predict
     try:
         with db.serve(workers=1, max_batch_size=8, max_queue_delay_ms=0.0) as server:
+            retry_limit = server.retry_limit
             plug = server.submit("fraud", features[0])
             time.sleep(0.005)  # let the worker pick the plug up alone
             # One more firing than the retry budget: the spec stays hot

@@ -3,7 +3,13 @@ import pytest
 
 from repro import Database, Representation
 from repro.data import fraud_transactions
-from repro.errors import CatalogError, PlanError, SchemaError, SqlError
+from repro.errors import (
+    CatalogError,
+    ConfigError,
+    PlanError,
+    SchemaError,
+    SqlError,
+)
 from repro.models import fraud_fc_256
 
 
@@ -168,6 +174,16 @@ def test_set_option_recompiles_plans(db):
     db.set_option("memory_threshold_bytes", 1024)
     plan_after = db.inference_plan("fraud", 256)
     assert Representation.RELATION_CENTRIC in plan_after.representations
+
+
+def test_set_option_rejects_settings_fixed_at_construction(db):
+    # The buffer pool's frames are sized from page_size when the Database
+    # is built; accepting a new value would only make the config lie.
+    with pytest.raises(ConfigError, match="page_size"):
+        db.set_option("page_size", 8192)
+    assert db.config.page_size == 64 * 1024
+    with pytest.raises(ConfigError, match="nope"):
+        db.set_option("nope", 1)
 
 
 def test_aggregate_mixed_with_predict_rejected(db):

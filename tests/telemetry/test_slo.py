@@ -132,9 +132,7 @@ def test_null_tracker_is_inert():
 
 @pytest.fixture
 def db():
-    database = Database(
-        slo_min_samples=4, server_max_queue_delay_ms=0.5, breaker_enabled=False
-    )
+    database = Database(slo_min_samples=4, breaker_enabled=False)
     database.register_model(fraud_fc_256(), name="fraud")
     yield database
     database.close()
@@ -144,7 +142,7 @@ def test_impossible_latency_slo_burns_and_degrades_health(db):
     rng = np.random.default_rng(3)
     # An objective no real request can meet: every completion is "bad".
     db.set_slo("fraud", latency_ms=0.001, error_budget=0.01)
-    with db.serve(workers=1) as server:
+    with db.serve(workers=1, max_queue_delay_ms=0.5) as server:
         for __ in range(8):
             server.predict("fraud", rng.normal(size=(4, 28)))
     rows = db.execute("SHOW SLO").fetchall()
@@ -166,7 +164,7 @@ def test_impossible_latency_slo_burns_and_degrades_health(db):
 def test_generous_slo_stays_ok(db):
     rng = np.random.default_rng(3)
     db.set_slo("fraud", latency_ms=60_000.0, error_budget=0.5)
-    with db.serve(workers=1) as server:
+    with db.serve(workers=1, max_queue_delay_ms=0.5) as server:
         for __ in range(8):
             server.predict("fraud", rng.normal(size=(4, 28)))
     rows = db.execute("SHOW SLO").fetchall()
@@ -185,7 +183,7 @@ def test_set_slo_noop_with_telemetry_disabled():
 def test_burn_rate_gauge_published(db):
     rng = np.random.default_rng(3)
     db.set_slo("fraud", latency_ms=0.001)
-    with db.serve(workers=1) as server:
+    with db.serve(workers=1, max_queue_delay_ms=0.5) as server:
         for __ in range(8):
             server.predict("fraud", rng.normal(size=(4, 28)))
     gauge = db.telemetry.registry.get(

@@ -27,6 +27,15 @@ def test_with_options_revalidates():
         config.with_options(memory_threshold_bytes=0)
 
 
+def test_unknown_options_raise_config_error_naming_them():
+    from repro import Database
+
+    with pytest.raises(ConfigError, match="nope"):
+        SystemConfig().with_options(nope=1)
+    with pytest.raises(ConfigError, match="server_workers"):
+        Database(server_workers=4)
+
+
 @pytest.mark.parametrize(
     "overrides",
     [
