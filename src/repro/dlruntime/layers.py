@@ -102,7 +102,9 @@ class Linear(Layer):
             raise ShapeError(
                 f"{self.name} expects (batch, {self.in_features}), got {x.shape}"
             )
-        return x @ self.weight.data + self.bias.data
+        out = x @ self.weight.data
+        out += self.bias.data  # one output buffer per batch, not two (see _forward)
+        return out
 
     def forward_ad(self, x: ADTensor) -> ADTensor:
         return x.matmul(self.weight).add(self.bias)
@@ -296,6 +298,19 @@ class Flatten(Layer):
         return (int(np.prod(input_shape)),)
 
 
+def _forward(layer: Layer, current: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``layer.forward(current)`` inside a pass whose input is ``x``.
+
+    A ReLU overwrites an activation the pass itself allocated (not ``x``,
+    not a view), so a batch needs one buffer per hidden layer.  Each extra
+    buffer a batch frees is memory the allocator may hand back to the OS
+    and fault in again on the next batch.
+    """
+    if isinstance(layer, ReLU) and current is not x and current.base is None:
+        return np.maximum(current, 0.0, out=current)
+    return layer.forward(current)
+
+
 class Model:
     """A named sequential stack of layers plus shape metadata."""
 
@@ -372,7 +387,7 @@ class Model:
             for layer in self.layers:
                 if checkpoint is not None:
                     checkpoint()
-                out = layer.forward(out)
+                out = _forward(layer, out, x)
             return out
 
         def scaled(nbytes: int) -> int:
@@ -390,7 +405,7 @@ class Model:
             for layer in self.layers:
                 if checkpoint is not None:
                     checkpoint()
-                out = layer.forward(current)
+                out = _forward(layer, current, x)
                 out_bytes = budget.allocate(
                     scaled(out.nbytes), tag=f"{self.name}.{layer.name}"
                 )

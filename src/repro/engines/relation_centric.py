@@ -6,7 +6,8 @@ aggregation`` through the ordinary relational operators and the buffer
 pool.  Inputs are processed in *row stripes* so that peak memory is one
 stripe of input plus one stripe of output, regardless of operator size —
 the property that lets this engine complete the Table 3 workloads that
-OOM every whole-tensor engine.
+OOM every whole-tensor engine.  A stripe is one block row: its blocks are
+``stripe rows × block cols``, so each weight block joins one input block.
 
 Two stage shapes cover the paper's models:
 
@@ -125,7 +126,8 @@ class RelationCentricEngine:
     def _run_stripe(
         self, layers: list, stripe: np.ndarray, model_info: VersionRecord
     ) -> np.ndarray:
-        block_shape = self._block_shape
+        # A stripe is one block row; weight tables keep the square blocks.
+        block_shape = (stripe.shape[0], self.config.tensor_block_cols)
         current = BlockedMatrix.from_dense(stripe, block_shape)
         pipeline: Operator | None = None
         current_cols = stripe.shape[1]
@@ -138,7 +140,7 @@ class RelationCentricEngine:
         for layer in layers:
             if isinstance(layer, Linear):
                 weights = weight_block_table(
-                    self.catalog, model_info, layer, block_shape
+                    self.catalog, model_info, layer, self._block_shape
                 )
                 src = source()
                 # matmul_pipeline expects prefixed inputs; re-prefix chains.

@@ -74,6 +74,15 @@ class Batch:
         return Batch(stop - start, columns, rows)
 
     @staticmethod
+    def pair(
+        left: "Batch", left_idx: Sequence[int], right: "Batch", right_idx: Sequence[int]
+    ) -> "Batch":
+        """The rows ``left[left_idx[k]] + right[right_idx[k]]``, in order."""
+        lrows, rrows = left.rows(), right.rows()
+        rows = [lrows[i] + rrows[j] for i, j in zip(left_idx, right_idx)]
+        return Batch(len(left_idx), rows=rows)
+
+    @staticmethod
     def concat(batches: Sequence["Batch"]) -> "Batch":
         """One batch of ``batches`` in order; columnar if every part is."""
         if len(batches) == 1:

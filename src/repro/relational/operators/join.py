@@ -14,9 +14,13 @@ from __future__ import annotations
 
 import pickle
 import tempfile
-from typing import Iterator, Sequence
+from itertools import chain
+from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from ...errors import PlanError
+from ..batch import Batch
 from ..expressions import BoundExpression, Expression
 from .base import Operator, Row
 
@@ -30,11 +34,31 @@ def _bind_keys(
     return bound
 
 
+def _join_keys(batch: Batch, keys: list[BoundExpression]) -> Sequence[object]:
+    """One hashable key per row of ``batch``, ``None`` where any part is NULL.
+
+    A single key expression gives bare values, several give tuples; both
+    sides of a join have the same number of keys, so they agree.
+    """
+    columns = [
+        c.tolist() if isinstance(c, np.ndarray) else c
+        for c in (key.eval_batch(batch) for key in keys)
+    ]
+    if len(columns) == 1:
+        return columns[0]
+    return [None if None in key else key for key in zip(*columns)]
+
+
 class HashJoin(Operator):
     """Equi-join on one or more key expressions.
 
     ``join_type`` is ``"inner"`` or ``"left"``.  The left input is the
     build side by convention; callers should place the smaller input left.
+    The build side is held as one batch of rows plus key → row-index lists;
+    each probe batch yields one output batch of paired rows
+    (:meth:`Batch.pair`).  Output follows the probe
+    order; a left join then emits the unmatched left rows (NULL keys
+    included) in input order.
     """
 
     DEFAULT_MAX_BUILD_ROWS = 1_000_000
@@ -65,125 +89,113 @@ class HashJoin(Operator):
         )
         self._schema = left.schema.concat(right.schema)
 
-    def rows(self) -> Iterator[Row]:
-        left_key = self._key_fn(self._left_keys)
-        right_key = self._key_fn(self._right_keys)
+    def batches(self) -> Iterator[Batch]:
+        build: list[Batch] = []
+        rows = 0
+        left = self._left.batches()
+        for batch in left:
+            build.append(batch)
+            rows += len(batch)
+            if rows > self._max_build_rows:
+                yield from self._grace_join(chain(build, left))
+                return
+        yield from self._join(build, self._right.batches())
 
-        build: dict[tuple, list[Row]] = {}
-        overflow = False
-        left_iter = iter(self._left)
-        buffered: list[Row] = []
-        for row in left_iter:
-            key = left_key(row)
-            if key is None:
-                continue
-            build.setdefault(key, []).append(row)
-            buffered.append(row)
-            if len(buffered) > self._max_build_rows:
-                overflow = True
-                break
+    def _join(self, build_batches: list[Batch], probe: Iterable[Batch]) -> Iterator[Batch]:
+        """Join an in-memory build side against a stream of probe batches.
 
-        if overflow:
-            yield from self._grace_join(buffered, left_iter, left_key, right_key)
+        ``build_batches`` is handed over: it is emptied once its rows are in
+        the build table, so the build side is held once during the probe.
+        """
+        rows: list[Row] = []
+        table: dict[object, list[int]] = {}
+        for batch in build_batches:
+            for i, key in enumerate(_join_keys(batch, self._left_keys), len(rows)):
+                if key is not None:
+                    table.setdefault(key, []).append(i)
+            rows += batch.rows()
+        build_batches.clear()
+        if not rows:
             return
-
-        null_right = (None,) * len(self._right.schema)
-        matched: set[tuple] = set()
-        for row in self._right:
-            key = right_key(row)
-            if key is None:
+        build = Batch(len(rows), rows=rows)
+        matched = np.zeros(len(build), dtype=bool) if self._join_type == "left" else None
+        for batch in probe:
+            left_idx: list[int] = []
+            right_idx: list[int] = []
+            for j, key in enumerate(_join_keys(batch, self._right_keys)):
+                hits = table.get(key)
+                if hits:
+                    left_idx += hits
+                    right_idx += [j] * len(hits)
+            if not left_idx:
                 continue
-            for left_row in build.get(key, ()):
-                if self._join_type == "left":
-                    matched.add(key)
-                yield left_row + row
-        if self._join_type == "left":
-            for key, rows in build.items():
-                if key not in matched:
-                    for left_row in rows:
-                        yield left_row + null_right
-
-    @staticmethod
-    def _key_fn(keys: list[BoundExpression]):
-        evals = [k.eval for k in keys]
-
-        def compute(row: Row) -> tuple | None:
-            values = tuple(e(row) for e in evals)
-            if any(v is None for v in values):
-                return None
-            return values
-
-        return compute
+            if matched is not None:
+                matched[left_idx] = True
+            yield Batch.pair(build, left_idx, batch, right_idx)
+        if matched is not None and not matched.all():
+            unmatched = np.flatnonzero(~matched).tolist()
+            nulls = Batch(1, rows=[(None,) * len(self._right.schema)])
+            yield Batch.pair(build, unmatched, nulls, [0] * len(unmatched))
 
     # -- Grace partitioning --------------------------------------------
 
-    def _grace_join(
-        self,
-        buffered: list[Row],
-        left_rest: Iterator[Row],
-        left_key,
-        right_key,
-    ) -> Iterator[Row]:
-        if self._join_type == "left":
-            raise PlanError("left join does not support spilling build sides")
+    def _grace_join(self, left: Iterator[Batch]) -> Iterator[Batch]:
+        """Hash-partition both inputs to spill files, then join each
+        partition in memory.  NULL keys hash like any value, so a left
+        join's NULL-key rows stay in one partition and come out unmatched.
+        """
         nparts = self.SPILL_PARTITIONS
         with tempfile.TemporaryFile() as left_spill, tempfile.TemporaryFile() as right_spill:
-            left_offsets = self._partition_to_file(
-                left_spill, list(buffered), left_rest, left_key, nparts
-            )
+            left_offsets = self._partition_to_file(left_spill, left, self._left_keys, nparts)
             right_offsets = self._partition_to_file(
-                right_spill, [], iter(self._right), right_key, nparts
+                right_spill, self._right.batches(), self._right_keys, nparts
             )
             for part in range(nparts):
-                build: dict[tuple, list[Row]] = {}
-                for row in self._read_partition(left_spill, left_offsets, part):
-                    build.setdefault(left_key(row), []).append(row)
-                if not build:
-                    continue
-                for row in self._read_partition(right_spill, right_offsets, part):
-                    for left_row in build.get(right_key(row), ()):
-                        yield left_row + row
+                yield from self._join(
+                    list(self._read_partition(left_spill, left_offsets[part])),
+                    self._read_partition(right_spill, right_offsets[part]),
+                )
 
     @staticmethod
-    def _partition_to_file(spill, head: list[Row], rest: Iterator[Row], key_fn, nparts: int):
-        """Write rows into per-partition pickle batches; returns offsets.
+    def _partition_to_file(
+        spill, batches: Iterable[Batch], keys: list[BoundExpression], nparts: int
+    ) -> list[list[tuple[int, int]]]:
+        """Write rows into per-partition pickle chunks; returns offsets.
 
         Returns a list of (offset, length) lists, one per partition.  The
         spill format is pickle, which is safe here because the file is
         created and consumed within this process.
         """
-        batches: list[list[Row]] = [[] for __ in range(nparts)]
+        pending: list[list[Row]] = [[] for __ in range(nparts)]
         offsets: list[list[tuple[int, int]]] = [[] for __ in range(nparts)]
-        batch_limit = 4096
+        chunk_rows = 4096
 
         def flush(part: int) -> None:
-            if not batches[part]:
+            if not pending[part]:
                 return
-            payload = pickle.dumps(batches[part], protocol=pickle.HIGHEST_PROTOCOL)
+            payload = pickle.dumps(pending[part], protocol=pickle.HIGHEST_PROTOCOL)
             spill.seek(0, 2)
             start = spill.tell()
             spill.write(payload)
             offsets[part].append((start, len(payload)))
-            batches[part] = []
+            pending[part] = []
 
-        for source in (iter(head), rest):
-            for row in source:
-                key = key_fn(row)
-                if key is None:
-                    continue
+        for batch in batches:
+            for row, key in zip(batch.rows(), _join_keys(batch, keys)):
                 part = hash(key) % nparts
-                batches[part].append(row)
-                if len(batches[part]) >= batch_limit:
+                pending[part].append(row)
+                if len(pending[part]) >= chunk_rows:
                     flush(part)
         for part in range(nparts):
             flush(part)
         return offsets
 
     @staticmethod
-    def _read_partition(spill, offsets, part: int) -> Iterator[Row]:
-        for start, length in offsets[part]:
+    def _read_partition(spill, offsets: list[tuple[int, int]]) -> Iterator[Batch]:
+        for start, length in offsets:
             spill.seek(start)
-            yield from pickle.loads(spill.read(length))
+            rows = pickle.loads(spill.read(length))
+            yield Batch(len(rows), rows=rows)
 
     def describe(self) -> str:
         keys = ", ".join(

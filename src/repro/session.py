@@ -1427,8 +1427,9 @@ class Database:
                     self._telemetry.events if self._telemetry.enabled else None
                 ),
             )
-        else:
-            self._pool.flush_all()
+        # Free the frames and (in memory) the pages now, not when the
+        # cyclic GC gets to this database.
+        self._pool.discard_all()
         self._disk.close()
         return abandoned
 

@@ -279,6 +279,15 @@ class BufferPool:
             for page_id in list(self._pages):
                 self.flush_page(page_id)
 
+    def discard_all(self) -> None:
+        """Drop every frame without writing it back (the pool's owner is
+        closing; flush first to keep dirty pages)."""
+        with self._lock:
+            for page_id in self._pages:
+                self._policy.record_removal(page_id)
+            self._pages.clear()
+            self._m_resident.set(0)
+
     def _ensure_frame_available(self) -> None:
         if len(self._pages) < self._capacity:
             return

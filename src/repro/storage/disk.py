@@ -137,6 +137,10 @@ class InMemoryDiskManager(DiskManager):
     def sync(self) -> None:
         self.injector.fire("disk.sync")
 
+    def close(self) -> None:
+        """Free every page: an in-memory database's data ends with it."""
+        self._pages.clear()
+
 
 class FileDiskManager(DiskManager):
     """Single-file disk manager, one checksummed slot per page.

@@ -20,15 +20,19 @@ from ..errors import ShapeError
 from ..relational.schema import ColumnType, Schema
 
 
+_BLOCK_TABLE_SCHEMA = Schema.of(
+    ("row_blk", ColumnType.INT),
+    ("col_blk", ColumnType.INT),
+    ("nrows", ColumnType.INT),
+    ("ncols", ColumnType.INT),
+    ("data", ColumnType.BLOB),
+)
+
+
 def block_table_schema() -> Schema:
-    """Schema shared by every tensor-block relation."""
-    return Schema.of(
-        ("row_blk", ColumnType.INT),
-        ("col_blk", ColumnType.INT),
-        ("nrows", ColumnType.INT),
-        ("ncols", ColumnType.INT),
-        ("data", ColumnType.BLOB),
-    )
+    """Schema shared by every tensor-block relation (one immutable instance,
+    so its column bindings are resolved once per process)."""
+    return _BLOCK_TABLE_SCHEMA
 
 
 @dataclass(frozen=True)

@@ -9,21 +9,30 @@ The pipelines are built from the ordinary operators in
 :mod:`repro.relational.operators`, so when the inputs are heap tables the
 whole computation runs block-at-a-time through the buffer pool — which is
 what lets it survive operators larger than memory.
+
+The relation-centric engine hands ``matmul_pipeline`` one row stripe at a
+time, and a stripe is one block row: ``A``'s blocks are ``stripe rows ×
+block cols`` against square weight blocks, so the join emits one row — and
+the multiply runs one GEMM — per weight block.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+from operator import itemgetter
 from typing import Callable, Iterator
 
 import numpy as np
 
 from ..errors import ShapeError
+from ..relational.batch import Batch
 from ..relational.expressions import ColumnRef
 from ..relational.operators import (
     Aggregate,
     AggregateSpec,
     GeneratorScan,
     HashJoin,
+    MapBatches,
     MapRows,
     Operator,
     Project,
@@ -37,6 +46,7 @@ from .blocked import BlockedMatrix
 BLOCK_COLUMNS = ("row_blk", "col_blk", "nrows", "ncols", "data")
 
 
+@lru_cache(maxsize=None)
 def prefixed_block_schema(prefix: str) -> Schema:
     """Block-table schema with every column renamed ``<prefix>_<name>``."""
     base = block_table_schema()
@@ -80,27 +90,35 @@ def matmul_pipeline(
         [ColumnRef(f"{b_prefix}_row_blk")],
     )
     schema = join.schema
-    a_idx = [schema.index_of(f"{a_prefix}_{c}") for c in BLOCK_COLUMNS]
-    b_idx = [schema.index_of(f"{b_prefix}_{c}") for c in BLOCK_COLUMNS]
+    a_cols = itemgetter(*(schema.index_of(f"{a_prefix}_{c}") for c in BLOCK_COLUMNS))
+    b_cols = itemgetter(*(schema.index_of(f"{b_prefix}_{c}") for c in BLOCK_COLUMNS))
 
-    def multiply(batch: list[tuple]) -> Iterator[tuple]:
-        for row in batch:
-            a_rb, __, a_nr, a_nc, a_data = (row[i] for i in a_idx)
-            __, b_cb, b_nr, b_nc, b_data = (row[i] for i in b_idx)
-            if a_nc != b_nr:
+    def multiply(batch: Batch) -> Batch:
+        a_rb, __, a_nr, a_nc, a_data = a_cols(batch.columns)
+        __, b_cb, b_nr, b_nc, b_data = b_cols(batch.columns)
+        partials = []
+        for nr, inner, a_bytes, b_inner, nc, b_bytes in zip(
+            a_nr, a_nc, a_data, b_nr, b_nc, b_data
+        ):
+            if inner != b_inner:
                 raise ShapeError(
-                    f"joined blocks have incompatible inner dims {a_nc} vs {b_nr}"
+                    f"joined blocks have incompatible inner dims {inner} vs {b_inner}"
                 )
-            left = np.frombuffer(a_data, dtype=np.float64).reshape(a_nr, a_nc)
-            right = np.frombuffer(b_data, dtype=np.float64).reshape(b_nr, b_nc)
-            partial = left @ right
-            yield (a_rb, b_cb, a_nr, b_nc, partial.tobytes())
+            left = np.frombuffer(a_bytes, dtype=np.float64).reshape(nr, inner)
+            right = np.frombuffer(b_bytes, dtype=np.float64).reshape(b_inner, nc)
+            # A fresh C-contiguous array: SUM_BLOCK reads (or adopts) it as is.
+            partials.append(left @ right)
+        return Batch(len(batch), [a_rb, b_cb, a_nr, b_nc, partials])
 
-    multiplied = MapRows(
+    # A partial is a whole stripe-row block (≤ 1024 × 128 doubles at the
+    # engine's default stripe), so at most eight are alive between the
+    # multiply and SUM_BLOCK: the 8 MB that 64 square partials took when
+    # stripes were cut into square blocks.
+    multiplied = MapBatches(
         join,
         multiply,
         block_table_schema(),
-        batch_size=64,
+        batch_size=8,
         label="block-multiply",
     )
     return Aggregate(

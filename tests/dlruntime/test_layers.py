@@ -82,6 +82,22 @@ def test_maxpool_and_flatten(rng):
     assert flat.shape == (2, 12)
 
 
+@pytest.mark.parametrize("with_budget", [False, True])
+def test_forward_reuses_only_its_own_activations(rng, with_budget):
+    """ReLU writes into activations the pass allocated, never into the
+    caller's input or a view of it, and the layer-by-layer result holds."""
+    x = rng.normal(size=(3, 2, 2, 1))
+    layers = [Flatten(), ReLU(), Linear(4, 4, rng=rng), ReLU()]
+    model = Model("m", layers, input_shape=(2, 2, 1))
+    before = x.copy()
+    out = model.forward(x, budget=MemoryBudget(1 << 20) if with_budget else None)
+    np.testing.assert_array_equal(x, before)
+    reference = before.reshape(3, 4)
+    for layer in model.layers[1:]:
+        reference = layer.forward(reference)
+    np.testing.assert_array_equal(out, reference)
+
+
 def test_model_param_count(rng):
     model = small_ffnn(rng)
     assert model.param_count == 4 * 8 + 8 + 8 * 3 + 3

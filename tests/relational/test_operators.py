@@ -3,7 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import PlanError
+from repro.config import SystemConfig
+from repro.engines import RelationCentricEngine
+from repro.errors import ExecutionError, PlanError
+from repro.models import amazon_14k_fc
 from repro.relational import ColumnRef, ColumnType, Comparison, Literal, Schema
 from repro.relational.operators import (
     Aggregate,
@@ -22,7 +25,7 @@ from repro.relational.operators import (
     ValuesScan,
     collect,
 )
-from repro.storage import BufferPool, Catalog, InMemoryDiskManager
+from repro.storage import BufferPool, Catalog, InMemoryDiskManager, VersionRecord
 
 PEOPLE = Schema.of(("id", ColumnType.INT), ("age", ColumnType.INT), ("name", ColumnType.TEXT))
 PEOPLE_ROWS = [
@@ -255,21 +258,222 @@ def test_explain_renders_tree():
     assert "Limit" in text and "Filter" in text and "ValuesScan" in text
 
 
-@settings(max_examples=50, deadline=None)
+# -- oracles: rows() == flattened batches() == a pure-Python reference -------
+
+
+def flatten(op):
+    return [row for batch in op.batches() for row in batch.rows()]
+
+
+def source(schema, rows, on_heap):
+    """``rows`` as a ValuesScan (row batches) or a heap scan (columnar
+    numpy batches for NULL-free fixed-width pages)."""
+    if not on_heap:
+        return ValuesScan(schema, rows)
+    catalog = Catalog(BufferPool(InMemoryDiskManager(4096), capacity_pages=64))
+    info = catalog.create_table("t", schema)
+    for row in rows:
+        info.heap.insert(row)
+    return SeqScan(info)
+
+
+def join_reference(left, right, nkeys, join_type, right_width):
+    def key(row):
+        return None if None in row[:nkeys] else row[:nkeys]
+
+    out, matched = [], set()
+    for r in right:
+        for i, l in enumerate(left):
+            if key(r) is not None and key(l) == key(r):
+                matched.add(i)
+                out.append(l + r)
+    if join_type == "left":
+        out += [l + (None,) * right_width for i, l in enumerate(left) if i not in matched]
+    return out
+
+
+KEY = st.one_of(st.none(), st.integers(0, 6))
+
+
+@settings(max_examples=60, deadline=None)
 @given(
-    left=st.lists(st.integers(0, 20), max_size=40),
-    right=st.lists(st.integers(0, 20), max_size=40),
+    left=st.lists(st.tuples(KEY, KEY, st.integers(-9, 9)), max_size=30),
+    right=st.lists(st.tuples(KEY, KEY, st.integers(-9, 9)), max_size=30),
+    nkeys=st.sampled_from([1, 2]),
+    join_type=st.sampled_from(["inner", "left"]),
+    spill=st.booleans(),
+    on_heap=st.tuples(st.booleans(), st.booleans()),
 )
-def test_property_hash_join_matches_reference(left, right):
-    ls = Schema.of(("k", ColumnType.INT))
-    rs = Schema.of(("k2", ColumnType.INT))
+def test_property_hash_join_matches_reference(left, right, nkeys, join_type, spill, on_heap):
+    """Inner/left joins on one or two keys, with NULL and duplicate keys,
+    in memory and through the Grace spill path, over row and numpy inputs."""
+    ls = Schema.of(("a", ColumnType.INT), ("b", ColumnType.INT), ("x", ColumnType.INT))
+    rs = Schema.of(("c", ColumnType.INT), ("d", ColumnType.INT), ("y", ColumnType.INT))
     join = HashJoin(
-        ValuesScan(ls, [(v,) for v in left]),
-        ValuesScan(rs, [(v,) for v in right]),
-        [ColumnRef("k")],
-        [ColumnRef("k2")],
-        max_build_rows=8,  # force the spill path often
+        source(ls, left, on_heap[0]),
+        source(rs, right, on_heap[1]),
+        [ColumnRef("a"), ColumnRef("b")][:nkeys],
+        [ColumnRef("c"), ColumnRef("d")][:nkeys],
+        join_type=join_type,
+        max_build_rows=4 if spill else None,
     )
-    got = sorted(collect(join).rows)
-    expected = sorted((l, r) for l in left for r in right if l == r)
-    assert got == expected
+    rows = list(join)
+    assert rows == flatten(join)
+    expected = join_reference(left, right, nkeys, join_type, len(rs))
+    if spill and len(left) > 4:  # partitions reorder the output
+        rows, expected = sorted(rows, key=repr), sorted(expected, key=repr)
+    assert rows == expected
+
+
+def aggregate_reference(rows, nkeys, funcs):
+    """Row-at-a-time fold; groups in first-appearance order."""
+    groups: dict[tuple, list] = {}
+    for row in rows:
+        groups.setdefault(row[:nkeys] if nkeys else (), []).append(row)
+    if not groups and not nkeys:
+        groups[()] = []
+    out = []
+    for key, members in groups.items():
+        results = []
+        for func, col in funcs:
+            if func == "COUNT_STAR":
+                results.append(len(members))
+                continue
+            values = [r[col] for r in members if r[col] is not None]
+            if func == "COUNT":
+                results.append(len(values))
+            elif func == "AVG":
+                total = 0.0
+                for v in values:
+                    total += v
+                results.append(total / len(values) if values else None)
+            elif func == "SUM_BLOCK":
+                total = None
+                for v in values:
+                    block = np.frombuffer(v)
+                    total = block.copy() if total is None else total + block
+                results.append(None if total is None else total.tobytes())
+            elif not values:
+                results.append(None)
+            else:
+                total = values[0]
+                for v in values[1:]:
+                    total = {"SUM": lambda a, b: a + b, "MIN": min, "MAX": max}[func](total, v)
+                results.append(total)
+        out.append(key + tuple(results))
+    return out
+
+
+NUMERIC_FUNCS = [("SUM", 2), ("COUNT", 2), ("COUNT_STAR", None), ("AVG", 3),
+                 ("MIN", 3), ("MAX", 2), ("MAX", 3), ("SUM", 3)]
+FINITE = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(
+            st.integers(0, 3), st.integers(0, 2), st.integers(-50, 50),
+            st.one_of(FINITE, st.just(float("nan"))),
+        ),
+        max_size=300,
+    ),
+    nkeys=st.sampled_from([0, 1, 2]),
+    nulls=st.sets(st.integers(0, 299), max_size=20),
+    on_heap=st.booleans(),
+)
+def test_property_aggregate_numeric_matches_reference(rows, nkeys, nulls, on_heap):
+    """SUM/COUNT/COUNT(*)/AVG/MIN/MAX over numeric keys and values, NULL
+    and NaN inputs included, over row batches and numpy heap pages.  The
+    comparison is by repr, so NaN and ``-0.0`` must come out as the row
+    fold gives them."""
+    rows = [(g, h, None if i in nulls else x, y) for i, (g, h, x, y) in enumerate(rows)]
+    schema = Schema.of(
+        ("g", ColumnType.INT), ("h", ColumnType.INT),
+        ("x", ColumnType.INT), ("y", ColumnType.DOUBLE),
+    )
+    agg = Aggregate(
+        source(schema, rows, on_heap),
+        group_by=[(ColumnRef(n), n) for n in ("g", "h")[:nkeys]],
+        aggregates=[AggregateSpec(f, None if c is None else ColumnRef("ghxy"[c]), f"a{i}")
+                    for i, (f, c) in enumerate(NUMERIC_FUNCS)],
+    )
+    got = repr(list(agg))
+    assert got == repr(flatten(agg))
+    assert got == repr(aggregate_reference(rows, nkeys, NUMERIC_FUNCS))
+
+
+BLOCK_FUNCS = [("SUM_BLOCK", 2), ("MIN", 1), ("MAX", 1), ("COUNT", 2)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(
+            st.one_of(st.none(), st.sampled_from(["p", "q", "r"])),
+            st.one_of(st.none(), st.text("abc", max_size=3)),
+            st.one_of(st.none(), st.lists(FINITE, min_size=3, max_size=3)),
+        ),
+        max_size=40,
+    ),
+    nkeys=st.sampled_from([0, 1]),
+)
+def test_property_aggregate_text_and_blocks_match_reference(rows, nkeys):
+    """SUM_BLOCK, and MIN/MAX over TEXT, with NULL group keys and inputs."""
+    rows = [(g, s, None if v is None else np.array(v).tobytes()) for g, s, v in rows]
+    schema = Schema.of(("g", ColumnType.TEXT), ("s", ColumnType.TEXT), ("v", ColumnType.BLOB))
+    agg = Aggregate(
+        ValuesScan(schema, rows),
+        group_by=[(ColumnRef("g"), "g")][:nkeys],
+        aggregates=[AggregateSpec(f, ColumnRef("gsv"[c]), f"a{i}")
+                    for i, (f, c) in enumerate(BLOCK_FUNCS)],
+    )
+    got = list(agg)
+    assert got == flatten(agg)
+    assert got == aggregate_reference(rows, nkeys, BLOCK_FUNCS)
+
+
+def test_aggregate_over_empty_input_with_group_keys_is_empty():
+    agg = Aggregate(
+        ValuesScan(PEOPLE, []),
+        group_by=[(ColumnRef("age"), "age")],
+        aggregates=[AggregateSpec("COUNT_STAR", None, "n")],
+    )
+    assert list(agg) == [] and flatten(agg) == []
+
+
+@pytest.mark.parametrize(
+    "payloads, problem",
+    [
+        ([np.ones(4).tobytes(), np.ones(1).tobytes()], "4 and 1 doubles"),
+        ([np.ones(1).tobytes(), np.ones(4).tobytes()], "1 and 4 doubles"),
+        ([np.ones(4).tobytes(), b"\x00" * 12], "12-byte payload"),
+    ],
+)
+def test_sum_block_rejects_mismatched_payloads(payloads, problem):
+    """Payloads of different lengths never broadcast; a ragged one never
+    escapes as a numpy error.  The error names the group."""
+    scan = ValuesScan(
+        Schema.of(("g", ColumnType.INT), ("blk", ColumnType.BLOB)),
+        [(0, np.zeros(2).tobytes())] + [(7, p) for p in payloads],
+    )
+    agg = Aggregate(
+        scan,
+        group_by=[(ColumnRef("g"), "g")],
+        aggregates=[AggregateSpec("SUM_BLOCK", ColumnRef("blk"), "total")],
+    )
+    with pytest.raises(ExecutionError, match=rf"{problem}.*group \(7,\)"):
+        list(agg)
+
+
+@pytest.mark.parametrize("batch", [1, 127, 128, 1000, 1025])
+def test_relation_centric_engine_matches_numpy_forward(batch):
+    """One block row per stripe, ragged stripes and ragged blocks included
+    (299 features, 1024-row stripes)."""
+    config = SystemConfig(tensor_block_rows=128, tensor_block_cols=128)
+    catalog = Catalog(BufferPool(InMemoryDiskManager(config.page_size), capacity_pages=64))
+    model = amazon_14k_fc(scale=0.0005)
+    x = np.random.default_rng(batch).normal(size=(batch, model.input_shape[0]))
+    engine = RelationCentricEngine(catalog, config)
+    result = engine.run_vector_stage(model.layers, x, VersionRecord("m", model))
+    np.testing.assert_allclose(result.outputs, model.forward(x), rtol=1e-6)

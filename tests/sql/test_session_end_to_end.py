@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -85,6 +88,35 @@ def test_left_join_preserves_unmatched(db):
     db.execute("INSERT INTO b VALUES (1)")
     cur = db.execute("SELECT a.id, b.aid FROM a LEFT JOIN b ON a.id = b.aid")
     assert sorted(cur.rows, key=lambda r: r[0]) == [(1, 1), (2, None)]
+
+
+def test_left_join_keeps_left_rows_with_null_keys(db):
+    db.execute("CREATE TABLE l (id INT, k INT)")
+    db.execute("CREATE TABLE r (k INT, v INT)")
+    db.execute("INSERT INTO l VALUES (1, 10), (2, NULL), (3, 30)")
+    db.execute("INSERT INTO r VALUES (10, 100)")
+    cur = db.execute("SELECT l.id, r.v FROM l LEFT JOIN r ON l.k = r.k")
+    assert sorted(cur.rows) == [(1, 100), (2, None), (3, None)]
+
+
+def test_close_frees_pages_without_the_cyclic_gc():
+    """A closed in-memory database holds no frames and no pages, even when
+    nothing collects its reference cycles."""
+    gc.disable()
+    tracemalloc.start()
+    try:
+        database = Database()
+        database.execute("CREATE TABLE t (id INT, v DOUBLE)")
+        database.load_rows("t", [(i, i / 2) for i in range(20_000)])
+        database.execute("SELECT COUNT(*) FROM t")
+        held = tracemalloc.get_traced_memory()[0]
+        database.close()
+        freed = held - tracemalloc.get_traced_memory()[0]
+        assert database.buffer_pool.resident_pages == 0
+        assert freed > 0.9 * 20_000 * 17  # at least the rows' 17-byte records
+    finally:
+        tracemalloc.stop()
+        gc.enable()
 
 
 def test_non_equi_join_falls_back_to_nested_loop(db):
