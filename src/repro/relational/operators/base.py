@@ -20,11 +20,11 @@ ADAPTER_BATCH_ROWS = 64
 class Operator:
     """A physical operator producing a stream of tuples.
 
-    Subclasses implement one of :meth:`rows` (a generator of tuples) or
+    Subclasses implement :meth:`rows` (a generator of tuples),
     :meth:`batches` (a generator of :class:`~repro.relational.batch.Batch`)
-    and set ``_schema`` in their constructor; the base class derives the
-    other.  Operators are restartable: iterating twice replays the
-    computation (children are re-iterated).
+    or both, and set ``_schema`` in their constructor; the base class
+    derives a missing one from the other.  Operators are restartable:
+    iterating twice replays the computation (children are re-iterated).
     """
 
     _schema: Schema

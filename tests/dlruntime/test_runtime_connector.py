@@ -91,6 +91,16 @@ def test_connector_extracts_columns_from_heap(rng):
     assert result.modeled_wire_seconds > 0
 
 
+def test_connector_keeps_int_columns_exact():
+    """INT values cross as int64, not float64: 2**53 + 1 survives."""
+    schema = Schema.of(("id", ColumnType.INT), ("x", ColumnType.DOUBLE))
+    big = [2**53 + 1, -(2**63), 2**63 - 1, None]
+    result = Connector().extract(ValuesScan(schema, [(v, 0.5) for v in big]))
+    assert result.columns["id"].dtype == np.int64
+    assert result.columns["id"].tolist() == [2**53 + 1, -(2**63), 2**63 - 1, 0]
+    assert result.wire_bytes == 4 + 4 + 4 * 2 * 8  # still 8 bytes a value
+
+
 def test_connector_rejects_text_columns():
     schema = Schema.of(("name", ColumnType.TEXT))
     scan = ValuesScan(schema, [("x",)])

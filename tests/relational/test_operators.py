@@ -11,12 +11,14 @@ from repro.relational import ColumnRef, ColumnType, Comparison, Literal, Schema
 from repro.relational.operators import (
     Aggregate,
     AggregateSpec,
+    Concat,
     Filter,
     GeneratorScan,
     HashJoin,
     Limit,
     MapRows,
     NestedLoopJoin,
+    Operator,
     Project,
     SeqScan,
     SimilarityJoin,
@@ -431,6 +433,54 @@ def test_property_aggregate_text_and_blocks_match_reference(rows, nkeys):
     got = list(agg)
     assert got == flatten(agg)
     assert got == aggregate_reference(rows, nkeys, BLOCK_FUNCS)
+
+
+class Counting(Operator):
+    """Passes its child's batches through, counting how many were pulled."""
+
+    def __init__(self, child):
+        self._child, self._schema, self.pulled = child, child.schema, 0
+
+    def batches(self):
+        for batch in self._child.batches():
+            self.pulled += 1
+            yield batch
+
+
+NUMERIC_ROWS = st.lists(st.tuples(st.one_of(st.none(), st.integers(-9, 9)), FINITE), max_size=300)
+KV = Schema.of(("k", ColumnType.INT), ("v", ColumnType.DOUBLE))
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=NUMERIC_ROWS, limit=st.integers(0, 320), offset=st.integers(0, 320),
+       on_heap=st.booleans())
+def test_property_limit_slices_batches(rows, limit, offset, on_heap):
+    """LIMIT/OFFSET edges inside and between row and numpy batches."""
+    op = Limit(source(KV, rows, on_heap), limit, offset)
+    assert list(op) == rows[offset : offset + limit]
+    assert flatten(op) == rows[offset : offset + limit]
+
+
+@pytest.mark.parametrize(
+    "limit, offset, pulled",
+    [(0, 5, 0), (1, 0, 1), (64, 0, 1), (65, 0, 2), (10, 60, 2), (1, 199, 4), (500, 0, 4)],
+)
+def test_limit_pulls_no_batch_past_the_limit(limit, offset, pulled):
+    """200 rows arrive as batches of 64, 64, 64 and 8."""
+    child = Counting(ValuesScan(KV, [(i, float(i)) for i in range(200)]))
+    kept = [r[0] for r in flatten(Limit(child, limit, offset))]
+    assert kept == list(range(offset, min(200, offset + limit)))
+    assert child.pulled == pulled
+
+
+@settings(max_examples=40, deadline=None)
+@given(parts=st.lists(st.tuples(NUMERIC_ROWS, st.booleans()), min_size=1, max_size=3))
+def test_property_concat_chains_its_inputs(parts):
+    """UNION ALL over row and numpy inputs, empty inputs included."""
+    op = Concat([source(KV, rows, on_heap) for rows, on_heap in parts])
+    expected = [row for rows, __ in parts for row in rows]
+    assert list(op) == expected
+    assert flatten(op) == expected
 
 
 def test_aggregate_over_empty_input_with_group_keys_is_empty():
