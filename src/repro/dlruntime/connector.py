@@ -125,7 +125,10 @@ class Connector:
             offset += 4
             for col in schema:
                 if col.ctype is ColumnType.BLOB:
-                    block, offset = _decode_blobs(col.name, view, offset, nrows)
+                    # Every chunk must match the first chunk's width.
+                    blocks = columns[col.name]
+                    width = 8 * blocks[0].shape[1] if blocks else None
+                    block, offset = _decode_blobs(col.name, view, offset, nrows, width)
                 else:
                     dtype = _wire_dtype(col.ctype)
                     block = np.frombuffer(wire, dtype, count=nrows, offset=offset)
@@ -165,20 +168,27 @@ def _encode_column(ctype: ColumnType, values: ColumnValues, parts: list[bytes]) 
 
 
 def _decode_blobs(
-    name: str, wire: memoryview, offset: int, nrows: int
+    name: str, wire: memoryview, offset: int, nrows: int, width: int | None
 ) -> tuple[np.ndarray, int]:
     """One chunk's BLOB column as a (rows, doubles) matrix, and the offset
-    past it.  Every payload of the column must have the same length."""
+    past it.  Every payload must be ``width`` bytes (the chunk's first
+    payload's length when ``width`` is None), a whole number of doubles."""
     payloads = []
     for __ in range(nrows):
         (blen,) = _U32.unpack_from(wire, offset)
         offset += 4
         payloads.append(wire[offset : offset + blen])
         offset += blen
-    width = len(payloads[0])
+    if width is None:
+        width = len(payloads[0])
     if any(len(p) != width for p in payloads):
         raise ExecutionError(
             f"connector cannot deliver BLOB column {name!r}: payload lengths differ"
+        )
+    if width % 8:
+        raise ExecutionError(
+            f"connector cannot deliver BLOB column {name!r}: a {width}-byte "
+            "payload is not a whole number of doubles"
         )
     matrix = np.frombuffer(b"".join(payloads), np.float64)
     return matrix.reshape(nrows, width // 8), offset

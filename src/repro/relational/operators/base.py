@@ -20,10 +20,11 @@ ADAPTER_BATCH_ROWS = 64
 class Operator:
     """A physical operator producing a stream of tuples.
 
-    Subclasses implement :meth:`rows` (a generator of tuples),
+    Subclasses implement one of :meth:`rows` (a generator of tuples) or
     :meth:`batches` (a generator of :class:`~repro.relational.batch.Batch`)
-    or both, and set ``_schema`` in their constructor; the base class
-    derives a missing one from the other.  Operators are restartable:
+    and set ``_schema`` in their constructor; the base class derives the
+    other.  An operator implements both only when a row consumer must be
+    able to stop it row by row (``Limit``).  Operators are restartable:
     iterating twice replays the computation (children are re-iterated).
     """
 

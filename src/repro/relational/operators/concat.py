@@ -5,8 +5,7 @@ from __future__ import annotations
 from typing import Iterator, Sequence
 
 from ...errors import PlanError
-from ..batch import Batch
-from .base import Operator
+from .base import Operator, Row
 
 
 class Concat(Operator):
@@ -23,17 +22,9 @@ class Concat(Operator):
         self._children = list(children)
         self._schema = children[0].schema
 
-    def batches(self) -> Iterator[Batch]:
-        ctypes = [col.ctype for col in self._schema]
+    def rows(self) -> Iterator[Row]:
         for child in self._children:
-            if [col.ctype for col in child.schema] == ctypes:
-                yield from child.batches()
-                continue
-            # Hand other types over as tuples, so that merging this input's
-            # numpy columns with the first input's (an INT and a DOUBLE
-            # column) cannot promote the values each row holds.
-            for batch in child.batches():
-                yield Batch(batch.size, rows=batch.rows())
+            yield from child
 
     def describe(self) -> str:
         return f"Concat({len(self._children)} inputs)"

