@@ -13,7 +13,6 @@ from .ir import (
 )
 from .lowering import lower_model
 from .cost import (
-    estimate_stage_latency,
     node_flops,
     node_memory_requirement,
     plan_peak_memory,
@@ -33,7 +32,6 @@ __all__ = [
     "lower_model",
     "node_memory_requirement",
     "node_flops",
-    "estimate_stage_latency",
     "plan_peak_memory",
     "RuleBasedOptimizer",
     "DeviceAwareOptimizer",

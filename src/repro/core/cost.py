@@ -4,18 +4,16 @@ allocator.
 The memory model is exactly the paper's (Sec. 7.1): an operator's
 requirement is the sum of its input, parameter, and output sizes — e.g.
 for a matmul with shapes ``m×k`` and ``k×n`` the estimate is
-``m·k + k·n + m·n`` elements.  Latency estimates are analytic: flops over
-device throughput, plus representation-specific overheads (connector wire
-time for DL-centric, block chunking overhead for relation-centric).
+``m·k + k·n + m·n`` elements.  There is no latency model: the optimizer
+chooses representations by this estimate alone, and the verdicts of
+:class:`~repro.telemetry.audit.PlanAuditor` are advisory.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..config import SystemConfig
-from ..dlruntime.device import Device
-from .ir import InferencePlan, LinAlgNode, PlanStage, Representation
+from .ir import InferencePlan, LinAlgNode, Representation
 
 FLOAT_BYTES = 8
 
@@ -30,45 +28,6 @@ def node_memory_requirement(node: LinAlgNode, batch_size: int) -> int:
 def node_flops(node: LinAlgNode, batch_size: int) -> int:
     """Floating point operations for one batch through one node."""
     return batch_size * node.layer.flops(node.input_shape)
-
-
-def stage_io_bytes(stage: PlanStage, batch_size: int) -> tuple[int, int]:
-    """(input bytes, output bytes) crossing a stage boundary."""
-    input_bytes = batch_size * int(np.prod(stage.input_shape)) * FLOAT_BYTES
-    output_bytes = batch_size * int(np.prod(stage.output_shape)) * FLOAT_BYTES
-    return input_bytes, output_bytes
-
-
-# Calibrated per-block relational overhead: each block that flows through
-# the join + aggregation pipeline pays Python-level operator costs.
-RELATIONAL_PER_BLOCK_SECONDS = 2.0e-4
-UDF_DISPATCH_SECONDS = 5.0e-5
-
-
-def estimate_stage_latency(
-    stage: PlanStage,
-    batch_size: int,
-    config: SystemConfig,
-    device: Device,
-) -> float:
-    """Analytic latency of one stage under its assigned representation."""
-    flops = sum(node_flops(node, batch_size) for node in stage.nodes)
-    compute = device.compute_time(flops)
-    input_bytes, output_bytes = stage_io_bytes(stage, batch_size)
-    if stage.representation is Representation.DL_CENTRIC:
-        wire = config.connector.wire_time(input_bytes + output_bytes, batch_size)
-        return compute / config.framework_compute_efficiency + wire
-    if stage.representation is Representation.RELATION_CENTRIC:
-        block_bytes = (
-            config.tensor_block_rows * config.tensor_block_cols * FLOAT_BYTES
-        )
-        touched = sum(
-            node_memory_requirement(node, batch_size) for node in stage.nodes
-        )
-        num_blocks = max(1, touched // block_bytes)
-        return compute + num_blocks * RELATIONAL_PER_BLOCK_SECONDS
-    # UDF-centric: in-process, one dispatch per stage.
-    return compute + UDF_DISPATCH_SECONDS
 
 
 def plan_peak_memory(plan: InferencePlan) -> int:
@@ -86,12 +45,3 @@ def plan_peak_memory(plan: InferencePlan) -> int:
             peak = max(peak, node_memory_requirement(node, plan.batch_size))
     return peak
 
-
-def estimate_plan_latency(
-    plan: InferencePlan, config: SystemConfig, device: Device
-) -> float:
-    """Analytic end-to-end latency of a plan on one device."""
-    return sum(
-        estimate_stage_latency(stage, plan.batch_size, config, device)
-        for stage in plan.stages
-    )

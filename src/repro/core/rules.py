@@ -24,7 +24,8 @@ import numpy as np
 from ..dlruntime.layers import Linear, Model
 from ..errors import PlanError
 from ..relational.expressions import ColumnRef
-from ..relational.operators import MapRows, Operator, SimilarityJoin
+from ..relational.batch import Batch
+from ..relational.operators import MapBatches, Operator, SimilarityJoin
 from ..relational.schema import ColumnType, Schema
 
 
@@ -111,21 +112,13 @@ class DecomposePushDownRule:
             ColumnRef(self._right_key),
             self._epsilon,
         )
-        schema = join.schema
-        feature_idx = [schema.index_of(c) for c in self._left_cols] + [
-            schema.index_of(c) for c in self._right_cols
-        ]
+        features = _feature_matrix(join.schema, self._left_cols + self._right_cols)
         model = self._model
 
-        def model_udf(batch: list[tuple]):
-            features = np.array(
-                [[row[i] for i in feature_idx] for row in batch], dtype=np.float64
-            )
-            predictions = model.predict(features)
-            for pred in predictions:
-                yield (int(pred),)
+        def model_udf(batch: Batch) -> Batch:
+            return Batch(len(batch), [model.predict(features(batch))])
 
-        return MapRows(
+        return MapBatches(
             join,
             model_udf,
             Schema.of(("prediction", ColumnType.INT)),
@@ -155,22 +148,14 @@ class DecomposePushDownRule:
         bias = self._weights.bias
         rest = self._model.layers[1:]
 
-        def combine_udf(batch: list[tuple]):
-            part1 = np.vstack(
-                [np.frombuffer(row[part1_idx], dtype=np.float64) for row in batch]
-            )
-            part2 = np.vstack(
-                [np.frombuffer(row[part2_idx], dtype=np.float64) for row in batch]
-            )
-            hidden = part1 + part2 + bias
-            out = hidden
+        def combine_udf(batch: Batch) -> Batch:
+            part1 = np.vstack(batch.column(part1_idx))
+            out = part1 + np.vstack(batch.column(part2_idx)) + bias
             for layer in rest:
                 out = layer.forward(out)
-            predictions = np.argmax(out, axis=-1)
-            for pred in predictions:
-                yield (int(pred),)
+            return Batch(len(batch), [np.argmax(out, axis=-1)])
 
-        return MapRows(
+        return MapBatches(
             join,
             combine_udf,
             Schema.of(("prediction", ColumnType.INT)),
@@ -186,22 +171,19 @@ class DecomposePushDownRule:
         weight: np.ndarray,
         side: str,
     ) -> Operator:
-        schema = source.schema
-        feature_idx = [schema.index_of(c) for c in feature_cols]
-        key_idx = schema.index_of(key_col)
+        features = _feature_matrix(source.schema, feature_cols)
+        key_idx = source.schema.index_of(key_col)
 
-        def partial_udf(batch: list[tuple]):
-            features = np.array(
-                [[row[i] for i in feature_idx] for row in batch], dtype=np.float64
-            )
-            partial = features @ weight
-            for row, vec in zip(batch, partial):
-                yield (float(row[key_idx]), vec.tobytes())
+        def partial_udf(batch: Batch) -> Batch:
+            # Keys pass through as they are, so the join drops a NULL key's
+            # row as the baseline's join does; each partial row stays an array.
+            return Batch(len(batch), [batch.column(key_idx), list(features(batch) @ weight)])
 
         out_schema = Schema.of(
-            (f"{side}_key", ColumnType.DOUBLE), (f"{side}_part", ColumnType.BLOB)
+            (f"{side}_key", source.schema[key_idx].ctype),
+            (f"{side}_part", ColumnType.BLOB),
         )
-        return MapRows(
+        return MapBatches(
             source,
             partial_udf,
             out_schema,
@@ -215,3 +197,16 @@ class DecomposePushDownRule:
             baseline=self.build_baseline(left, right),
             pushed_down=self.build_pushed_down(left, right),
         )
+
+
+def _feature_matrix(schema: Schema, columns: list[str]):
+    """A function from a batch to its ``columns`` as one float64 matrix."""
+    indices = [schema.index_of(c) for c in columns]
+
+    def features(batch: Batch) -> np.ndarray:
+        out = np.empty((len(batch), len(indices)))
+        for j, i in enumerate(indices):
+            out[:, j] = batch.column(i)
+        return out
+
+    return features

@@ -38,6 +38,7 @@ from ..tensor.linalg import (
     elementwise_binary_pipeline,
     elementwise_pipeline,
     matmul_pipeline,
+    prefix_blocks,
     transpose_pipeline,
 )
 
@@ -69,15 +70,14 @@ class RelationalTrainer:
 
     # -- forward -----------------------------------------------------------
 
-    def _scan(self, matrix: BlockedMatrix, prefix: str):
-        return block_scan_from_matrix(matrix, prefix)
-
     def _linear_forward(
         self, x: BlockedMatrix, layer: Linear
     ) -> BlockedMatrix:
         weights = BlockedMatrix.from_dense(layer.weight.data, self.block_shape)
         pipeline = bias_add_pipeline(
-            matmul_pipeline(self._scan(x, "a"), self._scan(weights, "b")),
+            matmul_pipeline(
+                block_scan_from_matrix(x, "a"), block_scan_from_matrix(weights, "b")
+            ),
             layer.bias.data,
             block_cols=self.block_shape[1],
         )
@@ -106,7 +106,7 @@ class RelationalTrainer:
             elif isinstance(layer, ReLU):
                 current = drain_to_matrix(
                     elementwise_pipeline(
-                        self._scan_unprefixed(current),
+                        block_scan_from_matrix(current, ""),
                         lambda v: np.maximum(v, 0.0),
                         "relu",
                     ),
@@ -137,8 +137,8 @@ class RelationalTrainer:
                 # dZ = dA ⊙ 1[Z > 0]; Z is the producing Linear's output.
                 z = activations[i]
                 masked = elementwise_binary_pipeline(
-                    self._scan_unprefixed(grad),
-                    self._scan_unprefixed(z),
+                    block_scan_from_matrix(grad, ""),
+                    block_scan_from_matrix(z, ""),
                     lambda g, z_block: g * (z_block > 0),
                     "relu-grad",
                 )
@@ -149,8 +149,8 @@ class RelationalTrainer:
             # dW = Xᵀ × dZ — transpose is a relational map, matmul the
             # usual join + aggregation.
             dw_pipeline = matmul_pipeline(
-                _reprefix(transpose_pipeline(self._scan_unprefixed(x_in)), "a"),
-                _reprefix(self._scan_unprefixed(grad), "b"),
+                prefix_blocks(transpose_pipeline(block_scan_from_matrix(x_in, "")), "a"),
+                block_scan_from_matrix(grad, "b"),
             )
             dw = drain_to_matrix(
                 dw_pipeline,
@@ -158,7 +158,7 @@ class RelationalTrainer:
                 self.block_shape,
             ).to_dense()
             db = drain_to_matrix(
-                column_sum_pipeline(self._scan_unprefixed(grad)),
+                column_sum_pipeline(block_scan_from_matrix(grad, "")),
                 (1, layer.out_features),
                 (1, self.block_shape[1]),
             ).to_dense()[0]
@@ -170,8 +170,10 @@ class RelationalTrainer:
                     layer.weight.data, self.block_shape
                 )
                 dx_pipeline = matmul_pipeline(
-                    _reprefix(self._scan_unprefixed(grad), "a"),
-                    _reprefix(transpose_pipeline(self._scan_unprefixed(weights)), "b"),
+                    block_scan_from_matrix(grad, "a"),
+                    prefix_blocks(
+                        transpose_pipeline(block_scan_from_matrix(weights, "")), "b"
+                    ),
                 )
                 grad = drain_to_matrix(
                     dx_pipeline,
@@ -187,22 +189,3 @@ class RelationalTrainer:
             layer.weight.data -= lr * grads.weight_grads[layer.name]
             layer.bias.data -= lr * grads.bias_grads[layer.name]
         return grads.loss
-
-    def _scan_unprefixed(self, matrix: BlockedMatrix):
-        from ..tensor.block import block_to_row
-        from ..relational.operators import GeneratorScan
-        from ..tensor.block import block_table_schema
-
-        def factory():
-            for block in matrix.iter_blocks():
-                yield block_to_row(block)
-
-        return GeneratorScan(block_table_schema(), factory, label="blocks")
-
-
-def _reprefix(op, prefix: str):
-    from ..relational.expressions import ColumnRef
-    from ..relational.operators import Project
-    from ..tensor.linalg import BLOCK_COLUMNS
-
-    return Project(op, [(ColumnRef(c), f"{prefix}_{c}") for c in BLOCK_COLUMNS])

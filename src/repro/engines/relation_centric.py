@@ -33,6 +33,7 @@ from ..models.store import weight_block_table
 from ..relational.operators import Operator
 from ..storage.catalog import Catalog, VersionRecord, TableInfo
 from ..telemetry import DISABLED, Telemetry
+from ..tensor.block import block_table_schema
 from ..tensor.blocked import BlockedMatrix
 from ..tensor.im2col import im2col
 from ..tensor.linalg import (
@@ -42,6 +43,7 @@ from ..tensor.linalg import (
     drain_to_matrix,
     elementwise_pipeline,
     matmul_pipeline,
+    prefix_blocks,
 )
 from .base import EngineResult
 
@@ -135,41 +137,33 @@ class RelationCentricEngine:
         def source() -> Operator:
             if pipeline is not None:
                 return pipeline
-            return block_scan_from_matrix(current, "a", label="stripe")
+            return block_scan_from_matrix(current, "", label="stripe")
 
         for layer in layers:
             if isinstance(layer, Linear):
                 weights = weight_block_table(
                     self.catalog, model_info, layer, self._block_shape
                 )
-                src = source()
-                # matmul_pipeline expects prefixed inputs; re-prefix chains.
-                left = _reprefix(src, "a") if pipeline is not None else src
-                mm = matmul_pipeline(left, block_scan_from_table(weights, "b"))
+                mm = matmul_pipeline(
+                    prefix_blocks(source(), "a"), block_scan_from_table(weights, "b")
+                )
                 pipeline = bias_add_pipeline(
                     mm, layer.bias.data, block_cols=block_shape[1]
                 )
                 current_cols = layer.out_features
             elif isinstance(layer, ReLU):
                 pipeline = elementwise_pipeline(
-                    source() if pipeline is None else pipeline,
-                    lambda v: np.maximum(v, 0.0),
-                    "relu",
+                    source(), lambda v: np.maximum(v, 0.0), "relu"
                 )
             elif isinstance(layer, Sigmoid):
                 pipeline = elementwise_pipeline(
-                    source() if pipeline is None else pipeline,
-                    lambda v: 1.0 / (1.0 + np.exp(-v)),
-                    "sigmoid",
+                    source(), lambda v: 1.0 / (1.0 + np.exp(-v)), "sigmoid"
                 )
             elif isinstance(layer, Softmax):
                 # Softmax needs whole rows: drain the stripe and apply the
                 # two-pass blocked softmax, then continue streaming.
                 shape = (stripe.shape[0], current_cols)
-                drained = drain_to_matrix(
-                    source() if pipeline is None else pipeline, shape, block_shape
-                )
-                current = drained.row_softmax()
+                current = drain_to_matrix(source(), shape, block_shape).row_softmax()
                 pipeline = None
             else:
                 raise PlanError(
@@ -206,8 +200,6 @@ class RelationCentricEngine:
         block_shape = self._block_shape
         weights = weight_block_table(self.catalog, model_info, conv, block_shape)
         name = result_table or f"__result_{model_info.name}_{next(_result_counter)}"
-        from ..tensor.block import block_table_schema
-
         out_info = self.catalog.create_table(name, block_table_schema())
         kh, kw = conv.kernel_size
         self.budget.reset_peak()
@@ -293,11 +285,3 @@ def _conv_hw(image: np.ndarray, conv: Conv2d) -> tuple[int, int]:
     out_h, out_w, __ = conv.output_shape(image.shape)
     return out_h, out_w
 
-
-def _reprefix(op: Operator, prefix: str) -> Operator:
-    """Rename unprefixed block columns to ``<prefix>_…`` for a join input."""
-    from ..relational.expressions import ColumnRef
-    from ..relational.operators import Project
-    from ..tensor.linalg import BLOCK_COLUMNS
-
-    return Project(op, [(ColumnRef(c), f"{prefix}_{c}") for c in BLOCK_COLUMNS])

@@ -12,14 +12,12 @@ TensorFlow does.
 from __future__ import annotations
 
 import time
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from ..dlruntime.layers import Layer, Model
 from ..dlruntime.memory import MemoryBudget
-from ..relational.operators import MapRows, Operator
-from ..relational.schema import ColumnType, Schema
 from ..telemetry import DISABLED, Telemetry
 from .base import EngineResult
 
@@ -70,41 +68,6 @@ class UdfCentricEngine:
     def run_model(self, model: Model, x: np.ndarray) -> EngineResult:
         """Whole-model-as-one-UDF execution (the small-model fast path)."""
         return self.run_layers(model.layers, x)
-
-    def as_map_operator(
-        self,
-        source: Operator,
-        model: Model,
-        feature_cols: Sequence[str],
-        batch_size: int = 1024,
-        output: str = "prediction",
-    ) -> MapRows:
-        """Wrap the model as a batch UDF over a relational operator.
-
-        This is the form in which the UDF-centric representation appears
-        inside SQL plans: a :class:`MapRows` whose UDF assembles the
-        feature matrix and runs the fused forward pass.
-        """
-        schema = source.schema
-        feature_idx = [schema.index_of(c) for c in feature_cols]
-        budget = self.budget
-        eager = self.eager_free
-
-        def model_udf(batch: list[tuple]) -> Iterator[tuple]:
-            features = np.array(
-                [[row[i] for i in feature_idx] for row in batch], dtype=np.float64
-            )
-            scores = model.forward(features, budget=budget, eager_free=eager)
-            for pred in np.argmax(scores, axis=-1):
-                yield (int(pred),)
-
-        return MapRows(
-            source,
-            model_udf,
-            Schema.of((output, ColumnType.INT)),
-            batch_size=batch_size,
-            label=f"model-udf:{model.name}",
-        )
 
 
 def _as_model(layers: Sequence[Layer], x: np.ndarray) -> Model:

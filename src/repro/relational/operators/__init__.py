@@ -19,7 +19,7 @@ from .sort import Sort, SortKey
 from .limit import Limit
 from .distinct import Distinct
 from .concat import Concat
-from .map_rows import MapBatches, MapRows
+from .map_batches import MapBatches
 
 __all__ = [
     "Operator",
@@ -40,6 +40,5 @@ __all__ = [
     "Limit",
     "Distinct",
     "Concat",
-    "MapRows",
     "MapBatches",
 ]

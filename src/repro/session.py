@@ -1081,8 +1081,9 @@ class Database:
                     f"vector index requires a BLOB column, got {column!r}"
                 )
             entry = _VectorIndexEntry(table=info.name, column=column, kind=kind)
+            count = self._build_vector_index(entry)
             self._vector_indexes[key] = entry
-            return self._build_vector_index(entry)
+            return count
 
     def refresh_vector_index(self, index_name: str) -> int:
         """Rebuild an index from the current table contents."""
@@ -1145,6 +1146,11 @@ class Database:
             payload = row[col_idx]
             if payload is None:
                 continue
+            if len(payload) % 8:
+                raise SqlError(
+                    f"table {entry.table!r} column {entry.column!r} holds a "
+                    f"{len(payload)}-byte BLOB, which is not whole float64 values"
+                )
             vectors.append(np.frombuffer(payload, dtype=np.float64))
             rids.append(rid)
         if not vectors:

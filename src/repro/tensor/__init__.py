@@ -6,7 +6,7 @@ view; :mod:`repro.tensor.linalg` builds the join+aggregation operator
 pipelines that execute blocked matmul through the relational engine.
 """
 
-from .block import TensorBlock, block_table_schema, block_to_row, row_to_block
+from .block import block_array, block_table_schema
 from .blocked import BlockedMatrix
 from .im2col import (
     conv2d_direct,
@@ -20,17 +20,14 @@ from .linalg import (
     block_scan_from_matrix,
     block_scan_from_table,
     drain_to_matrix,
-    drain_to_table,
     elementwise_pipeline,
     matmul_pipeline,
-    prefixed_block_schema,
+    prefix_blocks,
 )
 
 __all__ = [
-    "TensorBlock",
+    "block_array",
     "block_table_schema",
-    "block_to_row",
-    "row_to_block",
     "BlockedMatrix",
     "im2col",
     "kernel_matrix",
@@ -43,6 +40,5 @@ __all__ = [
     "block_scan_from_matrix",
     "block_scan_from_table",
     "drain_to_matrix",
-    "drain_to_table",
-    "prefixed_block_schema",
+    "prefix_blocks",
 ]

@@ -1,18 +1,18 @@
-"""A single tensor block and its relational row encoding.
+"""The relational encoding of tensor blocks.
 
 Block tables have the schema::
 
     (row_blk INT, col_blk INT, nrows INT, ncols INT, data BLOB)
 
-where ``data`` is the raw little-endian float64 payload in row-major order.
-Keeping shape in separate columns (rather than a header inside the BLOB)
-lets the ``SUM_BLOCK`` aggregate add payloads byte-for-byte during the
-matmul → join + aggregation rewrite.
+where ``data`` is the float64 payload in row-major order.  Inside an
+operator pipeline ``data`` is a C-contiguous float64 array; it becomes
+``bytes`` only when a row is written to a heap page (or leaves a
+``SUM_BLOCK`` aggregate).  Keeping shape in separate columns (rather than
+a header inside the BLOB) lets ``SUM_BLOCK`` add payloads without
+decoding them during the matmul → join + aggregation rewrite.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,46 +35,18 @@ def block_table_schema() -> Schema:
     return _BLOCK_TABLE_SCHEMA
 
 
-@dataclass(frozen=True)
-class TensorBlock:
-    """One block of a blocked matrix."""
-
-    row_blk: int
-    col_blk: int
-    data: np.ndarray  # 2-D float64
-
-    def __post_init__(self) -> None:
-        if self.data.ndim != 2:
-            raise ShapeError(f"tensor block must be 2-D, got shape {self.data.shape}")
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.data.shape  # type: ignore[return-value]
-
-    @property
-    def nbytes(self) -> int:
-        return self.data.nbytes
-
-
-def block_to_row(block: TensorBlock) -> tuple[int, int, int, int, bytes]:
-    """Encode a block as a row of the block-table schema."""
-    data = np.ascontiguousarray(block.data, dtype=np.float64)
-    return (
-        block.row_blk,
-        block.col_blk,
-        data.shape[0],
-        data.shape[1],
-        data.tobytes(),
-    )
-
-
-def row_to_block(row: tuple) -> TensorBlock:
-    """Decode a block-table row (tolerates extra leading columns)."""
-    row_blk, col_blk, nrows, ncols, payload = row[-5:]
-    array = np.frombuffer(payload, dtype=np.float64)
+def block_array(nrows: int, ncols: int, data) -> np.ndarray:
+    """A block's ``data`` value (``bytes`` or a float64 array) as an
+    ``nrows × ncols`` array; no copy is made."""
+    try:
+        array = np.frombuffer(data, dtype=np.float64)
+    except ValueError:
+        raise ShapeError(
+            f"a {memoryview(data).nbytes}-byte block payload is not whole doubles"
+        ) from None
     if array.size != nrows * ncols:
         raise ShapeError(
             f"block payload has {array.size} elements, expected "
             f"{nrows}×{ncols}={nrows * ncols}"
         )
-    return TensorBlock(row_blk, col_blk, array.reshape(nrows, ncols))
+    return array.reshape(nrows, ncols)

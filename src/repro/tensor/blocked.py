@@ -8,31 +8,26 @@ and for small results.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
 from ..errors import ShapeError
 from ..storage.catalog import Catalog, TableInfo
-from .block import TensorBlock, block_table_schema, block_to_row, row_to_block
+from .block import block_array, block_table_schema
 
 
 class BlockedMatrix:
     """A (possibly ragged-edged) blocked 2-D matrix."""
 
-    def __init__(
-        self,
-        shape: tuple[int, int],
-        block_shape: tuple[int, int],
-        blocks: dict[tuple[int, int], np.ndarray] | None = None,
-    ):
+    def __init__(self, shape: tuple[int, int], block_shape: tuple[int, int]):
         if shape[0] <= 0 or shape[1] <= 0:
             raise ShapeError(f"matrix shape must be positive, got {shape}")
         if block_shape[0] <= 0 or block_shape[1] <= 0:
             raise ShapeError(f"block shape must be positive, got {block_shape}")
         self.shape = shape
         self.block_shape = block_shape
-        self._blocks: dict[tuple[int, int], np.ndarray] = blocks if blocks is not None else {}
+        self._blocks: dict[tuple[int, int], np.ndarray] = {}
 
     # -- construction -----------------------------------------------------
 
@@ -40,6 +35,8 @@ class BlockedMatrix:
     def from_dense(
         cls, array: np.ndarray, block_shape: tuple[int, int]
     ) -> "BlockedMatrix":
+        """Block ``array``; a block that is already contiguous in it (every
+        block when it spans whole rows) is a view, not a copy."""
         if array.ndim != 2:
             raise ShapeError(f"expected a 2-D array, got shape {array.shape}")
         array = np.asarray(array, dtype=np.float64)
@@ -50,12 +47,6 @@ class BlockedMatrix:
                 block = array[i * br : (i + 1) * br, j * bc : (j + 1) * bc]
                 out._blocks[(i, j)] = np.ascontiguousarray(block)
         return out
-
-    @classmethod
-    def zeros(
-        cls, shape: tuple[int, int], block_shape: tuple[int, int]
-    ) -> "BlockedMatrix":
-        return cls.from_dense(np.zeros(shape), block_shape)
 
     # -- geometry ----------------------------------------------------------
 
@@ -70,10 +61,6 @@ class BlockedMatrix:
     @property
     def num_blocks(self) -> int:
         return len(self._blocks)
-
-    @property
-    def nbytes(self) -> int:
-        return sum(b.nbytes for b in self._blocks.values())
 
     def block_dims(self, i: int, j: int) -> tuple[int, int]:
         """Shape of block (i, j), accounting for ragged edges."""
@@ -101,9 +88,11 @@ class BlockedMatrix:
             )
         self._blocks[(i, j)] = np.ascontiguousarray(data, dtype=np.float64)
 
-    def iter_blocks(self) -> Iterator[TensorBlock]:
+    def block_rows(self) -> Iterator[tuple]:
+        """The blocks as block-table rows ``(row_blk, col_blk, nrows, ncols,
+        data)`` in block order; ``data`` is the stored array itself."""
         for (i, j), data in sorted(self._blocks.items()):
-            yield TensorBlock(i, j, data)
+            yield (i, j, data.shape[0], data.shape[1], data)
 
     # -- conversion ----------------------------------------------------------
 
@@ -116,62 +105,7 @@ class BlockedMatrix:
             ] = block
         return out
 
-    # -- blockwise math (reference implementations) --------------------------
-
-    def matmul(self, other: "BlockedMatrix") -> "BlockedMatrix":
-        """Direct blocked matmul (reference for the relational rewrite)."""
-        if self.shape[1] != other.shape[0]:
-            raise ShapeError(
-                f"cannot multiply {self.shape} by {other.shape}"
-            )
-        if self.block_shape[1] != other.block_shape[0]:
-            raise ShapeError(
-                f"inner block dims differ: {self.block_shape[1]} vs "
-                f"{other.block_shape[0]}"
-            )
-        result = BlockedMatrix(
-            (self.shape[0], other.shape[1]),
-            (self.block_shape[0], other.block_shape[1]),
-        )
-        partials: dict[tuple[int, int], np.ndarray] = {}
-        for (i, k), a_block in self._blocks.items():
-            for j in range(other.num_block_cols):
-                b_block = other._blocks.get((k, j))
-                if b_block is None:
-                    continue
-                partial = a_block @ b_block
-                key = (i, j)
-                if key in partials:
-                    partials[key] += partial
-                else:
-                    partials[key] = partial
-        result._blocks = partials
-        return result
-
-    def map_blocks(self, fn: Callable[[np.ndarray], np.ndarray]) -> "BlockedMatrix":
-        """Apply an element-wise function block by block (e.g. ReLU)."""
-        out = BlockedMatrix(self.shape, self.block_shape)
-        for key, block in self._blocks.items():
-            mapped = fn(block)
-            if mapped.shape != block.shape:
-                raise ShapeError("map_blocks function must preserve block shape")
-            out._blocks[key] = np.ascontiguousarray(mapped, dtype=np.float64)
-        return out
-
-    def add_row_vector(self, vector: np.ndarray) -> "BlockedMatrix":
-        """Broadcast-add a length-``ncols`` vector to every row (bias add)."""
-        vector = np.asarray(vector, dtype=np.float64).reshape(-1)
-        if vector.size != self.shape[1]:
-            raise ShapeError(
-                f"bias length {vector.size} does not match ncols {self.shape[1]}"
-            )
-        bc = self.block_shape[1]
-        out = BlockedMatrix(self.shape, self.block_shape)
-        for i in range(self.num_block_rows):
-            for j in range(self.num_block_cols):
-                segment = vector[j * bc : j * bc + self.block_dims(i, j)[1]]
-                out._blocks[(i, j)] = self.get_block(i, j) + segment
-        return out
+    # -- blockwise math ------------------------------------------------------
 
     def row_softmax(self) -> "BlockedMatrix":
         """Numerically stable row-wise softmax across column blocks.
@@ -202,8 +136,8 @@ class BlockedMatrix:
     def store(self, catalog: Catalog, table_name: str) -> TableInfo:
         """Materialise the blocks into a heap table (creates the table)."""
         info = catalog.create_table(table_name, block_table_schema())
-        for block in self.iter_blocks():
-            info.heap.insert(block_to_row(block))
+        for row in self.block_rows():
+            info.heap.insert(row)
             info.row_count += 1
         return info
 
@@ -216,7 +150,6 @@ class BlockedMatrix:
     ) -> "BlockedMatrix":
         """Rebuild a blocked matrix by scanning its heap table."""
         out = cls(shape, block_shape)
-        for __, row in table.heap.scan():
-            block = row_to_block(row)
-            out.set_block(block.row_blk, block.col_blk, block.data)
+        for __, (i, j, nrows, ncols, data) in table.heap.scan():
+            out.set_block(i, j, block_array(nrows, ncols, data))
         return out

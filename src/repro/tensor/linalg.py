@@ -14,13 +14,18 @@ The relation-centric engine hands ``matmul_pipeline`` one row stripe at a
 time, and a stripe is one block row: ``A``'s blocks are ``stripe rows ×
 block cols`` against square weight blocks, so the join emits one row — and
 the multiply runs one GEMM — per weight block.
+
+Every other block stage (bias-add, element-wise maps, transpose, the
+element-wise combine of two relations, column sums) is one ``MapBatches``
+over :func:`_map_blocks`.  Blocks travel between operators as float64
+arrays; a block becomes ``bytes`` only on a heap page or out of
+``SUM_BLOCK``.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from operator import itemgetter
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -33,45 +38,36 @@ from ..relational.operators import (
     GeneratorScan,
     HashJoin,
     MapBatches,
-    MapRows,
     Operator,
     Project,
     SeqScan,
 )
-from ..relational.schema import Schema
 from ..storage.catalog import TableInfo
-from .block import block_table_schema, block_to_row, row_to_block
+from .block import block_array, block_table_schema
 from .blocked import BlockedMatrix
 
 BLOCK_COLUMNS = ("row_blk", "col_blk", "nrows", "ncols", "data")
 
 
-@lru_cache(maxsize=None)
-def prefixed_block_schema(prefix: str) -> Schema:
-    """Block-table schema with every column renamed ``<prefix>_<name>``."""
-    base = block_table_schema()
-    return Schema(col.renamed(f"{prefix}_{col.name}") for col in base)
+def prefix_blocks(source: Operator, prefix: str) -> Operator:
+    """Rename a block relation's columns to ``<prefix>_<name>`` (the form a
+    join input takes); an empty prefix keeps the plain names."""
+    if not prefix:
+        return source
+    return Project(source, [(ColumnRef(c), f"{prefix}_{c}") for c in BLOCK_COLUMNS])
 
 
 def block_scan_from_matrix(
     matrix: BlockedMatrix, prefix: str, label: str = ""
 ) -> Operator:
     """Stream an in-memory blocked matrix as a block relation."""
-
-    def factory() -> Iterator[tuple]:
-        for block in matrix.iter_blocks():
-            yield block_to_row(block)
-
-    return GeneratorScan(prefixed_block_schema(prefix), factory, label=label or prefix)
+    scan = GeneratorScan(block_table_schema(), matrix.block_rows, label=label or prefix)
+    return prefix_blocks(scan, prefix)
 
 
 def block_scan_from_table(table: TableInfo, prefix: str) -> Operator:
     """Scan a persisted block table, renaming columns with ``prefix``."""
-    scan = SeqScan(table)
-    items = [
-        (ColumnRef(name), f"{prefix}_{name}") for name in BLOCK_COLUMNS
-    ]
-    return Project(scan, items)
+    return prefix_blocks(SeqScan(table), prefix)
 
 
 def matmul_pipeline(
@@ -97,15 +93,15 @@ def matmul_pipeline(
         a_rb, __, a_nr, a_nc, a_data = a_cols(batch.columns)
         __, b_cb, b_nr, b_nc, b_data = b_cols(batch.columns)
         partials = []
-        for nr, inner, a_bytes, b_inner, nc, b_bytes in zip(
+        for nr, inner, a_block, b_inner, nc, b_block in zip(
             a_nr, a_nc, a_data, b_nr, b_nc, b_data
         ):
             if inner != b_inner:
                 raise ShapeError(
                     f"joined blocks have incompatible inner dims {inner} vs {b_inner}"
                 )
-            left = np.frombuffer(a_bytes, dtype=np.float64).reshape(nr, inner)
-            right = np.frombuffer(b_bytes, dtype=np.float64).reshape(b_inner, nc)
+            left = block_array(nr, inner, a_block)
+            right = block_array(b_inner, nc, b_block)
             # A fresh C-contiguous array: SUM_BLOCK reads (or adopts) it as is.
             partials.append(left @ right)
         return Batch(len(batch), [a_rb, b_cb, a_nr, b_nc, partials])
@@ -133,40 +129,69 @@ def matmul_pipeline(
     )
 
 
+def _map_blocks(
+    source: Operator,
+    fn: Callable[..., tuple[int, int, np.ndarray]],
+    label: str,
+    prefixes: tuple[str, ...] = ("",),
+) -> Operator:
+    """Map every row of ``source`` to one block.
+
+    Each prefix names one block in a row: ``fn(row_blk, col_blk, *blocks)``
+    gets the first block's coordinates and every block as a float64 array,
+    and returns the output block's coordinates and array.
+    """
+    schema = source.schema
+    getters = [
+        itemgetter(*(schema.index_of(f"{p}_{c}" if p else c) for c in BLOCK_COLUMNS))
+        for p in prefixes
+    ]
+
+    def apply(batch: Batch) -> Batch:
+        inputs = [getter(batch.columns) for getter in getters]
+        row_blks, col_blks = inputs[0][:2]
+        blocks = [map(block_array, *columns[2:]) for columns in inputs]
+        out_rb, out_cb, out_data = [], [], []
+        for rb, cb, *arrays in zip(row_blks, col_blks, *blocks):
+            rb, cb, out = fn(rb, cb, *arrays)
+            out_rb.append(rb)
+            out_cb.append(cb)
+            out_data.append(np.ascontiguousarray(out, dtype=np.float64))
+        nrows = [d.shape[0] for d in out_data]
+        ncols = [d.shape[1] for d in out_data]
+        return Batch(len(batch), [out_rb, out_cb, nrows, ncols, out_data])
+
+    return MapBatches(source, apply, block_table_schema(), batch_size=64, label=label)
+
+
 def elementwise_pipeline(
     source: Operator, fn: Callable[[np.ndarray], np.ndarray], label: str
 ) -> Operator:
     """Apply an element-wise function to every block (e.g. ReLU)."""
 
-    def apply(batch: list[tuple]) -> Iterator[tuple]:
-        for row in batch:
-            block = row_to_block(row)
-            mapped = np.ascontiguousarray(fn(block.data), dtype=np.float64)
-            if mapped.shape != block.data.shape:
-                raise ShapeError(f"{label} must preserve block shape")
-            yield (block.row_blk, block.col_blk, mapped.shape[0], mapped.shape[1], mapped.tobytes())
+    def apply(rb: int, cb: int, block: np.ndarray):
+        mapped = fn(block)
+        if mapped.shape != block.shape:
+            raise ShapeError(f"{label} must preserve block shape")
+        return rb, cb, mapped
 
-    return MapRows(source, apply, block_table_schema(), batch_size=64, label=label)
+    return _map_blocks(source, apply, label)
 
 
 def bias_add_pipeline(source: Operator, bias: np.ndarray, block_cols: int) -> Operator:
     """Broadcast-add a bias vector, sliced per column block."""
     bias = np.asarray(bias, dtype=np.float64).reshape(-1)
 
-    def apply(batch: list[tuple]) -> Iterator[tuple]:
-        for row in batch:
-            block = row_to_block(row)
-            start = block.col_blk * block_cols
-            segment = bias[start : start + block.data.shape[1]]
-            if segment.size != block.data.shape[1]:
-                raise ShapeError(
-                    f"bias of length {bias.size} does not cover column block "
-                    f"{block.col_blk}"
-                )
-            data = block.data + segment
-            yield (block.row_blk, block.col_blk, data.shape[0], data.shape[1], data.tobytes())
+    def apply(rb: int, cb: int, block: np.ndarray):
+        start = cb * block_cols
+        segment = bias[start : start + block.shape[1]]
+        if segment.size != block.shape[1]:
+            raise ShapeError(
+                f"bias of length {bias.size} does not cover column block {cb}"
+            )
+        return rb, cb, block + segment
 
-    return MapRows(source, apply, block_table_schema(), batch_size=64, label="bias-add")
+    return _map_blocks(source, apply, "bias-add")
 
 
 def transpose_pipeline(source: Operator) -> Operator:
@@ -176,14 +201,7 @@ def transpose_pipeline(source: Operator) -> Operator:
     which is what makes the relation-centric backward pass (``Xᵀ × dY``)
     expressible with the same operators as the forward pass.
     """
-
-    def apply(batch: list[tuple]) -> Iterator[tuple]:
-        for row in batch:
-            block = row_to_block(row)
-            data = np.ascontiguousarray(block.data.T)
-            yield (block.col_blk, block.row_blk, data.shape[0], data.shape[1], data.tobytes())
-
-    return MapRows(source, apply, block_table_schema(), batch_size=64, label="transpose")
+    return _map_blocks(source, lambda rb, cb, block: (cb, rb, block.T), "transpose")
 
 
 def elementwise_binary_pipeline(
@@ -198,47 +216,26 @@ def elementwise_binary_pipeline(
     (``dZ = dA ⊙ 1[Z > 0]``).  Both inputs must produce *unprefixed*
     block rows covering the same block grid.
     """
-    left_prefixed = _prefix_blocks(left, "l")
-    right_prefixed = _prefix_blocks(right, "r")
     join = HashJoin(
-        left_prefixed,
-        right_prefixed,
+        prefix_blocks(left, "l"),
+        prefix_blocks(right, "r"),
         [ColumnRef("l_row_blk"), ColumnRef("l_col_blk")],
         [ColumnRef("r_row_blk"), ColumnRef("r_col_blk")],
     )
-    schema = join.schema
-    l_idx = [schema.index_of(f"l_{c}") for c in BLOCK_COLUMNS]
-    r_idx = [schema.index_of(f"r_{c}") for c in BLOCK_COLUMNS]
 
-    def apply(batch: list[tuple]) -> Iterator[tuple]:
-        for row in batch:
-            rb, cb, l_nr, l_nc, l_data = (row[i] for i in l_idx)
-            __, __, r_nr, r_nc, r_data = (row[i] for i in r_idx)
-            if (l_nr, l_nc) != (r_nr, r_nc):
-                raise ShapeError(
-                    f"block ({rb}, {cb}) shapes differ: "
-                    f"({l_nr}, {l_nc}) vs ({r_nr}, {r_nc})"
-                )
-            a = np.frombuffer(l_data, dtype=np.float64).reshape(l_nr, l_nc)
-            b = np.frombuffer(r_data, dtype=np.float64).reshape(r_nr, r_nc)
-            out = np.ascontiguousarray(fn(a, b), dtype=np.float64)
-            yield (rb, cb, out.shape[0], out.shape[1], out.tobytes())
+    def apply(rb: int, cb: int, a: np.ndarray, b: np.ndarray):
+        if a.shape != b.shape:
+            raise ShapeError(f"block ({rb}, {cb}) shapes differ: {a.shape} vs {b.shape}")
+        return rb, cb, fn(a, b)
 
-    return MapRows(join, apply, block_table_schema(), batch_size=64, label=label)
+    return _map_blocks(join, apply, label, prefixes=("l", "r"))
 
 
 def column_sum_pipeline(source: Operator) -> Operator:
     """Sum a block relation over its rows: one output block row per
     column block (used for bias gradients, ``db = Σ_rows dY``)."""
-
-    def collapse(batch: list[tuple]) -> Iterator[tuple]:
-        for row in batch:
-            block = row_to_block(row)
-            summed = block.data.sum(axis=0, keepdims=True)
-            yield (0, block.col_blk, 1, summed.shape[1], summed.tobytes())
-
-    collapsed = MapRows(
-        source, collapse, block_table_schema(), batch_size=64, label="col-sum"
+    collapsed = _map_blocks(
+        source, lambda rb, cb, block: (0, cb, block.sum(axis=0, keepdims=True)), "col-sum"
     )
     return Aggregate(
         collapsed,
@@ -252,32 +249,11 @@ def column_sum_pipeline(source: Operator) -> Operator:
     )
 
 
-def _prefix_blocks(op: Operator, prefix: str) -> Operator:
-    from ..relational.operators import Project
-
-    return Project(op, [(ColumnRef(c), f"{prefix}_{c}") for c in BLOCK_COLUMNS])
-
-
 def drain_to_matrix(
     source: Operator, shape: tuple[int, int], block_shape: tuple[int, int]
 ) -> BlockedMatrix:
     """Execute a block pipeline and collect the result blocks."""
     out = BlockedMatrix(shape, block_shape)
-    for row in source:
-        block = row_to_block(row)
-        out.set_block(block.row_blk, block.col_blk, block.data)
+    for rb, cb, nrows, ncols, data in source:
+        out.set_block(rb, cb, block_array(nrows, ncols, data))
     return out
-
-
-def drain_to_table(source: Operator, catalog, table_name: str) -> TableInfo:
-    """Execute a block pipeline, materialising block rows into a heap table.
-
-    This is how the relation-centric engine passes intermediates between
-    layers: the blocks land on pages (spilling through the buffer pool as
-    needed) instead of in one dense array.
-    """
-    info = catalog.create_table(table_name, block_table_schema())
-    for row in source:
-        info.heap.insert(row)
-        info.row_count += 1
-    return info

@@ -14,7 +14,7 @@ from repro.core import RelationalTrainer
 from repro.dlruntime import Conv2d, Linear, Model, ReLU, Softmax
 from repro.errors import PlanError
 from repro.relational.operators import collect
-from repro.tensor import BlockedMatrix, drain_to_matrix
+from repro.tensor import BlockedMatrix, block_scan_from_matrix, drain_to_matrix
 from repro.tensor.linalg import (
     column_sum_pipeline,
     elementwise_binary_pipeline,
@@ -49,13 +49,7 @@ def autodiff_grads(model, x, labels):
 
 
 def _scan(matrix):
-    from repro.relational.operators import GeneratorScan
-    from repro.tensor.block import block_table_schema, block_to_row
-
-    return GeneratorScan(
-        block_table_schema(),
-        lambda: (block_to_row(b) for b in matrix.iter_blocks()),
-    )
+    return block_scan_from_matrix(matrix, "")
 
 
 def test_transpose_pipeline_matches_numpy(rng):

@@ -1,9 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import SystemConfig, mb
 from repro.core import RuleBasedOptimizer
-from repro.dlruntime import Connector, ExternalRuntime, MemoryBudget
+from repro.dlruntime import (
+    Connector,
+    ExternalRuntime,
+    Linear,
+    MemoryBudget,
+    Model,
+    ReLU,
+    Sigmoid,
+    Softmax,
+)
 from repro.engines import (
     DlCentricEngine,
     HybridExecutor,
@@ -52,22 +63,6 @@ def test_udf_engine_keeps_intermediates_so_peak_is_higher(rng):
     )
 
 
-def test_udf_engine_as_map_operator(rng):
-    catalog, __ = make_catalog()
-    info = catalog.create_table("tx", fraud_schema())
-    features, labels, rows = fraud_transactions(200, seed=1)
-    for row in rows:
-        info.heap.insert(row)
-    model = fraud_fc_256()
-    engine = UdfCentricEngine(MemoryBudget(mb(64)))
-    op = engine.as_map_operator(
-        SeqScan(info), model, [f"f{i}" for i in range(28)]
-    )
-    preds = [r[0] for r in op]
-    expected = model.predict(features)
-    np.testing.assert_array_equal(preds, expected)
-
-
 def test_dl_engine_accounts_transfer(rng):
     catalog, __ = make_catalog()
     info = catalog.create_table("tx", fraud_schema())
@@ -91,14 +86,52 @@ def test_dl_engine_accounts_transfer(rng):
     assert result.modeled_total_seconds != result.measured_seconds
 
 
-def test_relation_engine_vector_stage_matches_udf(rng, config):
+BLOCK = 32
+# Widths that never fill a 32-wide block exactly, so blocks are ragged.
+_widths = st.integers(1, 3 * BLOCK).filter(lambda w: w % BLOCK)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    widths=st.lists(_widths, min_size=2, max_size=4),
+    activations=st.lists(
+        st.sampled_from([None, ReLU, Sigmoid, Softmax]), min_size=3, max_size=3
+    ),
+    stripe=st.sampled_from([7, 16, 48]),
+    # batch = stripes * stripe + extra: 1, s - 1, s, s + 1 and 2s + 1
+    stripes_extra=st.sampled_from([(0, 1), (1, -1), (1, 0), (1, 1), (2, 1)]),
+    seed=st.integers(0, 2**16),
+)
+def test_relation_engine_vector_stage_matches_udf(
+    widths, activations, stripe, stripes_extra, seed
+):
+    """Random Linear/ReLU/Sigmoid/Softmax stacks, batches around a stripe."""
+    rng = np.random.default_rng(seed)
+    layers = []
+    for i, (fan_in, fan_out) in enumerate(zip(widths, widths[1:])):
+        layers.append(Linear(fan_in, fan_out, rng=rng, name=f"fc{i}"))
+        if activations[i] is not None:
+            layers.append(activations[i]())
+    model = Model("stack", layers, input_shape=(widths[0],))
+    stripes, extra = stripes_extra
+    x = rng.normal(size=(stripes * stripe + extra, widths[0]))
     catalog, __ = make_catalog()
-    model = fraud_fc_256()
-    model_info = VersionRecord("fraud", model)
-    x = rng.normal(size=(100, 28))
-    engine = RelationCentricEngine(catalog, config, stripe_rows=48)
-    result = engine.run_vector_stage(model.layers, x, model_info)
-    np.testing.assert_allclose(result.outputs, model.forward(x), atol=1e-9)
+    config = SystemConfig(tensor_block_rows=BLOCK, tensor_block_cols=BLOCK)
+    engine = RelationCentricEngine(catalog, config, stripe_rows=stripe)
+    result = engine.run_vector_stage(model.layers, x, VersionRecord("stack", model))
+    np.testing.assert_allclose(result.outputs, model.forward(x), rtol=1e-6, atol=1e-12)
+
+
+def test_relation_engine_leaves_input_unchanged(rng, config):
+    """Stripes of a narrow input are views of it: no stage may write them."""
+    catalog, __ = make_catalog()
+    model = Model("m", [ReLU(), Linear(20, 8, rng=rng, name="fc"), ReLU(), Softmax()], (20,))
+    x = rng.normal(size=(50, 20))
+    before = x.copy()
+    engine = RelationCentricEngine(catalog, config, stripe_rows=16)
+    result = engine.run_vector_stage(model.layers, x, VersionRecord("m", model))
+    np.testing.assert_array_equal(x, before)
+    np.testing.assert_allclose(result.outputs, model.forward(before), rtol=1e-6)
 
 
 def test_relation_engine_bounded_peak_memory(rng, config):

@@ -8,6 +8,7 @@ from repro.engines import RelationCentricEngine
 from repro.errors import ExecutionError, PlanError
 from repro.models import amazon_14k_fc
 from repro.relational import ColumnRef, ColumnType, Comparison, Literal, Schema
+from repro.relational.batch import Batch
 from repro.relational.operators import (
     Aggregate,
     AggregateSpec,
@@ -16,7 +17,7 @@ from repro.relational.operators import (
     GeneratorScan,
     HashJoin,
     Limit,
-    MapRows,
+    MapBatches,
     NestedLoopJoin,
     Operator,
     Project,
@@ -238,9 +239,9 @@ def test_map_rows_batches():
 
     def udf(batch):
         seen_batches.append(len(batch))
-        return [(row[0] * 10,) for row in batch]
+        return Batch(len(batch), rows=[(row[0] * 10,) for row in batch.rows()])
 
-    op = MapRows(
+    op = MapBatches(
         people_scan(), udf, Schema.of(("x10", ColumnType.INT)), batch_size=3
     )
     assert [r[0] for r in collect(op)] == [10, 20, 30, 40]

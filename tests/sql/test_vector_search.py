@@ -79,6 +79,17 @@ def test_mixed_dimensions_rejected():
             database.create_vector_index("idx", "v", "e")
 
 
+def test_partial_double_payload_rejected():
+    with Database() as database:
+        database.execute("CREATE TABLE v (id INT, e BLOB)")
+        database.load_rows("v", [(1, np.zeros(2).tobytes()), (2, b"\0" * 12)])
+        with pytest.raises(SqlError, match=r"'v' column 'e' holds a 12-byte BLOB"):
+            database.create_vector_index("idx", "v", "e")
+        # The failed build leaves the name free.
+        database.execute("DELETE FROM v WHERE id = 2")
+        assert database.create_vector_index("idx", "v", "e") == 1
+
+
 def test_empty_table_rejected():
     with Database() as database:
         database.execute("CREATE TABLE v (id INT, e BLOB)")

@@ -5,7 +5,25 @@ from hypothesis import strategies as st
 
 from repro.errors import ShapeError
 from repro.storage import BufferPool, Catalog, InMemoryDiskManager
-from repro.tensor import BlockedMatrix, TensorBlock, block_to_row, row_to_block
+from repro.tensor import (
+    BlockedMatrix,
+    bias_add_pipeline,
+    block_array,
+    block_scan_from_matrix,
+    drain_to_matrix,
+    elementwise_pipeline,
+    matmul_pipeline,
+)
+from repro.tensor.linalg import transpose_pipeline
+
+
+def relational_matmul(a, b):
+    """``a × b`` through the join + multiply + SUM_BLOCK pipeline."""
+    pipeline = matmul_pipeline(
+        block_scan_from_matrix(a, "a"), block_scan_from_matrix(b, "b")
+    )
+    shape = (a.shape[0], b.shape[1])
+    return drain_to_matrix(pipeline, shape, (a.block_shape[0], b.block_shape[1]))
 
 
 def test_from_dense_round_trip_exact_blocks():
@@ -38,33 +56,52 @@ def test_set_block_shape_checked():
 
 
 def test_matmul_matches_dense(rng):
+    """A block missing from a relation multiplies as zeros: it joins nothing."""
     a = rng.normal(size=(7, 11))
     b = rng.normal(size=(11, 5))
-    got = BlockedMatrix.from_dense(a, (3, 4)).matmul(
-        BlockedMatrix.from_dense(b, (4, 2))
-    )
-    np.testing.assert_allclose(got.to_dense(), a @ b, atol=1e-12)
+    sparse = BlockedMatrix((7, 11), (3, 4))
+    for i, j in [(0, 0), (1, 2), (2, 1)]:
+        sparse.set_block(i, j, BlockedMatrix.from_dense(a, (3, 4)).get_block(i, j))
+    got = relational_matmul(sparse, BlockedMatrix.from_dense(b, (4, 2)))
+    np.testing.assert_allclose(got.to_dense(), sparse.to_dense() @ b, atol=1e-12)
 
 
 def test_matmul_incompatible_shapes_raise(rng):
     a = BlockedMatrix.from_dense(rng.normal(size=(4, 5)), (2, 2))
-    b = BlockedMatrix.from_dense(rng.normal(size=(4, 5)), (2, 2))
-    with pytest.raises(ShapeError):
-        a.matmul(b)
+    b = BlockedMatrix.from_dense(rng.normal(size=(4, 5)), (3, 3))
+    with pytest.raises(ShapeError, match="inner dims"):
+        relational_matmul(a, b)
 
 
 def test_map_blocks_relu(rng):
-    a = rng.normal(size=(6, 6))
-    blocked = BlockedMatrix.from_dense(a, (2, 2))
-    relu = blocked.map_blocks(lambda x: np.maximum(x, 0.0))
-    np.testing.assert_array_equal(relu.to_dense(), np.maximum(a, 0.0))
+    a = rng.normal(size=(7, 5))
+    blocks = BlockedMatrix.from_dense(a, (2, 3))
+    relu = elementwise_pipeline(
+        block_scan_from_matrix(blocks, ""), lambda x: np.maximum(x, 0.0), "relu"
+    )
+    got = drain_to_matrix(relu, (7, 5), (2, 3))
+    np.testing.assert_array_equal(got.to_dense(), np.maximum(a, 0.0))
+    with pytest.raises(ShapeError, match="preserve block shape"):
+        drain_to_matrix(
+            elementwise_pipeline(block_scan_from_matrix(blocks, ""), np.ravel, "flat"),
+            (7, 5),
+            (2, 3),
+        )
 
 
 def test_add_row_vector(rng):
     a = rng.normal(size=(5, 7))
     bias = rng.normal(size=7)
-    blocked = BlockedMatrix.from_dense(a, (2, 3)).add_row_vector(bias)
-    np.testing.assert_allclose(blocked.to_dense(), a + bias, atol=1e-12)
+    biased = bias_add_pipeline(
+        block_scan_from_matrix(BlockedMatrix.from_dense(a, (2, 3)), ""), bias, block_cols=3
+    )
+    got = drain_to_matrix(biased, (5, 7), (2, 3))
+    np.testing.assert_allclose(got.to_dense(), a + bias, atol=1e-12)
+    short = bias_add_pipeline(
+        block_scan_from_matrix(BlockedMatrix.from_dense(a, (2, 3)), ""), bias[:5], 3
+    )
+    with pytest.raises(ShapeError, match="does not cover column block 1"):
+        drain_to_matrix(short, (5, 7), (2, 3))
 
 
 def test_row_softmax_matches_dense(rng):
@@ -77,16 +114,23 @@ def test_row_softmax_matches_dense(rng):
 
 
 def test_block_row_round_trip(rng):
-    block = TensorBlock(2, 3, rng.normal(size=(4, 5)))
-    row = block_to_row(block)
-    back = row_to_block(row)
-    assert (back.row_blk, back.col_blk) == (2, 3)
-    np.testing.assert_array_equal(back.data, block.data)
+    """A block row written to a heap page decodes to the same array."""
+    pool = BufferPool(InMemoryDiskManager(8192), capacity_pages=8)
+    data = rng.normal(size=(4, 5))
+    blocked = BlockedMatrix((12, 15), (4, 5))
+    blocked.set_block(2, 1, data)
+    info = blocked.store(Catalog(pool), "blocks")
+    [(__, row)] = list(info.heap.scan())
+    assert row[:4] == (2, 1, 4, 5)
+    assert isinstance(row[4], bytes)  # an array becomes bytes on the page
+    np.testing.assert_array_equal(block_array(*row[2:]), data)
 
 
 def test_row_to_block_rejects_bad_payload():
-    with pytest.raises(ShapeError):
-        row_to_block((0, 0, 2, 2, np.zeros(3).tobytes()))
+    with pytest.raises(ShapeError, match="3 elements"):
+        block_array(2, 2, np.zeros(3).tobytes())
+    with pytest.raises(ShapeError, match="12-byte"):
+        block_array(1, 2, b"\0" * 12)
 
 
 def test_store_and_load_via_heap(rng):
@@ -113,11 +157,18 @@ def test_store_and_load_via_heap(rng):
     seed=st.integers(0, 1000),
 )
 def test_property_blocked_matmul_equals_dense(rows, inner, cols, br, bi, bc, seed):
+    """Ragged blocks through matmul, bias-add, ReLU and transpose."""
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(rows, inner))
     b = rng.normal(size=(inner, cols))
-    got = BlockedMatrix.from_dense(a, (br, bi)).matmul(
-        BlockedMatrix.from_dense(b, (bi, bc))
+    bias = rng.normal(size=cols)
+    product = matmul_pipeline(
+        block_scan_from_matrix(BlockedMatrix.from_dense(a, (br, bi)), "a"),
+        block_scan_from_matrix(BlockedMatrix.from_dense(b, (bi, bc)), "b"),
     )
-    assert got.shape == (rows, cols)
-    np.testing.assert_allclose(got.to_dense(), a @ b, atol=1e-10)
+    relu = elementwise_pipeline(
+        bias_add_pipeline(product, bias, block_cols=bc), lambda x: np.maximum(x, 0.0), "relu"
+    )
+    got = drain_to_matrix(transpose_pipeline(relu), (cols, rows), (bc, br))
+    assert got.shape == (cols, rows)
+    np.testing.assert_allclose(got.to_dense(), np.maximum(a @ b + bias, 0.0).T, atol=1e-10)

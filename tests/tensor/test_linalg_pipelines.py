@@ -7,9 +7,9 @@ from repro.tensor import (
     BlockedMatrix,
     bias_add_pipeline,
     block_scan_from_matrix,
+    block_table_schema,
     block_scan_from_table,
     drain_to_matrix,
-    drain_to_table,
     elementwise_pipeline,
     matmul_pipeline,
 )
@@ -61,16 +61,23 @@ def test_pipeline_chains_layers_relu_and_bias(rng):
 
 
 def test_drain_to_table_then_reload(rng):
+    """Pipeline blocks travel as arrays and are written to pages as bytes."""
     catalog, __ = make_catalog()
     a = rng.normal(size=(7, 7))
     b = rng.normal(size=(7, 7))
+    bias = rng.normal(size=7)
     mm = matmul_pipeline(
         block_scan_from_matrix(BlockedMatrix.from_dense(a, (3, 3)), "a"),
         block_scan_from_matrix(BlockedMatrix.from_dense(b, (3, 3)), "b"),
     )
-    info = drain_to_table(mm, catalog, "result_blocks")
+    biased = bias_add_pipeline(mm, bias, block_cols=3)
+    info = catalog.create_table("result_blocks", block_table_schema())
+    for row in biased:
+        assert isinstance(row[4], np.ndarray)
+        info.heap.insert(row)
+        info.row_count += 1
     loaded = BlockedMatrix.load(info, (7, 7), (3, 3))
-    np.testing.assert_allclose(loaded.to_dense(), a @ b, atol=1e-10)
+    np.testing.assert_allclose(loaded.to_dense(), a @ b + bias, atol=1e-10)
 
 
 def test_large_matmul_spills_through_tiny_pool(rng):
