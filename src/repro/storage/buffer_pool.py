@@ -250,8 +250,7 @@ class BufferPool:
             self.stats.misses += 1
             self._m_misses.inc()
             self._ensure_frame_available()
-            page = Page(page_id, self._disk.page_size)
-            page.data[:] = self._disk.read_page(page_id)
+            page = Page(page_id, self._disk.page_size, self._disk.read_page(page_id))
             page.pin()
             self._pages[page_id] = page
             self._policy.record_access(page_id)

@@ -7,12 +7,24 @@ Layout of a heap page::
     |  ...free space...                       records (grow down)  |
     +--------------------------------------------------------------+
 
-Each slot is ``(u32 offset, u32 length, u8 flags)``.  Records larger than
-the free space of an empty page are stored in *overflow chains*: the slot
-payload then holds ``(i64 first_overflow_page, u32 total_length)`` and the
-flag bit ``FLAG_OVERFLOW`` is set.  Tensor-block BLOBs routinely exceed the
+Each slot is ``(u32 offset, u32 length, u8 flags)``.  A record larger than
+the free space of an empty page is an *overflow row* (flag bit
+``FLAG_OVERFLOW``).  Its slot holds ``(i64 first_overflow_page, u32
+total_length)`` followed by the *inline remainder*: the first
+``total_length % chunk_capacity`` bytes.  The rest fill whole pages of an
+*overflow chain*, each page ``(u32 chunk_length, i64 next_page_id)`` plus a
+full chunk.  Only a remainder too long for an empty page's slot space goes
+to the chain instead, whose last page is then partial.  A 128×128 float64
+block (131 109 bytes) thus takes two 64 KiB chain pages and a 73-byte slot.
+A slot that holds only the reference is the empty-remainder case, so one
+decoder reads every overflow row.  Tensor-block BLOBs routinely exceed the
 page size, so overflow support is load-bearing for the relation-centric
 engine, not an edge case.
+
+An overflow row is read into one buffer: the inline remainder first, then
+each chain chunk copied straight from its pinned frame; and
+:meth:`RowSerde.deserialize` slices values out of a view of that buffer, so
+a BLOB is copied out of the pool twice (frame → buffer → value).
 
 Scans decode a page of a fixed-width table (every column INT, DOUBLE or
 BOOL) with numpy: the slot directory and every NULL-free inline record are
@@ -131,12 +143,16 @@ class HeapFile:
     def insert(self, row: Sequence[object]) -> RowId:
         """Serialize and append one row; returns its stable address."""
         payload = self._serde.serialize(row)
-        page_capacity = self._pool.disk.page_size - _HEADER.size - _SLOT.size
+        page_size = self._pool.disk.page_size
+        page_capacity = page_size - _HEADER.size - _SLOT.size
         if len(payload) > page_capacity:
-            # Too big for any page: spill the payload to an overflow chain
-            # and store only a reference slot inline.
-            first_overflow = self._write_overflow_chain(payload)
-            payload = _OVERFLOW_REF.pack(first_overflow, len(payload))
+            # Too big for any page: whole chunks go to an overflow chain,
+            # the remainder stays inline after the reference if it fits.
+            inline = len(payload) % (page_size - _OVERFLOW_HEADER.size)
+            if _OVERFLOW_REF.size + inline > page_capacity:
+                inline = 0
+            first_overflow = self._write_overflow_chain(memoryview(payload)[inline:])
+            payload = _OVERFLOW_REF.pack(first_overflow, len(payload)) + payload[:inline]
             flags = FLAG_OVERFLOW
         else:
             flags = 0
@@ -171,15 +187,12 @@ class HeapFile:
         self._write_header(page, slot_count + 1, offset, next_page)
         return RowId(page.page_id, slot_count)
 
-    def _write_overflow_chain(self, payload: bytes) -> PageId:
+    def _write_overflow_chain(self, payload: memoryview) -> PageId:
         chunk_capacity = self._pool.disk.page_size - _OVERFLOW_HEADER.size
-        chunks = [
-            payload[i : i + chunk_capacity]
-            for i in range(0, len(payload), chunk_capacity)
-        ] or [b""]
         first_page_id = INVALID_PAGE_ID
         prev: Page | None = None
-        for chunk in chunks:
+        for start in range(0, len(payload), chunk_capacity):
+            chunk = payload[start : start + chunk_capacity]
             page = self._pool.new_page()
             page.write(0, _OVERFLOW_HEADER.pack(len(chunk), INVALID_PAGE_ID))
             page.write(_OVERFLOW_HEADER.size, chunk)
@@ -194,26 +207,42 @@ class HeapFile:
             self._pool.unpin_page(prev.page_id, dirty=True)
         return first_page_id
 
-    def _read_overflow_chain(self, first_page_id: PageId, total_length: int) -> bytes:
-        parts: list[bytes] = []
+    def _read_overflow_row(self, slot_payload: bytes) -> memoryview:
+        """The whole record of an overflow row, in one buffer: the slot's
+        inline remainder, then each chain chunk copied from its frame."""
+        first_page_id, total_length = _OVERFLOW_REF.unpack_from(slot_payload)
+        filled = len(slot_payload) - _OVERFLOW_REF.size
+        if filled > total_length:
+            raise StorageError(
+                f"overflow chain from page {first_page_id} is corrupt: its slot "
+                f"holds {filled} inline bytes; expected {total_length} bytes in all"
+            )
+        view = memoryview(bytearray(total_length))
+        view[:filled] = memoryview(slot_payload)[_OVERFLOW_REF.size :]
+        chunk_capacity = self._pool.disk.page_size - _OVERFLOW_HEADER.size
         page_id = first_page_id
-        remaining = total_length
-        while page_id != INVALID_PAGE_ID and remaining > 0:
+        while filled < total_length:
+            if page_id == INVALID_PAGE_ID:
+                raise StorageError(
+                    f"overflow chain from page {first_page_id} ends early: "
+                    f"expected {total_length} bytes, read {filled}"
+                )
             page = self._pool.fetch_page(page_id)
             try:
                 length, next_page = _OVERFLOW_HEADER.unpack_from(page.data, 0)
-                parts.append(page.read(_OVERFLOW_HEADER.size, length))
+                if not 0 < length <= min(chunk_capacity, total_length - filled):
+                    raise StorageError(
+                        f"overflow chain from page {first_page_id} is corrupt: "
+                        f"page {page_id} claims a {length}-byte chunk; expected "
+                        f"{total_length} bytes, read {filled}"
+                    )
+                start = _OVERFLOW_HEADER.size
+                view[filled : filled + length] = memoryview(page.data)[start : start + length]
             finally:
                 self._pool.unpin_page(page_id)
-            remaining -= length
+            filled += length
             page_id = next_page
-        data = b"".join(parts)
-        if len(data) != total_length:
-            raise StorageError(
-                f"overflow chain truncated: expected {total_length} bytes, "
-                f"got {len(data)}"
-            )
-        return data
+        return view
 
     # -- reads -------------------------------------------------------------
 
@@ -234,8 +263,7 @@ class HeapFile:
 
     def _decode_row(self, payload: bytes, flags: int) -> tuple[object, ...]:
         if flags & FLAG_OVERFLOW:
-            first_overflow, total_length = _OVERFLOW_REF.unpack(payload)
-            payload = self._read_overflow_chain(first_overflow, total_length)
+            payload = self._read_overflow_row(payload)
         return self._serde.deserialize(payload)
 
     def delete(self, rid: RowId) -> None:

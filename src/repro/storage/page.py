@@ -19,9 +19,11 @@ class Page:
 
     __slots__ = ("page_id", "data", "pin_count", "dirty")
 
-    def __init__(self, page_id: PageId, size: int):
+    def __init__(self, page_id: PageId, size: int, data: bytes | None = None):
+        """A zero-filled frame of ``size`` bytes, or one copy of ``data``
+        (``size`` bytes read from disk)."""
         self.page_id = page_id
-        self.data = bytearray(size)
+        self.data = bytearray(size) if data is None else bytearray(data)
         self.pin_count = 0
         self.dirty = False
 

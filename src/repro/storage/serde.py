@@ -108,7 +108,9 @@ class RowSerde:
                 raise StorageError(f"unsupported column type {ctype}")
         return bytes(bitmap) + bytes(body)
 
-    def deserialize(self, data: bytes) -> tuple[object, ...]:
+    def deserialize(self, data: bytes | memoryview) -> tuple[object, ...]:
+        """Decode one record.  From a ``memoryview`` each TEXT or BLOB value
+        is copied once, into its own ``str`` or ``bytes``."""
         bitmap = data[: self._bitmap_len]
         offset = self._bitmap_len
         values: list[object] = []
@@ -129,7 +131,7 @@ class RowSerde:
             elif ctype is ColumnType.TEXT:
                 (length,) = _U32.unpack_from(data, offset)
                 offset += 4
-                values.append(data[offset : offset + length].decode("utf-8"))
+                values.append(str(data[offset : offset + length], "utf-8"))
                 offset += length
             elif ctype is ColumnType.BLOB:
                 (length,) = _U32.unpack_from(data, offset)

@@ -147,6 +147,40 @@ def test_relation_engine_bounded_peak_memory(rng, config):
     assert result.peak_memory_bytes <= 2 * stripe_bytes + 32 * 1024 * 8
 
 
+def test_relation_engine_spills_weights_larger_than_the_pool(rng):
+    """The spill path: weight tables 4× the buffer pool, in 128×128 blocks
+    on 64 KiB pages, still give ``Model.forward``'s answer under the
+    engine's memory limit."""
+    page_size = 64 * 1024
+    catalog, pool = make_catalog(page_size=page_size, capacity=12)
+    model = Model(
+        "wide",
+        [
+            Linear(512, 512, rng=rng, name="fc0"),
+            ReLU(),
+            Linear(512, 256, rng=rng, name="fc1"),
+        ],
+        (512,),
+    )
+    weight_bytes = sum(layer.weight.data.nbytes for layer in model.layers[::2])
+    assert weight_bytes >= 2 * pool.capacity * page_size
+    limit = mb(8)
+    engine = RelationCentricEngine(
+        catalog,
+        SystemConfig(tensor_block_rows=128, tensor_block_cols=128),
+        budget=MemoryBudget(limit, "relation"),
+        stripe_rows=256,
+    )
+    x = rng.normal(size=(300, 512))
+    info = VersionRecord("wide", model)
+    engine.run_vector_stage(model.layers, x, info)  # stores the weight tables
+    pool.stats.reset()
+    result = engine.run_vector_stage(model.layers, x, info)
+    np.testing.assert_allclose(result.outputs, model.forward(x), rtol=1e-6)
+    assert pool.stats.evictions > 0  # reading the weights spilled
+    assert 0 < result.peak_memory_bytes <= limit
+
+
 def test_relation_engine_conv_stage(rng, config):
     catalog, __ = make_catalog(capacity=256)
     model = landcover(spatial=16, out_channels=8)

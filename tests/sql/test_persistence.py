@@ -6,6 +6,7 @@ import pytest
 from repro import Database
 from repro.data import feature_column_names, fraud_schema, fraud_transactions
 from repro.models import cache_cnn, fraud_fc_256
+from repro.relational import ColumnType, Schema
 
 
 def test_tables_survive_reopen(tmp_path):
@@ -21,6 +22,32 @@ def test_tables_survive_reopen(tmp_path):
         assert db.execute("SELECT COUNT(*) AS n FROM t").fetchone() == (3,)
     with Database(path=path) as db:
         assert db.execute("SELECT COUNT(*) AS n FROM t").fetchone() == (3,)
+
+
+def test_overflow_blobs_survive_reopen(tmp_path):
+    """BLOB rows of about 0.5, 1, 2 and 2.5 pages on a file-backed disk:
+    inline rows, and overflow rows of whole chain pages with an inline
+    remainder or (2 pages - 38 bytes) with a last, partial chain page."""
+    path = str(tmp_path / "db.pages")
+    schema = Schema.of(("id", ColumnType.INT), ("data", ColumnType.BLOB))
+    rng = np.random.default_rng(5)
+    with Database(path=path, page_size=4 * 1024, buffer_pool_bytes=16 * 1024) as db:
+        page = db.config.page_size
+        rows = [
+            (i, rng.bytes(int(pages * page) + delta))
+            for i, (pages, delta) in enumerate(
+                [(0.5, 0), (1, 0), (1, -40), (2, 0), (2, -38), (2.5, 0)]
+            )
+        ]
+        db.create_table("blobs", schema)
+        db.load_rows("blobs", rows)
+    with Database(path=path, page_size=4 * 1024, buffer_pool_bytes=16 * 1024) as db:
+        assert db.execute("SELECT id, data FROM blobs").rows == rows
+        extra = (len(rows), rng.bytes(int(1.5 * page)))
+        db.load_rows("blobs", [extra])
+        assert db.execute("SELECT id, data FROM blobs").rows == rows + [extra]
+    with Database(path=path, page_size=4 * 1024, buffer_pool_bytes=16 * 1024) as db:
+        assert db.execute("SELECT id, data FROM blobs").rows == rows + [extra]
 
 
 def test_models_survive_reopen_with_identical_predictions(tmp_path):
