@@ -159,7 +159,8 @@ class CircuitBreaker:
             if self._state == HALF_OPEN:
                 self._probe_inflight = False
 
-    def record_success(self) -> None:
+    def record_success(self, n: int = 1) -> None:
+        """Record ``n`` successes (one served batch) under one lock."""
         with self._lock:
             if self._state == HALF_OPEN:
                 # The probe came back healthy: close and start fresh.
@@ -167,8 +168,8 @@ class CircuitBreaker:
                 self._probe_inflight = False
                 self._outcomes.clear()
                 self._emit("breaker.closed", probe="success")
-                return
-            self._outcomes.append(False)
+                n -= 1
+            self._outcomes.extend([False] * min(n, self.window))
 
     def record_failure(self) -> None:
         with self._lock:

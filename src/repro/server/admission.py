@@ -73,37 +73,12 @@ class AdmissionController:
         queued_rows: int,
         rows: int,
         deadline: float | None,
-        trace_id: int | None = None,
-        recorder=None,
     ) -> AdmissionDecision:
         """Admit, fast-path, reject, or shed one incoming request.
 
-        When a flight ``recorder`` is supplied the verdict is logged as
-        an ``admission.decision`` event under the request's trace id.
+        The caller logs the verdict: ``request.admitted`` (with ``action``,
+        ``reason`` and ``cold``), ``request.rejected`` or ``request.shed``.
         """
-        decision = self._decide(
-            estimator, queued_requests, queued_rows, rows, deadline
-        )
-        if recorder is not None:
-            recorder.emit(
-                "admission.decision",
-                trace_id=trace_id,
-                action=decision.action,
-                reason=decision.reason,
-                queued_requests=queued_requests,
-                queued_rows=queued_rows,
-                cold=decision.cold,
-            )
-        return decision
-
-    def _decide(
-        self,
-        estimator: ServiceTimeEstimator,
-        queued_requests: int,
-        queued_rows: int,
-        rows: int,
-        deadline: float | None,
-    ) -> AdmissionDecision:
         if queued_requests >= self.queue_capacity:
             return AdmissionDecision(
                 action="reject",

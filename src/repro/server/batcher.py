@@ -15,7 +15,9 @@ load, stay latency-optimal when unloaded — applied to PREDICT calls.
 
 Expired requests (deadline already passed) are shed at collection time
 instead of wasting engine work; their futures fail with
-:class:`~repro.errors.DeadlineExceededError`.
+:class:`~repro.errors.DeadlineExceededError`.  The batcher counts the
+queued requests that carry a deadline, so a queue without any skips the
+expiry scan instead of walking every pending request twice per batch.
 """
 
 from __future__ import annotations
@@ -81,6 +83,7 @@ class MicroBatcher:
         self._cond = threading.Condition()
         self._pending: deque[RequestFuture] = deque()
         self._queued_rows = 0
+        self._deadlined = 0  # queued requests that carry a deadline
         self._target = 1  # adaptive row target for the next window
         self._closed = False
         #: Worker-lease flag: only one worker drains this model at a time,
@@ -110,12 +113,18 @@ class MicroBatcher:
     def put(self, request: RequestFuture, front: bool = False) -> None:
         """Enqueue a request (``front=True`` fast-paths a tight deadline)."""
         with self._cond:
+            was_empty = not self._pending
             if front:
                 self._pending.appendleft(request)
             else:
                 self._pending.append(request)
             self._queued_rows += request.rows
-            self._cond.notify_all()
+            if request.deadline is not None:
+                self._deadlined += 1
+            # Wake the collecting worker only when its wait can end: the
+            # first request arrived, or the window's row target is met.
+            if was_empty or self._queued_rows >= self._target:
+                self._cond.notify()
 
     # -- batch formation -------------------------------------------------
 
@@ -166,6 +175,8 @@ class MicroBatcher:
                         break
                     self._pending.popleft()
                     self._queued_rows -= nxt.rows
+                    if nxt.deadline is not None:
+                        self._deadlined -= 1
                     batch.requests.append(nxt)
                     rows += nxt.rows
                 self._adapt_locked()
@@ -189,12 +200,15 @@ class MicroBatcher:
                 return batch
 
     def _shed_expired_locked(self) -> None:
+        if not self._deadlined:
+            return
         now = self._clock()
         kept: deque[RequestFuture] = deque()
         while self._pending:
             request = self._pending.popleft()
             if request.expired(now):
                 self._queued_rows -= request.rows
+                self._deadlined -= 1
                 self.stats.deadline_drops += 1
                 self._recorder.emit(
                     "request.expired",
@@ -232,5 +246,6 @@ class MicroBatcher:
             leftovers = list(self._pending)
             self._pending.clear()
             self._queued_rows = 0
+            self._deadlined = 0
             self._cond.notify_all()
         return leftovers

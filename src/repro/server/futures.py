@@ -9,6 +9,12 @@ engine errors, server shutdown) surface as the stored exception.
 The server also keeps its scheduling metadata here — enqueue time,
 deadline, and the measured queue-vs-execute split — so telemetry can
 attribute latency without a side table.
+
+A future is settled exactly once: the first :meth:`RequestFuture._resolve`
+or :meth:`RequestFuture._fail` wins and later calls are no-ops.  Waiters
+block on one pre-acquired ``threading.Lock`` that settling releases, so a
+future costs one lock, not an ``Event`` (a condition, a lock and a waiter
+deque).
 """
 
 from __future__ import annotations
@@ -20,6 +26,10 @@ import time
 import numpy as np
 
 from ..errors import ServerError
+
+#: Guards the claim step of settling (state check + write) for every
+#: future, so two threads settling one future cannot both win.
+_SETTLE = threading.Lock()
 
 
 class RequestState(enum.Enum):
@@ -61,7 +71,9 @@ class RequestFuture:
         #: Detached request-lifecycle span, closed on resolution from
         #: whichever thread resolves the future.
         self.span = None
-        self._event = threading.Event()
+        #: Held until the future settles; waiters acquire and pass it on.
+        self._waiter = threading.Lock()
+        self._waiter.acquire()
         self._state = RequestState.PENDING
         self._result: np.ndarray | None = None
         self._exception: BaseException | None = None
@@ -80,7 +92,7 @@ class RequestFuture:
         return self._state
 
     def done(self) -> bool:
-        return self._event.is_set()
+        return self._state is not RequestState.PENDING
 
     def shed(self) -> bool:
         return self._state is RequestState.SHED
@@ -91,13 +103,26 @@ class RequestFuture:
             return False
         return (now if now is not None else time.monotonic()) > self.deadline
 
-    def result(self, timeout: float | None = None) -> np.ndarray:
-        """Block until resolved; returns predictions or raises the failure."""
-        if not self._event.wait(timeout):
+    def _wait(self, timeout: float | None) -> None:
+        """Block until settled; TimeoutError after ``timeout`` seconds."""
+        if self._state is not RequestState.PENDING:
+            return
+        waiter = self._waiter
+        if timeout is None:
+            acquired = waiter.acquire()
+        else:
+            acquired = waiter.acquire(timeout=max(0.0, timeout))
+        if acquired:
+            waiter.release()  # wake the next thread blocked here
+        elif self._state is RequestState.PENDING:
             raise TimeoutError(
                 f"request {self.request_id} for model {self.model!r} "
                 f"did not resolve within {timeout}s"
             )
+
+    def result(self, timeout: float | None = None) -> np.ndarray:
+        """Block until resolved; returns predictions or raises the failure."""
+        self._wait(timeout)
         if self._exception is not None:
             raise self._exception
         assert self._result is not None
@@ -105,14 +130,30 @@ class RequestFuture:
 
     def exception(self, timeout: float | None = None) -> BaseException | None:
         """Block until resolved; returns the stored failure (None if ok)."""
-        if not self._event.wait(timeout):
-            raise TimeoutError(
-                f"request {self.request_id} for model {self.model!r} "
-                f"did not resolve within {timeout}s"
-            )
+        self._wait(timeout)
         return self._exception
 
     # -- resolution (server side) ----------------------------------------
+
+    def _settle(
+        self,
+        state: RequestState,
+        result: np.ndarray | None = None,
+        exc: BaseException | None = None,
+        queue_seconds: float | None = None,
+        execute_seconds: float | None = None,
+    ) -> bool:
+        """Store the outcome and wake waiters; False if already settled."""
+        with _SETTLE:
+            if self._state is not RequestState.PENDING:
+                return False
+            self._result = result
+            self._exception = exc
+            self.queue_seconds = queue_seconds
+            self.execute_seconds = execute_seconds
+            self._state = state
+        self._waiter.release()
+        return True
 
     def _resolve(
         self,
@@ -120,11 +161,10 @@ class RequestFuture:
         queue_seconds: float,
         execute_seconds: float,
     ) -> None:
-        self.queue_seconds = queue_seconds
-        self.execute_seconds = execute_seconds
-        self._result = predictions
-        self._state = RequestState.DONE
-        self._event.set()
+        if not self._settle(
+            RequestState.DONE, predictions, None, queue_seconds, execute_seconds
+        ):
+            return
         if self.span is not None:
             self.span.finish(
                 outcome="completed",
@@ -135,9 +175,8 @@ class RequestFuture:
     def _fail(
         self, exc: BaseException, state: RequestState = RequestState.FAILED
     ) -> None:
-        self._exception = exc
-        self._state = state
-        self._event.set()
+        if not self._settle(state, exc=exc):
+            return
         if self.span is not None:
             self.span.finish(outcome=state.value, error=type(exc).__name__)
 

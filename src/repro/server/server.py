@@ -19,6 +19,10 @@ closes it again.
 Observability: ``server_*`` metrics (queue-depth gauges, batch-size
 histogram, shed/expired counters, queue-vs-execute latency histograms),
 per-batch tracer spans, and the ``SHOW SERVER`` SQL statement.
+
+Cost: a submit pays one future (a pre-acquired lock), one request span,
+one ``request.admitted`` event and at most one worker wake-up; a worker
+feeds the SLO window and the breaker once per batch, not per request.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from ..errors import (
     ServerOverloadedError,
 )
 from ..faults import NULL_INJECTOR, is_transient
-from ..resilience import BreakerBoard
+from ..resilience import BreakerBoard, CircuitBreaker
 from ..serving.policy import ServiceTimeEstimator
 from .admission import AdmissionController
 from .batcher import Batch, MicroBatcher
@@ -64,6 +68,7 @@ class _ModelState:
 
     batcher: MicroBatcher
     estimator: ServiceTimeEstimator
+    breaker: CircuitBreaker | None = None  # None with breakers off
     drops_seen: int = 0  # deadline_drops already mirrored into metrics
 
 
@@ -129,7 +134,11 @@ class ModelServer:
             BreakerBoard.from_config(config) if config.breaker_enabled else None
         )
         self._models: dict[str, _ModelState] = {}
-        self._work = threading.Condition()
+        lock = threading.RLock()
+        #: Idle workers wait here; drain() waits on ``_idle``, so a
+        #: notify() on ``_work`` always wakes a worker.
+        self._work = threading.Condition(lock)
+        self._idle = threading.Condition(lock)
         self._inflight = 0  # batches taken but not yet resolved
         self._stopping = False  # no new submits
         self._shutdown = False  # workers may exit
@@ -208,7 +217,7 @@ class ModelServer:
             raise ServerClosedError("server is closed to new requests")
         name = model.lower()
         state = self._model_state(name)
-        breaker = self._breaker(name)
+        breaker = state.breaker
         if breaker is not None:
             allowed, breaker_state = breaker.allow()
             if not allowed:
@@ -257,8 +266,6 @@ class ModelServer:
                 batcher.queued_rows,
                 future.rows,
                 deadline,
-                trace_id=future.trace_id,
-                recorder=self._recorder if self._recorder.enabled else None,
             )
             if decision.action == "reject":
                 self._m_requests["rejected"].inc()
@@ -272,6 +279,7 @@ class ModelServer:
                     model=name,
                     request_id=future.request_id,
                     queued=batcher.queued_requests,
+                    reason=decision.reason,
                 )
                 span.finish(outcome="rejected")
                 raise ServerOverloadedError(
@@ -297,6 +305,7 @@ class ModelServer:
                 return future
             if decision.cold:
                 self._m_cold_admissions.inc()
+            queued = batcher.queued_requests
             batcher.put(future, front=decision.action == "fastpath")
             self._m_requests["submitted"].inc()
             self._recorder.emit(
@@ -307,9 +316,14 @@ class ModelServer:
                 rows=future.rows,
                 action=decision.action,
                 cold=decision.cold,
+                reason=decision.reason,
+                queued_requests=queued,
             )
             self._depth_gauge(name).set(batcher.queued_requests)
-            self._work.notify_all()
+            if not batcher.leased:
+                # A leased batcher's worker sees the request inside its
+                # delay window; otherwise one idle worker must pick it up.
+                self._work.notify()
         return future
 
     def predict(
@@ -335,7 +349,7 @@ class ModelServer:
                 remaining = end - time.monotonic()
                 if remaining <= 0:
                     return False
-                self._work.wait(min(remaining, 0.05))
+                self._idle.wait(min(remaining, 0.05))
 
     def close(
         self,
@@ -474,26 +488,21 @@ class ModelServer:
 
     # -- internals -------------------------------------------------------
 
-    def _breaker(self, name: str):
-        if self.breakers is None:
-            return None
-        return self.breakers.get(f"model:{name}")
-
-    def _record_outcome(
-        self, model: str, ok: bool, latency_ms: float = 0.0
-    ) -> None:
-        """Feed one terminal request outcome to the model's breaker and
-        SLO window.  ``latency_ms`` is the client-visible latency (queue +
-        execute) for completed requests; failures pass 0 — they count
-        against the error budget regardless of how fast they failed."""
-        self._slo.observe(model, ok, latency_ms)
-        breaker = self._breaker(model)
-        if breaker is None:
-            return
-        if ok:
-            breaker.record_success()
-        else:
+    def _record_failure(self, model: str) -> None:
+        """Feed one failed request to the model's breaker and SLO window;
+        it counts against the error budget however fast it failed."""
+        self._slo.observe(model, False, 0.0)
+        breaker = self._models[model].breaker
+        if breaker is not None:
             breaker.record_failure()
+
+    def _record_successes(self, model: str, latencies_ms: list[float]) -> None:
+        """Feed one batch's completed requests (client-visible latency,
+        queue + execute) to the SLO window and breaker: one call each."""
+        self._slo.observe_many(model, latencies_ms)
+        breaker = self._models[model].breaker
+        if breaker is not None:
+            breaker.record_success(len(latencies_ms))
 
     def _model_state(self, name: str) -> _ModelState:
         state = self._models.get(name)
@@ -511,6 +520,11 @@ class ModelServer:
                         recorder=self._recorder,
                     ),
                     estimator=ServiceTimeEstimator(),
+                    breaker=(
+                        self.breakers.get(f"model:{name}")
+                        if self.breakers is not None
+                        else None
+                    ),
                 )
                 self._models[name] = state
         return state
@@ -556,11 +570,15 @@ class ModelServer:
             finally:
                 with self._work:
                     batcher.leased = False
+                    if batcher.queued_requests:
+                        # Arrivals during the lease woke no worker: hand
+                        # them to an idle one while this one executes.
+                        self._work.notify()
             if batch is None or not batch.requests:
                 with self._work:
                     self._inflight -= 1
                     self._sync_drops_locked(batcher)
-                    self._work.notify_all()
+                    self._idle.notify_all()
                 continue
             try:
                 self._execute_batch(batch)
@@ -571,7 +589,7 @@ class ModelServer:
                     self._inflight -= 1
                     self._sync_drops_locked(batcher)
                     self._depth_gauge(batch.model).set(batcher.queued_requests)
-                    self._work.notify_all()
+                    self._idle.notify_all()
 
     def _handle_worker_error(self, batch: Batch, exc: BaseException) -> None:
         """Unhandled worker failure: fail the batch, record the postmortem.
@@ -592,7 +610,7 @@ class ModelServer:
         resolve_all(batch.requests, exc)
         if unresolved:
             self._m_requests["failed"].inc(unresolved)
-        self._record_outcome(batch.model, ok=False)
+        self._record_failure(batch.model)
         self._db._maybe_dump_diagnostics("server.worker_error", error=exc)
 
     def _postmortem(self, exc: BaseException) -> None:
@@ -620,8 +638,7 @@ class ModelServer:
             self._m_requests["expired"].inc(new_drops)
             state.drops_seen = drops
             # An expired request never completed: each one burns budget.
-            for _ in range(new_drops):
-                self._slo.observe(batcher.model, False, 0.0)
+            self._slo.observe_many(batcher.model, [0.0] * new_drops, ok=False)
 
     def _execute_batch(self, batch: Batch) -> None:
         started = time.monotonic()
@@ -738,7 +755,7 @@ class ModelServer:
                 )
                 first._fail(exc)
                 self._m_requests["failed"].inc()
-                self._record_outcome(model, ok=False)
+                self._record_failure(model)
                 self._postmortem(exc)
                 return False
         if attempts:
@@ -760,6 +777,7 @@ class ModelServer:
                 traces=member_traces,
             )
         offset = 0
+        latencies_ms = []
         for request in requests:
             queue_seconds = max(0.0, started - request.enqueued_at)
             self._m_queue_seconds.observe(queue_seconds)
@@ -778,10 +796,7 @@ class ModelServer:
                 execute_ms=round(execute_seconds * 1e3, 3),
                 **tag,
             )
-            self._record_outcome(
-                model,
-                ok=True,
-                latency_ms=(queue_seconds + execute_seconds) * 1e3,
-            )
+            latencies_ms.append((queue_seconds + execute_seconds) * 1e3)
+        self._record_successes(model, latencies_ms)
         self._m_requests["completed"].inc(len(requests))
         return True

@@ -2,9 +2,10 @@
 
 An SLO here is declarative: "p(request bad) stays under ``error_budget``",
 where a request is *bad* when it failed outright or finished slower than
-``latency_ms``.  The tracker keeps one sliding sample window per model
-(timestamped good/bad outcomes fed from the serving layer) and evaluates
-the classic multi-window burn rate over it:
+``latency_ms``.  The tracker keeps, per model, one sliding window of
+timestamped good/bad outcomes (fed from the serving layer) per evaluation
+window, each with a running bad count, and evaluates the classic
+multi-window burn rate over them:
 
     burn = (bad fraction in window) / error_budget
 
@@ -27,6 +28,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from ..errors import TelemetryError
@@ -66,24 +68,55 @@ class SloPolicy:
             raise TelemetryError("slo error_budget must be in (0, 1]")
 
 
-class _ModelState:
-    __slots__ = ("policy", "samples", "burning_fast", "burning_slow")
+class _Window:
+    """One sliding window's samples plus a running bad count.
 
-    def __init__(self, policy: SloPolicy, max_samples: int):
-        self.policy = policy
-        # (timestamp, bad) pairs, oldest first; bounded so a hot model
-        # cannot grow memory without bound between window sweeps.
+    ``samples`` holds the (timestamp, bad) pairs still inside the window,
+    oldest first, bounded by ``max_samples`` so a hot model cannot grow
+    memory between sweeps; a sample leaves once, by age or by the bound,
+    and takes its share of ``bad`` with it.
+    """
+
+    __slots__ = ("name", "span_s", "samples", "bad", "burning")
+
+    def __init__(self, name: str, span_s: float, max_samples: int):
+        self.name = name
+        self.span_s = span_s
         self.samples: deque[tuple[float, bool]] = deque(maxlen=max_samples)
-        self.burning_fast = False
-        self.burning_slow = False
+        self.bad = 0
+        self.burning = False
+
+    def add(self, now: float, bad: bool) -> None:
+        samples = self.samples
+        if len(samples) == samples.maxlen:
+            self.bad -= samples[0][1]  # append evicts the oldest
+        samples.append((now, bad))
+        self.bad += bad
+
+    def age(self, now: float) -> None:
+        cutoff = now - self.span_s
+        samples = self.samples
+        while samples and samples[0][0] < cutoff:
+            self.bad -= samples.popleft()[1]
+
+
+class _ModelState:
+    __slots__ = ("policy", "windows")
+
+    def __init__(self, policy: SloPolicy, windows: tuple[_Window, ...]):
+        self.policy = policy
+        self.windows = windows
 
 
 class SloTracker:
     """Sliding-window burn-rate evaluation over per-model outcomes.
 
-    ``observe`` is called once per finished serving request; evaluation
-    is incremental and O(evicted samples), so the serving hot path pays a
-    deque append, a window trim, and two divisions.
+    ``observe`` is called once per failed serving request and
+    ``observe_many`` once per served batch.  Each window keeps its
+    samples and a running bad count: a new sample is one append per
+    window, and evaluation first drops the samples that aged out, so the
+    serving hot path pays O(1 + evicted samples) per request under the
+    tracker's lock, never a walk over the window.
     """
 
     enabled = True
@@ -125,6 +158,15 @@ class SloTracker:
         self._recorder = recorder
         self._gauges: dict[tuple[str, str], object] = {}
 
+    def _new_state(self, policy: SloPolicy) -> _ModelState:
+        return _ModelState(
+            policy,
+            (
+                _Window("fast", self.fast_window_s, self.max_samples),
+                _Window("slow", self.slow_window_s, self.max_samples),
+            ),
+        )
+
     # -- policy management ----------------------------------------------
 
     def set_policy(
@@ -138,7 +180,7 @@ class SloTracker:
         with self._lock:
             state = self._models.get(model)
             if state is None:
-                self._models[model] = _ModelState(policy, self.max_samples)
+                self._models[model] = self._new_state(policy)
             else:
                 state.policy = policy
         return policy
@@ -157,44 +199,59 @@ class SloTracker:
         configured — otherwise unconfigured models stay untracked and
         ``SHOW SLO`` stays empty, preserving the opt-in contract.
         """
+        self.observe_many(model, (latency_ms,), ok)
+
+    def observe_many(
+        self, model: str, latencies_ms: Sequence[float], ok: bool = True
+    ) -> None:
+        """Fold several finished requests (one batch) in under one lock.
+
+        Equivalent to one :meth:`observe` per latency at the same
+        instant: burn transitions are evaluated after every sample, the
+        gauges are set once, to the value after the last.
+        """
+        if not latencies_ms:
+            return
         now = self._clock()
         with self._lock:
             state = self._models.get(model)
             if state is None:
                 if self.default_latency_ms <= 0:
                     return
-                state = _ModelState(
+                state = self._new_state(
                     SloPolicy(
                         model, self.default_latency_ms, self.default_error_budget
-                    ),
-                    self.max_samples,
+                    )
                 )
                 self._models[model] = state
-            policy = state.policy
-            bad = (not ok) or (
-                policy.latency_ms > 0 and latency_ms > policy.latency_ms
-            )
-            state.samples.append((now, bad))
-            self._evaluate_locked(model, state, now)
+            limit_ms = state.policy.latency_ms
+            windows = state.windows
+            for window in windows:
+                window.age(now)
+            for latency_ms in latencies_ms:
+                bad = (not ok) or (limit_ms > 0 and latency_ms > limit_ms)
+                for window in windows:
+                    window.add(now, bad)
+                    self._transition_locked(model, state, window)
+            for window in windows:
+                gauge = self._gauge(model, window.name)
+                if gauge is not None:
+                    gauge.set(round(self._burn(state, window), 6))
 
     # -- evaluation ------------------------------------------------------
 
+    def _burn(self, state: _ModelState, window: _Window) -> float:
+        total = len(window.samples)
+        if total < self.min_samples:
+            return 0.0
+        return (window.bad / total) / state.policy.error_budget
+
     def _window_stats(
-        self, state: _ModelState, now: float, window_s: float
+        self, state: _ModelState, window: _Window, now: float
     ) -> tuple[int, int, float]:
         """(samples, bad, burn rate) for one window ending at ``now``."""
-        cutoff = now - window_s
-        total = 0
-        bad = 0
-        for ts, was_bad in reversed(state.samples):
-            if ts < cutoff:
-                break
-            total += 1
-            if was_bad:
-                bad += 1
-        if total < self.min_samples:
-            return total, bad, 0.0
-        return total, bad, (bad / total) / state.policy.error_budget
+        window.age(now)
+        return len(window.samples), window.bad, self._burn(state, window)
 
     def _gauge(self, model: str, window: str):
         key = (model, window)
@@ -209,30 +266,24 @@ class SloTracker:
             self._gauges[key] = gauge
         return gauge
 
-    def _evaluate_locked(self, model: str, state: _ModelState, now: float) -> None:
-        for window, window_s, attr in (
-            ("fast", self.fast_window_s, "burning_fast"),
-            ("slow", self.slow_window_s, "burning_slow"),
-        ):
-            total, bad, burn = self._window_stats(state, now, window_s)
-            gauge = self._gauge(model, window)
-            if gauge is not None:
-                gauge.set(round(burn, 6))
-            burning = burn >= self.burn_threshold
-            was_burning = getattr(state, attr)
-            if burning == was_burning:
-                continue
-            setattr(state, attr, burning)
-            if self._recorder is not None:
-                self._recorder.emit(
-                    "slo.burn_start" if burning else "slo.burn_stop",
-                    model=model,
-                    window=window,
-                    burn_rate=round(burn, 4),
-                    samples=total,
-                    bad=bad,
-                    threshold=self.burn_threshold,
-                )
+    def _transition_locked(
+        self, model: str, state: _ModelState, window: _Window
+    ) -> None:
+        burn = self._burn(state, window)
+        burning = burn >= self.burn_threshold
+        if burning == window.burning:
+            return
+        window.burning = burning
+        if self._recorder is not None:
+            self._recorder.emit(
+                "slo.burn_start" if burning else "slo.burn_stop",
+                model=model,
+                window=window.name,
+                burn_rate=round(burn, 4),
+                samples=len(window.samples),
+                bad=window.bad,
+                threshold=self.burn_threshold,
+            )
 
     # -- rendering -------------------------------------------------------
 
@@ -250,18 +301,15 @@ class SloTracker:
                     else "errors"
                 )
                 target = round(1.0 - policy.error_budget, 6)
-                for window, window_s in (
-                    ("fast", self.fast_window_s),
-                    ("slow", self.slow_window_s),
-                ):
-                    total, bad, burn = self._window_stats(state, now, window_s)
+                for window in state.windows:
+                    total, bad, burn = self._window_stats(state, window, now)
                     burning = burn >= self.burn_threshold
                     out.append(
                         (
                             model,
                             objective,
                             target,
-                            f"{window}:{window_s:g}s",
+                            f"{window.name}:{window.span_s:g}s",
                             total,
                             bad,
                             round(burn, 4),
@@ -276,12 +324,9 @@ class SloTracker:
         out: dict[str, dict[str, object]] = {}
         with self._lock:
             for model, state in self._models.items():
-                f_total, f_bad, f_burn = self._window_stats(
-                    state, now, self.fast_window_s
-                )
-                s_total, s_bad, s_burn = self._window_stats(
-                    state, now, self.slow_window_s
-                )
+                fast, slow = state.windows
+                f_total, f_bad, f_burn = self._window_stats(state, fast, now)
+                s_total, s_bad, s_burn = self._window_stats(state, slow, now)
                 out[model] = {
                     "latency_ms": state.policy.latency_ms,
                     "error_budget": state.policy.error_budget,
@@ -315,6 +360,11 @@ class NullSloTracker:
         return []
 
     def observe(self, model: str, ok: bool, latency_ms: float) -> None:
+        pass
+
+    def observe_many(
+        self, model: str, latencies_ms: Sequence[float], ok: bool = True
+    ) -> None:
         pass
 
     def rows(self) -> list[tuple]:

@@ -95,6 +95,23 @@ def test_probe_success_closes_and_clears_the_window():
     assert b.failure_rate == 0.0
 
 
+def test_record_success_n_equals_n_single_records():
+    for trip in (False, True):
+        batched, single = breaker(cooldown_requests=1), breaker(cooldown_requests=1)
+        for b in (batched, single):
+            b.record_failure()
+            b.record_success()
+            if trip:  # 2 of 3 failed: open, then probe half-open
+                b.record_failure()
+                b.allow()
+                assert b.allow() == (True, HALF_OPEN)
+        batched.record_success(3)
+        for __ in range(3):
+            single.record_success()
+        assert batched.as_row() == single.as_row()
+        assert list(batched._outcomes) == list(single._outcomes)
+
+
 def test_probe_failure_reopens():
     b = breaker(cooldown_requests=1)
     b.record_failure()

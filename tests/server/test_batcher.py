@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import DeadlineExceededError
 from repro.server import MicroBatcher, RequestFuture, RequestState
@@ -135,3 +137,114 @@ def test_mean_batch_rows():
     batcher.collect()
     assert batcher.stats.mean_batch_rows == pytest.approx(3.0)
     assert batcher.stats.largest_batch_rows == 4
+
+
+def test_deadline_count_tracks_the_queue():
+    clock = FakeClock(now=0.0)
+    batcher = MicroBatcher("m", max_batch_size=2, max_queue_delay_s=0.0, clock=clock)
+    batcher.put(request(0))
+    batcher.put(request(1, deadline=10.0))
+    batcher.put(request(2, deadline=1.0))
+    assert batcher._deadlined == 2
+    clock.now = 5.0
+    batch = batcher.collect(block=False)  # sheds 2, takes 0 and 1
+    assert [r.request_id for r in batch.requests] == [0, 1]
+    assert batcher._deadlined == 0
+    assert batcher.stats.deadline_drops == 1
+    batcher.put(request(3, deadline=10.0))
+    batcher.close()
+    assert batcher._deadlined == 0
+
+
+class ScanEveryCollect(MicroBatcher):
+    """The reference: walks the whole queue on every expiry check."""
+
+    def _shed_expired_locked(self) -> None:
+        now = self._clock()
+        for expired in [r for r in self._pending if r.expired(now)]:
+            self._pending.remove(expired)
+            self._queued_rows -= expired.rows
+            self.stats.deadline_drops += 1
+            expired._fail(DeadlineExceededError("expired"), RequestState.SHED)
+
+
+def _fake_waits(batcher: MicroBatcher, clock: FakeClock) -> None:
+    # A condition wait just lets fake time pass (single-threaded test).
+    def wait(timeout=None):
+        clock.now += timeout
+
+    batcher._cond.wait = wait  # type: ignore[method-assign]
+
+
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("put"),
+            st.integers(1, 3),
+            st.sampled_from([None, 0.0, 0.5, 1.0, 2.0, 5.0]),
+            st.booleans(),
+        ),
+        st.tuples(st.just("tick"), st.sampled_from([0.0, 0.25, 1.0, 3.0])),
+        st.tuples(st.just("collect")),
+    ),
+    max_size=60,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ops=_OPS, delay=st.sampled_from([0.0, 0.002, 0.5]), max_rows=st.integers(1, 6))
+def test_counted_deadline_scan_matches_full_scan(ops, delay, max_rows):
+    clocks = (FakeClock(), FakeClock())
+    fast = MicroBatcher("m", max_rows, delay, clock=clocks[0])
+    ref = ScanEveryCollect("m", max_rows, delay, clock=clocks[1])
+    pairs = list(zip((fast, ref), clocks))
+    for batcher, clock in pairs:
+        _fake_waits(batcher, clock)
+    sent: list[tuple[RequestFuture, RequestFuture]] = []
+
+    def pending_deadlines(batcher):
+        return sum(r.deadline is not None for r in batcher._pending)
+
+    def shed_ids(side):
+        return {pair[side].request_id for pair in sent if pair[side].shed()}
+
+    def collect_both():
+        got = [b.collect(block=False) for b in (fast, ref)]
+        ids = [
+            None if batch is None else [r.request_id for r in batch.requests]
+            for batch in got
+        ]
+        assert ids[0] == ids[1]
+        return got[0]
+
+    for op in ops:
+        if op[0] == "put":
+            __, rows, slack, front = op
+            twins = []
+            for batcher, clock in pairs:
+                deadline = None if slack is None else clock.now + slack
+                future = RequestFuture(
+                    len(sent), "m", np.zeros((rows, 4)), deadline,
+                    enqueued_at=clock.now,
+                )
+                batcher.put(future, front=front)
+                twins.append(future)
+            sent.append(tuple(twins))
+        elif op[0] == "tick":
+            for clock in clocks:
+                clock.now += op[1]
+        else:
+            collect_both()
+        assert clocks[0].now == clocks[1].now
+        assert shed_ids(0) == shed_ids(1)
+        assert fast._deadlined == pending_deadlines(fast)
+        assert fast.queued_rows == ref.queued_rows
+    while collect_both() is not None:
+        pass
+    assert shed_ids(0) == shed_ids(1)
+    assert fast.stats == ref.stats
+    assert fast._deadlined == 0
+    fast.put(RequestFuture(-1, "m", np.zeros((1, 4)), 1e9, enqueued_at=0.0))
+    assert fast._deadlined == 1
+    fast.close()
+    assert fast._deadlined == 0

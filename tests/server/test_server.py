@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 
@@ -295,3 +296,148 @@ def test_multi_row_requests_scatter_correctly(db, rng):
             [a.result(timeout=30.0), b.result(timeout=30.0), c.result(timeout=30.0)]
         )
     assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("delay_ms", [0.0, 2.0])
+def test_seeded_schedule_loses_no_wakeup(db, workers, delay_ms):
+    """Two models, random gaps and deadlines: every request settles, the
+    answers match the sequential path, and the outcome counts add up."""
+    from repro.models import fraud_fc_256
+
+    db.register_model(fraud_fc_256(seed=3), name="fraud_b")
+    rng = np.random.default_rng(100 * workers + int(delay_ms))
+    n = 80
+    feats = rng.normal(size=(n, 28))
+    models = rng.choice(["fraud", "fraud_b"], size=n)
+    gaps_s = rng.uniform(0.0, 0.003, size=n)
+    deadlines = np.where(rng.random(n) < 0.3, rng.uniform(1.0, 40.0, size=n), 0.0)
+    expected = {
+        name: db.predict_labels(name, feats) for name in ("fraud", "fraud_b")
+    }
+    with db.serve(workers=workers, max_queue_delay_ms=delay_ms) as server:
+        futures = []
+        for i in range(n):
+            time.sleep(gaps_s[i])
+            futures.append(
+                server.submit(models[i], feats[i], deadline_ms=float(deadlines[i]))
+            )
+        for i, future in enumerate(futures):
+            error = future.exception(timeout=5.0)  # TimeoutError = lost wake-up
+            if error is None:
+                labels = future.result(timeout=0)
+                assert labels[0] == expected[models[i]][i]
+            else:
+                assert isinstance(error, DeadlineExceededError)
+                assert deadlines[i] > 0
+        assert server.drain(timeout=5.0)
+        rows = dict(server.stats_rows())
+    submitted = rows["server.requests.submitted"]
+    assert submitted + rows["server.requests.shed"] == n
+    assert submitted == (
+        rows["server.requests.completed"]
+        + rows["server.requests.expired"]
+        + rows["server.requests.failed"]
+    )
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_lone_request_does_not_wait_for_the_worker_poll(db, features, workers):
+    """An idle worker is woken by the submit itself, not by its 50 ms poll."""
+    with db.serve(workers=workers, max_queue_delay_ms=0.0) as server:
+        server.submit("fraud", features[0]).result(timeout=10.0)  # warm-up
+        latencies = []
+        for i in range(20):
+            time.sleep(0.01)  # let every worker go back to waiting
+            start = time.perf_counter()
+            server.submit("fraud", features[i]).result(timeout=10.0)
+            latencies.append(time.perf_counter() - start)
+    assert float(np.median(latencies)) < 0.025
+
+
+def test_stress_more_workers_than_cores_keeps_counts_exact(db, rng):
+    """Four client threads and four workers with a tiny switch interval:
+    a lost wake-up hangs a future, a lost count update breaks the sums."""
+    clients, per_client = 4, 40
+    feats = rng.normal(size=(clients * per_client, 28))
+    expected = db.predict_labels("fraud", feats)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with db.serve(workers=4, max_batch_size=8, max_queue_delay_ms=1.0) as server:
+            outcomes: dict[int, object] = {}
+
+            def client(cid: int):
+                local = np.random.default_rng(cid)
+                for i in range(cid * per_client, (cid + 1) * per_client):
+                    deadline = 0.0 if local.random() < 0.5 else 5.0
+                    future = server.submit("fraud", feats[i], deadline_ms=deadline)
+                    error = future.exception(timeout=10.0)
+                    outcomes[i] = error if error else int(future.result()[0])
+
+            threads = [
+                threading.Thread(target=client, args=(c,)) for c in range(clients)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+                assert not thread.is_alive()
+            assert server.drain(timeout=10.0)
+            rows = dict(server.stats_rows())
+            assert server._models["fraud"].batcher._deadlined == 0
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(outcomes) == clients * per_client
+    for i, outcome in outcomes.items():
+        if isinstance(outcome, BaseException):
+            assert isinstance(outcome, DeadlineExceededError)
+        else:
+            assert outcome == expected[i]
+    assert rows["server.requests.submitted"] + rows["server.requests.shed"] == len(feats)
+    assert rows["server.requests.submitted"] == (
+        rows["server.requests.completed"]
+        + rows["server.requests.expired"]
+        + rows["server.requests.failed"]
+    )
+
+
+def test_arrival_during_a_lease_is_taken_by_an_idle_worker(db, features):
+    """A request queued while one worker holds the batcher's lease wakes
+    the idle worker when the lease ends, instead of waiting for the busy
+    worker's batch or the idle worker's 50 ms poll."""
+    real_predict = db._predict
+
+    def slow_predict(name, feats, **kwargs):
+        time.sleep(0.04)
+        return real_predict(name, feats, **kwargs)
+
+    db._predict = slow_predict
+    try:
+        with db.serve(workers=2, max_batch_size=1, max_queue_delay_ms=0.0) as server:
+            server.submit("fraud", features[0]).result(timeout=10.0)  # warm-up
+            batcher = server._models["fraud"].batcher
+            real_collect = batcher.collect
+            armed = threading.Event()
+            arrivals = []
+
+            def collect_with_arrival(*args, **kwargs):
+                batch = real_collect(*args, **kwargs)
+                if batch is not None and armed.is_set():
+                    armed.clear()
+                    # Submitted while this worker still holds the lease.
+                    arrivals.append(server.submit("fraud", features[1]))
+                return batch
+
+            batcher.collect = collect_with_arrival
+            for __ in range(7):
+                time.sleep(0.02)  # both workers back to waiting
+                armed.set()
+                server.submit("fraud", features[0]).result(timeout=10.0)
+                arrivals[-1].result(timeout=10.0)
+            waits = [future.queue_seconds for future in arrivals]
+    finally:
+        db._predict = real_predict
+    # Without the hand-off the arrival waits for the first batch (40 ms)
+    # or the idle worker's poll, whichever ends first.
+    assert float(np.median(waits)) < 0.015

@@ -166,3 +166,35 @@ def test_event_involves_and_get_defaults():
     assert event.involves(5) and event.involves(9)
     assert not event.involves(6)
     assert event.get("missing", "fallback") == "fallback"
+
+
+def test_one_admission_event_per_admitted_request():
+    """``request.admitted`` carries the verdict; no separate decision event."""
+    import numpy as np
+
+    from repro import Database
+    from repro.models import fraud_fc_256
+
+    assert "admission.decision" not in EVENT_KINDS
+    db = Database()
+    db.register_model(fraud_fc_256(), name="fraud")
+    try:
+        n = 12
+        feats = np.random.default_rng(5).normal(size=(n, 28))
+        with db.serve(workers=1) as server:
+            futures = [server.submit("fraud", row) for row in feats]
+            for future in futures:
+                future.result(timeout=10.0)
+        events = db.telemetry.events
+        admitted = events.events(kind="request.admitted")
+        assert len(admitted) == n
+        assert events.events(kind="admission.decision") == []
+        assert {e.trace_id for e in admitted} == {f.trace_id for f in futures}
+        for event in admitted:
+            assert event.get("action") == "admit"
+            assert event.get("cold") is False
+            assert event.get("reason") == "no deadline check"
+            queued = event.get("queued_requests")
+            assert isinstance(queued, int) and 0 <= queued < n
+    finally:
+        db.close()

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import Database
 from repro.errors import TelemetryError
@@ -190,3 +192,107 @@ def test_burn_rate_gauge_published(db):
         "slo_burn_rate", model="fraud", window="fast"
     )
     assert gauge is not None and gauge.value > 1.0
+
+
+# -- incremental windows against a brute-force recount -------------------
+
+_STEPS = st.lists(
+    st.tuples(
+        st.sampled_from([0.0, 0.0, 1.0, 4.0, 11.0, 35.0]),  # clock gap (s)
+        st.lists(
+            st.tuples(st.booleans(), st.sampled_from([1.0, 5.0, 20.0])),
+            min_size=1,
+            max_size=12,
+        ),
+        st.booleans(),  # one observe_many call, or one observe per sample
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(steps=_STEPS)
+def test_incremental_windows_match_a_recount(steps):
+    """Gaps cross both windows (10 s / 30 s) and bursts overflow
+    ``max_samples``; after every step ``rows()`` equals a recount and the
+    burn events equal a per-sample replay of the recount."""
+    clock = FakeClock()
+    events = []
+
+    class Recorder:
+        def emit(self, kind, **fields):
+            events.append((kind, fields["window"], fields["samples"], fields["bad"]))
+
+    limit_ms, budget, max_samples, min_samples = 10.0, 0.25, 16, 3
+    t = SloTracker(
+        fast_window_s=10.0, slow_window_s=30.0, min_samples=min_samples,
+        max_samples=max_samples, recorder=Recorder(), clock=clock,
+    )
+    t.set_policy("m", latency_ms=limit_ms, error_budget=budget)
+    windows = (("fast", 10.0), ("slow", 30.0))
+    samples: list[tuple[float, bool]] = []
+    burning = {"fast": False, "slow": False}
+    expected_events = []
+
+    def recount(now, span_s):
+        inside = [bad for ts, bad in samples[-max_samples:] if ts >= now - span_s]
+        total, bad = len(inside), sum(inside)
+        burn = 0.0 if total < min_samples else (bad / total) / budget
+        return total, bad, burn
+
+    for gap, batch, many in steps:
+        clock.advance(gap)
+        oks = {ok for ok, __ in batch}
+        if many and len(oks) == 1:
+            t.observe_many("m", [latency for __, latency in batch], ok=oks.pop())
+        else:
+            for ok, latency in batch:
+                t.observe("m", ok=ok, latency_ms=latency)
+        for ok, latency in batch:
+            samples.append((clock.now, (not ok) or latency > limit_ms))
+            for name, span_s in windows:
+                total, bad, burn = recount(clock.now, span_s)
+                if (burn >= 1.0) != burning[name]:
+                    burning[name] = burn >= 1.0
+                    kind = "slo.burn_start" if burning[name] else "slo.burn_stop"
+                    expected_events.append((kind, name, total, bad))
+        expected_rows = []
+        for name, span_s in windows:
+            total, bad, burn = recount(clock.now, span_s)
+            expected_rows.append((
+                "m", "latency<=10ms", 0.75, f"{name}:{span_s:g}s", total, bad,
+                round(burn, 4), "burning" if burn >= 1.0 else "ok",
+            ))
+        assert t.rows() == expected_rows
+        assert events == expected_events
+
+
+def test_observe_many_equals_one_observe_per_sample(clock):
+    """Same rows, gauges and events as one observe per request."""
+    from repro.telemetry.registry import MetricsRegistry
+
+    outputs = []
+    for batched in (True, False):
+        registry = MetricsRegistry()
+        events = []
+
+        class Recorder:
+            def emit(self, kind, **fields):
+                events.append((kind, fields))
+
+        t = tracker(clock, min_samples=2, metrics=registry, recorder=Recorder())
+        t.set_policy("m", latency_ms=10.0, error_budget=0.5)
+        for ok, latencies in (
+            (True, [1.0, 50.0, 60.0, 2.0]),
+            (True, [3.0] * 6),
+            (True, [70.0, 1.0]),
+            (False, [0.0, 0.0]),
+        ):
+            if batched:
+                t.observe_many("m", latencies, ok=ok)
+            else:
+                for latency in latencies:
+                    t.observe("m", ok=ok, latency_ms=latency)
+        outputs.append((t.rows(), events, registry.snapshot()))
+    assert outputs[0] == outputs[1]
+    assert any(kind == "slo.burn_stop" for kind, __ in outputs[0][1])
