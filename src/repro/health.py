@@ -142,7 +142,7 @@ def collect(db) -> HealthReport:
     """
     components: list[ComponentHealth] = []
     executor = db._executor
-    ledger = getattr(db, "_ledger", None)
+    ledger = db._ledger
     server = db._server
 
     # Engine-level circuit breakers (hybrid executor).
@@ -152,9 +152,8 @@ def collect(db) -> HealthReport:
 
     # Serving front-end: per-model breakers and queue depths.
     if server is not None:
-        board = getattr(server, "breakers", None)
-        if board is not None:
-            for breaker in board:
+        if server.breakers is not None:
+            for breaker in server.breakers:
                 components.append(_breaker_health(breaker))
         for model, depth in sorted(server.queue_depths().items()):
             components.append(
@@ -166,7 +165,7 @@ def collect(db) -> HealthReport:
     # Cluster tier: one component per worker process.  DEAD slots are
     # failing (the monitor is between crash and respawn); a respawned or
     # heartbeat-stale worker is degraded; a fresh READY worker is ok.
-    cluster = getattr(db, "_cluster", None)
+    cluster = db._cluster
     if cluster is not None:
         for row in cluster.snapshot()["workers"]:
             stale = row["heartbeat_age_ms"] > (
@@ -191,21 +190,20 @@ def collect(db) -> HealthReport:
     # In-flight deployments: a live traffic split (canary/shadow) is a
     # deliberate degraded state — the fleet is mid-transition — and the
     # deployment's per-version breaker folds in like any other breaker.
-    deployments = getattr(db, "_deployments", None)
-    if deployments is not None:
-        for dep in deployments.active():
-            components.append(
-                ComponentHealth(
-                    f"deploy:{dep.model}",
-                    DEGRADED,
-                    f"version={dep.version} state={dep.state} "
-                    f"requests={dep.requests} failures={dep.failures} "
-                    f"diverged={dep.shadow_diverged}/{dep.shadow_compared}",
-                )
+    deployments = db._deployments
+    for dep in deployments.active():
+        components.append(
+            ComponentHealth(
+                f"deploy:{dep.model}",
+                DEGRADED,
+                f"version={dep.version} state={dep.state} "
+                f"requests={dep.requests} failures={dep.failures} "
+                f"diverged={dep.shadow_diverged}/{dep.shadow_compared}",
             )
-            breaker = deployments.breaker_for(dep.model, dep.version)
-            if breaker is not None:
-                components.append(_breaker_health(breaker))
+        )
+        breaker = deployments.breaker_for(dep.model, dep.version)
+        if breaker is not None:
+            components.append(_breaker_health(breaker))
 
     # Memory budgets: the DB-side and DL-runtime-side whole-tensor pools.
     components.append(
@@ -239,7 +237,7 @@ def collect(db) -> HealthReport:
             f"rescued={rescued} gave_up={gave_up}",
         )
     )
-    if ledger is not None and len(ledger):
+    if len(ledger):
         components.append(
             ComponentHealth(
                 "recovery.ledger",

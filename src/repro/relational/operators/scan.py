@@ -16,12 +16,7 @@ class SeqScan(Operator):
 
     def __init__(self, table: TableInfo, alias: str | None = None):
         self._table = table
-        if alias:
-            self._schema = Schema(
-                col.renamed(f"{alias.lower()}.{col.name}") for col in table.schema
-            )
-        else:
-            self._schema = table.schema
+        self._schema = table.schema.qualified(alias)
         self._alias = alias
 
     @property
@@ -64,7 +59,8 @@ class GeneratorScan(Operator):
     """Scan whose rows come from a restartable generator factory.
 
     The relation-centric engine uses this to stream tensor blocks out of
-    blocked matrices without materializing them first.
+    blocked matrices without materializing them first; the SQL planner
+    scans the system relations (``FROM sys.<name>``) with it.
     """
 
     def __init__(self, schema: Schema, factory: Callable[[], Iterator[Row]], label: str = ""):

@@ -182,12 +182,16 @@ class Schema:
         If ``prefixes`` is given, every column is qualified as
         ``prefix.name``; otherwise names must not collide.
         """
-        if prefixes is None:
-            return Schema(list(self._columns) + list(other._columns))
-        left_prefix, right_prefix = prefixes
-        left = (c.renamed(f"{left_prefix}.{c.name}") for c in self._columns)
-        right = (c.renamed(f"{right_prefix}.{c.name}") for c in other._columns)
-        return Schema(list(left) + list(right))
+        if prefixes is not None:
+            return self.qualified(prefixes[0]).concat(other.qualified(prefixes[1]))
+        return Schema(list(self._columns) + list(other._columns))
+
+    def qualified(self, alias: str | None) -> "Schema":
+        """Every column renamed ``alias.name``, as a FROM alias names
+        them; the schema itself when there is no alias."""
+        if not alias:
+            return self
+        return Schema(c.renamed(f"{alias.lower()}.{c.name}") for c in self._columns)
 
     def validate_row(self, row: Sequence[object]) -> None:
         """Raise :class:`SchemaError` if ``row`` does not conform."""

@@ -21,9 +21,10 @@ chosen by SLA policies).
 from __future__ import annotations
 
 import os
+import struct
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -35,7 +36,7 @@ from .dlruntime.layers import Model
 from .dlruntime.memory import MemoryBudget
 from .engines.base import EngineResult
 from .engines.hybrid import HybridExecutor
-from .errors import CatalogError, ConfigError, ReproError, SqlError
+from .errors import CatalogError, ConfigError, ReproError, SchemaError, SqlError
 from .faults import FAULT_SCHEMA, FaultInjector, FaultPlan
 from .health import HEALTH_SCHEMA, HealthReport
 from .health import collect as collect_health
@@ -50,9 +51,8 @@ from .relational.schema import ColumnType, Schema
 from .resilience import RecoveryLedger
 from .server.locks import ReadWriteLock
 from .sql import ast as sql_ast
-from .sql.lexer import SHOW_TARGETS
 from .sql.parser import STATEMENTS, parse
-from .sql.planner import Planner, filter_rows, predict_models
+from .sql.planner import Planner, Relations, predict_models
 from .storage.buffer_pool import (
     BufferPool,
     ClockPolicy,
@@ -129,11 +129,21 @@ def _render_inference_stages(
     return lines
 
 
-def _append_rows(info: TableInfo, rows: list[tuple]) -> None:
-    """Insert already-coerced rows and count them."""
-    for row in rows:
-        info.heap.insert(row)
-    info.row_count += len(rows)
+def _append_rows(info: TableInfo, rows: Iterable[tuple]) -> int:
+    """Insert rows, counting each as it lands; returns how many landed.
+
+    A value the row format cannot encode raises :class:`SchemaError`
+    naming the table and the row; the rows before it stay, counted."""
+    before = info.row_count
+    for index, row in enumerate(rows):
+        try:
+            info.heap.insert(row)
+        except (TypeError, ValueError, struct.error) as exc:
+            raise SchemaError(
+                f"cannot store row {index} in table {info.name!r}: {exc}"
+            ) from exc
+        info.row_count += 1
+    return info.row_count - before
 
 
 def _make_policy(name: str) -> EvictionPolicy:
@@ -179,7 +189,6 @@ class Cursor:
 #: lock.  Everything else (DDL/DML) takes the write lock exclusively.
 _READ_STATEMENTS = (
     sql_ast.Select,
-    sql_ast.Show,
     sql_ast.ShowTimeline,
     sql_ast.ShowWorkload,
     sql_ast.Explain,
@@ -311,9 +320,10 @@ class Database:
         self._server = None  # attached ModelServer, if any
         self._cluster = None  # attached ClusterPool, if any
         # The system relations: one (schema, rows) source per SHOW target,
-        # read by SHOW [WHERE ...] and by the diagnostics bundle.
+        # read by the planner (FROM sys.<name>; SHOW is sugar for it) and
+        # by the diagnostics bundle.
         telemetry = self._telemetry
-        self._relations: dict[str, tuple[Schema, Callable[[], list]]] = {
+        self._relations: Relations = {
             "tables": (
                 Schema.of(
                     ("name", ColumnType.TEXT),
@@ -597,6 +607,7 @@ class Database:
             )[0],
             telemetry=self._telemetry,
             has_model=self._has_model,
+            relations=self._relations,
         )
 
     def _make_executor(
@@ -765,7 +776,8 @@ class Database:
             # records in place); row identity is not stable across UPDATE.
             for rid, new_row in changed:
                 info.heap.delete(rid)
-                info.heap.insert(new_row)
+                info.row_count -= 1
+                _append_rows(info, (new_row,))
             return Cursor(("updated",), [(len(changed),)])
         if isinstance(stmt, sql_ast.Delete):
             info = self._catalog.get_table(stmt.table)
@@ -779,17 +791,8 @@ class Database:
             ]
             for rid in victims:
                 info.heap.delete(rid)
-            info.row_count -= len(victims)
+                info.row_count -= 1
             return Cursor(("deleted",), [(len(victims),)])
-        if isinstance(stmt, sql_ast.Show):
-            relation = self._relations.get(stmt.what.lower())
-            if relation is None:
-                raise SqlError(
-                    f"unknown SHOW target {stmt.what!r}; expected one of "
-                    + ", ".join(SHOW_TARGETS)
-                )
-            schema, rows = relation
-            return Cursor(schema.names, filter_rows(schema, rows(), stmt.where))
         if isinstance(stmt, sql_ast.ShowTimeline):
             events = self._telemetry.events.events(trace_id=stmt.trace_id)
             spans = self._telemetry.tracer.spans_for(stmt.trace_id)
@@ -869,8 +872,9 @@ class Database:
     def explain(self, sql: str) -> str:
         """The physical plan, including per-operator representations.
 
-        Accepts a SELECT (optionally already wrapped in ``EXPLAIN``);
-        any other statement raises :class:`SqlError`.
+        Accepts a SELECT (optionally already wrapped in ``EXPLAIN``), and
+        so a ``SHOW <target>``, which parses to one; any other statement
+        raises :class:`SqlError`.
         """
         stmt = parse(sql)
         if isinstance(stmt, sql_ast.Explain):
@@ -896,15 +900,10 @@ class Database:
             self._catalog.create_table(name, schema)
 
     def load_rows(self, table: str, rows: Sequence[tuple]) -> int:
-        """Bulk-insert pre-validated rows (faster than INSERT statements)."""
+        """Bulk-insert pre-validated rows (faster than INSERT statements);
+        a value that cannot be stored raises :class:`SchemaError`."""
         with self._rwlock.write():
-            info = self._catalog.get_table(table)
-            count = 0
-            for row in rows:
-                info.heap.insert(row)
-                count += 1
-            info.row_count += count
-            return count
+            return _append_rows(self._catalog.get_table(table), rows)
 
     # -- models -----------------------------------------------------------
 

@@ -145,29 +145,14 @@ class ExplainAnalyze(Statement):
 
 
 @dataclass
-class Show(Statement):
-    """``SHOW <target> [WHERE <expr>]``: read one system relation.
-
-    ``what`` names one of the relations the session registers (the
-    grammar's :data:`~repro.sql.lexer.SHOW_TARGETS`); the optional WHERE
-    filters its rows with the same binder and coercion as SELECT, e.g.
-    ``SHOW EVENTS WHERE kind = 'request.shed'``.  API.md lists every
-    relation and its columns.
-    """
-
-    what: str  # one of repro.sql.lexer.SHOW_TARGETS
-    where: Expression | None = None
-
-
-@dataclass
 class ShowWorkload(Statement):
     """``SHOW WORKLOAD TOP k BY latency|count|bytes`` or
     ``SHOW WORKLOAD '<fingerprint>'``.
 
     TOP ranks the workload relation by a total that is not one of its
     columns; a fingerprint string selects that query shape's
-    ``(stat, value)`` detail view.  Plain ``SHOW WORKLOAD`` is a
-    :class:`Show`.
+    ``(stat, value)`` detail view.  Plain ``SHOW WORKLOAD`` is
+    ``SELECT * FROM sys.workload``.
     """
 
     top: int | None = None

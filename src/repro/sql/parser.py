@@ -38,7 +38,6 @@ from .ast import (
     RollbackModel,
     Select,
     SelectItem,
-    Show,
     ShowTimeline,
     ShowWorkload,
     Star,
@@ -313,8 +312,10 @@ class _Parser:
         """``SHOW <target> [WHERE <expr>]``, ``SHOW TIMELINE <trace_id>``,
         or ``SHOW WORKLOAD TOP k BY latency|count|bytes | '<fingerprint>'``.
 
-        Targets other than TABLES / MODELS are soft keywords, and so is
-        TOP: they lex as identifiers and keep working as names elsewhere.
+        ``SHOW <target> [WHERE e]`` is sugar: it parses to exactly
+        ``SELECT * FROM sys.<target> [WHERE e]``.  Targets other than
+        TABLES / MODELS are soft keywords, and so is TOP: they lex as
+        identifiers and keep working as names elsewhere.
         """
         token = self._advance()
         what = (
@@ -341,7 +342,7 @@ class _Parser:
                 + ", or TIMELINE after SHOW"
             )
         where = self._parse_expression() if self._accept_keyword("WHERE") else None
-        return Show(what, where)
+        return Select([SelectItem(Star())], TableRef(f"sys.{what}"), where=where)
 
     def _parse_workload_top(self) -> ShowWorkload:
         """The ``k BY latency|count|bytes`` after ``SHOW WORKLOAD TOP``.
@@ -475,6 +476,15 @@ class _Parser:
 
     def _parse_table_ref(self) -> TableRef:
         name = self._expect_ident()
+        if name == "sys" and self._accept_punct("."):
+            # A system relation; TABLES and MODELS are keywords.
+            token = self._advance()
+            if token.type not in (TokenType.IDENT, TokenType.KEYWORD):
+                raise SqlParseError(
+                    f"expected a system relation name after 'sys.' at "
+                    f"position {token.position}"
+                )
+            name = f"sys.{token.value.lower()}"
         alias = None
         if self._accept_keyword("AS"):
             alias = self._expect_ident()

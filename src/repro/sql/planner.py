@@ -10,11 +10,11 @@ paper's unified architecture.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Mapping
 
 import numpy as np
 
-from ..errors import BindError, PlanError
+from ..errors import BindError, PlanError, SqlError
 from ..relational.batch import Batch
 from ..relational.expressions import ColumnRef, Comparison, Expression, LogicalOp
 from ..relational.operators import (
@@ -22,6 +22,7 @@ from ..relational.operators import (
     AggregateSpec,
     Distinct,
     Filter,
+    GeneratorScan,
     HashJoin,
     Limit,
     MapBatches,
@@ -42,20 +43,9 @@ from .ast import AggregateCall, Join, PredictCall, Select, SelectItem, Star, Tab
 PredictFunction = Callable[[str, np.ndarray, "int | None"], np.ndarray]
 
 
-def filter_rows(
-    schema: Schema, rows: list[tuple], where: Expression | None
-) -> list[tuple]:
-    """Filter materialised rows with a bound WHERE expression.
-
-    ``SHOW <target> WHERE ...`` exposes system state as relations; this
-    binds the predicate against the relation's schema — the same
-    expression language and coercion rules as a table scan — and keeps
-    the rows where it evaluates truthy.
-    """
-    if where is None:
-        return rows
-    bound = where.bind(schema)
-    return [row for row in rows if bound.eval(row)]
+#: The system relations: name -> (schema, rows callable).  ``FROM
+#: sys.<name>`` scans one; the callable runs only when the plan executes.
+Relations = Mapping[str, tuple[Schema, Callable[[], list]]]
 
 
 class Planner:
@@ -68,8 +58,10 @@ class Planner:
         predict_batch_size: int = 1024,
         telemetry: Telemetry | None = None,
         has_model: Callable[[str], bool] | None = None,
+        relations: Relations | None = None,
     ):
         self._catalog = catalog
+        self._relations = relations if relations is not None else {}
         self._predict_fn = predict_fn
         # Models live outside the table catalog; with no checker (a
         # stubbed predict_fn) unknown names surface at execution.
@@ -124,9 +116,18 @@ class Planner:
     # -- FROM / JOIN -----------------------------------------------------
 
     def _scan(self, ref: TableRef, qualify: bool) -> Operator:
-        info = self._catalog.get_table(ref.name)
         alias = ref.alias or (ref.name if qualify else None)
-        return SeqScan(info, alias=alias)
+        if not ref.name.startswith("sys."):
+            return SeqScan(self._catalog.get_table(ref.name), alias=alias)
+        relation = self._relations.get(ref.name[4:])
+        if relation is None:
+            raise SqlError(
+                f"unknown system relation {ref.name!r}; expected one of "
+                + ", ".join(f"sys.{name}" for name in self._relations)
+            )
+        schema, rows = relation
+        label = ref.name + (f" AS {ref.alias}" if ref.alias else "")
+        return GeneratorScan(schema.qualified(alias), lambda: iter(rows()), label)
 
     def _plan_from(self, stmt: Select) -> Operator:
         qualify = bool(stmt.joins)

@@ -55,7 +55,6 @@ from .ast import (
     RollbackModel,
     Select,
     SelectItem,
-    Show,
     ShowTimeline,
     ShowWorkload,
     Star,
@@ -103,11 +102,6 @@ def unparse(stmt: Statement) -> str:
             f"{col} = {unparse_expression(expr)}" for col, expr in stmt.assignments
         )
         sql = f"UPDATE {stmt.table} SET {sets}"
-        if stmt.where is not None:
-            sql += f" WHERE {unparse_expression(stmt.where)}"
-        return sql
-    if isinstance(stmt, Show):
-        sql = f"SHOW {stmt.what}"
         if stmt.where is not None:
             sql += f" WHERE {unparse_expression(stmt.where)}"
         return sql

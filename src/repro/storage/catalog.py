@@ -102,19 +102,26 @@ class Catalog:
         return self._pool
 
     def create_table(self, name: str, schema: Schema) -> TableInfo:
-        key = name.lower()
-        if key in self._tables:
-            raise CatalogError(f"table {name!r} already exists")
+        self._check_new(name)
         heap = HeapFile(self._pool, RowSerde(schema))
-        info = TableInfo(name=key, schema=schema, heap=heap)
-        self._tables[key] = info
+        info = TableInfo(name=name.lower(), schema=schema, heap=heap)
+        self._tables[info.name] = info
         return info
 
     def attach_table(self, info: TableInfo) -> None:
         """Re-register a table restored from a persisted catalog."""
-        if info.name in self._tables:
-            raise CatalogError(f"table {info.name!r} already exists")
+        self._check_new(info.name)
         self._tables[info.name] = info
+
+    def _check_new(self, name: str) -> None:
+        key = name.lower()
+        if key.startswith("sys."):
+            # FROM sys.<name> reads a system relation, never a table.
+            raise CatalogError(
+                f"table name {name!r} is reserved: 'sys.' names system relations"
+            )
+        if key in self._tables:
+            raise CatalogError(f"table {name!r} already exists")
 
     def drop_table(self, name: str) -> None:
         key = name.lower()

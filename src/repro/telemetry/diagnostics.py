@@ -91,7 +91,7 @@ def build_bundle(
         "events": telemetry.events.as_dicts(limit=max_events),
         "events_dropped": telemetry.events.dropped,
         "traces": _span_dicts(telemetry.tracer, max_spans),
-        "spans_dropped": getattr(telemetry.tracer, "dropped", 0),
+        "spans_dropped": telemetry.tracer.dropped,
         "workload": {
             "evicted": telemetry.workload.evicted_total,
             "regressions": telemetry.workload.regressions_total(),
@@ -124,17 +124,15 @@ def build_bundle(
 
 def _breaker_rows(db) -> list[list]:
     rows: list[list] = []
-    server = getattr(db, "_server", None)
+    server = db._server
     if server is not None and server.breakers is not None:
         rows.extend(list(row) for row in server.breakers.rows())
-    executor = getattr(db, "_executor", None)
-    if executor is not None and getattr(executor, "breakers", None) is not None:
-        rows.extend(list(row) for row in executor.breakers.rows())
+    if db._executor.breakers is not None:
+        rows.extend(list(row) for row in db._executor.breakers.rows())
     return rows
 
 
 def _span_dicts(tracer, max_spans: int) -> list[dict]:
-    finished = getattr(tracer, "finished", [])
     return [
         {
             "name": s.name,
@@ -147,7 +145,7 @@ def _span_dicts(tracer, max_spans: int) -> list[dict]:
             "end_s": s.end_s,
             "args": {k: json_safe(v) for k, v in s.args.items()},
         }
-        for s in finished[-max_spans:]
+        for s in tracer.finished[-max_spans:]
     ]
 
 

@@ -194,10 +194,6 @@ def normalize(stmt):
             stmt.table,
             _norm_expr(stmt.where) if stmt.where is not None else None,
         )
-    if isinstance(stmt, sql_ast.Show):
-        return sql_ast.Show(
-            stmt.what, _norm_expr(stmt.where) if stmt.where is not None else None
-        )
     if isinstance(stmt, sql_ast.ShowTimeline):
         return sql_ast.ShowTimeline(0)
     if isinstance(stmt, sql_ast.ShowWorkload):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro import Database
-from repro.errors import SchemaError, SqlError, SqlParseError
+from repro.errors import SchemaError, SqlError, SqlParseError, StorageError
 from repro.sql import parse
 from repro.sql.ast import CreateTableAs, Delete, InsertSelect
 
@@ -109,6 +109,45 @@ def test_create_table_as_failing_midway_creates_nothing(db):
     with pytest.raises(ZeroDivisionError):
         db.execute("CREATE TABLE bad AS SELECT id, v / (id - 3) AS r FROM src")
     assert not db.catalog.has_table("bad")
+
+
+# -- a write failing midway keeps row_count equal to the heap ----------------
+
+
+def fail_second_call(monkeypatch, heap, method):
+    real, calls = getattr(heap, method), []
+
+    def flaky(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise StorageError(f"injected {method} failure")
+        return real(*args)
+
+    monkeypatch.setattr(heap, method, flaky)
+
+
+def test_delete_failing_midway_counts_each_deleted_row(db, monkeypatch):
+    fail_second_call(monkeypatch, db.catalog.get_table("src").heap, "delete")
+    with pytest.raises(StorageError):
+        db.execute("DELETE FROM src WHERE id > 1")
+    assert counted_rows(db, "src") == 3
+    assert ("src", 2, 3) in db.execute("SHOW TABLES").rows
+
+
+def test_update_failing_midway_counts_each_moved_row(db, monkeypatch):
+    fail_second_call(monkeypatch, db.catalog.get_table("src").heap, "insert")
+    with pytest.raises(StorageError):
+        db.execute("UPDATE src SET v = v + 1")
+    assert counted_rows(db, "src") == 3
+
+
+def test_load_rows_with_an_unencodable_value_counts_what_it_stored(db):
+    with pytest.raises(SchemaError, match=r"row 2 in table 'src'"):
+        db.load_rows("src", [(5, 0.5), (6, 1.5), (7, "oops")])
+    assert counted_rows(db, "src") == 6
+    with pytest.raises(SchemaError, match=r"row 0 in table 'src'"):
+        db.load_rows("src", [(2**70, 0.5)])
+    assert counted_rows(db, "src") == 6
 
 
 def test_insert_select_from_itself_doubles_the_table_once():

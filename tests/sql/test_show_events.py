@@ -10,7 +10,7 @@ from repro.config import SystemConfig
 from repro.errors import SqlError, SqlParseError
 from repro.models import fraud_fc_256
 from repro.relational.expressions import ColumnRef, Comparison, Literal
-from repro.sql.ast import Show, ShowTimeline
+from repro.sql.ast import ShowTimeline
 from repro.sql.parser import parse
 from repro.sql.unparse import unparse
 
@@ -35,9 +35,12 @@ def _serve_some(db, rng, n=6):
 
 
 def test_parse_show_events():
-    assert parse("SHOW EVENTS") == Show("events")
-    assert parse("SHOW EVENTS WHERE kind = 'batch.formed'") == Show(
-        "events", Comparison("=", ColumnRef("kind"), Literal("batch.formed"))
+    assert parse("SHOW EVENTS") == parse("SELECT * FROM sys.events")
+    assert parse("SHOW EVENTS WHERE kind = 'batch.formed'") == parse(
+        "SELECT * FROM sys.events WHERE kind = 'batch.formed'"
+    )
+    assert parse("SHOW EVENTS WHERE kind = 'x'").where == Comparison(
+        "=", ColumnRef("kind"), Literal("x")
     )
 
 
@@ -48,13 +51,16 @@ def test_parse_show_timeline():
 
 
 def test_unparse_round_trips():
-    for sql in (
-        "SHOW events",
-        "SHOW events WHERE (kind = 'cache.hit')",
-        "SHOW timeline 7",
+    for sql, canonical in (
+        ("SHOW events", "SELECT * FROM sys.events"),
+        (
+            "SHOW events WHERE (kind = 'cache.hit')",
+            "SELECT * FROM sys.events WHERE (kind = 'cache.hit')",
+        ),
+        ("SHOW timeline 7", "SHOW timeline 7"),
     ):
         stmt = parse(sql)
-        assert unparse(stmt) == sql
+        assert unparse(stmt) == canonical
         assert parse(unparse(stmt)) == stmt
 
 

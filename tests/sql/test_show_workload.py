@@ -18,7 +18,7 @@ from repro.telemetry.workload import WORKLOAD_COLUMNS
 
 
 def test_parse_forms():
-    assert parse("SHOW WORKLOAD") == ast.Show("workload")
+    assert parse("SHOW WORKLOAD") == parse("SELECT * FROM sys.workload")
     assert parse("show workload top 5 by latency") == ast.ShowWorkload(
         top=5, by="latency"
     )

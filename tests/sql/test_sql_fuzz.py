@@ -57,7 +57,6 @@ from repro.sql.ast import (
     PredictCall,
     Select,
     SelectItem,
-    Show,
     ShowTimeline,
     ShowWorkload,
     Star,
@@ -156,9 +155,11 @@ select_items = st.one_of(
     ).map(lambda t: SelectItem(t[0], alias=t[1])),
 )
 
-table_refs = st.tuples(idents, st.one_of(st.none(), idents)).map(
-    lambda t: TableRef(t[0], alias=t[1])
-)
+# A base table or a system relation (``sys.<target>``; SHOW parses to it).
+table_refs = st.tuples(
+    st.one_of(idents, st.sampled_from([f"sys.{t}" for t in SHOW_TARGETS])),
+    st.one_of(st.none(), idents),
+).map(lambda t: TableRef(t[0], alias=t[1]))
 
 joins = st.tuples(
     table_refs, expressions(4), st.sampled_from(["inner", "left"])
@@ -228,9 +229,6 @@ statements = st.one_of(
         st.lists(st.tuples(idents, expressions(4)), min_size=1, max_size=3),
         st.one_of(st.none(), expressions(4)),
     ).map(lambda t: Update(t[0], t[1], where=t[2])),
-    st.tuples(
-        st.sampled_from(SHOW_TARGETS), st.one_of(st.none(), expressions(4))
-    ).map(lambda t: Show(t[0], where=t[1])),
     st.integers(min_value=0, max_value=10**9).map(ShowTimeline),
     st.tuples(
         st.integers(min_value=1, max_value=999), st.sampled_from(ORDER_TARGETS)

@@ -228,12 +228,10 @@ def test_show_unknown_target_raises():
     try:
         with pytest.raises(SqlError, match="SHOW"):
             db.execute("SHOW BOGUS")
-        # The session-level dispatch also rejects a hand-built AST, so
-        # an unknown target can never silently fall through to MODELS.
-        from repro.sql.ast import Show
-
-        with pytest.raises(SqlError, match="unknown SHOW target"):
-            db._execute_statement(Show("bogus"))
+        # The planner also rejects an unknown system relation, so an
+        # unknown target can never silently fall through to MODELS.
+        with pytest.raises(SqlError, match="unknown system relation"):
+            db.execute("SELECT * FROM sys.bogus")
     finally:
         db.close()
 
