@@ -62,20 +62,13 @@ from .storage.buffer_pool import (
 )
 from .storage.catalog import Catalog, TableInfo, VersionRecord, split_version_name
 from .storage.disk import FileDiskManager, InMemoryDiskManager
-from .telemetry import (
-    TIMELINE_COLUMNS,
-    WORKLOAD_COLUMNS,
-    QueryStats,
-    StageAudit,
-    Telemetry,
-    timeline_rows,
-)
+from .telemetry import QueryStats, StageAudit, Telemetry
 from .telemetry.audit import AUDIT_SCHEMA
-from .telemetry.events import EVENT_SCHEMA
+from .telemetry.events import EVENT_SCHEMA, TIMELINE_SCHEMA, timelines
 from .telemetry.profiler import PROFILE_SCHEMA
 from .telemetry.registry import METRICS_SCHEMA
 from .telemetry.slo import SLO_SCHEMA
-from .telemetry.workload import WORKLOAD_SCHEMA
+from .telemetry.workload import WORKLOAD_DETAIL_SCHEMA, WORKLOAD_SCHEMA
 
 #: ``(stat, value)`` relations mix value types per row, so ``value`` is
 #: declared TEXT; the values themselves are returned unchanged.
@@ -127,6 +120,20 @@ def _render_inference_stages(
             f"est={estimated}B, actual={actual}B, verdict={verdict}]"
         )
     return lines
+
+
+def _explained(sql: str, analyze: bool) -> sql_ast.Select:
+    """The SELECT that ``Database.explain`` (``analyze`` False) or
+    ``explain_analyze`` takes: the text's own, or the one its matching
+    EXPLAIN form wraps; anything else raises :class:`SqlError`."""
+    stmt = parse(sql)
+    if isinstance(stmt, sql_ast.Explain) and stmt.analyze == analyze:
+        stmt = stmt.query
+    if not isinstance(stmt, sql_ast.Select):
+        raise SqlError(
+            f"EXPLAIN {'ANALYZE ' if analyze else ''}supports SELECT statements only"
+        )
+    return stmt
 
 
 def _append_rows(info: TableInfo, rows: Iterable[tuple]) -> int:
@@ -187,14 +194,7 @@ class Cursor:
 
 #: Statement types that only read state; they share the database's read
 #: lock.  Everything else (DDL/DML) takes the write lock exclusively.
-_READ_STATEMENTS = (
-    sql_ast.Select,
-    sql_ast.ShowTimeline,
-    sql_ast.ShowWorkload,
-    sql_ast.Explain,
-    sql_ast.ExplainAnalyze,
-    sql_ast.UnionAll,
-)
+_READ_STATEMENTS = (sql_ast.Select, sql_ast.Explain, sql_ast.UnionAll)
 
 #: Lifecycle statements also run on the read side: the deployment
 #: controller serializes its own writers on a private mutation lock and
@@ -360,10 +360,19 @@ class Database:
             "faults": (FAULT_SCHEMA, self._faults.rows),
             "health": (HEALTH_SCHEMA, lambda: collect_health(self).rows()),
             "events": (EVENT_SCHEMA, telemetry.events.rows),
+            "timeline": (
+                TIMELINE_SCHEMA,
+                lambda: timelines(
+                    telemetry.events.events(), telemetry.tracer.finished
+                ),
+            ),
             "slo": (SLO_SCHEMA, telemetry.slo.rows),
             "profile": (PROFILE_SCHEMA, telemetry.profiler.top_rows),
             "deployments": (DEPLOYMENT_SCHEMA, self._deployments.rows),
             "workload": (WORKLOAD_SCHEMA, telemetry.workload.top_rows),
+            "workload_detail": (
+                WORKLOAD_DETAIL_SCHEMA, telemetry.workload.detail_rows
+            ),
         }
         self._rebuild_planning()
         if path is not None:
@@ -793,19 +802,6 @@ class Database:
                 info.heap.delete(rid)
                 info.row_count -= 1
             return Cursor(("deleted",), [(len(victims),)])
-        if isinstance(stmt, sql_ast.ShowTimeline):
-            events = self._telemetry.events.events(trace_id=stmt.trace_id)
-            spans = self._telemetry.tracer.spans_for(stmt.trace_id)
-            return Cursor(TIMELINE_COLUMNS, timeline_rows(events, spans))
-        if isinstance(stmt, sql_ast.ShowWorkload):
-            workload = self._telemetry.workload
-            if stmt.fingerprint is not None:
-                return Cursor(
-                    _STAT_SCHEMA.names, workload.detail_rows(stmt.fingerprint)
-                )
-            return Cursor(
-                WORKLOAD_COLUMNS, workload.top_rows(stmt.top, stmt.by)
-            )
         if isinstance(stmt, sql_ast.UnionAll):
             from .relational.operators import Concat
 
@@ -813,10 +809,12 @@ class Database:
             op = Concat(ops)
             return Cursor(op.schema.names, list(op))
         if isinstance(stmt, sql_ast.Explain):
-            return Cursor(("plan",), [(line,) for line in self._explain(stmt.query)])
-        if isinstance(stmt, sql_ast.ExplainAnalyze):
-            __, report = self._analyze_select(stmt.query)
-            return Cursor(("plan",), [(line,) for line in report.split("\n")])
+            lines = (
+                self._analyze_select(stmt.query)[1].split("\n")
+                if stmt.analyze
+                else self._explain(stmt.query)
+            )
+            return Cursor(("plan",), [(line,) for line in lines])
         if isinstance(stmt, sql_ast.Select):
             op = self._planner.plan_select(stmt)
             return Cursor(op.schema.names, list(op))
@@ -843,12 +841,7 @@ class Database:
         stage with its representation, rows, wall time, and estimated vs
         actual peak memory.
         """
-        stmt = parse(sql)
-        if isinstance(stmt, sql_ast.ExplainAnalyze):
-            stmt = stmt.query
-        if not isinstance(stmt, sql_ast.Select):
-            raise SqlError("EXPLAIN ANALYZE supports SELECT statements only")
-        return self._analyze_select(stmt)
+        return self._analyze_select(_explained(sql, analyze=True))
 
     def _analyze_select(self, stmt: sql_ast.Select) -> tuple[Cursor, str]:
         """Run one SELECT instrumented; returns (result cursor, report)."""
@@ -873,15 +866,10 @@ class Database:
         """The physical plan, including per-operator representations.
 
         Accepts a SELECT (optionally already wrapped in ``EXPLAIN``), and
-        so a ``SHOW <target>``, which parses to one; any other statement
-        raises :class:`SqlError`.
+        so any SHOW form, which parses to one; any other statement raises
+        :class:`SqlError`.
         """
-        stmt = parse(sql)
-        if isinstance(stmt, sql_ast.Explain):
-            stmt = stmt.query
-        if not isinstance(stmt, sql_ast.Select):
-            raise SqlError("EXPLAIN supports SELECT statements only")
-        return "\n".join(self._explain(stmt))
+        return "\n".join(self._explain(_explained(sql, analyze=False)))
 
     def _explain(self, stmt: sql_ast.Select) -> list[str]:
         op = self._planner.plan_select(stmt)

@@ -126,50 +126,17 @@ class Select(Statement):
 
 @dataclass
 class Explain(Statement):
-    """EXPLAIN <select>."""
+    """``EXPLAIN <select>``, or ``EXPLAIN ANALYZE <select>``.
 
-    query: Select
-
-
-@dataclass
-class ExplainAnalyze(Statement):
-    """``EXPLAIN ANALYZE <select>``: execute the plan instrumented.
-
-    The report annotates every relational operator with the rows it
-    produced and its inclusive time, and every model inference stage with
-    its representation, rows, wall time, and estimated vs actual peak
-    memory (from the plan-quality audit).
+    ANALYZE executes the plan instrumented: the report annotates every
+    relational operator with the rows it produced and its inclusive time,
+    and every model inference stage with its representation, rows, wall
+    time, and estimated vs actual peak memory (from the plan-quality
+    audit).
     """
 
     query: Select
-
-
-@dataclass
-class ShowWorkload(Statement):
-    """``SHOW WORKLOAD TOP k BY latency|count|bytes`` or
-    ``SHOW WORKLOAD '<fingerprint>'``.
-
-    TOP ranks the workload relation by a total that is not one of its
-    columns; a fingerprint string selects that query shape's
-    ``(stat, value)`` detail view.  Plain ``SHOW WORKLOAD`` is
-    ``SELECT * FROM sys.workload``.
-    """
-
-    top: int | None = None
-    by: str = "latency"  # "latency", "count", or "bytes"
-    fingerprint: str | None = None
-
-
-@dataclass
-class ShowTimeline(Statement):
-    """``SHOW TIMELINE <trace_id>``: replay one request's lifecycle.
-
-    Merges the trace's flight-recorder events and finished spans into a
-    relative-time cursor ``(at_ms, source, what, detail)``, followed by
-    summary rows breaking latency into queue vs execute vs rescue.
-    """
-
-    trace_id: int
+    analyze: bool = False
 
 
 @dataclass

@@ -26,12 +26,13 @@ SOFT_KEYWORDS = frozenset({"METRICS", "STATS", "AUDIT", "ANALYZE"})
 
 #: Every ``SHOW <target> [WHERE ...]`` target: the names of the system
 #: relations a ``Database`` registers (a test keeps the two equal).
-#: Besides these, only ``SHOW TIMELINE <trace_id>`` and ``SHOW WORKLOAD
-#: TOP k BY x | '<fingerprint>'`` parse after SHOW.
+#: ``SHOW TIMELINE <trace_id>`` and ``SHOW WORKLOAD TOP k BY x |
+#: '<fingerprint>'`` are sugar over ``sys.timeline``, ``sys.workload``
+#: and ``sys.workload_detail`` too (see the parser's ``_parse_show``).
 SHOW_TARGETS: tuple[str, ...] = (
     "tables", "models", "metrics", "stats", "server", "cluster", "audit",
-    "faults", "health", "events", "slo", "profile", "deployments",
-    "workload",
+    "faults", "health", "events", "timeline", "slo", "profile",
+    "deployments", "workload", "workload_detail",
 )
 
 

@@ -21,7 +21,8 @@ from ..relational.expressions import (
 )
 from ..relational.operators.aggregate import aggregate_function_names
 from ..relational.schema import ColumnType
-from ..telemetry.workload import ORDER_TARGETS, fingerprint
+from ..telemetry.events import TIMELINE_COLUMNS
+from ..telemetry.workload import fingerprint
 from .ast import (
     AggregateCall,
     CreateTable,
@@ -30,7 +31,6 @@ from .ast import (
     DeployModel,
     DropTable,
     Explain,
-    ExplainAnalyze,
     Insert,
     InsertSelect,
     Join,
@@ -38,8 +38,6 @@ from .ast import (
     RollbackModel,
     Select,
     SelectItem,
-    ShowTimeline,
-    ShowWorkload,
     Star,
     Statement,
     TableRef,
@@ -50,6 +48,13 @@ from .lexer import SHOW_TARGETS, Token, TokenType, lex
 from .template import builder
 
 _AGGREGATES = aggregate_function_names()
+
+#: ``SHOW WORKLOAD TOP k BY <target>``: the ``sys.workload`` column each
+#: target sorts on, descending and then by fingerprint.  ``latency`` keeps
+#: the relation's own order (total latency, then fingerprint).
+ORDER_TARGETS: dict[str, str | None] = {
+    "latency": None, "count": "calls", "bytes": "bytes",
+}
 
 
 def parse(text: str) -> Statement:
@@ -126,12 +131,8 @@ class _Parser:
             stmt: Statement = self._parse_select_or_union()
         elif token.is_keyword("EXPLAIN"):
             self._advance()
-            analyze = self._peek()
-            if analyze.type is TokenType.IDENT and analyze.value == "analyze":
-                self._advance()
-                stmt = ExplainAnalyze(self._parse_select())
-            else:
-                stmt = Explain(self._parse_select())
+            analyze = self._accept_word("analyze")
+            stmt = Explain(self._parse_select(), analyze)
         elif token.is_keyword("CREATE"):
             stmt = self._parse_create()
         elif token.is_keyword("DROP"):
@@ -308,14 +309,25 @@ class _Parser:
                 break
         return Insert(table, rows)
 
-    def _parse_show(self) -> Statement:
+    def _parse_show(self) -> Select:
         """``SHOW <target> [WHERE <expr>]``, ``SHOW TIMELINE <trace_id>``,
         or ``SHOW WORKLOAD TOP k BY latency|count|bytes | '<fingerprint>'``.
 
-        ``SHOW <target> [WHERE e]`` is sugar: it parses to exactly
-        ``SELECT * FROM sys.<target> [WHERE e]``.  Targets other than
-        TABLES / MODELS are soft keywords, and so is TOP: they lex as
-        identifiers and keep working as names elsewhere.
+        Every form is sugar for a SELECT over a system relation.  ``SHOW
+        <target> [WHERE e]`` is exactly ``SELECT * FROM sys.<target>
+        [WHERE e]``; the other three are::
+
+            SELECT at_ms, source, what, detail FROM sys.timeline
+              WHERE trace_id = <trace_id>
+            SELECT * FROM sys.workload [ORDER BY <column> DESC, fingerprint]
+              LIMIT k
+            SELECT stat, value FROM sys.workload_detail
+              WHERE fingerprint = '<fingerprint>'
+
+        The trace id and the fingerprint are slots of the statement
+        cache, like any WHERE literal.  Targets other than TABLES / MODELS
+        are soft keywords, and so is TOP: they lex as identifiers and keep
+        working as names elsewhere.
         """
         token = self._advance()
         what = (
@@ -323,38 +335,29 @@ class _Parser:
             if token.type in (TokenType.IDENT, TokenType.KEYWORD)
             else ""
         )
-        if what == "timeline":
-            trace = self._peek()
-            if trace.type is not TokenType.NUMBER:
-                raise SqlParseError(
-                    "expected a numeric trace id after SHOW TIMELINE"
-                )
-            self._advance()
-            return ShowTimeline(int(_parse_number(trace.value)))
-        if what == "workload" and self._peek().type is TokenType.STRING:
-            return ShowWorkload(fingerprint=self._advance().value)
+        argument = self._peek()
+        if what == "timeline" and argument.type is TokenType.NUMBER:
+            trace = self._slot(self._parse_int("SHOW TIMELINE"), argument)
+            return _show_select("timeline", TIMELINE_COLUMNS, "trace_id", trace)
+        if what == "workload" and argument.type is TokenType.STRING:
+            fp = self._slot(self._advance().value, argument)
+            return _show_select(
+                "workload_detail", ("stat", "value"), "fingerprint", fp
+            )
         if what == "workload" and self._accept_word("top"):
             return self._parse_workload_top()
         if what not in SHOW_TARGETS:
             raise SqlParseError(
-                "expected "
+                "expected one of "
                 + ", ".join(target.upper() for target in SHOW_TARGETS)
-                + ", or TIMELINE after SHOW"
+                + " after SHOW"
             )
         where = self._parse_expression() if self._accept_keyword("WHERE") else None
         return Select([SelectItem(Star())], TableRef(f"sys.{what}"), where=where)
 
-    def _parse_workload_top(self) -> ShowWorkload:
-        """The ``k BY latency|count|bytes`` after ``SHOW WORKLOAD TOP``.
-
-        BY is required so the statement round-trips through unparse
-        unambiguously.
-        """
-        count = self._peek()
-        if count.type is not TokenType.NUMBER:
-            raise SqlParseError("expected a row count after SHOW WORKLOAD TOP")
-        self._advance()
-        top = int(_parse_number(count.value))
+    def _parse_workload_top(self) -> Select:
+        """The ``k BY latency|count|bytes`` after ``SHOW WORKLOAD TOP``."""
+        top = self._parse_int("SHOW WORKLOAD TOP")
         if top < 1:
             raise SqlParseError("SHOW WORKLOAD TOP count must be >= 1")
         self._expect_keyword("BY")
@@ -364,7 +367,15 @@ class _Parser:
                 f"expected one of {', '.join(ORDER_TARGETS)} after "
                 "SHOW WORKLOAD TOP k BY"
             )
-        return ShowWorkload(top=top, by=target.value)
+        column = ORDER_TARGETS[target.value]
+        order_by = (
+            [(ColumnRef(column), True), (ColumnRef("fingerprint"), False)]
+            if column is not None
+            else []
+        )
+        return Select(
+            [SelectItem(Star())], TableRef("sys.workload"), order_by=order_by, limit=top
+        )
 
     def _parse_literal_value(self) -> object:
         token = self._peek()
@@ -473,6 +484,12 @@ class _Parser:
             return int(token.value)
         except ValueError as exc:
             raise SqlParseError(f"{context} requires an integer") from exc
+
+    def _slot(self, value: object, token: Token) -> Literal:
+        """A Literal of ``token``'s value that the statement cache refills."""
+        literal = Literal(value)
+        self.slots.append((token.position, literal))
+        return literal
 
     def _parse_table_ref(self) -> TableRef:
         name = self._expect_ident()
@@ -679,13 +696,12 @@ class _Parser:
             return CaseWhen(tuple(branches), default)
         if token.type is TokenType.NUMBER or token.type is TokenType.STRING:
             self._advance()
-            literal = Literal(
+            return self._slot(
                 _parse_number(token.value)
                 if token.type is TokenType.NUMBER
-                else token.value
+                else token.value,
+                token,
             )
-            self.slots.append((token.position, literal))
-            return literal
         if token.is_keyword("TRUE"):
             self._advance()
             return Literal(True)
@@ -716,6 +732,17 @@ class _Parser:
         raise SqlParseError(
             f"unexpected token {token.value!r} at position {token.position}"
         )
+
+
+def _show_select(
+    relation: str, columns: tuple[str, ...], key: str, value: Literal
+) -> Select:
+    """``SELECT <columns> FROM sys.<relation> WHERE <key> = <value>``."""
+    return Select(
+        [SelectItem(ColumnRef(name)) for name in columns],
+        TableRef(f"sys.{relation}"),
+        where=Comparison("=", ColumnRef(key), value),
+    )
 
 
 def _parse_number(text: str) -> object:

@@ -47,7 +47,6 @@ from .ast import (
     DeployModel,
     DropTable,
     Explain,
-    ExplainAnalyze,
     Insert,
     InsertSelect,
     Join,
@@ -55,8 +54,6 @@ from .ast import (
     RollbackModel,
     Select,
     SelectItem,
-    ShowTimeline,
-    ShowWorkload,
     Star,
     Statement,
     TableRef,
@@ -74,9 +71,8 @@ def unparse(stmt: Statement) -> str:
     if isinstance(stmt, UnionAll):
         return " UNION ALL ".join(_select(q) for q in stmt.queries)
     if isinstance(stmt, Explain):
-        return f"EXPLAIN {_select(stmt.query)}"
-    if isinstance(stmt, ExplainAnalyze):
-        return f"EXPLAIN ANALYZE {_select(stmt.query)}"
+        analyze = "ANALYZE " if stmt.analyze else ""
+        return f"EXPLAIN {analyze}{_select(stmt.query)}"
     if isinstance(stmt, CreateTable):
         columns = ", ".join(f"{name} {ctype.value}" for name, ctype in stmt.columns)
         return f"CREATE TABLE {stmt.name} ({columns})"
@@ -105,12 +101,6 @@ def unparse(stmt: Statement) -> str:
         if stmt.where is not None:
             sql += f" WHERE {unparse_expression(stmt.where)}"
         return sql
-    if isinstance(stmt, ShowTimeline):
-        return f"SHOW timeline {stmt.trace_id}"
-    if isinstance(stmt, ShowWorkload):
-        if stmt.fingerprint is not None:
-            return f"SHOW workload {_string(stmt.fingerprint)}"
-        return f"SHOW workload TOP {stmt.top} BY {stmt.by}"
     if isinstance(stmt, DeployModel):
         sql = f"DEPLOY MODEL {stmt.model} VERSION {stmt.version}"
         if stmt.canary_percent is not None:

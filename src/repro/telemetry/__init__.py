@@ -40,6 +40,7 @@ from .events import (
     FlightRecorder,
     NullRecorder,
     timeline_rows,
+    timelines,
 )
 from .logs import (
     ROOT_LOGGER_NAME,
@@ -166,6 +167,7 @@ __all__ = [
     "EVENT_KINDS",
     "TIMELINE_COLUMNS",
     "timeline_rows",
+    "timelines",
     "QueryStats",
     "get_logger",
     "enable_console_logging",

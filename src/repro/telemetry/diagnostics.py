@@ -32,14 +32,16 @@ from .events import json_safe
 #: Bumped when the bundle layout changes incompatibly.  v2 added the
 #: workload / slo / profile sections; v3 added the cluster section
 #: (null when no process pool is attached); v4 added the lifecycle
-#: section; v5 moved every tabular section into ``relations``.
-BUNDLE_VERSION = 5
+#: section; v5 moved every tabular section into ``relations``; v6 added
+#: the ``workload_detail`` relation.
+BUNDLE_VERSION = 6
 
 #: System relations a bundle leaves out because it already holds their
 #: state in richer form — ``metrics`` (the registry snapshot),
 #: ``events`` (full event dicts), ``cluster`` (the pool snapshot) — or
-#: because they only re-aggregate other state (``stats``).
-_HELD_ELSEWHERE = frozenset({"metrics", "events", "cluster", "stats"})
+#: because they only re-aggregate other state (``stats``, and
+#: ``timeline``, which merges the bundled events and traces).
+_HELD_ELSEWHERE = frozenset({"metrics", "events", "cluster", "stats", "timeline"})
 
 #: The relations every bundle carries.
 BUNDLED_RELATIONS: tuple[str, ...] = tuple(

@@ -82,8 +82,16 @@ EVENT_SCHEMA = Schema.of(
 )
 EVENT_COLUMNS = EVENT_SCHEMA.names
 
+#: The ``timeline`` system relation: :func:`timeline_rows` of every trace.
+TIMELINE_SCHEMA = Schema.of(
+    ("trace_id", ColumnType.INT),
+    ("at_ms", ColumnType.DOUBLE),
+    ("source", ColumnType.TEXT),
+    ("what", ColumnType.TEXT),
+    ("detail", ColumnType.TEXT),
+)
 #: Columns for ``SHOW TIMELINE <trace_id>`` cursors.
-TIMELINE_COLUMNS: tuple[str, ...] = ("at_ms", "source", "what", "detail")
+TIMELINE_COLUMNS = TIMELINE_SCHEMA.names[1:]
 
 
 class Event(NamedTuple):
@@ -259,8 +267,8 @@ def timeline_rows(events: list[Event], spans: list) -> list[tuple]:
             retries += 1
         elif event.kind == "stage.rescued":
             rescues += 1
-    rows.append((round((events[-1].ts_s - t0) * 1e3, 3) if events else 0.0,
-                 "summary", "outcome", outcome))
+    # Summary rows sit at the last entry's offset, so at_ms never decreases.
+    rows.append((rows[-1][0], "summary", "outcome", outcome))
     if queue_ms is not None:
         rows.append((rows[-1][0], "summary", "queue_ms", str(queue_ms)))
     if execute_ms is not None:
@@ -270,6 +278,32 @@ def timeline_rows(events: list[Event], spans: list) -> list[tuple]:
     if rescues:
         rows.append((rows[-1][0], "summary", "rescues", str(rescues)))
     return rows
+
+
+def timelines(events: list[Event], spans: list) -> list[tuple]:
+    """``sys.timeline`` rows: ``(trace_id, *row)`` for every
+    :func:`timeline_rows` row of every trace, traces by ascending id.
+
+    A trace is any id with a finished span or an event that involves it
+    (as :meth:`Event.involves` decides: its own id or a ``traces`` link).
+    One pass groups the events (oldest first) and the spans (by start)
+    per trace.
+    """
+    grouped: dict[int, tuple[list[Event], list]] = {}
+    for event in events:
+        traces = event.get("traces")
+        ids = set(traces) if isinstance(traces, (tuple, list)) else set()
+        if event.trace_id is not None:
+            ids.add(event.trace_id)
+        for trace_id in ids:
+            grouped.setdefault(trace_id, ([], []))[0].append(event)
+    for span in sorted(spans, key=lambda s: s.start_s):
+        grouped.setdefault(span.trace_id, ([], []))[1].append(span)
+    return [
+        (trace_id, *row)
+        for trace_id in sorted(grouped)
+        for row in timeline_rows(*grouped[trace_id])
+    ]
 
 
 class NullRecorder:

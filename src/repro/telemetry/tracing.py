@@ -269,13 +269,6 @@ class Tracer:
         with self._lock:
             return list(self._finished)
 
-    def spans_for(self, trace_id: int) -> list[Span]:
-        """Finished spans belonging to one trace, start-ordered."""
-        return sorted(
-            (s for s in self.finished if s.trace_id == trace_id),
-            key=lambda s: s.start_s,
-        )
-
     def clear(self) -> None:
         with self._lock:
             self._finished.clear()
@@ -474,9 +467,6 @@ class NullTracer:
 
     def current_trace_id(self) -> None:
         return None
-
-    def spans_for(self, trace_id: int) -> list[Span]:
-        return []
 
     def clear(self) -> None:
         pass

@@ -12,9 +12,10 @@ A bounded :class:`WorkloadStore` aggregates per-fingerprint execution
 statistics from :class:`~repro.telemetry.query_stats.QueryStats` on every
 ``Database.execute``: call count, a latency histogram, rows and bytes
 read, engine representation mix, result-cache hit ratio, runtime
-recoveries, and the last plan summary.  ``SHOW WORKLOAD [TOP k BY
-latency|count|bytes]`` renders the aggregate view and ``SHOW WORKLOAD
-'<fingerprint>'`` the single-shape detail view.
+recoveries, and the last plan summary.  The ``sys.workload`` relation
+(``SHOW WORKLOAD [TOP k BY latency|count|bytes]``) is the aggregate view
+and ``sys.workload_detail`` (``SHOW WORKLOAD '<fingerprint>'``) the
+per-shape detail view.
 
 The store doubles as the **plan-regression detector**: each fingerprint
 keeps a rolling latency baseline (seeded over a warmup window, then
@@ -79,11 +80,16 @@ WORKLOAD_SCHEMA = Schema.of(
 )
 WORKLOAD_COLUMNS = WORKLOAD_SCHEMA.names
 
+#: The ``workload_detail`` system relation (``SHOW WORKLOAD '<fp>'``):
+#: ``value`` is declared TEXT and holds each statistic unchanged.
+WORKLOAD_DETAIL_SCHEMA = Schema.of(
+    ("fingerprint", ColumnType.TEXT),
+    ("stat", ColumnType.TEXT),
+    ("value", ColumnType.TEXT),
+)
+
 #: The literal placeholder normalized statements carry.
 PLACEHOLDER = "?"
-
-#: Valid ``SHOW WORKLOAD TOP k BY <target>`` orderings.
-ORDER_TARGETS: tuple[str, ...] = ("latency", "count", "bytes")
 
 
 # -- fingerprinting ------------------------------------------------------
@@ -171,9 +177,7 @@ def normalize(stmt):
     if isinstance(stmt, sql_ast.UnionAll):
         return sql_ast.UnionAll([_norm_select(q) for q in stmt.queries])
     if isinstance(stmt, sql_ast.Explain):
-        return sql_ast.Explain(_norm_select(stmt.query))
-    if isinstance(stmt, sql_ast.ExplainAnalyze):
-        return sql_ast.ExplainAnalyze(_norm_select(stmt.query))
+        return sql_ast.Explain(_norm_select(stmt.query), stmt.analyze)
     if isinstance(stmt, sql_ast.Insert):
         # Bulk loads differ only in row count and values: collapse to one
         # row of placeholders, keeping the column arity.
@@ -193,14 +197,6 @@ def normalize(stmt):
         return sql_ast.Delete(
             stmt.table,
             _norm_expr(stmt.where) if stmt.where is not None else None,
-        )
-    if isinstance(stmt, sql_ast.ShowTimeline):
-        return sql_ast.ShowTimeline(0)
-    if isinstance(stmt, sql_ast.ShowWorkload):
-        return sql_ast.ShowWorkload(
-            top=0 if stmt.top is not None else None,
-            by=stmt.by,
-            fingerprint=PLACEHOLDER if stmt.fingerprint is not None else None,
         )
     # CreateTable / DropTable carry no literals.
     return stmt
@@ -455,59 +451,54 @@ class WorkloadStore:
             entry.text,
         )
 
-    def top_rows(self, top: int | None = None, by: str = "latency") -> list[tuple]:
-        """``SHOW WORKLOAD`` rows (:data:`WORKLOAD_COLUMNS`), hottest first."""
-        if by not in ORDER_TARGETS:
-            from ..errors import TelemetryError
+    @staticmethod
+    def _detail(entry: _Entry) -> list[tuple[str, object]]:
+        """One entry's ``(stat, value)`` pairs (``SHOW WORKLOAD '<fp>'``)."""
+        rows: list[tuple[str, object]] = [
+            ("fingerprint", entry.fingerprint),
+            ("sql", entry.text),
+            ("statement", entry.statement),
+            ("calls", entry.calls),
+            ("mean_ms", round(entry.mean_seconds * 1e3, 3)),
+            ("p50_ms", round(entry.latency.quantile(0.5) * 1e3, 3)),
+            ("p95_ms", round(entry.latency.quantile(0.95) * 1e3, 3)),
+            ("p99_ms", round(entry.latency.quantile(0.99) * 1e3, 3)),
+            ("rows", entry.total_rows),
+            ("bytes", entry.total_bytes),
+            ("cache_hits", entry.cache_hits),
+            ("cache_misses", entry.cache_misses),
+            ("cache_hit_rate", round(entry.cache_hit_rate, 4)),
+            ("recoveries", entry.recoveries),
+            ("regressions", entry.regressions),
+            ("baseline_ms", round(entry.baseline_seconds * 1e3, 3)),
+            ("plan", entry.plan_summary or "-"),
+        ]
+        for rep, count in sorted(entry.representations.items()):
+            rows.append((f"stages[{rep}]", count))
+        if entry.last_trace_id:
+            rows.append(("last_trace_id", entry.last_trace_id))
+        return rows
 
-            raise TelemetryError(
-                f"unknown workload ordering {by!r}; expected one of "
-                f"{ORDER_TARGETS}"
-            )
-        keys = {
-            "latency": lambda e: e.total_seconds,
-            "count": lambda e: e.calls,
-            "bytes": lambda e: e.total_bytes,
-        }
-        with self._lock:
-            entries = sorted(
-                self._entries.values(),
-                key=lambda e: (-keys[by](e), e.fingerprint),
-            )
-            if top is not None:
-                entries = entries[:top]
-            return [self._row(e) for e in entries]
+    def _ranked_locked(self) -> list[_Entry]:
+        """Entries by total latency, hottest first, then by fingerprint."""
+        return sorted(
+            self._entries.values(), key=lambda e: (-e.total_seconds, e.fingerprint)
+        )
 
-    def detail_rows(self, fp: str) -> list[tuple[str, object]]:
-        """``SHOW WORKLOAD '<fp>'`` rows: (stat, value) pairs, or empty."""
+    def top_rows(self) -> list[tuple]:
+        """``sys.workload`` rows (:data:`WORKLOAD_COLUMNS`), hottest first."""
         with self._lock:
-            entry = self._entries.get(fp)
-            if entry is None:
-                return []
-            rows: list[tuple[str, object]] = [
-                ("fingerprint", entry.fingerprint),
-                ("sql", entry.text),
-                ("statement", entry.statement),
-                ("calls", entry.calls),
-                ("mean_ms", round(entry.mean_seconds * 1e3, 3)),
-                ("p50_ms", round(entry.latency.quantile(0.5) * 1e3, 3)),
-                ("p95_ms", round(entry.latency.quantile(0.95) * 1e3, 3)),
-                ("p99_ms", round(entry.latency.quantile(0.99) * 1e3, 3)),
-                ("rows", entry.total_rows),
-                ("bytes", entry.total_bytes),
-                ("cache_hits", entry.cache_hits),
-                ("cache_misses", entry.cache_misses),
-                ("cache_hit_rate", round(entry.cache_hit_rate, 4)),
-                ("recoveries", entry.recoveries),
-                ("regressions", entry.regressions),
-                ("baseline_ms", round(entry.baseline_seconds * 1e3, 3)),
-                ("plan", entry.plan_summary or "-"),
+            return [self._row(e) for e in self._ranked_locked()]
+
+    def detail_rows(self) -> list[tuple[str, str, object]]:
+        """``sys.workload_detail`` rows: each entry's ``(fingerprint, stat,
+        value)`` triples, entries in :meth:`top_rows` order."""
+        with self._lock:
+            return [
+                (entry.fingerprint, stat, value)
+                for entry in self._ranked_locked()
+                for stat, value in self._detail(entry)
             ]
-            for rep, count in sorted(entry.representations.items()):
-                rows.append((f"stages[{rep}]", count))
-            if entry.last_trace_id:
-                rows.append(("last_trace_id", entry.last_trace_id))
-            return rows
 
     def regressions_total(self) -> int:
         with self._lock:
@@ -534,10 +525,10 @@ class NullWorkloadStore:
     def record(self, stmt, stats, fingerprinted=None) -> str:
         return ""
 
-    def top_rows(self, top: int | None = None, by: str = "latency") -> list[tuple]:
+    def top_rows(self) -> list[tuple]:
         return []
 
-    def detail_rows(self, fp: str) -> list[tuple[str, object]]:
+    def detail_rows(self) -> list[tuple[str, str, object]]:
         return []
 
     def regressions_total(self) -> int:

@@ -15,7 +15,7 @@ from repro.models import fraud_fc_256
 from repro.relational import ColumnRef, ColumnType, Comparison, Literal, Schema
 from repro.relational.operators import Filter, Limit, ValuesScan, collect
 from repro.relational.operators.instrument import instrument
-from repro.sql.ast import ExplainAnalyze, Select
+from repro.sql.ast import Explain
 from repro.sql.parser import parse
 
 
@@ -71,13 +71,41 @@ def test_explain_analyze_rejects_non_select(db):
 
 
 def test_explain_analyze_parses_as_statement():
-    stmt = parse("EXPLAIN ANALYZE SELECT id FROM t")
-    assert isinstance(stmt, ExplainAnalyze)
-    assert isinstance(stmt.query, Select)
+    query = parse("SELECT id FROM t")
+    assert parse("EXPLAIN ANALYZE SELECT id FROM t") == Explain(query, analyze=True)
     # ANALYZE is a soft keyword: plain EXPLAIN still parses, and the
     # word stays usable as an identifier.
-    assert not isinstance(parse("EXPLAIN SELECT id FROM t"), ExplainAnalyze)
+    assert parse("EXPLAIN SELECT id FROM t") == Explain(query)
     assert parse("SELECT analyze FROM t")
+
+
+@pytest.mark.parametrize(
+    "sql, explains, analyzes",
+    [
+        ("SELECT id FROM t", True, True),
+        ("EXPLAIN SELECT id FROM t", True, False),
+        ("EXPLAIN ANALYZE SELECT id FROM t", False, True),
+        ("SHOW WORKLOAD TOP 2 BY count", True, True),
+        ("SHOW TIMELINE 1", True, True),
+        ("SELECT id FROM t UNION ALL SELECT id FROM t", False, False),
+        ("DELETE FROM t", False, False),
+    ],
+)
+def test_python_entry_points_accept_a_select_or_their_own_explain(
+    db, sql, explains, analyzes
+):
+    for method, accepts in ((db.explain, explains), (db.explain_analyze, analyzes)):
+        if accepts:
+            method(sql)
+        else:
+            with pytest.raises(SqlError, match="supports SELECT statements only"):
+                method(sql)
+    assert len(db.execute("SELECT id FROM t")) == 5  # DELETE never ran
+
+
+def test_explain_analyze_records_as_explain(db):
+    stats = db.execute("EXPLAIN ANALYZE SELECT id FROM t").stats
+    assert stats.statement == "Explain"
 
 
 def test_explain_analyze_sql_statement(db):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
@@ -10,9 +12,9 @@ from repro.config import SystemConfig
 from repro.errors import SqlError, SqlParseError
 from repro.models import fraud_fc_256
 from repro.relational.expressions import ColumnRef, Comparison, Literal
-from repro.sql.ast import ShowTimeline
 from repro.sql.parser import parse
 from repro.sql.unparse import unparse
+from repro.telemetry import timeline_rows
 
 
 @pytest.fixture
@@ -45,9 +47,12 @@ def test_parse_show_events():
 
 
 def test_parse_show_timeline():
-    assert parse("SHOW TIMELINE 42") == ShowTimeline(42)
-    with pytest.raises(SqlParseError):
-        parse("SHOW TIMELINE fraud")
+    assert parse("SHOW TIMELINE 42") == parse(
+        "SELECT at_ms, source, what, detail FROM sys.timeline WHERE trace_id = 42"
+    )
+    for text in ("SHOW TIMELINE fraud", "SHOW TIMELINE 1.5", "SHOW TIMELINE 1e3"):
+        with pytest.raises(SqlParseError):
+            parse(text)
 
 
 def test_unparse_round_trips():
@@ -57,7 +62,11 @@ def test_unparse_round_trips():
             "SHOW events WHERE (kind = 'cache.hit')",
             "SELECT * FROM sys.events WHERE (kind = 'cache.hit')",
         ),
-        ("SHOW timeline 7", "SHOW timeline 7"),
+        (
+            "SHOW timeline 7",
+            "SELECT at_ms, source, what, detail FROM sys.timeline "
+            "WHERE (trace_id = 7)",
+        ),
     ):
         stmt = parse(sql)
         assert unparse(stmt) == canonical
@@ -126,6 +135,60 @@ def test_query_stats_carry_trace_id_for_show_timeline(db):
     rows = db.execute(f"SHOW TIMELINE {trace}").rows
     assert any(row[1] == "span" and row[2] == "query" for row in rows)
     assert dict(cursor.stats.as_rows())["trace_id"] == trace
+
+
+def test_timeline_offsets_never_decrease_for_a_select(db):
+    # A plain SELECT's trace has spans but no events: its summary row
+    # used to sit at 0.0, after the spans' later offsets.
+    db.execute("CREATE TABLE t (x INT)")
+    trace = db.execute("SELECT * FROM t").stats.trace_id
+    rows = db.execute(f"SHOW TIMELINE {trace}").rows
+    offsets = [row[0] for row in rows]
+    assert offsets == sorted(offsets) and offsets[-1] > 0.0
+    assert rows[-1][1:] == ("summary", "outcome", "unresolved")
+    assert rows[-1][0] == rows[-2][0]
+
+
+def _serve_a_linked_batch(db, rng):
+    """Serve one request alone, then a batch of four whose batch events
+    link all four traces: the only worker waits on the database lock
+    while the four queue."""
+    recorder = db.telemetry.events
+    with db.serve(workers=1, max_batch_size=4) as server:
+        with db._rwlock.write():
+            first = server.submit("fraud", rng.normal(size=28))
+            while not recorder.events(kind="batch.formed"):
+                time.sleep(0.001)
+            batch = [server.submit("fraud", rng.normal(size=28)) for __ in range(4)]
+        for future in [first, *batch]:
+            future.result(timeout=10.0)
+    return batch
+
+
+def test_timeline_relation_is_timeline_rows_per_trace(db, rng):
+    batch = _serve_a_linked_batch(db, rng)
+    members = {future.trace_id for future in batch}
+    recorder, tracer = db.telemetry.events, db.telemetry.tracer
+    for kind in ("batch.formed", "batch.executed"):
+        links = [set(e.get("traces")) for e in recorder.events(kind=kind)]
+        assert members in links
+    spans = sorted(tracer.finished, key=lambda s: s.start_s)
+    relation = db._relations["timeline"][1]()
+    traces = sorted({row[0] for row in relation})
+    assert members <= set(traces)
+    assert set(traces) == {s.trace_id for s in spans} | {
+        t for e in recorder.events() for t in {e.trace_id, *(e.get("traces") or ())}
+        if t is not None
+    }
+    oracle = {
+        trace: timeline_rows(
+            recorder.events(trace_id=trace), [s for s in spans if s.trace_id == trace]
+        )
+        for trace in traces
+    }
+    assert relation == [(t, *row) for t in traces for row in oracle[t]]
+    for trace in members:  # served traces take no new rows from queries
+        assert db.execute(f"SHOW TIMELINE {trace}").rows == oracle[trace]
 
 
 # -- SHOW METRICS quantiles / SHOW STATS events ------------------------

@@ -13,6 +13,7 @@ Regenerate (only when a change of SHOW output is intended) with
 
 from __future__ import annotations
 
+import gc
 import json
 import re
 from pathlib import Path
@@ -65,7 +66,8 @@ _WALL_FIELD = re.compile(r"(\w+(?:_ms|seconds))=[-0-9.e+]+")
 def _session() -> tuple[Database, dict[str, object]]:
     # Setup goes through the Python API so that the workload store holds
     # only the two SELECT shapes: SHOW WORKLOAD orders by total latency,
-    # and three predictions outweigh one point lookup on any host.
+    # and three predictions outweigh one point lookup on any host unless
+    # a garbage collection (≈2 ms) lands inside the lookup, so none may.
     db = Database()
     __, __, rows = fraud_transactions(16, seed=7)
     db.create_table(
@@ -81,10 +83,14 @@ def _session() -> tuple[Database, dict[str, object]]:
     db.register_model_version("fraud", "v2", model=fraud_fc_256())
     db.deploy_model("fraud", "v2")
     db.set_slo("fraud", latency_ms=1000.0)
-    trace = db.execute(PREDICT_SQL).stats.trace_id
-    db.execute(PREDICT_SQL)
-    db.execute(PREDICT_SQL)
-    db.execute("SELECT id FROM tx WHERE id = 3")
+    gc.disable()
+    try:
+        trace = db.execute(PREDICT_SQL).stats.trace_id
+        db.execute(PREDICT_SQL)
+        db.execute(PREDICT_SQL)
+        db.execute("SELECT id FROM tx WHERE id = 3")
+    finally:
+        gc.enable()
     db.faults.arm(site="server.batch", transient=False)
     fp = fingerprint(parse(PREDICT_SQL))[0]
     return db, {"trace": trace, "fp": fp}

@@ -17,20 +17,28 @@ from repro.telemetry.workload import WORKLOAD_COLUMNS
 # -- grammar -------------------------------------------------------------
 
 
+SUGAR = (
+    ("SHOW WORKLOAD", "SELECT * FROM sys.workload"),
+    ("show workload top 5 by latency", "SELECT * FROM sys.workload LIMIT 5"),
+    (
+        "SHOW WORKLOAD TOP 1 BY count",
+        "SELECT * FROM sys.workload ORDER BY calls DESC, fingerprint LIMIT 1",
+    ),
+    (
+        "SHOW WORKLOAD TOP 3 BY bytes",
+        "SELECT * FROM sys.workload ORDER BY bytes DESC, fingerprint LIMIT 3",
+    ),
+    (
+        "SHOW WORKLOAD 'abc123def456'",
+        "SELECT stat, value FROM sys.workload_detail "
+        "WHERE fingerprint = 'abc123def456'",
+    ),
+)
+
+
 def test_parse_forms():
-    assert parse("SHOW WORKLOAD") == parse("SELECT * FROM sys.workload")
-    assert parse("show workload top 5 by latency") == ast.ShowWorkload(
-        top=5, by="latency"
-    )
-    assert parse("SHOW WORKLOAD TOP 1 BY count") == ast.ShowWorkload(
-        top=1, by="count"
-    )
-    assert parse("SHOW WORKLOAD TOP 3 BY bytes") == ast.ShowWorkload(
-        top=3, by="bytes"
-    )
-    assert parse("SHOW WORKLOAD 'abc123def456'") == ast.ShowWorkload(
-        fingerprint="abc123def456"
-    )
+    for show, select in SUGAR:
+        assert parse(show) == parse(select), show
 
 
 def test_unparse_round_trips():
@@ -49,6 +57,8 @@ def test_parse_errors():
         parse("SHOW WORKLOAD TOP")  # missing count
     with pytest.raises(SqlParseError):
         parse("SHOW WORKLOAD TOP 0 BY latency")  # count < 1
+    with pytest.raises(SqlParseError):
+        parse("SHOW WORKLOAD TOP 2.5 BY latency")  # not an integer
     with pytest.raises(SqlParseError):
         parse("SHOW WORKLOAD TOP 5 latency")  # BY required
     with pytest.raises(SqlParseError):
@@ -146,17 +156,56 @@ def test_fingerprint_detail_view(db):
 
 def test_show_workload_records_itself_shape_normalized(db):
     # SHOW WORKLOAD is a statement like any other (pg_stat_statements
-    # semantics): it appears in the store, with TOP k normalized so all
-    # variants fold into one fingerprint.
+    # semantics): it appears in the store as the Select it parses to,
+    # with TOP k normalized so all variants fold into one fingerprint.
     seed(db, rows=1)
     db.execute("SHOW WORKLOAD TOP 3 BY count")
     db.execute("SHOW WORKLOAD TOP 9 BY count")
     rows = db.execute("SHOW WORKLOAD TOP 50 BY count").fetchall()
     show_rows = [
-        r for r in rows if r[WORKLOAD_COLUMNS.index("statement")] == "ShowWorkload"
+        r for r in rows if "sys.workload" in r[WORKLOAD_COLUMNS.index("sql")]
     ]
     assert len(show_rows) == 1
+    assert show_rows[0][WORKLOAD_COLUMNS.index("statement")] == "Select"
     assert show_rows[0][WORKLOAD_COLUMNS.index("calls")] == 2
+
+
+_OLD_KEYS = {
+    "latency": lambda entry: entry.total_seconds,
+    "count": lambda entry: entry.calls,
+    "bytes": lambda entry: entry.total_bytes,
+}
+
+
+@pytest.mark.parametrize("by", sorted(_OLD_KEYS))
+def test_top_k_sugar_ranks_like_the_old_store_ordering(db, by):
+    seed(db, rows=3)
+    for i in range(7):
+        db.execute(f"SELECT * FROM t WHERE x = {i}")
+    for i in range(4):
+        db.execute(f"SELECT name FROM t LIMIT {i + 1}")
+    db.execute("SELECT x FROM t ORDER BY x")
+    store = db.telemetry.workload
+    for k in (1, 2, len(store)):
+        # The SHOW records itself only after its rows are read.
+        entries = sorted(
+            store._entries.values(),
+            key=lambda e: (-_OLD_KEYS[by](e), e.fingerprint),
+        )
+        expected = [store._row(entry) for entry in entries[:k]]
+        assert db.execute(f"SHOW WORKLOAD TOP {k} BY {by}").rows == expected
+
+
+def test_fingerprint_detail_is_a_filter_of_workload_detail(db):
+    seed(db)
+    db.execute("SELECT * FROM t WHERE x = 7")
+    store = db.telemetry.workload
+    fps = [row[0] for row in store.top_rows()]
+    assert list(dict.fromkeys(row[0] for row in store.detail_rows())) == fps
+    for fp in fps:
+        # Each SHOW records itself only after its rows are read.
+        expected = [(stat, value) for f, stat, value in store.detail_rows() if f == fp]
+        assert db.execute(f"SHOW WORKLOAD '{fp}'").rows == expected
 
 
 def test_disabled_telemetry_returns_empty(tmp_path):
@@ -166,5 +215,6 @@ def test_disabled_telemetry_returns_empty(tmp_path):
         db.execute("SELECT * FROM t")
         assert db.execute("SHOW WORKLOAD").fetchall() == []
         assert db.execute("SHOW WORKLOAD TOP 5 BY latency").fetchall() == []
+        assert db.execute("SHOW WORKLOAD 'abc'").fetchall() == []
     finally:
         db.close()

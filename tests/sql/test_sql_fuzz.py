@@ -50,22 +50,18 @@ from repro.sql.ast import (
     Delete,
     DropTable,
     Explain,
-    ExplainAnalyze,
     Insert,
     InsertSelect,
     Join,
     PredictCall,
     Select,
     SelectItem,
-    ShowTimeline,
-    ShowWorkload,
     Star,
     TableRef,
     UnionAll,
     Update,
 )
 from repro.sql.lexer import KEYWORDS, SHOW_TARGETS, SOFT_KEYWORDS
-from repro.telemetry.workload import ORDER_TARGETS
 
 RESERVED = (
     {k.lower() for k in KEYWORDS}
@@ -155,7 +151,8 @@ select_items = st.one_of(
     ).map(lambda t: SelectItem(t[0], alias=t[1])),
 )
 
-# A base table or a system relation (``sys.<target>``; SHOW parses to it).
+# A base table or a system relation (``sys.<target>``; every SHOW form
+# parses to a SELECT over one, sys.timeline and sys.workload_detail too).
 table_refs = st.tuples(
     st.one_of(idents, st.sampled_from([f"sys.{t}" for t in SHOW_TARGETS])),
     st.one_of(st.none(), idents),
@@ -204,8 +201,7 @@ insert_values = st.one_of(
 statements = st.one_of(
     selects(),
     st.lists(selects(), min_size=2, max_size=3).map(UnionAll),
-    selects().map(Explain),
-    selects().map(ExplainAnalyze),
+    st.tuples(selects(), st.booleans()).map(lambda t: Explain(t[0], analyze=t[1])),
     st.tuples(idents, selects()).map(lambda t: CreateTableAs(t[0], t[1])),
     st.tuples(idents, selects()).map(lambda t: InsertSelect(t[0], t[1])),
     st.tuples(
@@ -229,11 +225,6 @@ statements = st.one_of(
         st.lists(st.tuples(idents, expressions(4)), min_size=1, max_size=3),
         st.one_of(st.none(), expressions(4)),
     ).map(lambda t: Update(t[0], t[1], where=t[2])),
-    st.integers(min_value=0, max_value=10**9).map(ShowTimeline),
-    st.tuples(
-        st.integers(min_value=1, max_value=999), st.sampled_from(ORDER_TARGETS)
-    ).map(lambda t: ShowWorkload(top=t[0], by=t[1])),
-    safe_strings.map(lambda s: ShowWorkload(fingerprint=s)),
 )
 
 FUZZ_SETTINGS = settings(

@@ -100,6 +100,20 @@ def test_literal_classes_and_values_kept_by_value_never_share_an_entry(texts):
     assert len(cache) == len(texts)
 
 
+@pytest.mark.parametrize(
+    "texts",
+    [
+        ["SHOW TIMELINE 1", "SHOW TIMELINE 2"],
+        ["SHOW WORKLOAD 'a'", "SHOW WORKLOAD 'b'"],
+        ["SHOW WORKLOAD TOP 1 BY count", "SHOW WORKLOAD TOP 2 BY bytes"],
+    ],
+)
+def test_show_sugar_from_the_cache_is_fresh(texts):
+    cache = StatementCache()
+    for text in texts + texts:
+        assert_cached_parse_is_fresh(cache, text)
+
+
 def test_slot_literals_share_an_entry():
     cache = StatementCache()
     first = cache.parse(SELECT + "id = 1 AND s = 'x'")[1]

@@ -154,7 +154,11 @@ def _edit(*path, value=_DELETE):
 MALFORMED = [
     ("not-an-object", lambda bundle: [], "bundle must be a JSON object"),
     ("missing-key", _edit("traces"), "missing required key 'traces'"),
-    ("version", _edit("bundle_version", value=4), "bundle_version must be 5"),
+    (
+        "version",
+        _edit("bundle_version", value=4),
+        f"bundle_version must be {BUNDLE_VERSION}",
+    ),
     ("created-unix", _edit("created_unix", value="now"), "created_unix must be"),
     ("config", _edit("config", value=[]), "config must be an object"),
     ("metrics", _edit("metrics", value=None), "metrics must be an object"),

@@ -14,6 +14,7 @@ from repro.telemetry import (
     Event,
     FlightRecorder,
     timeline_rows,
+    timelines,
 )
 from repro.telemetry.registry import MetricsRegistry
 from repro.telemetry.tracing import Tracer
@@ -142,7 +143,7 @@ def test_timeline_rows_merge_events_and_spans_with_summary():
         "request.completed", trace_id=trace, queue_ms=1.5, execute_ms=2.5
     )
     span.finish()
-    rows = timeline_rows(recorder.events(trace_id=trace), tracer.spans_for(trace))
+    rows = timeline_rows(recorder.events(trace_id=trace), tracer.finished)
     whats = [(source, what) for __, source, what, __d in rows]
     assert ("event", "request.admitted") in whats
     assert ("span", "request:fraud") in whats
@@ -158,6 +159,32 @@ def test_timeline_rows_merge_events_and_spans_with_summary():
 
 def test_timeline_rows_empty_trace_is_empty():
     assert timeline_rows([], []) == []
+    assert timelines([], []) == []
+
+
+def test_timelines_group_linked_events_and_spans_per_trace():
+    tracer = Tracer()
+    first = tracer.start_span("request:a")
+    second = tracer.start_span("request:b")
+    recorder = FlightRecorder()
+    recorder.emit("request.admitted", trace_id=second.trace_id)
+    recorder.emit("batch.formed", trace_id=first.trace_id,
+                  traces=(first.trace_id, second.trace_id))
+    recorder.emit("cache.hit", model="a")  # no trace: in no timeline
+    second.finish()
+    first.finish()
+    rows = timelines(recorder.events(), tracer.finished)
+    traces = sorted({first.trace_id, second.trace_id})
+    assert rows == [
+        (trace, *row)
+        for trace in traces
+        for row in timeline_rows(
+            recorder.events(trace_id=trace),
+            [s for s in tracer.finished if s.trace_id == trace],
+        )
+    ]
+    linked = [row for row in rows if row[0] == second.trace_id and row[3] == "batch.formed"]
+    assert len(linked) == 1
 
 
 def test_event_involves_and_get_defaults():
