@@ -13,6 +13,8 @@ from .ir import (
 )
 from .lowering import lower_model
 from .cost import (
+    compute_block_bytes,
+    compute_block_factor,
     node_flops,
     node_memory_requirement,
     plan_peak_memory,
@@ -33,6 +35,8 @@ __all__ = [
     "node_memory_requirement",
     "node_flops",
     "plan_peak_memory",
+    "compute_block_bytes",
+    "compute_block_factor",
     "RuleBasedOptimizer",
     "DeviceAwareOptimizer",
     "AotCompiler",

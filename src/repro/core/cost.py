@@ -45,3 +45,43 @@ def plan_peak_memory(plan: InferencePlan) -> int:
             peak = max(peak, node_memory_requirement(node, plan.batch_size))
     return peak
 
+
+def compute_block_bytes(side: int, out_features: int, stripe_rows: int) -> int:
+    """What multiplying on ``side × side`` compute blocks holds at once: one
+    super-row of weights (``side × out_features``) being assembled from
+    stored blocks, plus one ``stripe_rows × side`` partial product."""
+    return FLOAT_BYTES * side * (out_features + stripe_rows)
+
+
+def compute_block_factor(
+    linear_shapes: list[tuple[int, int]],
+    stripe_rows: int,
+    floor: int,
+    memory_bytes: int,
+) -> int:
+    """The factor ``f`` by which a relation-centric vector stage coarsens
+    the stored ``floor × floor`` weight blocks into compute blocks.
+
+    ``linear_shapes`` holds each Linear's ``(in_features, out_features)``.
+    ``f`` is the largest power of two whose side ``f·floor``
+
+    * is at most the widest Linear dimension, rounded up to ``floor``, and
+    * keeps :func:`compute_block_bytes` within ``memory_bytes`` for every
+      Linear of the stage.
+
+    A stage without a Linear, or one whose floor already misses the
+    memory limit, gets ``f = 1``: the stored blocks are multiplied as is.
+    """
+    if not linear_shapes:
+        return 1
+    widest = max(max(shape) for shape in linear_shapes)
+    max_side = -(-widest // floor) * floor
+    widest_out = max(out for __, out in linear_shapes)
+    factor = 1
+    while (
+        2 * factor * floor <= max_side
+        and compute_block_bytes(2 * factor * floor, widest_out, stripe_rows)
+        <= memory_bytes
+    ):
+        factor *= 2
+    return factor

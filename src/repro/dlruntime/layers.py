@@ -326,6 +326,17 @@ class Model:
         for layer in self.layers:
             shape = layer.output_shape(shape)
             self._shapes.append(shape)
+        # A parameterised layer's name keys its stored weight table.
+        positions: dict[str, int] = {}
+        for i, layer in enumerate(self.layers):
+            if not layer.parameters():
+                continue
+            first = positions.setdefault(layer.name, i)
+            if first != i:
+                raise ModelError(
+                    f"model {name!r}: layers {first} and {i} are both named "
+                    f"{layer.name!r}; parameterised layers need unique names"
+                )
 
     @property
     def output_shape(self) -> tuple[int, ...]:

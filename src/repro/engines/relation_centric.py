@@ -7,7 +7,15 @@ pool.  Inputs are processed in *row stripes* so that peak memory is one
 stripe of input plus one stripe of output, regardless of operator size —
 the property that lets this engine complete the Table 3 workloads that
 OOM every whole-tensor engine.  A stripe is one block row: its blocks are
-``stripe rows × block cols``, so each weight block joins one input block.
+``stripe rows × side``, so each weight block joins one input block.
+
+Weight tables keep the stored ``tensor_block_rows × tensor_block_cols``
+blocks; a vector stage multiplies on square *compute blocks* of side
+``f × tensor_block_cols``, assembled from the stored blocks as the weight
+scan streams (:func:`~repro.tensor.linalg.reblock`).  ``f`` is picked per
+stage call from the memory the stage may use
+(:func:`~repro.core.cost.compute_block_factor`); ``f = 1`` multiplies the
+stored blocks as they are.  Convolution stages always use ``f = 1``.
 
 Two stage shapes cover the paper's models:
 
@@ -26,11 +34,12 @@ import time
 import numpy as np
 
 from ..config import SystemConfig
+from ..core.cost import compute_block_bytes, compute_block_factor
 from ..dlruntime.layers import Conv2d, Linear, ReLU, Sigmoid, Softmax
 from ..dlruntime.memory import MemoryBudget
 from ..errors import PlanError
 from ..models.store import weight_block_table
-from ..relational.operators import Operator
+from ..relational.operators import Operator, SeqScan
 from ..storage.catalog import Catalog, VersionRecord, TableInfo
 from ..telemetry import DISABLED, Telemetry
 from ..tensor.block import block_table_schema
@@ -44,6 +53,7 @@ from ..tensor.linalg import (
     elementwise_pipeline,
     matmul_pipeline,
     prefix_blocks,
+    reblock,
 )
 from .base import EngineResult
 
@@ -95,14 +105,20 @@ class RelationCentricEngine:
     ) -> EngineResult:
         """Chain MATMUL/RELU/SIGMOID/SOFTMAX pipelines over row stripes.
 
-        ``checkpoint`` (if given) runs before every stripe — the
-        executor's cooperative stage-deadline hook.
+        The stage multiplies on square compute blocks of side ``f`` times
+        the stored block side, with ``f`` from
+        :func:`~repro.core.cost.compute_block_factor`; their footprint is
+        borrowed from the budget for every stripe.  ``checkpoint`` (if
+        given) runs before every stripe — the executor's cooperative
+        stage-deadline hook.
         """
         if x.ndim != 2:
             raise PlanError(
                 f"vector stage expects (batch, features) input, got {x.shape}"
             )
         self.budget.reset_peak()
+        factor, footprint = self._compute_blocks(layers, x)
+        side = factor * self.config.tensor_block_cols
         out_features = _stage_output_features(layers, x.shape[1])
         outputs = np.empty((x.shape[0], out_features))
         start = time.perf_counter()
@@ -111,7 +127,8 @@ class RelationCentricEngine:
                 checkpoint()
             stripe = x[lo : lo + self.stripe_rows]
             with self.budget.borrow(stripe.nbytes, tag="stripe-in"):
-                result = self._run_stripe(layers, stripe, model_info)
+                with self.budget.borrow(footprint, tag="compute-blocks"):
+                    result = self._run_stripe(layers, stripe, model_info, side)
                 with self.budget.borrow(result.nbytes, tag="stripe-out"):
                     outputs[lo : lo + stripe.shape[0]] = result
             self._m_stripes.inc()
@@ -125,55 +142,103 @@ class RelationCentricEngine:
             peak_memory_bytes=self.budget.peak,
         )
 
+    def _compute_blocks(self, layers: list, x: np.ndarray) -> tuple[int, int]:
+        """The stage's compute-block factor and the bytes its blocks hold.
+
+        The memory they may take is the optimizer's threshold, capped by
+        the first (largest) stripe's own size, so a stripe's peak stays
+        within two stripes, and by what a limited budget has left after
+        that stripe.
+        """
+        rows = min(self.stripe_rows, x.shape[0])
+        stripe_bytes = rows * x.shape[1] * x.itemsize
+        memory = min(
+            self.config.memory_threshold_bytes,
+            stripe_bytes,
+            self.budget.limit - self.budget.used - stripe_bytes,
+        )
+        shapes = [
+            (layer.in_features, layer.out_features)
+            for layer in layers
+            if isinstance(layer, Linear)
+        ]
+        factor = compute_block_factor(
+            shapes, rows, self.config.tensor_block_cols, memory
+        )
+        if factor == 1:
+            return 1, 0
+        side = factor * self.config.tensor_block_cols
+        widest_out = max(out for __, out in shapes)
+        return factor, compute_block_bytes(side, widest_out, rows)
+
     def _run_stripe(
-        self, layers: list, stripe: np.ndarray, model_info: VersionRecord
+        self, layers: list, stripe: np.ndarray, model_info: VersionRecord, side: int
     ) -> np.ndarray:
-        # A stripe is one block row; weight tables keep the square blocks.
-        block_shape = (stripe.shape[0], self.config.tensor_block_cols)
+        # A stripe is one block row of ``side``-wide blocks; Softmax needs
+        # whole rows, so it drains the pipeline before it.
+        block_shape = (stripe.shape[0], side)
         current = BlockedMatrix.from_dense(stripe, block_shape)
-        pipeline: Operator | None = None
-        current_cols = stripe.shape[1]
+        run: list = []
+        for layer in layers:
+            if isinstance(layer, Softmax):
+                current = self._drain(run, current, model_info).row_softmax()
+                run = []
+            else:
+                run.append(layer)
+        return self._drain(run, current, model_info).to_dense()
 
-        def source() -> Operator:
-            if pipeline is not None:
-                return pipeline
-            return block_scan_from_matrix(current, "", label="stripe")
+    def _drain(
+        self, layers: list, current: BlockedMatrix, model_info: VersionRecord
+    ) -> BlockedMatrix:
+        if not layers:
+            return current
+        shape = (current.shape[0], _stage_output_features(layers, current.shape[1]))
+        pipeline = self.vector_pipeline(layers, current, model_info)
+        return drain_to_matrix(pipeline, shape, current.block_shape)
 
+    def vector_pipeline(
+        self, layers: list, blocks: BlockedMatrix, model_info: VersionRecord
+    ) -> Operator:
+        """The block pipeline of a Softmax-free run of layers over one
+        stripe, blocked ``stripe rows × side``.
+
+        Each Linear joins the stripe against its stored weight blocks,
+        re-blocked to ``side × side`` (a multiple of the stored side).
+        """
+        side = blocks.block_shape[1]
+        factor = side // self.config.tensor_block_cols
+        pipeline = block_scan_from_matrix(blocks, "", label="stripe")
         for layer in layers:
             if isinstance(layer, Linear):
-                weights = weight_block_table(
+                table = weight_block_table(
                     self.catalog, model_info, layer, self._block_shape
                 )
+                weights = reblock(
+                    SeqScan(table), layer.weight.data.shape, self._block_shape, factor
+                )
+                # A partial is stripe rows × side doubles (1 MB at the
+                # default stripe and f = 1): batches of 8 // f keep about
+                # 8 MB of them alive between the multiply and SUM_BLOCK.
                 mm = matmul_pipeline(
-                    prefix_blocks(source(), "a"), block_scan_from_table(weights, "b")
+                    prefix_blocks(pipeline, "a"),
+                    prefix_blocks(weights, "b"),
+                    batch_size=max(1, 8 // factor),
                 )
-                pipeline = bias_add_pipeline(
-                    mm, layer.bias.data, block_cols=block_shape[1]
-                )
-                current_cols = layer.out_features
+                pipeline = bias_add_pipeline(mm, layer.bias.data, block_cols=side)
             elif isinstance(layer, ReLU):
                 pipeline = elementwise_pipeline(
-                    source(), lambda v: np.maximum(v, 0.0), "relu"
+                    pipeline, lambda v: np.maximum(v, 0.0), "relu"
                 )
             elif isinstance(layer, Sigmoid):
                 pipeline = elementwise_pipeline(
-                    source(), lambda v: 1.0 / (1.0 + np.exp(-v)), "sigmoid"
+                    pipeline, lambda v: 1.0 / (1.0 + np.exp(-v)), "sigmoid"
                 )
-            elif isinstance(layer, Softmax):
-                # Softmax needs whole rows: drain the stripe and apply the
-                # two-pass blocked softmax, then continue streaming.
-                shape = (stripe.shape[0], current_cols)
-                current = drain_to_matrix(source(), shape, block_shape).row_softmax()
-                pipeline = None
             else:
                 raise PlanError(
                     f"relation-centric vector stage cannot execute layer "
                     f"{type(layer).__name__}"
                 )
-        shape = (stripe.shape[0], current_cols)
-        if pipeline is None:
-            return current.to_dense()
-        return drain_to_matrix(pipeline, shape, block_shape).to_dense()
+        return pipeline
 
     # -- convolution stages --------------------------------------------------
 

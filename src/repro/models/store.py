@@ -40,11 +40,11 @@ def store_model_blocks(
     Idempotent: layers already stored are skipped.  Returns the mapping of
     ``layer_name`` → table name (also recorded in ``info.block_tables``).
     """
-    for i, layer in enumerate(info.model.layers):
+    for layer in info.model.layers:
         matrix = _weight_matrix(layer)
         if matrix is None:
             continue
-        layer_name = layer.name or f"layer{i}"
+        layer_name = layer.name
         if layer_name in info.block_tables:
             continue
         table = block_table_name(info.name, layer_name)
@@ -71,7 +71,9 @@ def load_model_weights(
     block_shape: tuple[int, int],
 ) -> BlockedMatrix:
     """Rebuild one layer's weight matrix from its block table."""
-    layer = next(l for l in info.model.layers if l.name == layer_name)
+    layer = next((l for l in info.model.layers if l.name == layer_name), None)
+    if layer is None:
+        raise ValueError(f"model {info.name!r} has no layer {layer_name!r}")
     matrix = _weight_matrix(layer)
     if matrix is None:
         raise ValueError(f"layer {layer_name!r} has no stored weight matrix")

@@ -23,6 +23,7 @@ from .linalg import (
     elementwise_pipeline,
     matmul_pipeline,
     prefix_blocks,
+    reblock,
 )
 
 __all__ = [
@@ -41,4 +42,5 @@ __all__ = [
     "block_scan_from_table",
     "drain_to_matrix",
     "prefix_blocks",
+    "reblock",
 ]

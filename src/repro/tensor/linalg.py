@@ -12,8 +12,10 @@ what lets it survive operators larger than memory.
 
 The relation-centric engine hands ``matmul_pipeline`` one row stripe at a
 time, and a stripe is one block row: ``A``'s blocks are ``stripe rows ×
-block cols`` against square weight blocks, so the join emits one row — and
-the multiply runs one GEMM — per weight block.
+side`` against square ``side × side`` weight blocks, so the join emits one
+row — and the multiply runs one GEMM — per weight block.  Weight tables
+store small square blocks; :func:`reblock` assembles them into the
+engine's larger compute blocks as they stream out of the scan.
 
 Every other block stage (bias-add, element-wise maps, transpose, the
 element-wise combine of two relations, column sums) is one ``MapBatches``
@@ -25,7 +27,7 @@ arrays; a block becomes ``bytes`` only on a heap page or out of
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -70,14 +72,101 @@ def block_scan_from_table(table: TableInfo, prefix: str) -> Operator:
     return prefix_blocks(SeqScan(table), prefix)
 
 
+class _Reblock(Operator):
+    """Coarsen a block relation's grid by an integer factor (see
+    :func:`reblock`)."""
+
+    def __init__(
+        self,
+        child: Operator,
+        shape: tuple[int, int],
+        block_shape: tuple[int, int],
+        factor: int,
+    ):
+        self._child = child
+        self._schema = child.schema
+        self._shape = shape
+        self._block_shape = block_shape
+        self._factor = factor
+        self._get = itemgetter(*(child.schema.index_of(c) for c in BLOCK_COLUMNS))
+
+    def batches(self) -> Iterator[Batch]:
+        f = self._factor
+        rows, cols = self._shape
+        br, bc = self._block_shape
+        side_r, side_c = br * f, bc * f
+        stored_r, stored_c = -(-rows // br), -(-cols // bc)
+        # (row_blk, col_blk) of a compute block → [its array, stored blocks
+        # still to come].  Row-major input keeps one super-row here.
+        pending: dict[tuple[int, int], list] = {}
+        for batch in self._child.batches():
+            out: tuple[list, ...] = ([], [], [], [], [])
+            for rb, cb, nr, nc, data in zip(*self._get(batch.columns)):
+                key = (int(rb) // f, int(cb) // f)
+                entry = pending.get(key)
+                if entry is None:
+                    i, j = key
+                    block = np.empty(
+                        (min(side_r, rows - i * side_r), min(side_c, cols - j * side_c))
+                    )
+                    parts = min(f, stored_r - i * f) * min(f, stored_c - j * f)
+                    entry = pending[key] = [block, parts]
+                r0, c0 = int(rb) % f * br, int(cb) % f * bc
+                entry[0][r0 : r0 + nr, c0 : c0 + nc] = block_array(nr, nc, data)
+                entry[1] -= 1
+                if not entry[1]:
+                    block = pending.pop(key)[0]
+                    for column, value in zip(out, (*key, *block.shape, block)):
+                        column.append(value)
+            if out[0]:
+                yield Batch(len(out[0]), list(out))
+        if pending:
+            raise ShapeError(
+                f"{len(pending)} compute block(s) of a {rows}×{cols} matrix are "
+                f"missing stored {br}×{bc} blocks"
+            )
+
+    def describe(self) -> str:
+        side_r, side_c = (n * self._factor for n in self._block_shape)
+        return f"Reblock({self._factor}x, {side_r}x{side_c})"
+
+    def children(self) -> tuple[Operator, ...]:
+        return (self._child,)
+
+
+def reblock(
+    source: Operator,
+    shape: tuple[int, int],
+    block_shape: tuple[int, int],
+    factor: int,
+) -> Operator:
+    """Assemble the ``block_shape`` blocks of a ``shape`` matrix into blocks
+    ``factor`` times larger on each side.
+
+    A compute block is emitted only once all its stored blocks have
+    arrived, so the result does not depend on scan order; in row-major
+    order at most one super-row (``factor`` block rows) is pending.
+    ``source`` yields unprefixed block rows; ``factor == 1`` returns it.
+    """
+    if factor == 1:
+        return source
+    return _Reblock(source, shape, block_shape, factor)
+
+
 def matmul_pipeline(
-    a: Operator, b: Operator, a_prefix: str = "a", b_prefix: str = "b"
+    a: Operator,
+    b: Operator,
+    a_prefix: str = "a",
+    b_prefix: str = "b",
+    batch_size: int = 8,
 ) -> Operator:
     """Build the join + multiply + aggregate pipeline for ``A × B``.
 
     ``a`` and ``b`` must produce prefixed block rows (see
     :func:`block_scan_from_matrix` / :func:`block_scan_from_table`).
-    The output schema is the unprefixed block-table schema.
+    The output schema is the unprefixed block-table schema.  The multiply
+    sees ``batch_size`` block pairs at a time, so at most that many
+    partial products are alive before ``SUM_BLOCK`` folds them.
     """
     join = HashJoin(
         a,
@@ -106,15 +195,11 @@ def matmul_pipeline(
             partials.append(left @ right)
         return Batch(len(batch), [a_rb, b_cb, a_nr, b_nc, partials])
 
-    # A partial is a whole stripe-row block (≤ 1024 × 128 doubles at the
-    # engine's default stripe), so at most eight are alive between the
-    # multiply and SUM_BLOCK: the 8 MB that 64 square partials took when
-    # stripes were cut into square blocks.
     multiplied = MapBatches(
         join,
         multiply,
         block_table_schema(),
-        batch_size=8,
+        batch_size=batch_size,
         label="block-multiply",
     )
     return Aggregate(

@@ -50,6 +50,14 @@ def test_model_shape_chain_validated(rng):
         Model("bad", [Linear(4, 8, rng=rng), Linear(9, 2, rng=rng)], input_shape=(4,))
 
 
+def test_model_rejects_parameterised_layers_sharing_a_name(rng):
+    """A parameterised layer's name keys its weight table: two ``linear``s
+    would silently share one."""
+    with pytest.raises(ModelError, match=r"layers 0 and 2 .*'linear'"):
+        Model("dup", [Linear(8, 8, rng=rng), ReLU(), Linear(8, 8, rng=rng)], (8,))
+    Model("ok", [Linear(8, 8, rng=rng, name="a"), ReLU(), ReLU(), Linear(8, 8, rng=rng)], (8,))
+
+
 def test_softmax_rows_sum_to_one(rng):
     model = small_ffnn(rng)
     out = model.forward(rng.normal(size=(6, 4)))

@@ -17,7 +17,7 @@ from repro.models import (
     store_model_blocks,
     zoo_entries,
 )
-from repro.models.store import weight_block_table
+from repro.models.store import load_model_weights, weight_block_table
 from repro.storage import BufferPool, Catalog, InMemoryDiskManager, VersionRecord
 from repro.tensor import BlockedMatrix
 
@@ -98,6 +98,18 @@ def test_store_model_blocks_round_trip(rng):
     # Idempotent.
     again = store_model_blocks(catalog, info, (32, 32))
     assert again == tables
+
+
+def test_load_model_weights_rejects_unknown_and_weightless_layers():
+    catalog = Catalog(BufferPool(InMemoryDiskManager(16 * 1024), capacity_pages=64))
+    info = VersionRecord("fraud", fraud_fc_256())
+    store_model_blocks(catalog, info, (32, 32))
+    loaded = load_model_weights(catalog, info, "fc2", (32, 32))
+    np.testing.assert_array_equal(loaded.to_dense(), info.model.layers[2].weight.data)
+    with pytest.raises(ValueError, match="no layer 'fc9'"):
+        load_model_weights(catalog, info, "fc9", (32, 32))
+    with pytest.raises(ValueError, match="no stored weight matrix"):
+        load_model_weights(catalog, info, info.model.layers[1].name, (32, 32))
 
 
 def test_weight_block_table_lazy_creation(rng):
