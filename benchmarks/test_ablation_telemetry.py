@@ -2,8 +2,9 @@
 
 The telemetry layer instruments every query (spans, counters, per-query
 stats).  Its budget is <5% added latency on the quickstart-style fraud
-workload; the disabled path replaces registry and tracer with shared
-no-op objects and must be indistinguishable from uninstrumented code.
+workload; the disabled path keeps counting into its registry but swaps
+the tracer, recorder and the other recording objects for shared no-op
+objects, and stops exporting metrics.
 
 We run the same PREDICT workload on two otherwise-identical databases —
 ``telemetry_enabled=True`` and ``False`` — taking the min of several

@@ -24,7 +24,7 @@ from __future__ import annotations
 from ..config import SystemConfig
 from ..dlruntime.layers import Model
 from ..errors import PlanError
-from ..telemetry import DISABLED, Telemetry, get_logger
+from ..telemetry import Telemetry, get_logger
 from .cost import node_memory_requirement
 from .ir import (
     VECTOR_SAFE_OPS,
@@ -48,7 +48,7 @@ class RuleBasedOptimizer:
         ledger=None,
     ):
         self._config = config
-        self._telemetry = telemetry if telemetry is not None else DISABLED
+        self._telemetry = telemetry or Telemetry(enabled=False)
         #: Optional :class:`~repro.resilience.RecoveryLedger` — runtime
         #: rescues recorded there lower the rescued operator up-front.
         self._ledger = ledger

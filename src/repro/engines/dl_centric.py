@@ -18,7 +18,7 @@ from ..dlruntime.connector import Connector
 from ..dlruntime.layers import Model
 from ..dlruntime.runtime import ExternalRuntime
 from ..relational.operators import Operator
-from ..telemetry import DISABLED, Telemetry
+from ..telemetry import Telemetry
 from .base import EngineResult
 
 
@@ -33,7 +33,7 @@ class DlCentricEngine:
     ):
         self.connector = connector
         self.runtime = runtime
-        self._telemetry = telemetry if telemetry is not None else DISABLED
+        self._telemetry = telemetry or Telemetry(enabled=False)
         self._m_run_seconds = self._telemetry.registry.histogram(
             "engine_run_seconds", "Per-invocation engine time", engine="dl-centric"
         )

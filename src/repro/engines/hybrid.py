@@ -59,7 +59,7 @@ from ..errors import PlanError, StageTimeoutError
 from ..faults import NULL_INJECTOR, FaultInjector
 from ..resilience import BreakerBoard, Deadline, RecoveryLedger
 from ..storage.catalog import Catalog, VersionRecord
-from ..telemetry import DISABLED, Telemetry
+from ..telemetry import Telemetry
 from .base import EngineResult
 from .dl_centric import DlCentricEngine
 from .relation_centric import RelationCentricEngine
@@ -85,7 +85,7 @@ class HybridExecutor:
     ):
         self.catalog = catalog
         self.config = config
-        self.telemetry = telemetry if telemetry is not None else DISABLED
+        self.telemetry = telemetry or Telemetry(enabled=False)
         self.injector = injector if injector is not None else NULL_INJECTOR
         self.ledger = ledger
         self.breakers = (

@@ -41,7 +41,7 @@ from ..errors import PlanError
 from ..models.store import weight_block_table
 from ..relational.operators import Operator, SeqScan
 from ..storage.catalog import Catalog, VersionRecord, TableInfo
-from ..telemetry import DISABLED, Telemetry
+from ..telemetry import Telemetry
 from ..tensor.block import block_table_schema
 from ..tensor.blocked import BlockedMatrix
 from ..tensor.im2col import im2col
@@ -82,7 +82,7 @@ class RelationCentricEngine:
         self.stripe_rows = (
             stripe_rows if stripe_rows is not None else config.tensor_block_rows * 8
         )
-        self._telemetry = telemetry if telemetry is not None else DISABLED
+        self._telemetry = telemetry or Telemetry(enabled=False)
         self._m_run_seconds = self._telemetry.registry.histogram(
             "engine_run_seconds", "Per-invocation engine time", engine="relation-centric"
         )

@@ -18,7 +18,7 @@ import numpy as np
 
 from ..dlruntime.layers import Layer, Model
 from ..dlruntime.memory import MemoryBudget
-from ..telemetry import DISABLED, Telemetry
+from ..telemetry import Telemetry
 from .base import EngineResult
 
 
@@ -33,7 +33,7 @@ class UdfCentricEngine:
     ):
         self.budget = budget
         self.eager_free = eager_free
-        self._telemetry = telemetry if telemetry is not None else DISABLED
+        self._telemetry = telemetry or Telemetry(enabled=False)
         self._m_run_seconds = self._telemetry.registry.histogram(
             "engine_run_seconds", "Per-invocation engine time", engine="udf-centric"
         )

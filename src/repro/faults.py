@@ -20,9 +20,10 @@ makes failure a first-class, replayable input:
   failure scenario replays bit-for-bit: the same plan and workload
   produce the same faults, in the same order, twice.
 
-* The injector mirrors its activity into telemetry
+* The injector counts its activity in registry counters
   (``fault_injected_total`` / ``retry_total`` / ``recovery_total``, all
-  labelled by site) and backs the ``SHOW FAULTS`` SQL statement.
+  labelled by site) — the only store of those counts — and backs the
+  ``SHOW FAULTS`` SQL statement.
 
 Error kinds raise :class:`~repro.errors.InjectedFaultError` at the site.
 Corruption kinds (``torn_write`` / ``bit_flip``) return the fired spec to
@@ -46,7 +47,7 @@ from dataclasses import dataclass, field, replace
 
 from .errors import ConfigError, InjectedFaultError
 from .relational.schema import ColumnType, Schema
-from .telemetry.registry import NULL_REGISTRY, MetricsRegistry
+from .telemetry.registry import Counter, MetricsRegistry
 
 #: Fault kinds.  ``ERROR`` raises at the site; the corruption kinds damage
 #: bytes in flight and rely on page checksums for later detection.
@@ -205,15 +206,13 @@ class FaultInjector:
         self._lock = threading.Lock()
         self._specs: dict[str, list[FaultSpec]] = {}
         self._site_hits: dict[str, int] = {}
-        self._site_fires: dict[str, int] = {}
-        self._retries: dict[str, int] = {}
-        self._recoveries: dict[str, int] = {}
         self._armed = 0
         self._enabled = False
-        self._registry = metrics if metrics is not None else NULL_REGISTRY
-        self._m_injected: dict[str, object] = {}
-        self._m_retries: dict[str, object] = {}
-        self._m_recoveries: dict[str, object] = {}
+        self._registry = metrics if metrics is not None else MetricsRegistry()
+        # Per-site counters, created on a site's first fire/retry/recovery.
+        self._m_injected: dict[str, Counter] = {}
+        self._m_retries: dict[str, Counter] = {}
+        self._m_recoveries: dict[str, Counter] = {}
         #: Optional flight recorder; every fired fault is logged as a
         #: ``fault.injected`` event with its site and call context.
         self.recorder = None
@@ -270,9 +269,9 @@ class FaultInjector:
         """True when anything is armed or any fault activity was recorded."""
         return (
             self._enabled
-            or bool(self._site_fires)
-            or bool(self._retries)
-            or bool(self._recoveries)
+            or bool(self._m_injected)
+            or bool(self._m_retries)
+            or bool(self._m_recoveries)
         )
 
     # -- firing ----------------------------------------------------------
@@ -307,7 +306,6 @@ class FaultInjector:
                 if not should_fire:
                     continue
                 spec.fires += 1
-                self._site_fires[site] = self._site_fires.get(site, 0) + 1
                 self._counter(self._m_injected, "fault_injected_total", site).inc()
                 if self.recorder is not None:
                     self.recorder.emit(
@@ -336,29 +334,27 @@ class FaultInjector:
     def record_retry(self, site: str) -> None:
         """Count one retry attempt provoked by a (transient) fault."""
         with self._lock:
-            self._retries[site] = self._retries.get(site, 0) + 1
-        self._counter(self._m_retries, "retry_total", site).inc()
+            self._counter(self._m_retries, "retry_total", site).inc()
 
     def record_recovery(self, site: str) -> None:
         """Count one transparent recovery (retry succeeded, recompute
         served the request, backup catalog restored, ...)."""
         with self._lock:
-            self._recoveries[site] = self._recoveries.get(site, 0) + 1
-        self._counter(self._m_recoveries, "recovery_total", site).inc()
+            self._counter(self._m_recoveries, "recovery_total", site).inc()
 
     # -- introspection (SHOW FAULTS) ------------------------------------
 
     @property
     def injected_total(self) -> int:
-        return sum(self._site_fires.values())
+        return _total(self._m_injected)
 
     @property
     def retry_total(self) -> int:
-        return sum(self._retries.values())
+        return _total(self._m_retries)
 
     @property
     def recovery_total(self) -> int:
-        return sum(self._recoveries.values())
+        return _total(self._m_recoveries)
 
     def hit_count(self, site: str) -> int:
         return self._site_hits.get(site, 0)
@@ -372,9 +368,9 @@ class FaultInjector:
             for site in sites:
                 specs = self._specs.get(site, [])
                 hits = self._site_hits.get(site, 0)
-                fires = self._site_fires.get(site, 0)
-                retries = self._retries.get(site, 0)
-                recoveries = self._recoveries.get(site, 0)
+                fires = _total(self._m_injected, site)
+                retries = _total(self._m_retries, site)
+                recoveries = _total(self._m_recoveries, site)
                 if specs:
                     for spec in specs:
                         out.append(
@@ -396,7 +392,8 @@ class FaultInjector:
                     )
             return out
 
-    def _counter(self, cache: dict[str, object], name: str, site: str):
+    def _counter(self, cache: dict[str, Counter], name: str, site: str) -> Counter:
+        # Callers hold self._lock.
         counter = cache.get(site)
         if counter is None:
             counter = self._registry.counter(
@@ -404,6 +401,14 @@ class FaultInjector:
             )
             cache[site] = counter
         return counter
+
+
+def _total(counters: dict[str, Counter], site: str | None = None) -> int:
+    """One site's count (or every site's, summed) from per-site counters."""
+    if site is not None:
+        counter = counters.get(site)
+        return int(counter.value) if counter is not None else 0
+    return int(sum(c.value for c in list(counters.values())))
 
 
 #: Shared disabled injector: components constructed without explicit

@@ -431,7 +431,6 @@ class ModelServer:
                 ("server.inflight_batches", self._inflight),
             ]
             for outcome in REQUEST_OUTCOMES:
-                # Null metrics (telemetry disabled) report 0 here.
                 rows.append(
                     (f"server.requests.{outcome}",
                      int(self._m_requests[outcome].value))

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,30 +29,7 @@ from ..faults import NULL_INJECTOR, FaultInjector
 from ..indexes.base import VectorIndex
 from ..relational.schema import ColumnType, Schema
 from ..storage.catalog import Catalog, TableInfo
-from ..telemetry.registry import NULL_REGISTRY, MetricsRegistry
-
-
-def _cache_metrics(metrics: MetricsRegistry | None, model: Model, kind: str):
-    """Counter/histogram handles for one cache instance."""
-    registry = metrics if metrics is not None else NULL_REGISTRY
-    labels = {"model": model.name, "kind": kind}
-    return (
-        registry.counter(
-            "result_cache_hits_total", "Queries answered from the cache", **labels
-        ),
-        registry.counter(
-            "result_cache_misses_total", "Queries that ran the model", **labels
-        ),
-        registry.counter(
-            "result_cache_inserts_total", "Entries inserted into the cache", **labels
-        ),
-        registry.histogram(
-            "result_cache_lookup_seconds", "Per-batch cache probe time", **labels
-        ),
-        registry.histogram(
-            "result_cache_model_seconds", "Per-batch model time on misses", **labels
-        ),
-    )
+from ..telemetry.registry import CounterView, MetricsRegistry
 
 
 @dataclass
@@ -70,23 +47,84 @@ class CacheServeReport:
         return self.hits / total if total else 0.0
 
 
-@dataclass
-class CacheStats:
-    """Lifetime counters."""
+class _ResultCache:
+    """What the exact and ANN caches share: the model, the fault site,
+    the registry counters (read live through ``stats``), and the
+    per-batch bookkeeping that ends every ``serve``."""
 
-    hits: int = 0
-    misses: int = 0
-    inserts: int = 0
-    model_seconds: float = 0.0
-    lookup_seconds: float = 0.0
+    def __init__(
+        self,
+        model: Model,
+        kind: str,
+        metrics: MetricsRegistry | None,
+        injector: FaultInjector | None,
+        recorder,
+    ):
+        self.model = model
+        self._kind = kind
+        self._injector = injector if injector is not None else NULL_INJECTOR
+        self._recorder = recorder
+        registry = metrics if metrics is not None else MetricsRegistry()
+        labels = {"model": model.name, "kind": kind}
+        self._m_hits = registry.counter(
+            "result_cache_hits_total", "Queries answered from the cache", **labels
+        )
+        self._m_misses = registry.counter(
+            "result_cache_misses_total", "Queries that ran the model", **labels
+        )
+        self._m_inserts = registry.counter(
+            "result_cache_inserts_total", "Entries inserted into the cache", **labels
+        )
+        self._m_lookup_seconds = registry.histogram(
+            "result_cache_lookup_seconds", "Per-batch cache probe time", **labels
+        )
+        self._m_model_seconds = registry.histogram(
+            "result_cache_model_seconds", "Per-batch model time on misses", **labels
+        )
+        #: Lifetime reads: ``hits``, ``misses``, ``inserts``, ``hit_rate``,
+        #: ``lookup_seconds`` and ``model_seconds`` (histogram sums).
+        self.stats = CounterView(
+            hits=self._m_hits,
+            misses=self._m_misses,
+            inserts=self._m_inserts,
+            lookup_seconds=self._m_lookup_seconds,
+            model_seconds=self._m_model_seconds,
+        )
 
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
+    def _account(
+        self,
+        hits: int,
+        misses: int,
+        lookup_seconds: float,
+        model_seconds: float,
+        degraded: bool,
+    ) -> CacheServeReport:
+        """Count one served batch, emit its ``cache.*`` event, report it."""
+        if degraded:
+            self._injector.record_recovery("result_cache.lookup")
+        self._m_hits.inc(hits)
+        self._m_misses.inc(misses)
+        self._m_lookup_seconds.observe(lookup_seconds)
+        if misses:
+            self._m_model_seconds.observe(model_seconds)
+        if self._recorder is not None:
+            self._recorder.emit(
+                "cache.hit" if hits >= misses else "cache.miss",
+                model=self.model.name,
+                cache=self._kind,
+                hits=hits,
+                misses=misses,
+                degraded=degraded,
+            )
+        return CacheServeReport(
+            hits=hits,
+            misses=misses,
+            model_seconds=model_seconds,
+            lookup_seconds=lookup_seconds,
+        )
 
 
-class InferenceResultCache:
+class InferenceResultCache(_ResultCache):
     """An ANN-indexed cache in front of a model.
 
     Thread-safe: lookup, model execution on misses, and insertion run
@@ -114,20 +152,10 @@ class InferenceResultCache:
         injector: FaultInjector | None = None,
         recorder=None,
     ):
-        self.model = model
+        super().__init__(model, "ann", metrics, injector, recorder)
         self.index = index
         self.distance_threshold = float(distance_threshold)
         self.insert_on_miss = insert_on_miss
-        self._injector = injector if injector is not None else NULL_INJECTOR
-        self._recorder = recorder
-        self.stats = CacheStats()
-        (
-            self._m_hits,
-            self._m_misses,
-            self._m_inserts,
-            self._m_lookup_seconds,
-            self._m_model_seconds,
-        ) = _cache_metrics(metrics, model, "ann")
         self._predictions: dict[int, int] = {}
         self._next_id = 0
         self._lock = threading.RLock()
@@ -164,7 +192,6 @@ class InferenceResultCache:
                     (int(vid), vector.tobytes(), int(pred))
                 )
                 self._table.row_count += 1
-        self.stats.inserts += flat.shape[0]
         self._m_inserts.inc(flat.shape[0])
 
     # -- serving ---------------------------------------------------------
@@ -221,24 +248,8 @@ class InferenceResultCache:
                 predictions[miss_idx] = fresh
                 if self.insert_on_miss and not degraded:
                     self._insert(flat[miss_idx], fresh)
-
-            hits = n - len(miss_rows)
-            self.stats.hits += hits
-            self.stats.misses += len(miss_rows)
-            self.stats.model_seconds += model_seconds
-            self.stats.lookup_seconds += lookup_seconds
-        if degraded:
-            self._injector.record_recovery("result_cache.lookup")
-        self._m_hits.inc(hits)
-        self._m_misses.inc(len(miss_rows))
-        self._m_lookup_seconds.observe(lookup_seconds)
-        if miss_rows:
-            self._m_model_seconds.observe(model_seconds)
-        return predictions, CacheServeReport(
-            hits=hits,
-            misses=len(miss_rows),
-            model_seconds=model_seconds,
-            lookup_seconds=lookup_seconds,
+        return predictions, self._account(
+            n - len(miss_rows), len(miss_rows), lookup_seconds, model_seconds, degraded
         )
 
     def serve_exact(self, features: np.ndarray) -> tuple[np.ndarray, float]:
@@ -248,7 +259,7 @@ class InferenceResultCache:
         return predictions, time.perf_counter() - start
 
 
-class ExactResultCache:
+class ExactResultCache(_ResultCache):
     """Exact inference-result caching via hash indexing (Sec. 5.1).
 
     The paper's alternative to approximate ANN caching for
@@ -265,20 +276,10 @@ class ExactResultCache:
         injector: FaultInjector | None = None,
         recorder=None,
     ):
-        self.model = model
+        super().__init__(model, "exact", metrics, injector, recorder)
         self.max_entries = max_entries
-        self._injector = injector if injector is not None else NULL_INJECTOR
-        self._recorder = recorder
         self._entries: dict[bytes, int] = {}
         self._lock = threading.Lock()
-        self.stats = CacheStats()
-        (
-            self._m_hits,
-            self._m_misses,
-            self._m_inserts,
-            self._m_lookup_seconds,
-            self._m_model_seconds,
-        ) = _cache_metrics(metrics, model, "exact")
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -324,34 +325,9 @@ class ExactResultCache:
                             or len(self._entries) < self.max_entries
                         ):
                             self._entries[keys[i]] = int(pred)
-                    self.stats.inserts += len(miss_rows)
                     self._m_inserts.inc(len(miss_rows))
-            hits = n - len(miss_rows)
-            self.stats.hits += hits
-            self.stats.misses += len(miss_rows)
-            self.stats.model_seconds += model_seconds
-            self.stats.lookup_seconds += lookup_seconds
-        if degraded:
-            self._injector.record_recovery("result_cache.lookup")
-        self._m_hits.inc(hits)
-        self._m_misses.inc(len(miss_rows))
-        self._m_lookup_seconds.observe(lookup_seconds)
-        if miss_rows:
-            self._m_model_seconds.observe(model_seconds)
-        if self._recorder is not None:
-            self._recorder.emit(
-                "cache.hit" if hits >= len(miss_rows) else "cache.miss",
-                model=self.model.name,
-                kind="exact",
-                hits=hits,
-                misses=len(miss_rows),
-                degraded=degraded,
-            )
-        return predictions, CacheServeReport(
-            hits=hits,
-            misses=len(miss_rows),
-            model_seconds=model_seconds,
-            lookup_seconds=lookup_seconds,
+        return predictions, self._account(
+            n - len(miss_rows), len(miss_rows), lookup_seconds, model_seconds, degraded
         )
 
 

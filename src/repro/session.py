@@ -280,11 +280,9 @@ class Database:
         # The fault injector exists before any component that can fail, so
         # a plan passed at construction covers the restore path too.
         self._faults = FaultInjector(
-            seed=self._config.faults_seed or self._config.seed,
-            metrics=registry if self._telemetry.enabled else None,
+            seed=self._config.faults_seed or self._config.seed, metrics=registry
         )
-        if self._telemetry.enabled:
-            self._faults.recorder = self._telemetry.events
+        self._faults.recorder = self._telemetry.events
         if fault_plan is not None:
             self._faults.load_plan(fault_plan)
         if path is not None:
@@ -299,7 +297,7 @@ class Database:
             self._disk,
             self._config.buffer_pool_pages,
             policy=_make_policy(self._config.eviction_policy),
-            metrics=registry if self._telemetry.enabled else None,
+            metrics=registry,
             injector=self._faults,
         )
         self._catalog = Catalog(self._pool)
@@ -346,7 +344,10 @@ class Database:
                     for r in self._lifecycle.snapshot().records()
                 ),
             ),
-            "metrics": (METRICS_SCHEMA, telemetry.registry.rows),
+            "metrics": (
+                METRICS_SCHEMA,
+                lambda: telemetry.registry.rows() if telemetry.enabled else [],
+            ),
             "stats": (_STAT_SCHEMA, self._system_stats_rows),
             "server": (
                 _STAT_SCHEMA,
@@ -384,7 +385,7 @@ class Database:
         snapshot = persist.load_sidecar(
             persist.sidecar_path(path),
             injector=self._faults,
-            recorder=self._telemetry.events if self._telemetry.enabled else None,
+            recorder=self._telemetry.events,
         )
         if snapshot is None:
             return
@@ -445,7 +446,10 @@ class Database:
         return self._telemetry
 
     def metrics_text(self) -> str:
-        """The metrics registry in the Prometheus text exposition format."""
+        """The metrics registry in the Prometheus text exposition format
+        (empty with telemetry disabled: the counters run, export stops)."""
+        if not self._telemetry.enabled:
+            return ""
         return self._telemetry.registry.render_prometheus()
 
     def export_trace(self, path: str) -> int:
@@ -1184,13 +1188,13 @@ class Database:
         with self._rwlock.write():
             info = self.model_info(name)
             model = info.model
-            metrics = (
-                self._telemetry.registry if self._telemetry.enabled else None
-            )
+            wiring = {
+                "metrics": self._telemetry.registry,
+                "injector": self._faults,
+                "recorder": self._telemetry.events,
+            }
             if exact:
-                self._caches[info.model_name] = ExactResultCache(
-                    model, metrics=metrics, injector=self._faults
-                )
+                self._caches[info.model_name] = ExactResultCache(model, **wiring)
                 return
             dim = int(np.prod(model.input_shape))
             self._caches[info.model_name] = InferenceResultCache(
@@ -1199,8 +1203,7 @@ class Database:
                 distance_threshold=distance_threshold,
                 catalog=self._catalog,
                 table_name=f"__cache_{info.model_name}",
-                metrics=metrics,
-                injector=self._faults,
+                **wiring,
             )
 
     def disable_result_cache(self, name: str) -> None:
@@ -1416,9 +1419,7 @@ class Database:
                 persist.sidecar_path(self._path),
                 snapshot,
                 injector=self._faults,
-                recorder=(
-                    self._telemetry.events if self._telemetry.enabled else None
-                ),
+                recorder=self._telemetry.events,
             )
         # Free the frames and (in memory) the pages now, not when the
         # cyclic GC gets to this database.

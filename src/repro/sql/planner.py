@@ -35,7 +35,7 @@ from ..relational.operators import (
 )
 from ..relational.schema import Column, ColumnType, Schema
 from ..storage.catalog import Catalog
-from ..telemetry import DISABLED, Telemetry
+from ..telemetry import Telemetry
 from .ast import AggregateCall, Join, PredictCall, Select, SelectItem, Star, TableRef
 
 # (model name, feature matrix, proba class or None) -> predictions:
@@ -67,7 +67,7 @@ class Planner:
         # stubbed predict_fn) unknown names surface at execution.
         self._has_model = has_model
         self._batch_size = predict_batch_size
-        self._telemetry = telemetry if telemetry is not None else DISABLED
+        self._telemetry = telemetry or Telemetry(enabled=False)
         self._m_plans = self._telemetry.registry.counter(
             "planner_selects_total", "SELECT statements planned"
         )

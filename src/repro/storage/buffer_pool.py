@@ -3,42 +3,21 @@
 The buffer pool is the mechanism behind the paper's key Table 3 result:
 relation-centric execution keeps only a bounded set of tensor-block pages in
 memory and spills the rest, so operators whose tensors dwarf RAM still run.
-The pool supports LRU and Clock replacement and exposes hit/miss/eviction
-counters that the benchmarks report.
+The pool supports LRU, Clock and 2Q replacement and counts hits, misses,
+evictions and dirty write-backs in registry counters; ``pool.stats``
+reads them live for the benchmarks.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
 
 from ..errors import BufferPoolError, StorageError
 from ..faults import NULL_INJECTOR, FaultInjector
-from ..telemetry.registry import NULL_REGISTRY, MetricsRegistry
+from ..telemetry.registry import CounterView, MetricsRegistry
 from .disk import DiskManager
 from .page import Page, PageId
-
-
-@dataclass
-class BufferPoolStats:
-    """Counters exposed for benchmark reporting."""
-
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-    dirty_writebacks: int = 0
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def reset(self) -> None:
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.dirty_writebacks = 0
 
 
 class EvictionPolicy:
@@ -186,16 +165,7 @@ class BufferPool:
         # the replacement policy's bookkeeping must be atomic when the
         # serving front-end runs concurrent readers over one pool.
         self._lock = threading.RLock()
-        self.stats = BufferPoolStats()
-        self.set_metrics(metrics)
-
-    def set_metrics(self, metrics: MetricsRegistry | None) -> None:
-        """Mirror the pool's counters into a telemetry registry.
-
-        The pool holds direct references to its counters, so the per-access
-        cost is one no-op call when telemetry is disabled.
-        """
-        registry = metrics if metrics is not None else NULL_REGISTRY
+        registry = metrics if metrics is not None else MetricsRegistry()
         self._m_hits = registry.counter(
             "bufferpool_hits_total", "Page requests served from memory"
         )
@@ -210,6 +180,14 @@ class BufferPool:
         )
         self._m_resident = registry.gauge(
             "bufferpool_resident_pages", "Pages currently held in frames"
+        )
+        #: Live reads of the counters: ``stats.hits``, ``stats.misses``,
+        #: ``stats.evictions``, ``stats.dirty_writebacks``, ``hit_rate``.
+        self.stats = CounterView(
+            hits=self._m_hits,
+            misses=self._m_misses,
+            evictions=self._m_evictions,
+            dirty_writebacks=self._m_writebacks,
         )
 
     @property
@@ -242,12 +220,10 @@ class BufferPool:
         with self._lock:
             page = self._pages.get(page_id)
             if page is not None:
-                self.stats.hits += 1
                 self._m_hits.inc()
                 page.pin()
                 self._policy.record_access(page_id)
                 return page
-            self.stats.misses += 1
             self._m_misses.inc()
             self._ensure_frame_available()
             page = Page(page_id, self._disk.page_size, self._disk.read_page(page_id))
@@ -301,12 +277,10 @@ class BufferPool:
             )
         victim = self._pages.pop(victim_id)
         self._policy.record_removal(victim_id)
-        self.stats.evictions += 1
         self._m_evictions.inc()
         self._m_resident.set(len(self._pages))
         if victim.dirty:
             self._disk.write_page(victim_id, bytes(victim.data))
-            self.stats.dirty_writebacks += 1
             self._m_writebacks.inc()
 
     def pinned_page_count(self) -> int:

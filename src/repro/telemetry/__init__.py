@@ -11,8 +11,12 @@ One :class:`Telemetry` object bundles the three collection surfaces —
   lifecycle events queryable via ``SHOW EVENTS`` / ``SHOW TIMELINE`` —
 
 behind a single on/off switch (``SystemConfig.telemetry_enabled``).
-Disabled telemetry swaps in shared null objects, so instrumented hot
-paths pay only a no-op method call.
+Counters are system state, so every ``Telemetry`` owns a live registry
+and the switch stops *exporting* it, not counting into it.  What the
+switch does skip is recording work: disabled telemetry swaps in shared
+null tracer, recorder, auditor, workload store, SLO tracker and profiler
+objects, so spans, events, plan audits, fingerprints, burn rates and
+stage samples cost one no-op method call.
 
 A :class:`~repro.session.Database` owns one ``Telemetry``; query it from
 SQL with ``SHOW METRICS`` / ``SHOW STATS`` / ``SHOW EVENTS`` /
@@ -68,13 +72,11 @@ from .workload import (
 )
 from .registry import (
     DEFAULT_LATENCY_BUCKETS,
-    GLOBAL_REGISTRY,
-    NULL_REGISTRY,
     Counter,
+    CounterView,
     Gauge,
     Histogram,
     MetricsRegistry,
-    NullRegistry,
 )
 from .tracing import NULL_TRACER, NullTracer, Span, TraceContext, Tracer
 
@@ -82,78 +84,58 @@ from .tracing import NULL_TRACER, NullTracer, Span, TraceContext, Tracer
 class Telemetry:
     """One registry + tracer + flight recorder + plan auditor + workload
     intelligence (fingerprint store, SLO tracker, stage profiler) behind
-    a single switch."""
+    a single switch.
+
+    The registry is live either way; ``enabled`` decides whether it is
+    exported and whether the recording objects are real or null.
+    """
 
     def __init__(
         self,
         enabled: bool = True,
-        registry: MetricsRegistry | None = None,
-        tracer: Tracer | None = None,
         max_spans: int = 16384,
         page_size: int = 64 * 1024,
         slo_min_samples: int = 8,
         profiler_interval_ms: float = 5.0,
     ):
         self.enabled = enabled
-        if enabled:
-            self.registry: MetricsRegistry | NullRegistry = (
-                registry if registry is not None else MetricsRegistry()
-            )
-            self.tracer: Tracer | NullTracer = (
-                tracer if tracer is not None else Tracer(max_spans=max_spans)
-            )
-            # Truncated Chrome traces must be self-explaining: overflow
-            # drops feed a registry counter surfaced by SHOW STATS.
-            self.tracer.drop_counter = self.registry.counter(
-                "tracer_spans_dropped_total",
-                "Finished spans dropped by the tracer ring buffer",
-            )
-            register_tracer(self.tracer)  # log-record trace correlation
-            self.audit: PlanAuditor | NullAuditor = PlanAuditor(self.registry)
-            self.events: FlightRecorder | NullRecorder = FlightRecorder(
-                metrics=self.registry
-            )
-            self.workload: WorkloadStore | NullWorkloadStore = WorkloadStore(
-                page_size=page_size, metrics=self.registry, recorder=self.events
-            )
-            self.slo: SloTracker | NullSloTracker = SloTracker(
-                min_samples=slo_min_samples,
-                metrics=self.registry,
-                recorder=self.events,
-            )
-            self.profiler: StageProfiler | NullStageProfiler = StageProfiler(
-                interval_ms=profiler_interval_ms, metrics=self.registry
-            )
-        else:
-            self.registry = NULL_REGISTRY
-            self.tracer = NULL_TRACER
-            self.audit = NULL_AUDITOR
-            self.events = NULL_RECORDER
-            self.workload = NULL_WORKLOAD
-            self.slo = NULL_SLO
-            self.profiler = NULL_PROFILER
+        self.registry = MetricsRegistry()
+        if not enabled:
+            self.tracer: Tracer | NullTracer = NULL_TRACER
+            self.audit: PlanAuditor | NullAuditor = NULL_AUDITOR
+            self.events: FlightRecorder | NullRecorder = NULL_RECORDER
+            self.workload: WorkloadStore | NullWorkloadStore = NULL_WORKLOAD
+            self.slo: SloTracker | NullSloTracker = NULL_SLO
+            self.profiler: StageProfiler | NullStageProfiler = NULL_PROFILER
+            return
+        self.tracer = Tracer(max_spans=max_spans, metrics=self.registry)
+        register_tracer(self.tracer)  # log-record trace correlation
+        self.audit = PlanAuditor(self.registry)
+        self.events = FlightRecorder(metrics=self.registry)
+        self.workload = WorkloadStore(
+            page_size=page_size, metrics=self.registry, recorder=self.events
+        )
+        self.slo = SloTracker(
+            min_samples=slo_min_samples, metrics=self.registry, recorder=self.events
+        )
+        self.profiler = StageProfiler(
+            interval_ms=profiler_interval_ms, metrics=self.registry
+        )
 
-
-#: Shared disabled instance — components default to this when no
-#: telemetry is supplied, keeping instrumentation cost at one no-op call.
-DISABLED = Telemetry(enabled=False)
 
 __all__ = [
     "Telemetry",
-    "DISABLED",
     "PlanAuditor",
     "NullAuditor",
     "StageAudit",
     "AUDIT_COLUMNS",
     "NULL_AUDITOR",
     "MetricsRegistry",
-    "NullRegistry",
     "Counter",
+    "CounterView",
     "Gauge",
     "Histogram",
     "DEFAULT_LATENCY_BUCKETS",
-    "GLOBAL_REGISTRY",
-    "NULL_REGISTRY",
     "Tracer",
     "NullTracer",
     "Span",

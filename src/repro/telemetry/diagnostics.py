@@ -86,7 +86,7 @@ def build_bundle(
             else None
         ),
         "config": dataclasses.asdict(db.config),
-        "metrics": telemetry.registry.snapshot(),
+        "metrics": telemetry.registry.snapshot() if telemetry.enabled else {},
         "breakers": _breaker_rows(db),
         "recovery_ledger": [list(row) for row in db.recovery_ledger.rows()],
         "faults": {"seed": db.faults.seed, "armed": db.faults.armed_count},

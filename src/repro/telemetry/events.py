@@ -27,6 +27,7 @@ from collections import deque
 from typing import NamedTuple
 
 from ..relational.schema import ColumnType, Schema
+from .registry import MetricsRegistry
 
 #: Event kinds the system emits (free-form kinds are allowed; these are
 #: the ones wired in and asserted on by tests).
@@ -141,7 +142,7 @@ class FlightRecorder:
         self._seq = 0
         self.emitted_total = 0
         self.evicted_total = 0
-        self._registry = metrics
+        self._registry = metrics if metrics is not None else MetricsRegistry()
         self._m_by_kind: dict[str, object] = {}
 
     def emit(self, kind: str, trace_id: int | None = None, **fields: object) -> Event:
@@ -156,14 +157,13 @@ class FlightRecorder:
                 self.evicted_total += 1
             self._ring.append(event)
             self.emitted_total += 1
-        if self._registry is not None:
-            counter = self._m_by_kind.get(kind)
-            if counter is None:
-                counter = self._registry.counter(
-                    "flight_events_total", "Flight-recorder events", kind=kind
-                )
-                self._m_by_kind[kind] = counter
-            counter.inc()
+        counter = self._m_by_kind.get(kind)
+        if counter is None:
+            counter = self._registry.counter(
+                "flight_events_total", "Flight-recorder events", kind=kind
+            )
+            self._m_by_kind[kind] = counter
+        counter.inc()
         return event
 
     def __len__(self) -> int:

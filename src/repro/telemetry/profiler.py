@@ -24,6 +24,7 @@ import threading
 
 from ..errors import TelemetryError
 from ..relational.schema import ColumnType, Schema
+from .registry import MetricsRegistry
 
 #: The ``profile`` system relation (``SHOW PROFILE``).
 PROFILE_SCHEMA = Schema.of(
@@ -75,16 +76,13 @@ class StageProfiler:
         self._lock = threading.Lock()
         self._stop_event = threading.Event()
         self._thread: threading.Thread | None = None
-        if metrics is not None:
-            self._m_samples = metrics.counter(
-                "profiler_samples_total", "Stage samples attributed"
-            )
-            self._m_running = metrics.gauge(
-                "profiler_running", "1 while the sampling profiler is active"
-            )
-        else:
-            self._m_samples = None
-            self._m_running = None
+        registry = metrics if metrics is not None else MetricsRegistry()
+        self._m_samples = registry.counter(
+            "profiler_samples_total", "Stage samples attributed"
+        )
+        self._m_running = registry.gauge(
+            "profiler_running", "1 while the sampling profiler is active"
+        )
 
     # -- hot-path hooks (called by the engine around every stage) --------
 
@@ -111,8 +109,7 @@ class StageProfiler:
                 target=self._sample_loop, name="repro-profiler", daemon=True
             )
             self._thread.start()
-        if self._m_running is not None:
-            self._m_running.set(1)
+        self._m_running.set(1)
         return True
 
     def stop(self) -> bool:
@@ -127,8 +124,7 @@ class StageProfiler:
         if thread is not None:
             thread.join(timeout=2.0)
         self._active.clear()
-        if self._m_running is not None:
-            self._m_running.set(0)
+        self._m_running.set(0)
         return True
 
     def _sample_loop(self) -> None:
@@ -147,8 +143,7 @@ class StageProfiler:
                         frame = OVERFLOW_FRAME
                     self._counts[frame] = self._counts.get(frame, 0) + 1
                     self._sampled += 1
-            if self._m_samples is not None:
-                self._m_samples.inc(len(frames))
+            self._m_samples.inc(len(frames))
 
     # -- results ---------------------------------------------------------
 

@@ -1,15 +1,19 @@
 """Process-wide metrics: counters, gauges, and histograms.
 
-The registry is the single sink for every counter the system used to keep
-in per-subsystem silos (``BufferPoolStats``, ``CacheStats``, engine
-``detail`` dicts).  Subsystems register metrics by name (plus optional
-labels) and get the *same* metric object back on every call, so hot paths
-hold a direct reference and pay one attribute access plus one float add
-per event.
+The registry is the only store for the counters components keep: the
+buffer pool's hits and misses, the result caches', the fault injector's
+per-site fires, retries and recoveries.  Subsystems register metrics by
+name (plus optional labels) and get the *same* metric object back on
+every call, so hot paths hold a direct reference and pay one locked add
+per event.  A component's ``stats`` (a :class:`CounterView`) reads its
+counters live.
 
-When telemetry is disabled the registry is replaced by
-:data:`NULL_REGISTRY`, whose metrics are shared no-op singletons — the
-disabled fast path costs a method call that immediately returns.
+Counters are system state and always live: a component takes its
+registry or defaults to a private ``MetricsRegistry()``, and disabled
+telemetry stops *exporting* the registry (``SHOW METRICS``,
+``Database.metrics_text()``, the diagnostics bundle), not counting into
+it, so ``SHOW HEALTH`` / ``SHOW SERVER`` / ``SHOW CLUSTER`` read the same
+numbers either way.
 
 Rendering follows the Prometheus text exposition format
 (``render_prometheus``), so the output can be scraped or diffed by
@@ -256,8 +260,6 @@ class MetricsRegistry:
     in Prometheus).
     """
 
-    enabled = True
-
     def __init__(self) -> None:
         self._metrics: dict[tuple[str, LabelKey], Metric] = {}
         self._kinds: dict[str, str] = {}
@@ -367,93 +369,31 @@ class MetricsRegistry:
             metric.reset()
 
 
-class _NullCounter:
-    """No-op stand-in used when telemetry is disabled."""
+class CounterView:
+    """Live named reads of a component's registry metrics (its ``stats``).
 
-    kind = "counter"
-    name = ""
-    help = ""
-    labels: LabelKey = ()
-    value = 0.0
-    count = 0
-    sum = 0.0
-    mean = 0.0
-    __slots__ = ()
+    ``view.hits`` is the ``hits`` counter's current value as an int (a
+    histogram reads as its running sum), so the registry stays the only
+    store of the fact.  :meth:`reset` zeroes the underlying metrics.
+    """
 
-    def inc(self, amount: float = 1.0) -> None:
-        pass
+    __slots__ = ("_metrics",)
 
-    def set(self, value: float) -> None:
-        pass
+    def __init__(self, **metrics: Counter | Histogram) -> None:
+        self._metrics = metrics
 
-    def dec(self, amount: float = 1.0) -> None:
-        pass
+    def __getattr__(self, name: str) -> float:
+        try:
+            metric = self._metrics[name]
+        except KeyError:
+            raise AttributeError(name) from None
+        return metric.sum if isinstance(metric, Histogram) else int(metric.value)
 
-    def observe(self, value: float) -> None:
-        pass
-
-    def reset(self) -> None:
-        pass
-
-    def quantile(self, q: float) -> float:
-        return 0.0
-
-    def bucket_counts(self) -> dict[float, int]:
-        return {}
-
-    def samples(self) -> Iterator[tuple[str, str, float]]:
-        return iter(())
-
-
-_NULL_METRIC = _NullCounter()
-
-
-class NullRegistry:
-    """A registry whose every metric is a shared no-op singleton."""
-
-    enabled = False
-
-    def __len__(self) -> int:
-        return 0
-
-    def __iter__(self) -> Iterator[Metric]:
-        return iter(())
-
-    def counter(self, name: str, help: str = "", **labels: object) -> _NullCounter:
-        return _NULL_METRIC
-
-    def gauge(self, name: str, help: str = "", **labels: object) -> _NullCounter:
-        return _NULL_METRIC
-
-    def histogram(
-        self,
-        name: str,
-        help: str = "",
-        buckets: tuple[float, ...] | None = None,
-        **labels: object,
-    ) -> _NullCounter:
-        return _NULL_METRIC
-
-    def get(self, name: str, **labels: object) -> None:
-        return None
-
-    def snapshot(self) -> dict[str, float]:
-        return {}
-
-    def rows(self) -> list[tuple]:
-        return []
-
-    def render_prometheus(self) -> str:
-        return ""
+    @property
+    def hit_rate(self) -> float:
+        total = self.hits + self.misses
+        return self.hits / total if total else 0.0
 
     def reset(self) -> None:
-        pass
-
-
-#: Shared no-op registry for disabled telemetry.
-NULL_REGISTRY = NullRegistry()
-
-#: Process-wide default registry for library users who want one global
-#: sink (each :class:`repro.Database` gets its own registry by default so
-#: sessions do not pollute each other's ``SHOW METRICS``).
-GLOBAL_REGISTRY = MetricsRegistry()
+        for metric in self._metrics.values():
+            metric.reset()

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 
 from ..errors import TelemetryError
 from ..relational.schema import ColumnType, Schema
+from .registry import MetricsRegistry
 
 #: The ``slo`` system relation (``SHOW SLO``): one row per (model, window).
 SLO_SCHEMA = Schema.of(
@@ -154,7 +155,7 @@ class SloTracker:
         self._clock = clock
         self._models: dict[str, _ModelState] = {}
         self._lock = threading.Lock()
-        self._metrics = metrics
+        self._metrics = metrics if metrics is not None else MetricsRegistry()
         self._recorder = recorder
         self._gauges: dict[tuple[str, str], object] = {}
 
@@ -234,9 +235,9 @@ class SloTracker:
                     window.add(now, bad)
                     self._transition_locked(model, state, window)
             for window in windows:
-                gauge = self._gauge(model, window.name)
-                if gauge is not None:
-                    gauge.set(round(self._burn(state, window), 6))
+                self._gauge(model, window.name).set(
+                    round(self._burn(state, window), 6)
+                )
 
     # -- evaluation ------------------------------------------------------
 
@@ -256,7 +257,7 @@ class SloTracker:
     def _gauge(self, model: str, window: str):
         key = (model, window)
         gauge = self._gauges.get(key)
-        if gauge is None and self._metrics is not None:
+        if gauge is None:
             gauge = self._metrics.gauge(
                 "slo_burn_rate",
                 "Error-budget burn rate (1.0 = spending exactly on budget)",

@@ -22,7 +22,7 @@ longer shatters into per-thread orphans.  Spans that outlive a single
 :meth:`Span.finish`.
 
 Finished spans accumulate in a ring of the newest ``max_spans`` (each
-eviction counts into ``Tracer.dropped`` and, when wired, a
+eviction counts into ``Tracer.dropped`` and the
 ``tracer_spans_dropped_total`` metric) until exported with
 :meth:`Tracer.export_chrome_trace`, which
 writes the Chrome trace-event JSON format — load the file at
@@ -46,6 +46,8 @@ from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterator
+
+from .registry import MetricsRegistry
 
 
 @dataclass(frozen=True)
@@ -130,7 +132,7 @@ class Tracer:
 
     enabled = True
 
-    def __init__(self, max_spans: int = 16384):
+    def __init__(self, max_spans: int = 16384, metrics=None):
         if max_spans < 1:
             from ..errors import TelemetryError
 
@@ -140,10 +142,12 @@ class Tracer:
         self._ids = itertools.count(1)
         self._lock = threading.Lock()
         self._thread_names: dict[int, str] = {}
-        self.dropped = 0
-        #: Optional Counter mirroring ``dropped`` into the metrics
-        #: registry (``tracer_spans_dropped_total``); wired by Telemetry.
-        self.drop_counter = None
+        self.dropped = 0  # zeroed by clear(); the counter stays monotonic
+        registry = metrics if metrics is not None else MetricsRegistry()
+        self._m_dropped = registry.counter(
+            "tracer_spans_dropped_total",
+            "Finished spans dropped by the tracer ring buffer",
+        )
 
     def _stack(self) -> list:
         stack = getattr(self._local, "stack", None)
@@ -185,8 +189,7 @@ class Tracer:
         with self._lock:
             if len(self._finished) == self._finished.maxlen:
                 self.dropped += 1  # the ring evicts its oldest span
-                if self.drop_counter is not None:
-                    self.drop_counter.inc()
+                self._m_dropped.inc()
             self._finished.append(span)
 
     @contextmanager
@@ -438,7 +441,6 @@ class NullTracer:
 
     enabled = False
     dropped = 0
-    drop_counter = None
 
     @property
     def finished(self) -> list[Span]:

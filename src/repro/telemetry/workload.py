@@ -44,7 +44,7 @@ from ..relational.expressions import (
     UnaryOp,
 )
 from ..relational.schema import ColumnType, Schema
-from .registry import DEFAULT_LATENCY_BUCKETS, Histogram
+from .registry import DEFAULT_LATENCY_BUCKETS, Histogram, MetricsRegistry
 
 # The sql package transitively imports storage (which imports telemetry
 # for its metrics); loading it lazily on first fingerprint breaks the
@@ -318,23 +318,19 @@ class WorkloadStore:
         self.evicted_total = 0
         self.recorded_total = 0
         self._recorder = recorder
-        if metrics is not None:
-            self._m_regressions = metrics.counter(
-                "workload_regressions_total",
-                "Fingerprints whose fresh latency or plan regressed "
-                "against the rolling baseline",
-            )
-            self._m_evicted = metrics.counter(
-                "workload_evicted_total",
-                "Fingerprints evicted from the bounded workload store",
-            )
-            self._m_fingerprints = metrics.gauge(
-                "workload_fingerprints", "Distinct query shapes tracked"
-            )
-        else:
-            self._m_regressions = None
-            self._m_evicted = None
-            self._m_fingerprints = None
+        registry = metrics if metrics is not None else MetricsRegistry()
+        self._m_regressions = registry.counter(
+            "workload_regressions_total",
+            "Fingerprints whose fresh latency or plan regressed "
+            "against the rolling baseline",
+        )
+        self._m_evicted = registry.counter(
+            "workload_evicted_total",
+            "Fingerprints evicted from the bounded workload store",
+        )
+        self._m_fingerprints = registry.gauge(
+            "workload_fingerprints", "Distinct query shapes tracked"
+        )
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -360,8 +356,7 @@ class WorkloadStore:
                     self._evict_locked()
                 entry = _Entry(fp, text, type(stmt).__name__)
                 self._entries[fp] = entry
-                if self._m_fingerprints is not None:
-                    self._m_fingerprints.set(len(self._entries))
+                self._m_fingerprints.set(len(self._entries))
             entry.last_used = self._clock
             entry.calls += 1
             entry.total_seconds += stats.elapsed_seconds
@@ -385,8 +380,7 @@ class WorkloadStore:
         victim = min(self._entries.values(), key=lambda e: e.last_used)
         del self._entries[victim.fingerprint]
         self.evicted_total += 1
-        if self._m_evicted is not None:
-            self._m_evicted.inc()
+        self._m_evicted.inc()
 
     def _detect_regression_locked(self, entry: _Entry, stats) -> None:
         """Compare one fresh execution against the fingerprint's baseline.
@@ -416,8 +410,7 @@ class WorkloadStore:
         )
         if slow or plan_changed:
             entry.regressions += 1
-            if self._m_regressions is not None:
-                self._m_regressions.inc()
+            self._m_regressions.inc()
             if self._recorder is not None:
                 self._recorder.emit(
                     "workload.regression",

@@ -104,6 +104,27 @@ def test_show_cluster_surfaces_pool_state(pool, cluster_db, features):
     assert rows["cluster.worker.0.state"] == "ready"
 
 
+def test_pool_counts_with_telemetry_off(cluster_config, features):
+    # Counters are system state: telemetry off stops exporting them,
+    # not counting them, so the snapshot and SHOW CLUSTER stay live.
+    from dataclasses import replace
+
+    from repro import Database
+
+    config = replace(cluster_config, telemetry_enabled=False, cluster_workers=1)
+    with Database(config=config) as db:
+        db.register_model(fraud_fc_256(), name="fraud")
+        with ClusterPool(db) as pool:
+            for __ in range(3):
+                pool.predict("fraud", features)
+            counters = pool.snapshot()["counters"]
+            rows = dict(db.execute("SHOW CLUSTER").fetchall())
+        assert db.execute("SHOW METRICS").rows == []
+    assert counters["completed"] == 3
+    assert counters["spawns"] >= 1
+    assert rows["cluster.requests.completed"] == 3
+
+
 def test_show_cluster_empty_without_pool():
     from repro import Database
 

@@ -78,3 +78,23 @@ def test_unknown_index_rejected(db):
     database, __ = db
     with pytest.raises(SqlError):
         database.enable_result_cache("fraud", distance_threshold=1.0, index="btree")
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_cache_serves_emit_cache_events(db, exact):
+    # Each serve ends in one cache.hit / cache.miss event, exact or ANN.
+    database, features = db
+    database.enable_result_cache(
+        "fraud", distance_threshold=1e-9, index="flat", exact=exact
+    )
+    x = features[:4]
+    database.predict_labels("fraud", x)
+    database.predict_labels("fraud", x)
+    cache = database.result_cache("fraud")
+    assert (cache.stats.hits, cache.stats.misses) == (4, 4)
+    events = database.execute(
+        "SELECT kind, detail FROM sys.events WHERE kind LIKE 'cache.%'"
+    ).rows
+    assert [kind for kind, __ in events] == ["cache.miss", "cache.hit"]
+    kind = "exact" if exact else "ann"
+    assert all(f"cache={kind}" in detail for __, detail in events)

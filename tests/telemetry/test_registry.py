@@ -3,11 +3,12 @@
 import pytest
 
 from repro.errors import TelemetryError
+from repro import Database
 from repro.telemetry import (
     DEFAULT_LATENCY_BUCKETS,
     MetricsRegistry,
-    NullRegistry,
 )
+from repro.telemetry.diagnostics import build_bundle
 
 
 @pytest.fixture
@@ -113,14 +114,19 @@ def test_reset_zeroes_but_keeps_instances(registry):
     assert registry.counter("n_total", "N.") is c
 
 
-def test_null_registry_is_inert():
-    registry = NullRegistry()
-    c = registry.counter("anything_total", "Ignored.")
-    c.inc(100)
-    registry.gauge("g", "Ignored.").set(5)
-    registry.histogram("h_seconds", "Ignored.").observe(1.0)
-    assert registry.snapshot() == {}
-    assert registry.render_prometheus() == ""
+def test_disabled_telemetry_counts_but_does_not_export():
+    # Counters are system state: with telemetry off the registry still
+    # counts, and only the three export sites go empty.
+    with Database(telemetry_enabled=False) as db:
+        db.execute("CREATE TABLE t (id INT)")
+        db.execute("INSERT INTO t VALUES (1), (2)")
+        db.execute("SELECT * FROM t")
+        hits = db.telemetry.registry.get("bufferpool_hits_total")
+        assert hits.value > 0
+        assert hits.value == db.buffer_pool.stats.hits
+        assert db.execute("SHOW METRICS").rows == []
+        assert db.metrics_text() == ""
+        assert build_bundle(db)["metrics"] == {}
 
 
 def test_metric_updates_are_thread_safe(registry):
