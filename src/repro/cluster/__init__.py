@@ -6,7 +6,8 @@ no matter how many server threads run.  This package shards models
 across worker *processes* instead:
 
 * :mod:`~repro.cluster.shm` — shared-memory tensor transport (numpy
-  views over named segments; no payload pickling on the hot path);
+  views over per-worker slots reused across requests; no payload
+  pickling on the hot path);
 * :mod:`~repro.cluster.placement` — consistent-hash model placement
   with replication, keyed off the co-partitioning chunk layout;
 * :mod:`~repro.cluster.worker` — the child-process serving loop and

@@ -24,9 +24,22 @@ Failure semantics:
 * a worker that is alive but silent past the heartbeat timeout is
   treated as wedged: killed, then respawned through the same path.
 
-All tensor payloads cross via :mod:`repro.cluster.shm`; the parent owns
-every segment (inputs and pre-sized response slots) so crashed workers
-cannot leak ``/dev/shm`` entries.
+All tensor payloads cross via :mod:`repro.cluster.shm`.  Transport state
+lives as long as the worker, not the request: each worker handle keeps a
+free list of :class:`~repro.cluster.shm.Slot`\\ s for its current
+generation.  A request takes a free slot (creating one only when every
+slot is busy, so the count equals the worker's peak in-flight requests),
+writes its features, and hands the slot back when it is retired.  The
+parent owns every slot and is the only unlinker:
+
+* an abandoned (timed-out) request keeps its slot until the worker's
+  late answer or death retires it, so a late write can never land in
+  another request's labels;
+* when a generation is declared dead (crash, wedge, rolling restart)
+  its idle slots are unlinked, and a slot handed back to a dead
+  generation is unlinked rather than reused;
+* ``close()`` unlinks every slot, so no ``/dev/shm`` entry outlives the
+  pool.
 """
 
 from __future__ import annotations
@@ -75,18 +88,16 @@ from .worker import (
 #: Request outcomes tracked under ``cluster_requests_total``.
 CLUSTER_OUTCOMES: tuple[str, ...] = ("completed", "failed", "rerouted")
 
-#: Bytes per label slot in the pre-sized response segment (int64).
-_LABEL_BYTES = 8
-
-
 class _Pending:
     """One in-flight request awaiting its worker's response.
 
     ``abandoned`` marks a request whose caller gave up (request
-    timeout) while the worker is still chewing on it: the slot stays in
-    the pending map — and counted against the worker's ``inflight`` —
-    until the worker's late response (or death) retires it, so routing
-    and SHOW CLUSTER never under-report queued work on a slow worker.
+    timeout) while the worker is still chewing on it: the request stays
+    in the pending map — counted against the worker's ``inflight`` and
+    holding its transport ``slot`` — until the worker's late response
+    (or death) retires it, so routing and SHOW CLUSTER never
+    under-report queued work on a slow worker, and the worker's late
+    write never lands in a slot another request has taken.
     """
 
     __slots__ = (
@@ -97,6 +108,7 @@ class _Pending:
         "error",
         "crashed",
         "abandoned",
+        "slot",
     )
 
     def __init__(self, worker_id: int, generation: int):
@@ -107,6 +119,7 @@ class _Pending:
         self.error: BaseException | None = None
         self.crashed = False
         self.abandoned = False
+        self.slot: shm_transport.Slot | None = None
 
 
 class ClusterPool:
@@ -196,6 +209,8 @@ class ClusterPool:
         self._model_bytes: dict[str, bytes] = {}
         self._load_failures: dict[str, WorkerLoadError] = {}
         self._pending: dict[int, _Pending] = {}
+        #: Every slot not yet unlinked, in use or idle (``close()`` unlinks them).
+        self._slots: set[shm_transport.Slot] = set()
         self._ids = itertools.count(1)
         self._seg_prefix = f"rc{os.getpid()}p{next(ClusterPool._pool_seq)}"
         self._closing = False
@@ -288,34 +303,36 @@ class ClusterPool:
         """One attempt on one worker: returns labels, or an exception
         value (``WorkerCrashedError`` means the caller should reroute)."""
         req_id = next(self._ids)
-        in_ref, in_seg = shm_transport.share_array(
-            features, f"{self._seg_prefix}-{req_id}i", self.shm_max_bytes
-        )
-        if in_ref.kind == shm_transport.INLINE:
-            self._m_shm_fallback.inc()
-            self._recorder.emit(
-                "cluster.shm_fallback",
-                model=model,
-                rows=int(features.shape[0]),
-                nbytes=int(features.nbytes),
-            )
-        out_seg = None
-        out_name = None
-        out_cap = 0
-        rows = int(features.shape[0])
-        if rows > 0:
-            out_cap = rows * _LABEL_BYTES
-            out_seg = shm_transport.shared_memory.SharedMemory(
-                create=True, size=out_cap, name=f"{self._seg_prefix}-{req_id}o"
-            )
-            out_name = out_seg.name
-        pending = _Pending(handle.worker_id, handle.generation)
+        in_ref = shm_transport.unshared_ref(features, self.shm_max_bytes)
         with self._lock:
+            pending = _Pending(handle.worker_id, handle.generation)
             self._pending[req_id] = pending
             handle.inflight += 1
+            if in_ref is None and handle.free_slots:
+                pending.slot = handle.free_slots.pop()
         try:
+            if in_ref is None:
+                if pending.slot is None:
+                    try:
+                        pending.slot = self._new_slot(pending.generation)
+                    except ClusterError as exc:
+                        return exc
+                in_ref = pending.slot.write_input(features)
+            elif in_ref.kind == shm_transport.INLINE:
+                self._m_shm_fallback.inc()
+                self._recorder.emit(
+                    "cluster.shm_fallback",
+                    model=model,
+                    rows=int(features.shape[0]),
+                    nbytes=int(features.nbytes),
+                )
+            slot = pending.slot
+            if slot is None:
+                out = (None, 0, 0)
+            else:  # labels go into the region after the features
+                out = (slot.name, slot.capacity, slot.capacity)
             sent = handle.alive and handle.send(
-                (MSG_PREDICT, req_id, model, in_ref, out_name, out_cap)
+                (MSG_PREDICT, req_id, model, in_ref, *out)
             )
             if not sent:
                 return WorkerCrashedError(
@@ -330,9 +347,9 @@ class ClusterPool:
                         answered = True
                     else:
                         # The worker is still busy with this request.
-                        # Leave it pending (and counted in ``inflight``)
-                        # until the late response or the worker's death
-                        # retires it — see _dispatch/_declare_dead.
+                        # Leave it pending (counted in ``inflight``, its
+                        # slot held) until the late response or the
+                        # worker's death retires it — see _retire_locked.
                         pending.abandoned = True
             if not answered:
                 return ClusterUnavailableError(
@@ -349,26 +366,58 @@ class ClusterPool:
                 return pending.error
             self.router.record_outcome(handle.worker_id, ok=True)
             ref = pending.ref
-            if (
-                ref.kind == shm_transport.INLINE
-                and ref.nbytes > 0
-                and out_seg is not None
-            ):
-                # The response did not fit its pre-sized slot.
+            if slot is None:
+                return shm_transport.read_array(ref)
+            if ref.kind == shm_transport.INLINE and ref.nbytes > 0:
+                # The response did not fit the slot's label region.
                 self._m_shm_fallback.inc()
-            if ref.kind == shm_transport.SHM and out_seg is not None:
-                view = np.ndarray(
-                    ref.shape, dtype=np.dtype(ref.dtype), buffer=out_seg.buf
-                )
-                return view.copy()
-            return shm_transport.read_array(ref)
+            return slot.read(ref)
         finally:
             with self._lock:
                 if not pending.abandoned:
-                    self._pending.pop(req_id, None)
-                    handle.inflight = max(0, handle.inflight - 1)
-            shm_transport.release(in_seg)
-            shm_transport.release(out_seg)
+                    self._retire_locked(handle, req_id, pending)
+
+    def _new_slot(self, generation: int) -> shm_transport.Slot:
+        """Create a slot for one worker generation (outside the pool lock:
+        the first segment a process creates also starts its resource
+        tracker).  Raises :class:`ClusterError` when the segment cannot
+        be created or the pool is closing."""
+        name = f"{self._seg_prefix}-{next(self._ids)}s"
+        try:
+            slot = shm_transport.Slot(name, self.shm_max_bytes, generation)
+        except OSError as exc:  # ENOSPC, EEXIST, ...
+            raise ClusterError(f"cannot create shared-memory slot: {exc}") from exc
+        with self._lock:
+            if not self._closing:
+                self._slots.add(slot)
+                return slot
+        slot.release()
+        raise ClusterError("cluster pool is closed")
+
+    def _retire_locked(
+        self, handle: WorkerHandle, req_id: int, pending: _Pending
+    ) -> None:
+        """Forget one finished request and hand its slot back.
+
+        The slot returns to the worker's free list only while the
+        generation it was made for is alive; otherwise it is unlinked,
+        since a dead (or killed, still-exiting) process may yet write
+        into it.
+        """
+        self._pending.pop(req_id, None)
+        handle.inflight = max(0, handle.inflight - 1)
+        slot = pending.slot
+        if slot is None:
+            return
+        if (
+            slot.generation == handle.generation
+            and handle.state != DEAD
+            and not self._closing
+        ):
+            handle.free_slots.append(slot)
+        else:
+            self._slots.discard(slot)
+            slot.release()
 
     # -- placement -------------------------------------------------------
 
@@ -543,9 +592,8 @@ class ClusterPool:
                 pending = self._pending.get(req_id)
                 if pending is not None and pending.abandoned:
                     # The caller timed out and moved on; the worker has
-                    # now finished, so retire the slot it was holding.
-                    self._pending.pop(req_id, None)
-                    handle.inflight = max(0, handle.inflight - 1)
+                    # now finished, so retire the request it was holding.
+                    self._retire_locked(handle, req_id, pending)
             if pending is None or pending.generation != generation:
                 return  # raced with a reroute; the caller moved on
             if tag == MSG_OK:
@@ -574,6 +622,11 @@ class ClusterPool:
             if handle.generation != generation or handle.state in (DEAD, STOPPED):
                 return
             handle.state = DEAD
+            # Idle slots go now; busy ones when their request is retired.
+            for slot in handle.free_slots:
+                self._slots.discard(slot)
+                slot.release()
+            handle.free_slots.clear()
             victims = []
             for req_id, p in list(self._pending.items()):
                 if p.worker_id != handle.worker_id or p.generation != generation:
@@ -581,9 +634,8 @@ class ClusterPool:
                 victims.append(p)
                 if p.abandoned:
                     # The caller already gave up; nobody else will retire
-                    # this slot now that the worker died holding it.
-                    self._pending.pop(req_id)
-                    handle.inflight = max(0, handle.inflight - 1)
+                    # this request now that the worker died holding it.
+                    self._retire_locked(handle, req_id, p)
         self._m_crashes.inc()
         self._refresh_alive_gauge()
         self.router.record_outcome(handle.worker_id, ok=False)
@@ -746,6 +798,18 @@ class ClusterPool:
                 handle.conn.close()
             except Exception:  # pragma: no cover
                 pass
+        with self._lock:
+            live, self._slots = self._slots, set()
+            idle = [s for h in self._handles.values() for s in h.free_slots]
+            for handle in self._handles.values():
+                handle.free_slots.clear()
+        # A slot a caller still holds only loses its name here: the
+        # caller may be copying labels out of it, and unmaps it when it
+        # retires the request.
+        for slot in idle:
+            slot.release()
+        for slot in live.difference(idle):
+            shm_transport.unlink(slot.segment)
         if self._monitor.is_alive():
             self._monitor.join(timeout=2.0)
         self._refresh_alive_gauge()

@@ -4,10 +4,13 @@
 :class:`~repro.session.Database` (telemetry off — the parent owns
 observability), register the models the placement layer assigns, and
 drain the control pipe.  Inference requests arrive as
-:class:`~repro.cluster.shm.TensorRef` descriptors, the features are
-mapped straight out of shared memory, and the labels are written back
-into the parent's pre-sized response slot — the pipe only ever carries
-descriptors and heartbeats, never tensor payloads.
+:class:`~repro.cluster.shm.TensorRef` descriptors naming one of the
+parent's reusable :class:`~repro.cluster.shm.Slot`\\ s: the features are
+read out of the slot's input region and the labels written into its
+label region.  The worker attaches each slot on first use and keeps the
+mapping for its lifetime, so a steady-state request maps nothing new;
+the pipe only ever carries descriptors and heartbeats (the doorbell and
+the crash channel), never tensor payloads.
 
 Heartbeats come from a dedicated thread, not the serve loop: a model
 load or a long inference must not look like a wedge to the parent's
@@ -19,8 +22,9 @@ The function is module-level and its arguments picklable, so both
 ``fork`` and ``spawn`` start methods work.
 
 :class:`WorkerHandle` is the parent-side view: the process, its pipe,
-the heartbeat clock, the set of models acked as loaded, and the
-liveness state the router folds into replica choice.
+the heartbeat clock, the set of models acked as loaded, the free
+transport slots of the current generation, and the liveness state the
+router folds into replica choice.
 """
 
 from __future__ import annotations
@@ -35,7 +39,10 @@ from . import shm as shm_transport
 
 #: Parent -> worker message tags.
 MSG_LOAD = "load"  # (MSG_LOAD, model_name, pickled_model_bytes)
-MSG_PREDICT = "predict"  # (MSG_PREDICT, req_id, model, in_ref, out_name, out_cap)
+#: (MSG_PREDICT, req_id, model, in_ref, out_name, out_offset, out_cap):
+#: labels go into ``out_cap`` bytes at ``out_offset`` of segment
+#: ``out_name`` (the request's slot), or inline when ``out_name`` is None.
+MSG_PREDICT = "predict"
 MSG_STOP = "stop"  # (MSG_STOP,)
 
 #: Worker -> parent message tags.
@@ -103,6 +110,7 @@ def _worker_main(conn, worker_id: int, config) -> None:
     )
     heartbeat.start()
     db = Database(config=config)
+    slots = shm_transport.Attachments()
     try:
         _send((MSG_READY, os.getpid()))
         while True:
@@ -116,11 +124,11 @@ def _worker_main(conn, worker_id: int, config) -> None:
             if tag == MSG_LOAD:
                 _send(_load_one(db, msg[1], msg[2]))
             elif tag == MSG_PREDICT:
-                __, req_id, model, in_ref, out_name, out_cap = msg
-                _send(_serve_one(db, req_id, model, in_ref, out_name, out_cap))
+                _send(_serve_one(db, slots, *msg[1:]))
     finally:
         stopping.set()
         heartbeat.join(timeout=hb_interval_s * 2 + 1.0)
+        slots.close()
         try:
             db.close()
         except Exception:  # pragma: no cover - best-effort shutdown
@@ -147,26 +155,19 @@ def _load_one(db, name: str, model_bytes: bytes) -> tuple:
         return (MSG_LOAD_ERR, name, payload)
 
 
-def _serve_one(db, req_id: int, model: str, in_ref, out_name, out_cap) -> tuple:
+def _serve_one(
+    db, slots, req_id: int, model: str, in_ref, out_name, out_offset, out_cap
+) -> tuple:
     """Run one inference; returns the response message tuple."""
     try:
-        features = shm_transport.read_array(in_ref)
+        features = shm_transport.read_array(in_ref, slots.buf(in_ref.segment))
         labels = db.predict_labels(model, features)
         if out_name is None:
-            out_ref = shm_transport.TensorRef(
-                shm_transport.INLINE,
-                str(labels.dtype),
-                tuple(int(d) for d in labels.shape),
-                payload=pickle.dumps(labels),
-            )
-            if labels.nbytes == 0:
-                out_ref = shm_transport.TensorRef(
-                    shm_transport.EMPTY,
-                    str(labels.dtype),
-                    tuple(int(d) for d in labels.shape),
-                )
+            out_ref = shm_transport.unshared_ref(labels, 0)
         else:
-            out_ref = shm_transport.write_into(out_name, out_cap, labels)
+            out_ref = shm_transport.write_into(
+                out_name, out_cap, labels, out_offset, slots.buf(out_name)
+            )
         return (MSG_OK, req_id, out_ref)
     except BaseException as exc:  # noqa: BLE001 - forwarded to the parent
         try:
@@ -196,6 +197,7 @@ class WorkerHandle:
     draining: bool = False  # rolling restart: stop admitting, finish in-flight
     last_heartbeat: float = field(default_factory=time.monotonic)
     loaded: set = field(default_factory=set)
+    free_slots: list = field(default_factory=list)  # this generation's idle Slots
     send_lock: threading.Lock = field(default_factory=threading.Lock)
 
     @property

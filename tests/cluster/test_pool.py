@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import errno
+import os
+import signal
 import threading
 import time
 
@@ -356,3 +359,252 @@ def test_timed_out_request_stays_counted_until_worker_answers(rng):
             assert not pool._pending
             assert handle.restarts == 0  # busy, never declared wedged
             pool.predict("fraud", features)  # and the pool still serves
+
+
+def _segments_of(pool: ClusterPool) -> set[str]:
+    """The /dev/shm entries this pool created and has not unlinked."""
+    return {f for f in shm_listing() if f.startswith(pool._seg_prefix + "-")}
+
+
+def test_sequential_predicts_reuse_one_slot(
+    cluster_db, features, monkeypatch
+):
+    # Steady state: a served request creates and unlinks no segment and
+    # sends the parent's resource tracker nothing.
+    from multiprocessing import resource_tracker, shared_memory
+
+    creates: list[str] = []
+    tracker_messages: list[str] = []
+    real_shm = shared_memory.SharedMemory
+
+    class CountingSharedMemory(real_shm):
+        def __init__(self, name=None, create=False, size=0):
+            if create:
+                creates.append(name)
+            super().__init__(name=name, create=create, size=size)
+
+    def counting(verb: str):
+        real = getattr(resource_tracker, verb)
+
+        def counted(*args):
+            tracker_messages.append(verb)
+            return real(*args)
+
+        return counted
+
+    for verb in ("register", "unregister"):
+        monkeypatch.setattr(resource_tracker, verb, counting(verb))
+    monkeypatch.setattr(shared_memory, "SharedMemory", CountingSharedMemory)
+    expected = cluster_db.predict_labels("fraud", features)
+    with ClusterPool(cluster_db, workers=1) as pool:
+        for __ in range(50):
+            np.testing.assert_array_equal(
+                pool.predict("fraud", features), expected
+            )
+        assert len(creates) <= 1
+        assert tracker_messages == ["register"] * len(creates)
+        assert len(_segments_of(pool)) == 1
+    assert not _segments_of(pool)  # close() unlinked the slot
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/proc/self"), reason="needs /proc/<pid>/maps"
+)
+def test_worker_maps_each_slot_once(cluster_db, features):
+    with ClusterPool(cluster_db, workers=1) as pool:
+        for __ in range(20):
+            pool.predict("fraud", features)
+        pid = pool.worker_pids()[0]
+        with open(f"/proc/{pid}/maps", encoding="utf-8") as maps:
+            mapped = [
+                line.rsplit("/", 1)[-1].strip()
+                for line in maps
+                if f"/{pool._seg_prefix}-" in line
+            ]
+        slots = {slot.name for slot in pool._slots}
+        # Kept mapped between requests, and mapped once per slot.
+        assert sorted(mapped) == sorted(slots)
+        assert len(slots) == 1
+
+
+def test_concurrent_predicts_on_one_worker_stay_isolated(cluster_db, rng):
+    # Each thread sends its own row counts and values, so a request that
+    # read or wrote another's slot would surface as a wrong answer.
+    inputs = {
+        (t, i): rng.normal(size=(4 + t * 4 + i % 3, 28))
+        for t in range(4)
+        for i in range(25)
+    }
+    expected = {
+        key: cluster_db.predict_labels("fraud", x) for key, x in inputs.items()
+    }
+    with ClusterPool(cluster_db, workers=1) as pool:
+        pool.predict("fraud", inputs[0, 0])  # placed and loaded
+        wrong: list[tuple[int, int]] = []
+        errors: list[BaseException] = []
+
+        def client(t: int) -> None:
+            try:
+                for i in range(25):
+                    got = pool.predict("fraud", inputs[t, i])
+                    if not np.array_equal(got, expected[t, i]):
+                        wrong.append((t, i))
+            except BaseException as exc:  # noqa: BLE001 - recorded
+                errors.append(exc)
+
+        threads = [threading.Thread(target=client, args=(t,)) for t in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not errors
+        assert not wrong
+        # One slot per concurrently in-flight request, at most.
+        assert 1 <= len(pool._slots) <= 4
+        assert len(pool._handles[0].free_slots) == len(pool._slots)
+
+
+def test_abandoned_request_keeps_its_slot_until_the_late_answer(rng):
+    from repro import Database
+    from repro.config import SystemConfig
+    from repro.errors import ClusterUnavailableError
+
+    config = SystemConfig(
+        telemetry_enabled=True,
+        cluster_workers=1,
+        cluster_heartbeat_interval_ms=20.0,
+        cluster_heartbeat_timeout_ms=600.0,
+        cluster_request_timeout_ms=400.0,
+    )
+    abandoned_x = rng.normal(size=(4, 28))
+    later_x = rng.normal(size=(16, 28))
+    with Database(config=config) as db:
+        db.register_model(fraud_fc_256(), name="fraud")
+        db.register_model(
+            _variant(_SlowUnpickleModel, "slowload"), name="slowload"
+        )
+        expected = db.predict_labels("fraud", later_x)
+        with ClusterPool(db, workers=1) as pool:
+            pool.predict("fraud", abandoned_x)  # fraud loaded, one slot
+            handle = pool._handles[0]
+            pool.ensure_model("slowload")  # the worker is busy for 1.2s
+            with pytest.raises(ClusterUnavailableError):
+                pool.predict("fraud", abandoned_x)
+            (abandoned,) = pool._pending.values()
+            held = abandoned.slot
+            assert held is not None and held not in handle.free_slots
+            # The next request must not take the held slot; give it all
+            # the time the busy worker needs.
+            pool._request_timeout_s = 20.0
+            np.testing.assert_array_equal(
+                pool.predict("fraud", later_x), expected
+            )
+            assert len(pool._slots) == 2
+            deadline = time.monotonic() + 10
+            while pool._pending and time.monotonic() < deadline:
+                time.sleep(0.02)
+            assert not pool._pending
+            assert held in handle.free_slots
+            assert len(handle.free_slots) == 2
+
+
+def test_sigkilled_generation_leaves_no_slot_behind(cluster_db, features):
+    expected = cluster_db.predict_labels("fraud", features)
+    with ClusterPool(cluster_db, workers=1) as pool:
+        handle = pool._handles[0]
+        errors: list[BaseException] = []
+
+        def client(rounds: int, stop: threading.Event) -> None:
+            for __ in range(rounds):
+                if stop.is_set():
+                    return
+                try:
+                    got = pool.predict("fraud", features)
+                    np.testing.assert_array_equal(got, expected)
+                except BaseException as exc:  # noqa: BLE001 - recorded
+                    errors.append(exc)
+                    return
+
+        def run(threads: list[threading.Thread]) -> None:
+            for thread in threads:
+                thread.start()
+
+        # A burst grows the worker's slot set; most of it then sits idle
+        # while two clients keep requests in flight across the kill.
+        burst = [
+            threading.Thread(target=client, args=(5, threading.Event()))
+            for __ in range(8)
+        ]
+        run(burst)
+        for thread in burst:
+            thread.join(timeout=60)
+        stop = threading.Event()
+        clients = [
+            threading.Thread(target=client, args=(10**6, stop)) for __ in range(2)
+        ]
+        run(clients)
+        time.sleep(0.1)
+        dead_generation = handle.generation
+        dead_slots = _segments_of(pool)
+        assert dead_slots
+        os.kill(pool.worker_pids()[0], signal.SIGKILL)
+        stop.set()
+        for thread in clients:
+            thread.join(timeout=30)
+        assert not errors
+        deadline = time.monotonic() + 20
+        while not (handle.restarts >= 1 and handle.alive):
+            assert time.monotonic() < deadline, "worker did not respawn"
+            time.sleep(0.02)
+        # Every in-flight caller has returned: what remains is the new
+        # generation's slots, and nothing of the dead one.
+        assert not dead_slots & _segments_of(pool)
+        assert _segments_of(pool) == {slot.name for slot in pool._slots}
+        assert all(slot.generation > dead_generation for slot in pool._slots)
+        np.testing.assert_array_equal(pool.predict("fraud", features), expected)
+    assert not _segments_of(pool)
+
+
+def test_failed_slot_create_reaches_caller_and_leaks_nothing(
+    cluster_db, features, shm_before, monkeypatch
+):
+    from multiprocessing import shared_memory
+
+    from repro.errors import ClusterError
+
+    real_shm = shared_memory.SharedMemory
+
+    def failing(name=None, create=False, size=0):
+        if create:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return real_shm(name=name, create=create, size=size)
+
+    with ClusterPool(cluster_db, workers=1) as pool:
+        pool.ensure_model("fraud")
+        monkeypatch.setattr(shared_memory, "SharedMemory", failing)
+        with pytest.raises(ClusterError) as excinfo:
+            pool.predict("fraud", features)
+        assert isinstance(excinfo.value.__cause__, OSError)
+        assert not {f for f in shm_listing() - shm_before if f.startswith("rc")}
+        assert not pool._pending
+        assert pool._handles[0].inflight == 0
+        assert pool.snapshot()["counters"]["failed"] == 1
+        monkeypatch.undo()
+        np.testing.assert_array_equal(
+            pool.predict("fraud", features),
+            cluster_db.predict_labels("fraud", features),
+        )
+
+
+def test_rolling_restart_unlinks_the_old_generations_slots(cluster_db, features):
+    expected = cluster_db.predict_labels("fraud", features)
+    with ClusterPool(cluster_db, workers=1) as pool:
+        pool.predict("fraud", features)
+        old_slots = _segments_of(pool)
+        assert len(old_slots) == 1
+        assert pool.rolling_restart() == 1
+        assert not old_slots & _segments_of(pool)
+        np.testing.assert_array_equal(pool.predict("fraud", features), expected)
+        assert _segments_of(pool) == {slot.name for slot in pool._slots}
+        assert len(pool._slots) == 1
+    assert not _segments_of(pool)

@@ -99,3 +99,31 @@ def test_release_tolerates_double_unlink():
     shm.release(seg)
     shm.release(seg)  # second release is a no-op, not an error
     shm.release(None)
+
+
+def test_slot_round_trip_through_kept_attachments(shm_before):
+    # One slot carries request after request: the peer maps it once and
+    # reads features / writes labels through that one mapping.
+    slot = shm.Slot("repro-test-reslot", capacity=1024, generation=1)
+    peer = shm.Attachments()
+    try:
+        for rows in (3, 16, 5):
+            features = np.arange(rows * 4, dtype=np.float64).reshape(rows, 4)
+            in_ref = slot.write_input(features)
+            got = shm.read_array(in_ref, peer.buf(in_ref.segment))
+            np.testing.assert_array_equal(got, features)
+            labels = np.arange(rows, dtype=np.int64) + rows
+            out_ref = shm.write_into(
+                slot.name, slot.capacity, labels, slot.capacity, peer.buf(slot.name)
+            )
+            assert (out_ref.kind, out_ref.offset) == (shm.SHM, slot.capacity)
+            np.testing.assert_array_equal(slot.read(out_ref), labels)
+            # The label region never overlaps the input region.
+            np.testing.assert_array_equal(
+                shm.read_array(in_ref, peer.buf(slot.name)), features
+            )
+        assert peer.buf(None) is None  # EMPTY / INLINE refs name no segment
+    finally:
+        peer.close()
+        slot.release()
+    assert shm_listing() <= shm_before
