@@ -160,8 +160,9 @@ class _SumBlock(_State):
 
     A group's first payload is copied once — or adopted, when it is a
     writable float64 array, which its producer hands over — and every later
-    payload is added into it from its own buffer.  ``bytes`` are made once
-    per group, by :meth:`results`.
+    payload is added into it from its own buffer.  A float64 array may be a
+    strided view (a stripe's blocks are); it is read through its strides.
+    ``bytes`` are made once per group, by :meth:`results`.
     """
 
     def __init__(self, groups: Groups) -> None:
@@ -177,11 +178,16 @@ class _SumBlock(_State):
         for gid, value in zip(gids.tolist(), values):
             if value is None:
                 continue
-            try:
-                payload = np.frombuffer(value, dtype=np.float64)
-            except ValueError:
-                size = memoryview(value).nbytes
-                raise self._error(gid, f"a {size}-byte payload is not whole doubles") from None
+            if isinstance(value, np.ndarray):
+                if value.dtype != np.float64:
+                    raise self._error(gid, f"an array of {value.dtype} is not doubles")
+                payload = value.reshape(-1)  # a copy only of a strided view
+            else:
+                try:
+                    payload = np.frombuffer(value, dtype=np.float64)
+                except ValueError:
+                    size = memoryview(value).nbytes
+                    raise self._error(gid, f"a {size}-byte payload is not whole doubles") from None
             total = blocks[gid]
             if total is None:
                 adopt = isinstance(value, np.ndarray) and payload.flags.writeable

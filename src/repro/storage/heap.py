@@ -21,10 +21,14 @@ decoder reads every overflow row.  Tensor-block BLOBs routinely exceed the
 page size, so overflow support is load-bearing for the relation-centric
 engine, not an edge case.
 
-An overflow row is read into one buffer: the inline remainder first, then
-each chain chunk copied straight from its pinned frame; and
-:meth:`RowSerde.deserialize` slices values out of a view of that buffer, so
-a BLOB is copied out of the pool twice (frame → buffer → value).
+One chain walker reads every overflow row, and hands each piece (the
+inline remainder, then each chain chunk while its frame is pinned) to one
+of two sinks.  :meth:`HeapFile.fetch` and the scans copy the pieces into
+one buffer that :meth:`RowSerde.deserialize` slices values out of, so a
+BLOB is copied out of the pool twice (frame → buffer → value).
+:meth:`HeapFile.scan_into` decodes a row's head as it arrives and copies
+its trailing BLOB straight from the frames into an array the caller
+places, so a chain byte is copied once (frame → caller's array).
 
 Scans decode a page of a fixed-width table (every column INT, DOUBLE or
 BOOL) with numpy: the slot directory and every NULL-free inline record are
@@ -37,7 +41,7 @@ from __future__ import annotations
 
 import struct
 from operator import itemgetter
-from typing import Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -207,18 +211,28 @@ class HeapFile:
             self._pool.unpin_page(prev.page_id, dirty=True)
         return first_page_id
 
-    def _read_overflow_row(self, slot_payload: bytes) -> memoryview:
-        """The whole record of an overflow row, in one buffer: the slot's
-        inline remainder, then each chain chunk copied from its frame."""
+    def _overflow_ref(self, slot_payload: bytes) -> tuple[PageId, int, memoryview]:
+        """An overflow slot's chain reference: ``(first chain page, record
+        length, the inline remainder)``."""
         first_page_id, total_length = _OVERFLOW_REF.unpack_from(slot_payload)
-        filled = len(slot_payload) - _OVERFLOW_REF.size
-        if filled > total_length:
+        inline = memoryview(slot_payload)[_OVERFLOW_REF.size :]
+        if len(inline) > total_length:
             raise StorageError(
                 f"overflow chain from page {first_page_id} is corrupt: its slot "
-                f"holds {filled} inline bytes; expected {total_length} bytes in all"
+                f"holds {len(inline)} inline bytes; expected {total_length} bytes in all"
             )
-        view = memoryview(bytearray(total_length))
-        view[:filled] = memoryview(slot_payload)[_OVERFLOW_REF.size :]
+        return first_page_id, total_length, inline
+
+    def _copy_chain(
+        self,
+        first_page_id: PageId,
+        total_length: int,
+        filled: int,
+        sink: Callable[[memoryview, int], None],
+    ) -> None:
+        """Walk an overflow row's chain from record byte ``filled`` on:
+        ``sink(chunk, offset in the record)`` gets each chunk while its
+        frame is pinned, and must copy what it keeps."""
         chunk_capacity = self._pool.disk.page_size - _OVERFLOW_HEADER.size
         page_id = first_page_id
         while filled < total_length:
@@ -237,23 +251,38 @@ class HeapFile:
                         f"{total_length} bytes, read {filled}"
                     )
                 start = _OVERFLOW_HEADER.size
-                view[filled : filled + length] = memoryview(page.data)[start : start + length]
+                sink(memoryview(page.data)[start : start + length], filled)
             finally:
                 self._pool.unpin_page(page_id)
             filled += length
             page_id = next_page
+
+    def _read_overflow_row(self, slot_payload: bytes) -> memoryview:
+        """The whole record of an overflow row, in one buffer: the slot's
+        inline remainder, then each chain chunk copied from its frame."""
+        first_page_id, total_length, inline = self._overflow_ref(slot_payload)
+        view = memoryview(bytearray(total_length))
+        view[: len(inline)] = inline
+
+        def copy(chunk: memoryview, at: int) -> None:
+            view[at : at + len(chunk)] = chunk
+
+        self._copy_chain(first_page_id, total_length, len(inline), copy)
         return view
 
     # -- reads -------------------------------------------------------------
+
+    def _slot_of(self, page: Page, rid: RowId) -> tuple[int, int, int]:
+        slot_count, __, __ = self._read_header(page)
+        if not 0 <= rid.slot < slot_count:
+            raise StorageError(f"no slot {rid.slot} on page {rid.page_id}")
+        return self._read_slot(page, rid.slot)
 
     def fetch(self, rid: RowId) -> tuple[object, ...]:
         """Read one row by address."""
         page = self._pool.fetch_page(rid.page_id)
         try:
-            slot_count, __, __ = self._read_header(page)
-            if rid.slot >= slot_count:
-                raise StorageError(f"no slot {rid.slot} on page {rid.page_id}")
-            offset, length, flags = self._read_slot(page, rid.slot)
+            offset, length, flags = self._slot_of(page, rid)
             if flags & FLAG_TOMBSTONE:
                 raise StorageError(f"row {rid} was deleted")
             payload = page.read(offset, length)
@@ -269,11 +298,13 @@ class HeapFile:
     def delete(self, rid: RowId) -> None:
         """Tombstone one row (space is not reclaimed)."""
         page = self._pool.fetch_page(rid.page_id)
+        written = False
         try:
-            offset, length, flags = self._read_slot(page, rid.slot)
+            offset, length, flags = self._slot_of(page, rid)
             self._write_slot(page, rid.slot, offset, length, flags | FLAG_TOMBSTONE)
+            written = True
         finally:
-            self._pool.unpin_page(rid.page_id, dirty=True)
+            self._pool.unpin_page(rid.page_id, dirty=written)
 
     def scan(self) -> Iterator[tuple[RowId, tuple[object, ...]]]:
         """Yield every live row with its address, in physical order."""
@@ -291,35 +322,72 @@ class HeapFile:
         """
         return map(itemgetter(2), self._scan())
 
-    def _scan(self) -> Iterator[tuple[PageId, list[int], Batch]]:
-        """The scan loop: ``(page id, slots, the rows in those slots)``.
+    def scan_into(
+        self, place: Callable[[tuple[object, ...]], np.ndarray]
+    ) -> Iterator[tuple[object, ...]]:
+        """Every live row, in physical order, with its trailing BLOB copied
+        into an array the caller supplies: ``place(leading values)`` returns
+        the destination, and the leading values are yielded once the BLOB
+        is in it.
 
-        Each page is fetched once.  What the decoders need from it is copied
-        out while it is pinned; nothing is yielded, and no view of its
-        buffer survives, past the unpin.
+        The table's last column must be a BLOB and the others INT, DOUBLE
+        or BOOL.  The destination must be writable, hold exactly the BLOB's
+        bytes, and be 1-D or 2-D with contiguous rows (any row stride); the
+        BLOB fills it row-major.  A chain chunk is copied once, from its
+        pinned frame into the destination; ``place`` may run while that
+        frame is pinned, but nothing is yielded while a page is.
         """
+        head_size = self._serde.blob_head_size
+        if head_size is None:
+            raise StorageError(
+                f"scan_into needs a trailing BLOB after INT, DOUBLE or BOOL "
+                f"columns, not {self._serde.schema!r}"
+            )
+        for __, payloads in self._pages(self._live_payloads):
+            for __, payload, flags in payloads:
+                if flags & FLAG_OVERFLOW:
+                    first_page_id, total_length, inline = self._overflow_ref(payload)
+                else:
+                    first_page_id, total_length, inline = INVALID_PAGE_ID, len(payload), payload
+                sink = _Scatter(self._serde, place, min(head_size, total_length), total_length)
+                sink(memoryview(inline), 0)
+                self._copy_chain(first_page_id, total_length, len(inline), sink)
+                yield sink.values
+
+    def _pages(self, read: Callable[[Page, int], object]) -> Iterator[tuple[PageId, object]]:
+        """Fetch each page once and ``read(page, slot count)`` it while it
+        is pinned; yields ``(page id, what read returned)`` after the unpin,
+        so no view of a frame may survive in it."""
         page_id = self._first_page_id
         while page_id != INVALID_PAGE_ID:
             page = self._pool.fetch_page(page_id)
             try:
                 slot_count, __, next_page = self._read_header(page)
-                read = self._read_records if self._fixed_width else self._read_payloads
-                batches = read(page, slot_count)
+                result = read(page, slot_count)
             finally:
                 self._pool.unpin_page(page_id)
-            for slots, batch in batches:
-                yield page_id, slots, batch
+            yield page_id, result
             page_id = next_page
 
-    def _read_payloads(self, page: Page, slot_count: int):
-        """Row path: copy every live payload now, deserialize them later."""
+    def _scan(self) -> Iterator[tuple[PageId, list[int], Batch]]:
+        """The scan loop: ``(page id, slots, the rows in those slots)``."""
+        read = self._read_records if self._fixed_width else self._read_payloads
+        for page_id, batches in self._pages(read):
+            for slots, batch in batches:
+                yield page_id, slots, batch
+
+    def _live_payloads(self, page: Page, slot_count: int) -> list[tuple[int, bytes, int]]:
+        """Copy every live slot's ``(slot, payload, flags)`` off the page."""
         slots = [self._read_slot(page, s) for s in range(slot_count)]
-        payloads = [
+        return [
             (s, page.read(offset, length), flags)
             for s, (offset, length, flags) in enumerate(slots)
             if not flags & FLAG_TOMBSTONE
         ]
-        return self._payload_batches(payloads)
+
+    def _read_payloads(self, page: Page, slot_count: int):
+        """Row path: copy every live payload now, deserialize them later."""
+        return self._payload_batches(self._live_payloads(page, slot_count))
 
     def _payload_batches(self, payloads: list[tuple[int, bytes, int]]):
         slots: list[int] = []
@@ -391,3 +459,70 @@ class HeapFile:
     def count(self) -> int:
         """Number of live rows (full scan)."""
         return sum(len(batch) for batch in self.scan_batches())
+
+
+class _Scatter:
+    """The :meth:`HeapFile.scan_into` sink for one row.
+
+    It gathers the record's first ``head_bytes`` bytes, decodes the head,
+    asks ``place`` for the destination and then copies every later BLOB
+    byte into it.  Chunk edges fall anywhere: inside the head, or inside a
+    double or a destination row.
+    """
+
+    def __init__(self, serde: RowSerde, place, head_bytes: int, total_length: int):
+        self._serde = serde
+        self._place = place
+        self._head = bytearray()
+        self._head_bytes = head_bytes
+        self._total_length = total_length
+        self._rows: np.ndarray | None = None  # the destination's bytes, row by row
+        self._blob_start = 0  # record offset of the BLOB's first byte
+        self.values: tuple[object, ...] = ()
+
+    def __call__(self, chunk: memoryview, at: int) -> None:
+        if self._rows is None:
+            take = self._head_bytes - len(self._head)
+            self._head += chunk[:take]
+            if len(self._head) < self._head_bytes:
+                return
+            self._open()
+            chunk, at = chunk[take:], at + take
+        if len(chunk):
+            _scatter(self._rows, at - self._blob_start, np.frombuffer(chunk, np.uint8))
+
+    def _open(self) -> None:
+        self.values, start, length = self._serde.blob_head(self._head)
+        if start + length != self._total_length:
+            raise StorageError(
+                f"a {self._total_length}-byte row holds a {start}-byte head and "
+                f"a {length}-byte BLOB"
+            )
+        dst = self._place(self.values)
+        if dst.nbytes != length:
+            raise StorageError(
+                f"a {length}-byte BLOB does not fill its {dst.nbytes}-byte destination"
+            )
+        rows = dst.view(np.uint8)
+        self._rows = rows.reshape(1, -1) if rows.ndim == 1 else rows
+        self._blob_start = start
+        if len(self._head) > start:
+            _scatter(self._rows, 0, np.frombuffer(self._head, np.uint8)[start:])
+
+
+def _scatter(rows: np.ndarray, at: int, src: np.ndarray) -> None:
+    """Copy bytes ``src`` into the 2-D byte array ``rows`` from flat
+    (row-major) position ``at`` on: a partial first row, whole rows, a
+    partial last row."""
+    width = rows.shape[1]
+    r, c = divmod(at, width)
+    if c:
+        head = src[: width - c]
+        rows[r, c : c + len(head)] = head
+        src, r = src[len(head) :], r + 1
+    whole = len(src) // width
+    if whole:
+        rows[r : r + whole] = src[: whole * width].reshape(whole, width)
+        src, r = src[whole * width :], r + whole
+    if len(src):
+        rows[r, : len(src)] = src

@@ -40,6 +40,7 @@ class RowSerde:
         self._schema = schema
         self._bitmap_len = (len(schema) + 7) // 8
         self.record_dtype = self._record_dtype()
+        self.blob_head_size = self._blob_head_size()
 
     @property
     def schema(self) -> Schema:
@@ -65,6 +66,34 @@ class RowSerde:
         return np.dtype(
             {"names": names, "formats": formats, "offsets": offsets, "itemsize": offset}
         )
+
+    def _blob_head_size(self) -> int | None:
+        """The longest head of a row whose last column is a BLOB and whose
+        other columns are INT, DOUBLE or BOOL: the bitmap, every leading
+        value and the BLOB's length prefix.  None for any other schema."""
+        *leading, last = self._schema
+        if last.ctype is not ColumnType.BLOB or any(
+            col.ctype not in _FIXED_FORMATS for col in leading
+        ):
+            return None
+        widths = (1 if col.ctype is ColumnType.BOOL else 8 for col in leading)
+        return self._bitmap_len + sum(widths) + _U32.size
+
+    def blob_head(self, data: bytes | bytearray) -> tuple[tuple[object, ...], int, int]:
+        """Decode the head of a record with a trailing BLOB (a schema with a
+        :attr:`blob_head_size`) from its first bytes: ``(leading values,
+        offset of the BLOB's first byte, BLOB length)``.  NULL leading
+        values take no bytes, so the head may be shorter than
+        ``blob_head_size``; the bytes after it are the BLOB's."""
+        blob = len(self._schema) - 1
+        try:
+            values, offset = self._decode(data, self._schema.columns[:blob])
+            if data[blob // 8] & (1 << (blob % 8)):
+                raise StorageError("the row's trailing BLOB is NULL")
+            (length,) = _U32.unpack_from(data, offset)
+        except (struct.error, IndexError):
+            raise StorageError(f"a {len(data)}-byte row is too short for its head") from None
+        return tuple(values), offset + _U32.size, length
 
     def record_columns(self, records: np.ndarray) -> list[np.ndarray]:
         """The columns of NULL-free records viewed through ``record_dtype``.
@@ -111,10 +140,20 @@ class RowSerde:
     def deserialize(self, data: bytes | memoryview) -> tuple[object, ...]:
         """Decode one record.  From a ``memoryview`` each TEXT or BLOB value
         is copied once, into its own ``str`` or ``bytes``."""
+        values, offset = self._decode(data, self._schema)
+        if offset != len(data):
+            raise StorageError(
+                f"trailing bytes after row: consumed {offset} of {len(data)}"
+            )
+        return tuple(values)
+
+    def _decode(self, data, columns) -> tuple[list[object], int]:
+        """The values of a record's first ``len(columns)`` columns, and the
+        offset just past them."""
         bitmap = data[: self._bitmap_len]
         offset = self._bitmap_len
         values: list[object] = []
-        for i, col in enumerate(self._schema):
+        for i, col in enumerate(columns):
             if bitmap[i // 8] & (1 << (i % 8)):
                 values.append(None)
                 continue
@@ -140,8 +179,4 @@ class RowSerde:
                 offset += length
             else:  # pragma: no cover
                 raise StorageError(f"unsupported column type {ctype}")
-        if offset != len(data):
-            raise StorageError(
-                f"trailing bytes after row: consumed {offset} of {len(data)}"
-            )
-        return tuple(values)
+        return values, offset

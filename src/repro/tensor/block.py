@@ -5,11 +5,13 @@ Block tables have the schema::
     (row_blk INT, col_blk INT, nrows INT, ncols INT, data BLOB)
 
 where ``data`` is the float64 payload in row-major order.  Inside an
-operator pipeline ``data`` is a C-contiguous float64 array; it becomes
-``bytes`` only when a row is written to a heap page (or leaves a
-``SUM_BLOCK`` aggregate).  Keeping shape in separate columns (rather than
-a header inside the BLOB) lets ``SUM_BLOCK`` add payloads without
-decoding them during the matmul → join + aggregation rewrite.
+operator pipeline ``data`` is an ``nrows × ncols`` float64 array, which
+may be a strided view (an input stripe's blocks are read-only views of
+the stripe); it becomes ``bytes`` only when a row is written to a heap
+page (or leaves a ``SUM_BLOCK`` aggregate).  Keeping shape in separate
+columns (rather than a header inside the BLOB) lets ``SUM_BLOCK`` add
+payloads without decoding them during the matmul → join + aggregation
+rewrite.
 """
 
 from __future__ import annotations
@@ -36,8 +38,16 @@ def block_table_schema() -> Schema:
 
 
 def block_array(nrows: int, ncols: int, data) -> np.ndarray:
-    """A block's ``data`` value (``bytes`` or a float64 array) as an
-    ``nrows × ncols`` array; no copy is made."""
+    """A block's ``data`` value as an ``nrows × ncols`` float64 array; no
+    copy is made.  ``bytes`` are viewed; an array is returned as it is, so
+    it must be float64 of exactly that shape (strides are free)."""
+    if isinstance(data, np.ndarray):
+        if data.dtype != np.float64 or data.shape != (nrows, ncols):
+            raise ShapeError(
+                f"a block array must be float64 {nrows}×{ncols}, got "
+                f"{data.dtype} {data.shape}"
+            )
+        return data
     try:
         array = np.frombuffer(data, dtype=np.float64)
     except ValueError:

@@ -35,8 +35,11 @@ class BlockedMatrix:
     def from_dense(
         cls, array: np.ndarray, block_shape: tuple[int, int]
     ) -> "BlockedMatrix":
-        """Block ``array``; a block that is already contiguous in it (every
-        block when it spans whole rows) is a view, not a copy."""
+        """Block ``array`` without copying it (an array of another dtype
+        is converted to float64 first): every block is a strided view,
+        marked read-only so no operator writes into the caller's array
+        (``SUM_BLOCK`` adopts writable arrays).  numpy's matmul hands a
+        strided block to BLAS with its leading dimension."""
         if array.ndim != 2:
             raise ShapeError(f"expected a 2-D array, got shape {array.shape}")
         array = np.asarray(array, dtype=np.float64)
@@ -45,7 +48,8 @@ class BlockedMatrix:
         for i in range(out.num_block_rows):
             for j in range(out.num_block_cols):
                 block = array[i * br : (i + 1) * br, j * bc : (j + 1) * bc]
-                out._blocks[(i, j)] = np.ascontiguousarray(block)
+                block.flags.writeable = False
+                out._blocks[(i, j)] = block
         return out
 
     # -- geometry ----------------------------------------------------------

@@ -15,7 +15,9 @@ time, and a stripe is one block row: ``A``'s blocks are ``stripe rows ×
 side`` against square ``side × side`` weight blocks, so the join emits one
 row — and the multiply runs one GEMM — per weight block.  Weight tables
 store small square blocks; :func:`reblock` assembles them into the
-engine's larger compute blocks as they stream out of the scan.
+engine's larger compute blocks as they stream out of the scan, copying
+each weight byte once: from the buffer pool's frame into its compute
+block.  The stripe's blocks are read-only views of the input, not copies.
 
 Every other block stage (bias-add, element-wise maps, transpose, the
 element-wise combine of two relations, column sums) is one ``MapBatches``
@@ -90,40 +92,78 @@ class _Reblock(Operator):
         self._factor = factor
         self._get = itemgetter(*(child.schema.index_of(c) for c in BLOCK_COLUMNS))
 
+    def _stored_blocks(self, place: Callable[[tuple], np.ndarray]) -> Iterator[tuple]:
+        """Each stored block's ``(row_blk, col_blk, nrows, ncols)``, once
+        its data is in ``place(those values)``.  A block table's chain
+        chunks are copied there straight from their frames; any other
+        source's arrays (or ``bytes``) are copied there from its rows."""
+        child = self._child
+        if isinstance(child, SeqScan) and child.table.schema == block_table_schema():
+            yield from child.table.heap.scan_into(place)
+            return
+        for batch in child.batches():
+            for *head, data in zip(*self._get(batch.columns)):
+                place(head)[...] = block_array(head[2], head[3], data)
+                yield head
+
     def batches(self) -> Iterator[Batch]:
         f = self._factor
         rows, cols = self._shape
         br, bc = self._block_shape
         side_r, side_c = br * f, bc * f
         stored_r, stored_c = -(-rows // br), -(-cols // bc)
-        # (row_blk, col_blk) of a compute block → [its array, stored blocks
-        # still to come].  Row-major input keeps one super-row here.
-        pending: dict[tuple[int, int], list] = {}
-        for batch in self._child.batches():
-            out: tuple[list, ...] = ([], [], [], [], [])
-            for rb, cb, nr, nc, data in zip(*self._get(batch.columns)):
-                key = (int(rb) // f, int(cb) // f)
-                entry = pending.get(key)
-                if entry is None:
-                    i, j = key
-                    block = np.empty(
-                        (min(side_r, rows - i * side_r), min(side_c, cols - j * side_c))
-                    )
-                    parts = min(f, stored_r - i * f) * min(f, stored_c - j * f)
-                    entry = pending[key] = [block, parts]
-                r0, c0 = int(rb) % f * br, int(cb) % f * bc
-                entry[0][r0 : r0 + nr, c0 : c0 + nc] = block_array(nr, nc, data)
-                entry[1] -= 1
-                if not entry[1]:
-                    block = pending.pop(key)[0]
-                    for column, value in zip(out, (*key, *block.shape, block)):
-                        column.append(value)
-            if out[0]:
-                yield Batch(len(out[0]), list(out))
+        # (row_blk, col_blk) of a compute block → (its array, the stored
+        # blocks it holds, how many it needs).  Row-major input keeps one
+        # super-row here.
+        pending: dict[tuple[int, int], tuple[np.ndarray, set, int]] = {}
+
+        def place(head: tuple) -> np.ndarray:
+            """Where stored block ``head`` goes: its sub-view of its compute
+            block, once its coordinates and dims check out."""
+            rb, cb, nr, nc = map(int, head)
+            if not (0 <= rb < stored_r and 0 <= cb < stored_c):
+                raise ShapeError(
+                    f"stored block ({rb}, {cb}) lies outside the {stored_r}×{stored_c} "
+                    f"block grid of a {rows}×{cols} matrix"
+                )
+            slot = (min(br, rows - rb * br), min(bc, cols - cb * bc))
+            if (nr, nc) != slot:
+                raise ShapeError(
+                    f"stored block ({rb}, {cb}) is {nr}×{nc}; its slot is {slot[0]}×{slot[1]}"
+                )
+            key = (rb // f, cb // f)
+            entry = pending.get(key)
+            if entry is None:
+                i, j = key
+                block = np.empty(
+                    (min(side_r, rows - i * side_r), min(side_c, cols - j * side_c))
+                )
+                parts = min(f, stored_r - i * f) * min(f, stored_c - j * f)
+                entry = pending[key] = (block, set(), parts)
+            block, arrived, __ = entry
+            if (rb, cb) in arrived:
+                raise ShapeError(f"stored block ({rb}, {cb}) arrived twice")
+            arrived.add((rb, cb))
+            r0, c0 = rb % f * br, cb % f * bc
+            return block[r0 : r0 + nr, c0 : c0 + nc]
+
+        for rb, cb, *__ in self._stored_blocks(place):
+            key = (int(rb) // f, int(cb) // f)
+            block, arrived, parts = pending[key]
+            if len(arrived) == parts:
+                del pending[key]
+                yield Batch(1, [[key[0]], [key[1]], [block.shape[0]], [block.shape[1]], [block]])
         if pending:
+            (i, j), (__, arrived, __) = next(iter(pending.items()))
+            missing = next(
+                (rb, cb)
+                for rb in range(i * f, min((i + 1) * f, stored_r))
+                for cb in range(j * f, min((j + 1) * f, stored_c))
+                if (rb, cb) not in arrived
+            )
             raise ShapeError(
                 f"{len(pending)} compute block(s) of a {rows}×{cols} matrix are "
-                f"missing stored {br}×{bc} blocks"
+                f"missing stored {br}×{bc} blocks, stored block {missing} among them"
             )
 
     def describe(self) -> str:
@@ -143,10 +183,15 @@ def reblock(
     """Assemble the ``block_shape`` blocks of a ``shape`` matrix into blocks
     ``factor`` times larger on each side.
 
-    A compute block is emitted only once all its stored blocks have
-    arrived, so the result does not depend on scan order; in row-major
-    order at most one super-row (``factor`` block rows) is pending.
-    ``source`` yields unprefixed block rows; ``factor == 1`` returns it.
+    Each stored block is copied once, into its sub-view of its compute
+    block; from a block table's ``SeqScan`` that copy is the page read
+    itself (:meth:`~repro.storage.heap.HeapFile.scan_into`).  A compute
+    block is emitted only once all its stored blocks have arrived, so the
+    result does not depend on scan order; in row-major order at most one
+    super-row (``factor`` block rows) is pending.  A stored block outside
+    the grid, of the wrong dims for its slot, or arriving twice raises
+    :class:`ShapeError`.  ``source`` yields unprefixed block rows;
+    ``factor == 1`` returns it.
     """
     if factor == 1:
         return source

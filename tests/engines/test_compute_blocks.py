@@ -10,7 +10,15 @@ from repro.core.cost import compute_block_bytes
 from repro.dlruntime import Linear, MemoryBudget, Model, ReLU, Sigmoid, Softmax
 from repro.engines import RelationCentricEngine
 from repro.relational.operators.instrument import instrument
-from repro.storage import BufferPool, Catalog, InMemoryDiskManager, VersionRecord
+from repro.storage import (
+    BufferPool,
+    Catalog,
+    HeapFile,
+    InMemoryDiskManager,
+    RowSerde,
+    VersionRecord,
+)
+from repro.tensor import block_table_schema
 
 FLOOR = 8
 STRIPE = 48
@@ -186,3 +194,62 @@ def test_footprint_is_borrowed_within_a_limited_budget(rng):
         assert stripe + footprint <= result.peak_memory_bytes <= limit
     # mb(4): only the stripe caps the blocks (side·(100 + 64)·8 ≤ stripe).
     assert sides == {mb(4): 512, tight: 128}
+
+
+def test_weights_scatter_from_frames_and_stripes_stay_views(rng, monkeypatch):
+    """In an ``f > 1`` stage no weight row is read into a row buffer or
+    deserialized, and every stripe block the joins see is a read-only view
+    of ``x``."""
+    model = Model(
+        "m",
+        [Linear(300, 70, rng=rng, name="fc0"), ReLU(), Linear(70, 20, rng=rng, name="fc1")],
+        (300,),
+    )
+    x = rng.normal(size=(200, 300))
+    config = SystemConfig(
+        memory_threshold_bytes=mb(64), tensor_block_rows=32, tensor_block_cols=32
+    )
+    # 32×32 blocks are 8 229-byte records: overflow rows on 4 KiB pages.
+    pool = BufferPool(InMemoryDiskManager(4096), capacity_pages=64)
+    engine = RelationCentricEngine(Catalog(pool), config, stripe_rows=100)
+    info = VersionRecord("m", model)
+    engine.run_vector_stage(model.layers, x, info)  # stores the weight tables
+
+    weight_reads = []
+    read_overflow = HeapFile._read_overflow_row
+    deserialize = RowSerde.deserialize
+
+    def spy_overflow(heap, payload):
+        weight_reads.append("overflow row")
+        return read_overflow(heap, payload)
+
+    def spy_deserialize(serde, data):
+        if serde.schema == block_table_schema():
+            weight_reads.append("deserialize")
+        return deserialize(serde, data)
+
+    monkeypatch.setattr(HeapFile, "_read_overflow_row", spy_overflow)
+    monkeypatch.setattr(RowSerde, "deserialize", spy_deserialize)
+    stripes, plans = [], []
+    build = engine.vector_pipeline
+
+    def spy(layers, blocks, model_info):
+        stripes.extend(data for *__, data in blocks.block_rows())
+        plans.append(build(layers, blocks, model_info))
+        return plans[-1]
+
+    engine.vector_pipeline = spy
+    pool.stats.reset()
+    result = engine.run_vector_stage(model.layers, x, info)
+    np.testing.assert_allclose(result.outputs, model.forward(x), rtol=1e-6)
+    assert pool.stats.hits > 0 and weight_reads == []
+    # f = 4: two 100-row stripes, each two 128-wide blocks and a ragged one.
+    assert [block.shape for block in stripes] == [(100, 128), (100, 128), (100, 44)] * 2
+    for block in stripes:
+        assert not block.flags.writeable and np.shares_memory(block, x)
+    # The plan still shows the re-block over the weight table's scan.
+    lines = [line.strip() for line in plans[0].explain().splitlines()]
+    for name in ("fc0", "fc1"):
+        assert lines[lines.index(f"SeqScan(__model_m_{name}_weight)") - 1] == (
+            "Reblock(4x, 128x128)"
+        )

@@ -29,6 +29,7 @@ from repro.relational.operators import (
     collect,
 )
 from repro.storage import BufferPool, Catalog, InMemoryDiskManager, VersionRecord
+from repro.tensor import BlockedMatrix
 
 PEOPLE = Schema.of(("id", ColumnType.INT), ("age", ColumnType.INT), ("name", ColumnType.TEXT))
 PEOPLE_ROWS = [
@@ -216,6 +217,26 @@ def test_sum_block_aggregates_arrays():
     out = {g: np.frombuffer(b) for g, b in collect(agg).rows}
     np.testing.assert_allclose(out[0], 3 * np.ones(4))
     np.testing.assert_allclose(out[1], 5 * np.ones(4))
+
+
+def test_sum_block_reads_strided_views_without_writing_them():
+    """Stripe blocks are strided views of the caller's array: SUM_BLOCK
+    sums them and never adopts (so never writes into) a read-only one."""
+    a = np.arange(24.0).reshape(4, 6)
+    blocks = BlockedMatrix.from_dense(a, (4, 2))
+    scan = ValuesScan(
+        Schema.of(("g", ColumnType.INT), ("blk", ColumnType.BLOB)),
+        [(0, data) for *__, data in blocks.block_rows()] + [(1, a[:, 1:3])],
+    )
+    agg = Aggregate(
+        scan,
+        group_by=[(ColumnRef("g"), "g")],
+        aggregates=[AggregateSpec("SUM_BLOCK", ColumnRef("blk"), "total")],
+    )
+    out = {g: np.frombuffer(b).reshape(4, 2) for g, b in collect(agg).rows}
+    np.testing.assert_array_equal(out[0], a[:, 0:2] + a[:, 2:4] + a[:, 4:6])
+    np.testing.assert_array_equal(out[1], a[:, 1:3])
+    np.testing.assert_array_equal(a, np.arange(24.0).reshape(4, 6))
 
 
 def test_sort_multi_key_and_nulls_last():
@@ -499,6 +520,7 @@ def test_aggregate_over_empty_input_with_group_keys_is_empty():
         ([np.ones(4).tobytes(), np.ones(1).tobytes()], "4 and 1 doubles"),
         ([np.ones(1).tobytes(), np.ones(4).tobytes()], "1 and 4 doubles"),
         ([np.ones(4).tobytes(), b"\x00" * 12], "12-byte payload"),
+        ([np.arange(4)], "an array of int64 is not doubles"),
     ],
 )
 def test_sum_block_rejects_mismatched_payloads(payloads, problem):

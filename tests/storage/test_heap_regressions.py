@@ -6,7 +6,9 @@ inserts — exactly the relation-centric conv workload of Table 3).
 """
 
 import numpy as np
+import pytest
 
+from repro.errors import StorageError
 from repro.relational import ColumnType, Schema
 from repro.storage import BufferPool, HeapFile, InMemoryDiskManager, RowSerde
 
@@ -39,3 +41,26 @@ def test_interleaved_inline_and_overflow_inserts():
         expected.append((i, blob))
     assert [row for __, row in heap.scan()] == expected
     assert pool.pinned_page_count() == 0
+
+
+@pytest.mark.parametrize("slot", [-1, 3, 7])
+def test_slot_outside_the_directory_is_refused(slot):
+    """``delete`` used to tombstone a flag byte in free space, and ``fetch``
+    to read slot -1 (the last slot) and call it deleted."""
+    pool = BufferPool(InMemoryDiskManager(4096), capacity_pages=8)
+    heap = HeapFile(pool, RowSerde(BLOB_SCHEMA))
+    rids = [heap.insert((i, b"x" * 8)) for i in range(3)]
+    page_id = rids[0].page_id
+    heap.delete(rids[2])
+    pool.flush_all()
+    before = bytes(pool.fetch_page(page_id).data)
+    pool.unpin_page(page_id)
+    bad = type(rids[0])(page_id, slot)
+    for op in (heap.delete, heap.fetch):
+        with pytest.raises(StorageError, match=f"no slot {slot} on page {page_id}"):
+            op(bad)
+    page = pool.fetch_page(page_id)
+    assert bytes(page.data) == before and not page.dirty
+    pool.unpin_page(page_id)
+    assert pool.pinned_page_count() == 0
+    assert [row for __, row in heap.scan()] == [(0, b"x" * 8), (1, b"x" * 8)]

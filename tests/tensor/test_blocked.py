@@ -133,6 +133,38 @@ def test_row_to_block_rejects_bad_payload():
         block_array(1, 2, b"\0" * 12)
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        np.arange(4),  # int64: its bytes would read as denormals
+        np.arange(4, dtype=np.float32),
+        np.zeros(4),  # the right size, the wrong shape
+        np.zeros((2, 3)),
+        np.zeros((2, 2)).T[:, :1],
+    ],
+)
+def test_block_array_takes_only_float64_arrays_of_its_shape(data):
+    with pytest.raises(ShapeError, match="must be float64 2×2"):
+        block_array(2, 2, data)
+
+
+def test_block_array_passes_a_strided_view_as_it_is():
+    a = np.arange(30.0).reshape(5, 6)
+    view = a[1:3, 2:5]
+    assert block_array(2, 3, view) is view
+
+
+def test_from_dense_blocks_are_read_only_views(rng):
+    a = rng.normal(size=(7, 10))
+    blocked = BlockedMatrix.from_dense(a, (3, 4))
+    for i, j, nrows, ncols, block in blocked.block_rows():
+        assert np.shares_memory(block, a) and not block.flags.writeable
+        assert block.base is a or block.base.base is a
+        np.testing.assert_array_equal(block, a[3 * i : 3 * i + nrows, 4 * j : 4 * j + ncols])
+    assert a.flags.writeable  # only the views are locked
+    np.testing.assert_array_equal(blocked.to_dense(), a)
+
+
 def test_store_and_load_via_heap(rng):
     pool = BufferPool(InMemoryDiskManager(8192), capacity_pages=8)
     catalog = Catalog(pool)

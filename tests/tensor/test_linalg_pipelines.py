@@ -1,7 +1,10 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import ShapeError, StorageError
+from repro.relational.operators import GeneratorScan, SeqScan
 from repro.storage import BufferPool, Catalog, InMemoryDiskManager
 from repro.tensor import (
     BlockedMatrix,
@@ -12,6 +15,7 @@ from repro.tensor import (
     drain_to_matrix,
     elementwise_pipeline,
     matmul_pipeline,
+    reblock,
 )
 
 
@@ -115,3 +119,96 @@ def test_property_relational_matmul_equals_dense(m, k, n, bm, bk, bn, seed):
     )
     result = drain_to_matrix(pipeline, (m, n), (bm, bn))
     np.testing.assert_allclose(result.to_dense(), a @ b, atol=1e-9)
+
+
+# -- reblock -----------------------------------------------------------------
+
+# A 10×7 matrix in 4×3 stored blocks (a 3×3 grid, ragged on both edges),
+# re-blocked 2x into 8×6 compute blocks.
+SHAPE, STORED = (10, 7), (4, 3)
+
+
+def stored_rows(a, edits=()):
+    """``a``'s stored block rows with ``edits`` applied: ``(i, j) → None``
+    drops a block, ``(i, j) → (nrows, ncols)`` re-cuts it from ``a``, and a
+    ``("dup", i, j)`` key repeats it."""
+    edits = dict(edits)
+    rows = []
+    for i, j, nrows, ncols, data in BlockedMatrix.from_dense(a, STORED).block_rows():
+        dims = edits.get((i, j), (nrows, ncols))
+        if dims is None:
+            continue
+        nrows, ncols = dims
+        block = np.ascontiguousarray(a[4 * i : 4 * i + nrows, 3 * j : 3 * j + ncols])
+        if block.shape != dims:  # reaches past the matrix: pad
+            block = np.zeros(dims)
+        rows.append((i, j, nrows, ncols, block))
+        if ("dup", i, j) in edits:
+            rows.append(rows[-1])
+    return rows
+
+
+def generator_source(rows):
+    return GeneratorScan(block_table_schema(), lambda: iter(rows))
+
+
+def table_source(rows):
+    """The same rows in a block table, read through ``scan_into``."""
+    catalog, __ = make_catalog(page_size=512, capacity=4)
+    info = catalog.create_table("doctored", block_table_schema())
+    for row in rows:
+        info.heap.insert(row)
+    return SeqScan(info)
+
+
+SOURCES = pytest.mark.parametrize("source", [generator_source, table_source])
+
+
+@SOURCES
+def test_reblock_assembles_compute_blocks(source, rng):
+    a = rng.normal(size=SHAPE)
+    rows = stored_rows(a)
+    out = reblock(source(rows[::-1]), SHAPE, STORED, 2)  # scan order is free
+    got = drain_to_matrix(out, SHAPE, (8, 6))
+    np.testing.assert_array_equal(got.to_dense(), a)
+    assert sorted(got._blocks) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+
+@SOURCES
+@pytest.mark.parametrize(
+    "edits, message",
+    [
+        # (0, 0) twice and (0, 1) missing: the count of arrivals matches.
+        ({("dup", 0, 0): 1, (0, 1): None}, r"stored block \(0, 0\) arrived twice"),
+        ({(1, 1): (3, 3)}, r"stored block \(1, 1\) is 3×3; its slot is 4×3"),
+        ({(2, 2): (2, 3)}, r"stored block \(2, 2\) is 2×3; its slot is 2×1"),
+        ({(0, 2): (4, 2)}, r"stored block \(0, 2\) is 4×2; its slot is 4×1"),
+        ({(2, 0): None}, r"missing stored 4×3 blocks, stored block \(2, 0\)"),
+    ],
+    ids=["duplicate", "short", "oversized-corner", "oversized-edge", "missing"],
+)
+def test_reblock_refuses_blocks_that_do_not_fill_their_slot(source, edits, message, rng):
+    """Duplicate, short, oversized and missing blocks used to leave
+    uninitialised memory in a compute block."""
+    rows = stored_rows(rng.normal(size=SHAPE), edits)
+    with pytest.raises(ShapeError, match=message):
+        list(reblock(source(rows), SHAPE, STORED, 2).batches())
+
+
+@SOURCES
+def test_reblock_refuses_a_block_outside_the_grid(source, rng):
+    rows = stored_rows(rng.normal(size=SHAPE))
+    rows.append((3, 0, 4, 3, np.zeros((4, 3))))
+    with pytest.raises(ShapeError, match=r"\(3, 0\) lies outside the 3×3 block grid"):
+        list(reblock(source(rows), SHAPE, STORED, 2).batches())
+
+
+def test_reblock_refuses_a_payload_shorter_than_its_dims(rng):
+    """A row whose dims fit its slot but whose BLOB does not: the array
+    source and the heap read both refuse it."""
+    rows = stored_rows(rng.normal(size=SHAPE))
+    rows[0] = (*rows[0][:4], np.zeros(11).tobytes())
+    with pytest.raises(ShapeError, match="11 elements, expected 4×3"):
+        list(reblock(generator_source(rows), SHAPE, STORED, 2).batches())
+    with pytest.raises(StorageError, match="88-byte BLOB does not fill its 96-byte"):
+        list(reblock(table_source(rows), SHAPE, STORED, 2).batches())
