@@ -39,12 +39,7 @@ from .errors import (
 )
 from .faults import FaultInjector, FaultPlan, FaultSpec
 from .health import HealthReport
-from .lifecycle import (
-    DEPLOYMENT_COLUMNS,
-    Deployment,
-    DeploymentController,
-    ModelCatalog,
-)
+from .lifecycle import Deployment, DeploymentController, ModelCatalog
 from .resilience import BreakerBoard, CircuitBreaker, RecoveryLedger
 from .server import ModelServer, RequestFuture, RequestState
 from .session import Cursor, Database
@@ -79,7 +74,6 @@ __all__ = [
     "ModelCatalog",
     "Deployment",
     "DeploymentController",
-    "DEPLOYMENT_COLUMNS",
     "ServerError",
     "ServerOverloadedError",
     "ServerClosedError",

@@ -9,7 +9,7 @@ the optimizer does not run on the latency-critical path.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..config import SystemConfig
 from ..dlruntime.layers import Model
@@ -29,7 +29,6 @@ class CompiledModel:
     batch_grid: tuple[int, ...]
     plans: dict[int, InferencePlan]
     selections: int = 0
-    plan_hits: dict[int, int] = field(default_factory=dict)
     #: Recovery-ledger generation this model was compiled under; when the
     #: ledger has advanced past it, the session recompiles so runtime
     #: rescues become up-front lowering decisions.
@@ -47,7 +46,6 @@ class CompiledModel:
         idx = bisect.bisect_left(self.batch_grid, batch_size)
         grid_batch = self.batch_grid[min(idx, len(self.batch_grid) - 1)]
         self.selections += 1
-        self.plan_hits[grid_batch] = self.plan_hits.get(grid_batch, 0) + 1
         return self.plans[grid_batch]
 
 

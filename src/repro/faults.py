@@ -44,9 +44,9 @@ import random
 import threading
 import zlib
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 from .errors import ConfigError, InjectedFaultError
-from .relational.schema import ColumnType, Schema
 from .telemetry.registry import Counter, MetricsRegistry
 
 #: Fault kinds.  ``ERROR`` raises at the site; the corruption kinds damage
@@ -72,6 +72,20 @@ KNOWN_SITES = (
     "lifecycle.swap",
     "lifecycle.rollback",
 )
+
+
+class FaultRow(NamedTuple):
+    """One row of the ``faults`` system relation (``SHOW FAULTS``)."""
+
+    site: str
+    kind: str
+    trigger: str
+    transient: bool
+    armed: bool
+    hits: int
+    fires: int
+    retries: int
+    recoveries: int
 
 
 @dataclass
@@ -356,14 +370,11 @@ class FaultInjector:
     def recovery_total(self) -> int:
         return _total(self._m_recoveries)
 
-    def hit_count(self, site: str) -> int:
-        return self._site_hits.get(site, 0)
-
-    def rows(self) -> list[tuple]:
+    def rows(self) -> list[FaultRow]:
         """``SHOW FAULTS`` rows: one per armed spec, plus one per known
         (or previously active) unarmed site."""
         with self._lock:
-            out: list[tuple] = []
+            out: list[FaultRow] = []
             sites = sorted(set(KNOWN_SITES) | set(self._specs) | set(self._site_hits))
             for site in sites:
                 specs = self._specs.get(site, [])
@@ -372,23 +383,18 @@ class FaultInjector:
                 retries = _total(self._m_retries, site)
                 recoveries = _total(self._m_recoveries, site)
                 if specs:
-                    for spec in specs:
-                        out.append(
-                            (
-                                site,
-                                spec.kind,
-                                spec.trigger,
-                                spec.transient,
-                                True,
-                                spec.hits,
-                                spec.fires,
-                                retries,
-                                recoveries,
-                            )
+                    out.extend(
+                        FaultRow(
+                            site, spec.kind, spec.trigger, spec.transient, True,
+                            spec.hits, spec.fires, retries, recoveries,
                         )
+                        for spec in specs
+                    )
                 else:
                     out.append(
-                        (site, "-", "-", False, False, hits, fires, retries, recoveries)
+                        FaultRow(
+                            site, "-", "-", False, False, hits, fires, retries, recoveries
+                        )
                     )
             return out
 
@@ -414,17 +420,3 @@ def _total(counters: dict[str, Counter], site: str | None = None) -> int:
 #: Shared disabled injector: components constructed without explicit
 #: fault wiring (unit tests, benchmarks) pay one boolean check per site.
 NULL_INJECTOR = FaultInjector()
-
-#: The ``faults`` system relation (``SHOW FAULTS``, see ``rows``).
-FAULT_SCHEMA = Schema.of(
-    ("site", ColumnType.TEXT),
-    ("kind", ColumnType.TEXT),
-    ("trigger", ColumnType.TEXT),
-    ("transient", ColumnType.BOOL),
-    ("armed", ColumnType.BOOL),
-    ("hits", ColumnType.INT),
-    ("fires", ColumnType.INT),
-    ("retries", ColumnType.INT),
-    ("recoveries", ColumnType.INT),
-)
-FAULT_COLUMNS = FAULT_SCHEMA.names

@@ -21,17 +21,9 @@ HEALTH`` SQL statement, and ``health_*`` gauges in the metrics registry
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .relational.schema import ColumnType, Schema
 from .resilience.breaker import CLOSED, HALF_OPEN, OPEN
-
-#: The ``health`` system relation (``SHOW HEALTH``, see ``HealthReport.rows``).
-HEALTH_SCHEMA = Schema.of(
-    ("component", ColumnType.TEXT),
-    ("status", ColumnType.TEXT),
-    ("detail", ColumnType.TEXT),
-)
-HEALTH_COLUMNS = HEALTH_SCHEMA.names
 
 OK = "ok"
 DEGRADED = "degraded"
@@ -44,16 +36,12 @@ DEGRADED_UTILISATION = 0.80
 FAILING_UTILISATION = 0.95
 
 
-@dataclass(frozen=True)
-class ComponentHealth:
-    """One component's contribution to the report."""
+class ComponentHealth(NamedTuple):
+    """One component's contribution: a ``health`` (``SHOW HEALTH``) row."""
 
     component: str
     status: str
     detail: str
-
-    def as_row(self) -> tuple[str, str, str]:
-        return (self.component, self.status, self.detail)
 
 
 @dataclass
@@ -81,11 +69,10 @@ class HealthReport:
                 return entry
         return None
 
-    def rows(self) -> list[tuple[str, str, str]]:
+    def rows(self) -> list[ComponentHealth]:
         """``SHOW HEALTH`` rows: components first, overall last."""
-        rows = [c.as_row() for c in self.components]
-        rows.append(("overall", self.status, f"{len(self.components)} components"))
-        return rows
+        overall = f"{len(self.components)} components"
+        return [*self.components, ComponentHealth("overall", self.status, overall)]
 
     def render(self) -> str:
         width = max((len(c.component) for c in self.components), default=7)

@@ -22,14 +22,13 @@ from .catalog import (
 )
 from .controller import (
     CANARY,
-    DEPLOYMENT_COLUMNS,
-    DEPLOYMENT_SCHEMA,
     PREPARING,
     PROMOTED,
     ROLLED_BACK,
     SHADOWING,
     Deployment,
     DeploymentController,
+    DeploymentRow,
 )
 from .routing import canary_mask, routed_predict, routing_hashes
 
@@ -40,8 +39,7 @@ __all__ = [
     "VersionRecord",
     "Deployment",
     "DeploymentController",
-    "DEPLOYMENT_COLUMNS",
-    "DEPLOYMENT_SCHEMA",
+    "DeploymentRow",
     "PREPARING",
     "SHADOWING",
     "CANARY",

@@ -29,9 +29,9 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from ..errors import DeploymentError, NoServableVersionError
-from ..relational.schema import ColumnType, Schema
 from ..resilience.breaker import OPEN, BreakerBoard
 from .catalog import V_READY, V_RETIRED
 
@@ -42,25 +42,24 @@ CANARY = "canary"
 PROMOTED = "promoted"
 ROLLED_BACK = "rolled_back"
 
-#: The ``deployments`` system relation (``SHOW DEPLOYMENTS``, see
-#: ``Deployment.as_row``).
-DEPLOYMENT_SCHEMA = Schema.of(
-    ("deploy_id", ColumnType.INT),
-    ("model", ColumnType.TEXT),
-    ("version", ColumnType.TEXT),
-    ("state", ColumnType.TEXT),
-    ("canary_percent", ColumnType.DOUBLE),
-    ("shadow", ColumnType.BOOL),
-    ("requests", ColumnType.INT),
-    ("failures", ColumnType.INT),
-    ("total_rows", ColumnType.INT),
-    ("shadow_compared", ColumnType.INT),
-    ("shadow_diverged", ColumnType.INT),
-    ("generation", ColumnType.INT),
-    ("reason", ColumnType.TEXT),
-    ("history", ColumnType.TEXT),
-)
-DEPLOYMENT_COLUMNS = DEPLOYMENT_SCHEMA.names
+class DeploymentRow(NamedTuple):
+    """One row of the ``deployments`` system relation (``SHOW DEPLOYMENTS``)."""
+
+    deploy_id: int
+    model: str
+    version: str
+    state: str
+    canary_percent: float
+    shadow: bool
+    requests: int
+    failures: int
+    total_rows: int
+    shadow_compared: int
+    shadow_diverged: int
+    generation: int
+    reason: str
+    history: str
+
 
 #: Fraction of shadow-compared rows allowed to disagree with the serving
 #: version (the label-disagreement serving error bound) before a shadow
@@ -96,22 +95,13 @@ class Deployment:
     def history_str(self) -> str:
         return ">".join(self.history)
 
-    def as_row(self) -> tuple:
-        return (
-            self.deploy_id,
-            self.model,
-            self.version,
-            self.state,
-            self.canary_percent if self.canary_percent is not None else 0.0,
-            self.shadow,
-            self.requests,
-            self.failures,
-            self.total_rows,
-            self.shadow_compared,
-            self.shadow_diverged,
-            self.generation,
-            self.reason,
-            self.history_str(),
+    def as_row(self) -> DeploymentRow:
+        """The ``SHOW DEPLOYMENTS`` row: the fields of the same names, with
+        no canary as 0 % and the history as one string."""
+        row = DeploymentRow._make(getattr(self, name) for name in DeploymentRow._fields)
+        return row._replace(
+            canary_percent=self.canary_percent if self.canary_percent is not None else 0.0,
+            history=self.history_str(),
         )
 
 
@@ -429,7 +419,7 @@ class DeploymentController:
         with self._lock:
             return list(self._active.values())
 
-    def rows(self) -> list[tuple]:
+    def rows(self) -> list[DeploymentRow]:
         """``SHOW DEPLOYMENTS`` rows, oldest deployment first."""
         with self._lock:
             return [dep.as_row() for dep in self._deployments]

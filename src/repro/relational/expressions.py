@@ -428,8 +428,3 @@ class FunctionCall(Expression):
         ctype = fixed_type if fixed_type is not None else arg.ctype
         name = f"{fname}({arg.name})"
         return BoundExpression(_null_safe(fn, arg.eval), ctype, name)
-
-
-def scalar_function_names() -> frozenset[str]:
-    """Names of the built-in scalar functions (for the binder)."""
-    return frozenset(_SCALAR_FUNCTIONS)

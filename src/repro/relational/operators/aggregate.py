@@ -290,8 +290,12 @@ class Aggregate(Operator):
         states = [factory(groups) for factory, __ in self._agg_bound]
         for batch in self._child.batches():
             gids = self._group_ids(batch, groups)
-            for state, (__, arg) in zip(states, self._agg_bound):
-                state.add(gids, arg.eval_batch(batch) if arg is not None else None)
+            for state, (__, arg), spec in zip(states, self._agg_bound, self._specs):
+                values = arg.eval_batch(batch) if arg is not None else None
+                try:
+                    state.add(gids, values)
+                except TypeError as exc:  # MIN/MAX over a mixed-type column
+                    raise ExecutionError(f"{spec.func}({arg.name}): {exc}") from None
         if not groups:
             return
         keys = [list(column) for column in zip(*groups)]

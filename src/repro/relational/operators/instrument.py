@@ -54,8 +54,9 @@ class AnalyzeReport:
 def instrument(root: Operator) -> AnalyzeReport:
     """Attach counters to every node of the plan (idempotent per node).
 
-    Both ``rows`` and ``batches`` are wrapped, so a node is counted
-    whichever one its parent pulls.  When one of them is derived from the
+    Both ``rows`` and ``batches`` are wrapped, and a ``SeqScan``'s
+    ``scan_into`` (one item per row), so a node is counted whichever one
+    its parent pulls.  When one of them is derived from the
     other, the inner call runs inside the outer wrapper and passes through
     uncounted: each output row is billed once.
 
@@ -76,12 +77,12 @@ def instrument(root: Operator) -> AnalyzeReport:
             original = getattr(node, method)
             original = getattr(original, "_instrument_original", original)
 
-            def counted() -> Iterator:
+            def counted(*args) -> Iterator:
                 if producing[0]:
-                    yield from original()
+                    yield from original(*args)
                     return
                 stats.opened += 1
-                items = original()
+                items = original(*args)
                 start = time.perf_counter()
                 try:
                     while True:
@@ -108,6 +109,8 @@ def instrument(root: Operator) -> AnalyzeReport:
 
         counting("rows", lambda row: 1)
         counting("batches", len)
+        if hasattr(node, "scan_into"):
+            counting("scan_into", lambda row: 1)
         for child in node.children():
             wrap(child)
 

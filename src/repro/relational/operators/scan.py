@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Iterator
 
+import numpy as np
+
 from ...errors import SchemaError
 from ...storage.catalog import TableInfo
 from ..batch import Batch
@@ -29,6 +31,11 @@ class SeqScan(Operator):
 
     def batches(self) -> Iterator[Batch]:
         return self._table.heap.scan_batches()
+
+    def scan_into(self, place: Callable[[tuple], np.ndarray]) -> Iterator[tuple]:
+        """Each row's leading values, once its trailing BLOB is copied into
+        ``place(them)`` (see :meth:`~repro.storage.heap.HeapFile.scan_into`)."""
+        return self._table.heap.scan_into(place)
 
     def describe(self) -> str:
         suffix = f" AS {self._alias}" if self._alias else ""

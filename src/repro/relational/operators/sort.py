@@ -11,6 +11,7 @@ import tempfile
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
+from ...errors import ExecutionError
 from ..expressions import BoundExpression, Expression
 from .base import Operator, Row
 
@@ -68,6 +69,11 @@ class Sort(Operator):
                 parts.append((rank, key))
         return tuple(parts)
 
+    def _unordered(self, exc: TypeError) -> ExecutionError:
+        """The error for key values that do not compare (a mixed-type column)."""
+        keys = ", ".join(bound.name for bound, __ in self._keys)
+        return ExecutionError(f"cannot sort by {keys}: {exc}")
+
     def rows(self) -> Iterator[Row]:
         source = iter(self._child)
         first_run: list[Row] = []
@@ -75,8 +81,14 @@ class Sort(Operator):
             first_run.append(row)
             if len(first_run) > self._max_rows:
                 return self._external_sort(first_run, source)
-        first_run.sort(key=self._sort_key)
+        self._sort(first_run)
         return iter(first_run)
+
+    def _sort(self, run: list[Row]) -> None:
+        try:
+            run.sort(key=self._sort_key)
+        except TypeError as exc:
+            raise self._unordered(exc) from None
 
     def _external_sort(self, head: list[Row], rest: Iterator[Row]) -> Iterator[Row]:
         """Spill sorted runs to a temp file, then merge them."""
@@ -84,7 +96,7 @@ class Sort(Operator):
         runs: list[tuple[int, int]] = []  # (offset, length)
 
         def flush(run: list[Row]) -> None:
-            run.sort(key=self._sort_key)
+            self._sort(run)
             payload = pickle.dumps(run, protocol=pickle.HIGHEST_PROTOCOL)
             spill.seek(0, 2)
             runs.append((spill.tell(), len(payload)))
@@ -105,8 +117,9 @@ class Sort(Operator):
 
         try:
             streams = [read_run(offset, length) for offset, length in runs]
-            merged = heapq.merge(*streams, key=self._sort_key)
-            yield from merged
+            yield from heapq.merge(*streams, key=self._sort_key)
+        except TypeError as exc:
+            raise self._unordered(exc) from None
         finally:
             spill.close()
 

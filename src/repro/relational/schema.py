@@ -9,6 +9,8 @@ are stored as BLOB columns in the relation-centric representation).
 from __future__ import annotations
 
 import enum
+import functools
+import typing
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
@@ -64,6 +66,18 @@ _TYPE_ALIASES = {
     "BYTEA": ColumnType.BLOB,
 }
 
+#: Row-class annotation -> column type (see :meth:`Schema.of_row`).
+#: ``object`` is a ``(stat, value)`` relation's mixed-type ``value``:
+#: declared TEXT, its values returned unchanged.
+_ANNOTATION_TYPES: dict[object, ColumnType] = {
+    int: ColumnType.INT,
+    float: ColumnType.DOUBLE,
+    str: ColumnType.TEXT,
+    bool: ColumnType.BOOL,
+    object: ColumnType.TEXT,
+}
+_ANNOTATION_TYPES.update({t | None: c for t, c in list(_ANNOTATION_TYPES.items())})
+
 _PYTHON_TYPES: dict[ColumnType, tuple[type, ...]] = {
     ColumnType.INT: (int, np.integer),
     ColumnType.DOUBLE: (float, int, np.floating, np.integer),
@@ -113,6 +127,24 @@ class Schema:
     def of(cls, *pairs: tuple[str, ColumnType]) -> "Schema":
         """Build a schema from (name, type) pairs."""
         return cls(Column(name, ctype) for name, ctype in pairs)
+
+    @classmethod
+    @functools.cache
+    def of_row(cls, row_type: type) -> "Schema":
+        """The schema a ``typing.NamedTuple`` row class declares: one
+        column per field, typed by its annotation (``int``, ``float``,
+        ``str``, ``bool``, ``object``, or ``X | None`` for any of them).
+        One instance per class, so its bindings are memoised once.
+        """
+        hints = typing.get_type_hints(row_type)
+        columns = []
+        for name in row_type._fields:
+            if hints[name] not in _ANNOTATION_TYPES:
+                raise SchemaError(
+                    f"{row_type.__name__}.{name}: {hints[name]!r} has no column type"
+                )
+            columns.append(Column(name, _ANNOTATION_TYPES[hints[name]]))
+        return cls(columns)
 
     @property
     def columns(self) -> tuple[Column, ...]:

@@ -26,10 +26,6 @@ class PlacementDecision:
     device: Device
     estimates: dict[str, float]
 
-    @property
-    def device_name(self) -> str:
-        return self.device.name
-
 
 def modeled_latency(
     node: LinAlgNode,

@@ -24,7 +24,7 @@ import os
 import struct
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -37,17 +37,12 @@ from .dlruntime.memory import MemoryBudget
 from .engines.base import EngineResult
 from .engines.hybrid import HybridExecutor
 from .errors import CatalogError, ConfigError, ReproError, SchemaError, SqlError
-from .faults import FAULT_SCHEMA, FaultInjector, FaultPlan
-from .health import HEALTH_SCHEMA, HealthReport
+from .faults import FaultInjector, FaultPlan, FaultRow
+from .health import ComponentHealth, HealthReport
 from .health import collect as collect_health
-from .lifecycle import (
-    DEPLOYMENT_COLUMNS,
-    DEPLOYMENT_SCHEMA,
-    DeploymentController,
-    ModelCatalog,
-)
+from .lifecycle import DeploymentController, DeploymentRow, ModelCatalog
 from .lifecycle.routing import routed_predict
-from .relational.schema import ColumnType, Schema
+from .relational.schema import Schema
 from .resilience import RecoveryLedger
 from .server.locks import ReadWriteLock
 from .sql import ast as sql_ast
@@ -63,16 +58,35 @@ from .storage.buffer_pool import (
 from .storage.catalog import Catalog, TableInfo, VersionRecord, split_version_name
 from .storage.disk import FileDiskManager, InMemoryDiskManager
 from .telemetry import QueryStats, StageAudit, Telemetry
-from .telemetry.audit import AUDIT_SCHEMA
-from .telemetry.events import EVENT_SCHEMA, TIMELINE_SCHEMA, timelines
-from .telemetry.profiler import PROFILE_SCHEMA
-from .telemetry.registry import METRICS_SCHEMA
-from .telemetry.slo import SLO_SCHEMA
-from .telemetry.workload import WORKLOAD_DETAIL_SCHEMA, WORKLOAD_SCHEMA
+from .telemetry.audit import AuditRow
+from .telemetry.events import EventRow, TimelineRow, timelines
+from .telemetry.profiler import ProfileRow
+from .telemetry.registry import MetricRow
+from .telemetry.slo import SloRow
+from .telemetry.workload import WorkloadDetailRow, WorkloadRow
 
-#: ``(stat, value)`` relations mix value types per row, so ``value`` is
-#: declared TEXT; the values themselves are returned unchanged.
-_STAT_SCHEMA = Schema.of(("stat", ColumnType.TEXT), ("value", ColumnType.TEXT))
+
+class TableRow(NamedTuple):
+    """One row of the ``tables`` system relation (``SHOW TABLES``)."""
+
+    name: str
+    columns: int
+    rows: int
+
+
+class ModelRow(NamedTuple):
+    """One row of the ``models`` system relation (``SHOW MODELS``)."""
+
+    name: str
+    model: str
+    params: int
+
+
+class StatRow(NamedTuple):
+    """One row of a ``(stat, value)`` relation: ``stats``, ``server``, ``cluster``."""
+
+    stat: str
+    value: object  # mixed types: declared TEXT, each returned unchanged
 
 
 @dataclass
@@ -134,6 +148,12 @@ def _explained(sql: str, analyze: bool) -> sql_ast.Select:
             f"EXPLAIN {'ANALYZE ' if analyze else ''}supports SELECT statements only"
         )
     return stmt
+
+
+def _stat_rows(attached) -> list[StatRow]:
+    """``SHOW SERVER`` / ``SHOW CLUSTER``: the attached server's or
+    pool's ``stats_rows``, none while nothing is attached."""
+    return [] if attached is None else list(map(StatRow._make, attached.stats_rows()))
 
 
 def _append_rows(info: TableInfo, rows: Iterable[tuple]) -> int:
@@ -317,64 +337,51 @@ class Database:
         self._rwlock = ReadWriteLock()
         self._server = None  # attached ModelServer, if any
         self._cluster = None  # attached ClusterPool, if any
-        # The system relations: one (schema, rows) source per SHOW target,
-        # read by the planner (FROM sys.<name>; SHOW is sugar for it) and
-        # by the diagnostics bundle.
+        # The system relations: one (row class, rows) source per SHOW
+        # target, read by the planner (FROM sys.<name>; SHOW is sugar for
+        # it) and by the diagnostics bundle.  A keyed relation's rows
+        # callable takes its key's value (see Planner).
         telemetry = self._telemetry
         self._relations: Relations = {
             "tables": (
-                Schema.of(
-                    ("name", ColumnType.TEXT),
-                    ("columns", ColumnType.INT),
-                    ("rows", ColumnType.INT),
-                ),
+                TableRow,
                 lambda: sorted(
-                    (t.name, len(t.schema), t.row_count)
+                    TableRow(t.name, len(t.schema), t.row_count)
                     for t in self._catalog.tables()
                 ),
             ),
             "models": (
-                Schema.of(
-                    ("name", ColumnType.TEXT),
-                    ("model", ColumnType.TEXT),
-                    ("params", ColumnType.INT),
-                ),
+                ModelRow,
                 lambda: sorted(
-                    (r.name, r.model.name, r.model.param_count)
+                    ModelRow(r.name, r.model.name, r.model.param_count)
                     for r in self._lifecycle.snapshot().records()
                 ),
             ),
             "metrics": (
-                METRICS_SCHEMA,
+                MetricRow,
                 lambda: telemetry.registry.rows() if telemetry.enabled else [],
             ),
-            "stats": (_STAT_SCHEMA, self._system_stats_rows),
-            "server": (
-                _STAT_SCHEMA,
-                lambda: [] if self._server is None else self._server.stats_rows(),
-            ),
-            "cluster": (
-                _STAT_SCHEMA,
-                lambda: [] if self._cluster is None else self._cluster.stats_rows(),
-            ),
-            "audit": (AUDIT_SCHEMA, telemetry.audit.rows),
-            "faults": (FAULT_SCHEMA, self._faults.rows),
-            "health": (HEALTH_SCHEMA, lambda: collect_health(self).rows()),
-            "events": (EVENT_SCHEMA, telemetry.events.rows),
+            "stats": (StatRow, self._system_stats_rows),
+            "server": (StatRow, lambda: _stat_rows(self._server)),
+            "cluster": (StatRow, lambda: _stat_rows(self._cluster)),
+            "audit": (AuditRow, telemetry.audit.rows),
+            "faults": (FaultRow, self._faults.rows),
+            "health": (ComponentHealth, lambda: collect_health(self).rows()),
+            "events": (EventRow, telemetry.events.rows),
             "timeline": (
-                TIMELINE_SCHEMA,
-                lambda: timelines(
-                    telemetry.events.events(), telemetry.tracer.finished
+                TimelineRow,
+                lambda trace_id=None: timelines(
+                    telemetry.events.events(), telemetry.tracer.finished, trace_id
                 ),
             ),
-            "slo": (SLO_SCHEMA, telemetry.slo.rows),
-            "profile": (PROFILE_SCHEMA, telemetry.profiler.top_rows),
-            "deployments": (DEPLOYMENT_SCHEMA, self._deployments.rows),
-            "workload": (WORKLOAD_SCHEMA, telemetry.workload.top_rows),
-            "workload_detail": (
-                WORKLOAD_DETAIL_SCHEMA, telemetry.workload.detail_rows
-            ),
+            "slo": (SloRow, telemetry.slo.rows),
+            "profile": (ProfileRow, telemetry.profiler.top_rows),
+            "deployments": (DeploymentRow, self._deployments.rows),
+            "workload": (WorkloadRow, telemetry.workload.top_rows),
+            "workload_detail": (WorkloadDetailRow, telemetry.workload.detail_rows),
         }
+        for row_type, __ in self._relations.values():
+            Schema.of_row(row_type)  # a bad declaration fails every Database()
         self._rebuild_planning()
         if path is not None:
             self._restore_if_persisted(path)
@@ -497,13 +504,9 @@ class Database:
         written (0 with telemetry disabled or nothing sampled, which
         still produces a valid empty file).
         """
-        lines = self._telemetry.profiler.collapsed()
-        with open(path, "w", encoding="utf-8") as fh:
-            for line in lines:
-                fh.write(line + "\n")
-        return len(lines)
+        return self._telemetry.profiler.export(path)
 
-    def _system_stats_rows(self) -> list[tuple[str, object]]:
+    def _system_stats_rows(self) -> list[StatRow]:
         """Rows for ``SHOW STATS``: one (stat, value) pair per line.
 
         Sections that depend on an optional facility contribute zero rows
@@ -583,7 +586,7 @@ class Database:
         for name, entry in sorted(self._vector_indexes.items()):
             rows.append((f"vector_index.{name}.kind", entry.kind))
             rows.append((f"vector_index.{name}.vectors", len(entry.rids)))
-        return rows
+        return list(map(StatRow._make, rows))
 
     def set_option(self, name: str, value: object) -> None:
         """Change a planning option (e.g. ``memory_threshold_bytes``).
@@ -829,10 +832,10 @@ class Database:
                 canary_percent=stmt.canary_percent,
                 shadow=stmt.shadow,
             )
-            return Cursor(DEPLOYMENT_COLUMNS, [dep.as_row()])
+            return Cursor(DeploymentRow._fields, [dep.as_row()])
         if isinstance(stmt, sql_ast.RollbackModel):
             dep = self._deployments.rollback(stmt.model)
-            return Cursor(DEPLOYMENT_COLUMNS, [dep.as_row()])
+            return Cursor(DeploymentRow._fields, [dep.as_row()])
         raise SqlError(f"unsupported statement type {type(stmt).__name__}")
 
     def explain_analyze(self, sql: str) -> tuple[Cursor, str]:

@@ -21,7 +21,7 @@ from ..relational.expressions import (
 )
 from ..relational.operators.aggregate import aggregate_function_names
 from ..relational.schema import ColumnType
-from ..telemetry.events import TIMELINE_COLUMNS
+from ..telemetry.events import TimelineRow
 from ..telemetry.workload import fingerprint
 from .ast import (
     AggregateCall,
@@ -338,7 +338,7 @@ class _Parser:
         argument = self._peek()
         if what == "timeline" and argument.type is TokenType.NUMBER:
             trace = self._slot(self._parse_int("SHOW TIMELINE"), argument)
-            return _show_select("timeline", TIMELINE_COLUMNS, "trace_id", trace)
+            return _show_select("timeline", TimelineRow._fields[1:], "trace_id", trace)
         if what == "workload" and argument.type is TokenType.STRING:
             fp = self._slot(self._advance().value, argument)
             return _show_select(

@@ -16,7 +16,7 @@ import numpy as np
 
 from ..errors import BindError, PlanError, SqlError
 from ..relational.batch import Batch
-from ..relational.expressions import ColumnRef, Comparison, Expression, LogicalOp
+from ..relational.expressions import ColumnRef, Comparison, Expression, Literal, LogicalOp
 from ..relational.operators import (
     Aggregate,
     AggregateSpec,
@@ -43,9 +43,12 @@ from .ast import AggregateCall, Join, PredictCall, Select, SelectItem, Star, Tab
 PredictFunction = Callable[[str, np.ndarray, "int | None"], np.ndarray]
 
 
-#: The system relations: name -> (schema, rows callable).  ``FROM
-#: sys.<name>`` scans one; the callable runs only when the plan executes.
-Relations = Mapping[str, tuple[Schema, Callable[[], list]]]
+#: The system relations: name -> (row class, rows callable).  The row
+#: class is a ``NamedTuple`` declaring the columns (``Schema.of_row``)
+#: and, as ``KEY``, optionally one key column.  ``FROM sys.<name>`` scans
+#: one; the callable runs only when the plan executes, and takes the
+#: key's value when the WHERE clause pins it.
+Relations = Mapping[str, tuple[type, Callable[..., list]]]
 
 
 class Planner:
@@ -115,7 +118,7 @@ class Planner:
 
     # -- FROM / JOIN -----------------------------------------------------
 
-    def _scan(self, ref: TableRef, qualify: bool) -> Operator:
+    def _scan(self, ref: TableRef, qualify: bool, where: Expression | None = None) -> Operator:
         alias = ref.alias or (ref.name if qualify else None)
         if not ref.name.startswith("sys."):
             return SeqScan(self._catalog.get_table(ref.name), alias=alias)
@@ -125,13 +128,22 @@ class Planner:
                 f"unknown system relation {ref.name!r}; expected one of "
                 + ", ".join(f"sys.{name}" for name in self._relations)
             )
-        schema, rows = relation
+        row_type, rows = relation
+        declared = Schema.of_row(row_type)
+        schema = declared.qualified(alias)
         label = ref.name + (f" AS {ref.alias}" if ref.alias else "")
-        return GeneratorScan(schema.qualified(alias), lambda: iter(rows()), label)
+        key = getattr(row_type, "KEY", None)
+        pinned = _pinned(where, schema, declared.index_of(key)) if key and where else None
+        if pinned is None:
+            return GeneratorScan(schema, lambda: iter(rows()), label)
+        # Filter stays on top: the rows callable only skips rows that the
+        # key's equality drops.
+        label += f", {key} = {pinned.value!r}"
+        return GeneratorScan(schema, lambda: iter(rows(pinned.value)), label)
 
     def _plan_from(self, stmt: Select) -> Operator:
         qualify = bool(stmt.joins)
-        source = self._scan(stmt.table, qualify)
+        source = self._scan(stmt.table, qualify, None if qualify else stmt.where)
         for join in stmt.joins:
             right = self._scan(join.table, qualify=True)
             source = self._plan_join(source, right, join)
@@ -348,6 +360,21 @@ def _flatten_and(expr: Expression) -> list[Expression]:
     if isinstance(expr, LogicalOp) and expr.op.upper() == "AND":
         return _flatten_and(expr.left) + _flatten_and(expr.right)
     return [expr]
+
+
+def _pinned(where: Expression, schema: Schema, column: int) -> Literal | None:
+    """The non-NULL literal a top-level ``column = literal`` conjunct of
+    ``where`` pins ``schema``'s ``column`` to, if any."""
+    for term in _flatten_and(where):
+        if isinstance(term, Comparison) and term.op in ("=", "=="):
+            for ref, value in ((term.left, term.right), (term.right, term.left)):
+                if (
+                    isinstance(ref, ColumnRef) and isinstance(value, Literal)
+                    and value.value is not None and _binds(ref, schema)
+                    and ref.bind(schema).column == column
+                ):
+                    return value
+    return None
 
 
 def _binds(ref: ColumnRef, schema: Schema) -> bool:

@@ -28,18 +28,10 @@ SQL with ``SHOW METRICS`` / ``SHOW STATS`` / ``SHOW EVENTS`` /
 
 from __future__ import annotations
 
-from .audit import (
-    AUDIT_COLUMNS,
-    NULL_AUDITOR,
-    NullAuditor,
-    PlanAuditor,
-    StageAudit,
-)
+from .audit import NULL_AUDITOR, NullAuditor, PlanAuditor, StageAudit
 from .events import (
-    EVENT_COLUMNS,
     EVENT_KINDS,
     NULL_RECORDER,
-    TIMELINE_COLUMNS,
     Event,
     FlightRecorder,
     NullRecorder,
@@ -55,21 +47,10 @@ from .logs import (
     get_logger,
     register_tracer,
 )
-from .profiler import (
-    NULL_PROFILER,
-    PROFILE_COLUMNS,
-    NullStageProfiler,
-    StageProfiler,
-)
+from .profiler import NULL_PROFILER, NullStageProfiler, StageProfiler
 from .query_stats import QueryStats
-from .slo import NULL_SLO, SLO_COLUMNS, NullSloTracker, SloPolicy, SloTracker
-from .workload import (
-    NULL_WORKLOAD,
-    WORKLOAD_COLUMNS,
-    NullWorkloadStore,
-    WorkloadStore,
-    fingerprint,
-)
+from .slo import NULL_SLO, NullSloTracker, SloPolicy, SloTracker
+from .workload import NULL_WORKLOAD, NullWorkloadStore, WorkloadStore, fingerprint
 from .registry import (
     DEFAULT_LATENCY_BUCKETS,
     Counter,
@@ -128,7 +109,6 @@ __all__ = [
     "PlanAuditor",
     "NullAuditor",
     "StageAudit",
-    "AUDIT_COLUMNS",
     "NULL_AUDITOR",
     "MetricsRegistry",
     "Counter",
@@ -145,9 +125,7 @@ __all__ = [
     "FlightRecorder",
     "NullRecorder",
     "NULL_RECORDER",
-    "EVENT_COLUMNS",
     "EVENT_KINDS",
-    "TIMELINE_COLUMNS",
     "timeline_rows",
     "timelines",
     "QueryStats",
@@ -161,15 +139,12 @@ __all__ = [
     "WorkloadStore",
     "NullWorkloadStore",
     "NULL_WORKLOAD",
-    "WORKLOAD_COLUMNS",
     "fingerprint",
     "SloTracker",
     "NullSloTracker",
     "SloPolicy",
     "NULL_SLO",
-    "SLO_COLUMNS",
     "StageProfiler",
     "NullStageProfiler",
     "NULL_PROFILER",
-    "PROFILE_COLUMNS",
 ]

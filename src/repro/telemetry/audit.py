@@ -33,9 +33,7 @@ from __future__ import annotations
 import threading
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterator
-
-from ..relational.schema import ColumnType, Schema
+from typing import Iterator, NamedTuple
 
 #: Byte-scaled histogram buckets (64 KiB .. 1 GiB) for memory peaks.
 PEAK_BYTE_BUCKETS: tuple[float, ...] = tuple(
@@ -54,6 +52,23 @@ DEFAULT_OVER_FACTOR = 1.25
 #: A relation-centric stage whose actual peak is below
 #: threshold * UNDER_FRACTION is flagged as unnecessary lowering.
 DEFAULT_UNDER_FRACTION = 0.9
+
+
+class AuditRow(NamedTuple):
+    """One row of the ``audit`` system relation (``SHOW AUDIT``)."""
+
+    model: str
+    stage: int
+    representation: str
+    ops: str
+    rows: int
+    time_ms: float
+    estimated_bytes: int
+    actual_peak_bytes: int
+    ratio: float
+    verdict: str
+    note: str
+    recovery: str
 
 
 @dataclass(frozen=True)
@@ -94,9 +109,9 @@ class StageAudit:
     def mispredicted(self) -> bool:
         return self.verdict != "ok"
 
-    def as_row(self) -> tuple:
+    def as_row(self) -> AuditRow:
         """The ``SHOW AUDIT`` row for this record."""
-        return (
+        return AuditRow(
             self.model,
             self.stage_index,
             self.representation,
@@ -110,24 +125,6 @@ class StageAudit:
             self.note,
             self.recovery,
         )
-
-
-#: The ``audit`` system relation (``SHOW AUDIT``), aligned with ``as_row``.
-AUDIT_SCHEMA = Schema.of(
-    ("model", ColumnType.TEXT),
-    ("stage", ColumnType.INT),
-    ("representation", ColumnType.TEXT),
-    ("ops", ColumnType.TEXT),
-    ("rows", ColumnType.INT),
-    ("time_ms", ColumnType.DOUBLE),
-    ("estimated_bytes", ColumnType.INT),
-    ("actual_peak_bytes", ColumnType.INT),
-    ("ratio", ColumnType.DOUBLE),
-    ("verdict", ColumnType.TEXT),
-    ("note", ColumnType.TEXT),
-    ("recovery", ColumnType.TEXT),
-)
-AUDIT_COLUMNS = AUDIT_SCHEMA.names
 
 
 def classify(
@@ -323,7 +320,7 @@ class PlanAuditor:
     def mispredictions(self) -> list[StageAudit]:
         return [a for a in self.records if a.mispredicted]
 
-    def rows(self) -> list[tuple]:
+    def rows(self) -> list[AuditRow]:
         """``SHOW AUDIT`` rows, oldest record first."""
         return [audit.as_row() for audit in self.records]
 
@@ -364,7 +361,7 @@ class NullAuditor:
     def mispredictions(self) -> list[StageAudit]:
         return []
 
-    def rows(self) -> list[tuple]:
+    def rows(self) -> list[AuditRow]:
         return []
 
     def clear(self) -> None:

@@ -115,10 +115,10 @@ def build_bundle(
         "lifecycle": db.deployments.snapshot(),
         "relations": {
             name: {
-                "columns": list(schema.names),
+                "columns": list(row_type._fields),
                 "rows": [[json_safe(v) for v in row] for row in rows()],
             }
-            for name, (schema, rows) in db._relations.items()
+            for name, (row_type, rows) in db._relations.items()
             if name not in _HELD_ELSEWHERE
         },
     }

@@ -26,7 +26,6 @@ import time
 from collections import deque
 from typing import NamedTuple
 
-from ..relational.schema import ColumnType, Schema
 from .registry import MetricsRegistry
 
 #: Event kinds the system emits (free-form kinds are allowed; these are
@@ -73,26 +72,28 @@ EVENT_KINDS: tuple[str, ...] = (
     "cluster.rolling_restart",
 )
 
-#: The ``events`` system relation (``SHOW EVENTS [WHERE ...]``).
-EVENT_SCHEMA = Schema.of(
-    ("seq", ColumnType.INT),
-    ("ts_ms", ColumnType.DOUBLE),
-    ("kind", ColumnType.TEXT),
-    ("trace_id", ColumnType.INT),
-    ("detail", ColumnType.TEXT),
-)
-EVENT_COLUMNS = EVENT_SCHEMA.names
+class EventRow(NamedTuple):
+    """One row of the ``events`` system relation (``SHOW EVENTS``)."""
 
-#: The ``timeline`` system relation: :func:`timeline_rows` of every trace.
-TIMELINE_SCHEMA = Schema.of(
-    ("trace_id", ColumnType.INT),
-    ("at_ms", ColumnType.DOUBLE),
-    ("source", ColumnType.TEXT),
-    ("what", ColumnType.TEXT),
-    ("detail", ColumnType.TEXT),
-)
-#: Columns for ``SHOW TIMELINE <trace_id>`` cursors.
-TIMELINE_COLUMNS = TIMELINE_SCHEMA.names[1:]
+    seq: int
+    ts_ms: float
+    kind: str
+    trace_id: int | None
+    detail: str
+
+
+class TimelineRow(NamedTuple):
+    """One row of the ``timeline`` system relation (``SHOW TIMELINE``)."""
+
+    trace_id: int
+    at_ms: float
+    source: str
+    what: str
+    detail: str
+
+    #: The key column: the planner passes the value a ``trace_id = <n>``
+    #: conjunct pins to :func:`timelines`, which builds that trace alone.
+    KEY = "trace_id"
 
 
 class Event(NamedTuple):
@@ -191,10 +192,10 @@ class FlightRecorder:
             out = out[-limit:]
         return out
 
-    def rows(self) -> list[tuple]:
-        """``SHOW EVENTS`` rows (:data:`EVENT_COLUMNS`), oldest first."""
+    def rows(self) -> list[EventRow]:
+        """``SHOW EVENTS`` rows, oldest first."""
         return [
-            (e.seq, round(e.ts_s * 1e3, 3), e.kind, e.trace_id, e.detail)
+            EventRow(e.seq, round(e.ts_s * 1e3, 3), e.kind, e.trace_id, e.detail)
             for e in self.events()
         ]
 
@@ -280,9 +281,11 @@ def timeline_rows(events: list[Event], spans: list) -> list[tuple]:
     return rows
 
 
-def timelines(events: list[Event], spans: list) -> list[tuple]:
-    """``sys.timeline`` rows: ``(trace_id, *row)`` for every
-    :func:`timeline_rows` row of every trace, traces by ascending id.
+def timelines(
+    events: list[Event], spans: list, trace_id: int | None = None
+) -> list[TimelineRow]:
+    """``sys.timeline`` rows: every :func:`timeline_rows` row of every
+    trace, traces by ascending id, or of trace ``trace_id`` alone.
 
     A trace is any id with a finished span or an event that involves it
     (as :meth:`Event.involves` decides: its own id or a ``traces`` link).
@@ -295,14 +298,17 @@ def timelines(events: list[Event], spans: list) -> list[tuple]:
         ids = set(traces) if isinstance(traces, (tuple, list)) else set()
         if event.trace_id is not None:
             ids.add(event.trace_id)
-        for trace_id in ids:
-            grouped.setdefault(trace_id, ([], []))[0].append(event)
+        for tid in ids:
+            if trace_id is None or tid == trace_id:
+                grouped.setdefault(tid, ([], []))[0].append(event)
+    if trace_id is not None:
+        spans = [span for span in spans if span.trace_id == trace_id]
     for span in sorted(spans, key=lambda s: s.start_s):
         grouped.setdefault(span.trace_id, ([], []))[1].append(span)
     return [
-        (trace_id, *row)
-        for trace_id in sorted(grouped)
-        for row in timeline_rows(*grouped[trace_id])
+        TimelineRow(tid, *row)
+        for tid in sorted(grouped)
+        for row in timeline_rows(*grouped[tid])
     ]
 
 
@@ -324,7 +330,7 @@ class NullRecorder:
     def events(self, kind=None, trace_id=None, limit=None) -> list[Event]:
         return []
 
-    def rows(self) -> list[tuple]:
+    def rows(self) -> list[EventRow]:
         return []
 
     def as_dicts(self, limit: int | None = None) -> list[dict]:

@@ -21,19 +21,20 @@ frame prepended.
 from __future__ import annotations
 
 import threading
+from typing import NamedTuple
 
 from ..errors import TelemetryError
-from ..relational.schema import ColumnType, Schema
 from .registry import MetricsRegistry
 
-#: The ``profile`` system relation (``SHOW PROFILE``).
-PROFILE_SCHEMA = Schema.of(
-    ("frame", ColumnType.TEXT),
-    ("samples", ColumnType.INT),
-    ("est_ms", ColumnType.DOUBLE),
-    ("share", ColumnType.DOUBLE),
-)
-PROFILE_COLUMNS = PROFILE_SCHEMA.names
+
+class ProfileRow(NamedTuple):
+    """One row of the ``profile`` system relation (``SHOW PROFILE``)."""
+
+    frame: str
+    samples: int
+    est_ms: float
+    share: float
+
 
 #: Catch-all frame once ``max_frames`` distinct stages are tracked.
 OVERFLOW_FRAME = "<other>"
@@ -159,8 +160,8 @@ class StageProfiler:
     def idle_ticks(self) -> int:
         return self._idle_ticks
 
-    def top_rows(self, top: int | None = None) -> list[tuple]:
-        """``SHOW PROFILE`` rows (:data:`PROFILE_COLUMNS`), hottest first.
+    def top_rows(self, top: int | None = None) -> list[ProfileRow]:
+        """``SHOW PROFILE`` rows, hottest first.
 
         ``est_ms`` scales sample counts by the sampling interval — an
         unbiased wall-time estimate whose error shrinks with sample
@@ -171,7 +172,7 @@ class StageProfiler:
             counts = dict(self._counts)
             sampled = self._sampled
         rows = [
-            (
+            ProfileRow(
                 frame,
                 count,
                 round(count * self.interval_ms, 3),
@@ -233,13 +234,14 @@ class NullStageProfiler:
     def stop(self) -> bool:
         return False
 
-    def top_rows(self, top: int | None = None) -> list[tuple]:
+    def top_rows(self, top: int | None = None) -> list[ProfileRow]:
         return []
 
     def collapsed(self) -> list[str]:
         return []
 
     def export(self, path) -> int:
+        open(path, "w", encoding="utf-8").close()
         return 0
 
     def clear(self) -> None:

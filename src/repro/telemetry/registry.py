@@ -26,19 +26,20 @@ from __future__ import annotations
 
 import bisect
 import threading
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from ..errors import TelemetryError
-from ..relational.schema import ColumnType, Schema
 
-#: The ``metrics`` system relation (``SHOW METRICS``, see ``rows``).
-METRICS_SCHEMA = Schema.of(
-    ("name", ColumnType.TEXT),
-    ("value", ColumnType.DOUBLE),
-    ("p50", ColumnType.DOUBLE),
-    ("p95", ColumnType.DOUBLE),
-    ("p99", ColumnType.DOUBLE),
-)
+
+class MetricRow(NamedTuple):
+    """One row of the ``metrics`` system relation (``SHOW METRICS``)."""
+
+    name: str
+    value: float
+    p50: float | None = None
+    p95: float | None = None
+    p99: float | None = None
+
 
 #: Default histogram buckets, tuned for operator/query latencies (seconds).
 DEFAULT_LATENCY_BUCKETS: tuple[float, ...] = (
@@ -323,26 +324,26 @@ class MetricsRegistry:
                 out[rendered] = value
         return out
 
-    def rows(self) -> list[tuple]:
-        """``SHOW METRICS`` rows (:data:`METRICS_SCHEMA`), sorted by name.
+    def rows(self) -> list[MetricRow]:
+        """``SHOW METRICS`` rows, sorted by name.
 
         Every sample of :meth:`snapshot` with NULL quantiles, plus one
         summary row per histogram: ``(name, count, p50, p95, p99)``.  A
         histogram with zero observations has no quantiles at all — its
         columns render as SQL NULL (``None``), not a misleading ``0.0``.
         """
-        nulls = (None, None, None)
-        rows = [(name, value) + nulls for name, value in self.snapshot().items()]
+        rows = [MetricRow(name, value) for name, value in self.snapshot().items()]
         for metric in self:
             if isinstance(metric, Histogram):
                 rendered = metric.name + _render_labels(metric.labels)
                 if metric.count == 0:
-                    rows.append((rendered, 0.0) + nulls)
+                    rows.append(MetricRow(rendered, 0.0))
                 else:
                     rows.append(
-                        (rendered, float(metric.count))
-                        + tuple(
-                            round(metric.quantile(q), 9) for q in (0.5, 0.95, 0.99)
+                        MetricRow(
+                            rendered,
+                            float(metric.count),
+                            *(round(metric.quantile(q), 9) for q in (0.5, 0.95, 0.99)),
                         )
                     )
         return sorted(rows, key=lambda r: r[0])

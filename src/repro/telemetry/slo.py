@@ -30,23 +30,23 @@ import time
 from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..errors import TelemetryError
-from ..relational.schema import ColumnType, Schema
 from .registry import MetricsRegistry
 
-#: The ``slo`` system relation (``SHOW SLO``): one row per (model, window).
-SLO_SCHEMA = Schema.of(
-    ("model", ColumnType.TEXT),
-    ("objective", ColumnType.TEXT),
-    ("target", ColumnType.DOUBLE),
-    ("window", ColumnType.TEXT),
-    ("samples", ColumnType.INT),
-    ("bad", ColumnType.INT),
-    ("burn_rate", ColumnType.DOUBLE),
-    ("status", ColumnType.TEXT),
-)
-SLO_COLUMNS = SLO_SCHEMA.names
+
+class SloRow(NamedTuple):
+    """One row of the ``slo`` system relation (``SHOW SLO``)."""
+
+    model: str
+    objective: str
+    target: float
+    window: str
+    samples: int
+    bad: int
+    burn_rate: float
+    status: str
 
 
 @dataclass(frozen=True)
@@ -288,10 +288,10 @@ class SloTracker:
 
     # -- rendering -------------------------------------------------------
 
-    def rows(self) -> list[tuple]:
-        """``SHOW SLO`` rows (:data:`SLO_COLUMNS`): two per tracked model."""
+    def rows(self) -> list[SloRow]:
+        """``SHOW SLO`` rows: two per tracked model."""
         now = self._clock()
-        out: list[tuple] = []
+        out: list[SloRow] = []
         with self._lock:
             for model in sorted(self._models):
                 state = self._models[model]
@@ -306,7 +306,7 @@ class SloTracker:
                     total, bad, burn = self._window_stats(state, window, now)
                     burning = burn >= self.burn_threshold
                     out.append(
-                        (
+                        SloRow(
                             model,
                             objective,
                             target,
@@ -368,7 +368,7 @@ class NullSloTracker:
     ) -> None:
         pass
 
-    def rows(self) -> list[tuple]:
+    def rows(self) -> list[SloRow]:
         return []
 
     def snapshot(self) -> dict[str, dict[str, object]]:

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import hashlib
 import threading
+from typing import NamedTuple
 
 from ..relational.expressions import (
     BinaryOp,
@@ -43,7 +44,6 @@ from ..relational.expressions import (
     LogicalOp,
     UnaryOp,
 )
-from ..relational.schema import ColumnType, Schema
 from .registry import DEFAULT_LATENCY_BUCKETS, Histogram, MetricsRegistry
 
 # The sql package transitively imports storage (which imports telemetry
@@ -63,30 +63,34 @@ def _ensure_sql() -> None:
         sql_ast = _ast
         unparse = _unparse
 
-#: The ``workload`` system relation (``SHOW WORKLOAD [TOP k BY ...]``).
-WORKLOAD_SCHEMA = Schema.of(
-    ("fingerprint", ColumnType.TEXT),
-    ("statement", ColumnType.TEXT),
-    ("calls", ColumnType.INT),
-    ("mean_ms", ColumnType.DOUBLE),
-    ("p50_ms", ColumnType.DOUBLE),
-    ("p95_ms", ColumnType.DOUBLE),
-    ("rows", ColumnType.INT),
-    ("bytes", ColumnType.INT),
-    ("cache_hit_rate", ColumnType.DOUBLE),
-    ("recoveries", ColumnType.INT),
-    ("plan", ColumnType.TEXT),
-    ("sql", ColumnType.TEXT),
-)
-WORKLOAD_COLUMNS = WORKLOAD_SCHEMA.names
 
-#: The ``workload_detail`` system relation (``SHOW WORKLOAD '<fp>'``):
-#: ``value`` is declared TEXT and holds each statistic unchanged.
-WORKLOAD_DETAIL_SCHEMA = Schema.of(
-    ("fingerprint", ColumnType.TEXT),
-    ("stat", ColumnType.TEXT),
-    ("value", ColumnType.TEXT),
-)
+class WorkloadRow(NamedTuple):
+    """One row of the ``workload`` system relation (``SHOW WORKLOAD``)."""
+
+    fingerprint: str
+    statement: str
+    calls: int
+    mean_ms: float
+    p50_ms: float
+    p95_ms: float
+    rows: int
+    bytes: int
+    cache_hit_rate: float
+    recoveries: int
+    plan: str
+    sql: str
+
+
+class WorkloadDetailRow(NamedTuple):
+    """One row of the ``workload_detail`` relation (``SHOW WORKLOAD '<fp>'``)."""
+
+    fingerprint: str
+    stat: str
+    value: object  # each statistic unchanged
+
+    #: The key column (see :meth:`WorkloadStore.detail_rows`).
+    KEY = "fingerprint"
+
 
 #: The literal placeholder normalized statements carry.
 PLACEHOLDER = "?"
@@ -428,8 +432,8 @@ class WorkloadStore:
 
     # -- rendering -------------------------------------------------------
 
-    def _row(self, entry: _Entry) -> tuple:
-        return (
+    def _row(self, entry: _Entry) -> WorkloadRow:
+        return WorkloadRow(
             entry.fingerprint,
             entry.statement,
             entry.calls,
@@ -478,18 +482,20 @@ class WorkloadStore:
             self._entries.values(), key=lambda e: (-e.total_seconds, e.fingerprint)
         )
 
-    def top_rows(self) -> list[tuple]:
-        """``sys.workload`` rows (:data:`WORKLOAD_COLUMNS`), hottest first."""
+    def top_rows(self) -> list[WorkloadRow]:
+        """``sys.workload`` rows, hottest first."""
         with self._lock:
             return [self._row(e) for e in self._ranked_locked()]
 
-    def detail_rows(self) -> list[tuple[str, str, object]]:
+    def detail_rows(self, fingerprint: str | None = None) -> list[WorkloadDetailRow]:
         """``sys.workload_detail`` rows: each entry's ``(fingerprint, stat,
-        value)`` triples, entries in :meth:`top_rows` order."""
+        value)`` triples, entries in :meth:`top_rows` order, or entry
+        ``fingerprint``'s alone."""
         with self._lock:
             return [
-                (entry.fingerprint, stat, value)
+                WorkloadDetailRow(entry.fingerprint, stat, value)
                 for entry in self._ranked_locked()
+                if fingerprint is None or entry.fingerprint == fingerprint
                 for stat, value in self._detail(entry)
             ]
 
@@ -518,10 +524,10 @@ class NullWorkloadStore:
     def record(self, stmt, stats, fingerprinted=None) -> str:
         return ""
 
-    def top_rows(self) -> list[tuple]:
+    def top_rows(self) -> list[WorkloadRow]:
         return []
 
-    def detail_rows(self) -> list[tuple[str, str, object]]:
+    def detail_rows(self, fingerprint: str | None = None) -> list[WorkloadDetailRow]:
         return []
 
     def regressions_total(self) -> int:

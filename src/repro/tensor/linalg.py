@@ -99,7 +99,7 @@ class _Reblock(Operator):
         source's arrays (or ``bytes``) are copied there from its rows."""
         child = self._child
         if isinstance(child, SeqScan) and child.table.schema == block_table_schema():
-            yield from child.table.heap.scan_into(place)
+            yield from child.scan_into(place)
             return
         for batch in child.batches():
             for *head, data in zip(*self._get(batch.columns)):

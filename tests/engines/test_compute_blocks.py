@@ -113,6 +113,14 @@ def test_compute_blocks_match_the_oracle(
         if node.describe().startswith("Reblock")
     ]
     assert len(reblocks) == (stripes * len(widths) if factor > 1 else 0)
+    # Every weight scan reports its stored blocks, under a Reblock too.
+    scans = [
+        (report.for_node(node).rows, node.table.row_count)
+        for pipeline, report, __ in built for node in walk(pipeline)
+        if node.describe().startswith("SeqScan")
+    ]
+    assert len(scans) == stripes * len(widths)
+    assert all(rows == blocks > 0 for rows, blocks in scans)
     footprint = compute_block_bytes(side, max(widths), rows) if factor > 1 else 0
     assert result.peak_memory_bytes >= rows * in_features * 8 + footprint
 

@@ -6,11 +6,11 @@ from repro.errors import ConfigError, CorruptPageError, InjectedFaultError
 from repro.faults import (
     BIT_FLIP,
     ERROR,
-    FAULT_COLUMNS,
     KNOWN_SITES,
     TORN_WRITE,
     FaultInjector,
     FaultPlan,
+    FaultRow,
     FaultSpec,
     corrupt,
     is_transient,
@@ -195,7 +195,7 @@ def test_rows_cover_every_known_site():
     inj = FaultInjector(seed=1)
     inj.arm(site="disk.read_page", nth=2)
     rows = inj.rows()
-    assert all(len(row) == len(FAULT_COLUMNS) for row in rows)
+    assert all(len(row) == len(FaultRow._fields) for row in rows)
     listed = {row[0] for row in rows}
     assert listed >= set(KNOWN_SITES)
     armed = [row for row in rows if row[0] == "disk.read_page"]

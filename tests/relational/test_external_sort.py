@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import ExecutionError
 from repro.relational import ColumnRef, ColumnType, Schema
 from repro.relational.operators import Sort, SortKey, ValuesScan, collect
 
@@ -81,3 +82,21 @@ def test_property_external_equals_in_memory(values, budget, descending):
         Sort(ValuesScan(schema, rows), keys, max_rows_in_memory=budget)
     ).rows
     assert external == in_memory
+
+
+STAT_VALUE = Schema.of(("stat", ColumnType.TEXT), ("value", ColumnType.TEXT))
+
+
+@pytest.mark.parametrize(
+    "values, max_rows",
+    [
+        ([3, "x", 1], None),  # sorted in memory
+        ([2, 1, 3, "x"], 2),  # one spilled run mixes types
+        ([2, 1, 4, 3, "y", "x"], 2),  # typed runs, mixed only in the merge
+    ],
+)
+def test_sort_over_mixed_types_raises_execution_error(values, max_rows):
+    rows = [(f"s{i}", v) for i, v in enumerate(values)]
+    op = Sort(ValuesScan(STAT_VALUE, rows), [SortKey(ColumnRef("value"))], max_rows)
+    with pytest.raises(ExecutionError, match="sort by value"):
+        list(op)

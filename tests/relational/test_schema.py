@@ -1,3 +1,5 @@
+from typing import NamedTuple
+
 import pytest
 
 from repro.errors import SchemaError
@@ -77,3 +79,27 @@ def test_type_parse_aliases():
 def test_column_requires_name():
     with pytest.raises(SchemaError):
         Column("", ColumnType.INT)
+
+
+def test_of_row_derives_column_types_from_annotations():
+    class Row(NamedTuple):
+        a: int
+        b: float | None
+        c: str
+        d: bool
+        e: object
+
+    assert Schema.of_row(Row) == Schema.of(
+        ("a", ColumnType.INT),
+        ("b", ColumnType.DOUBLE),
+        ("c", ColumnType.TEXT),
+        ("d", ColumnType.BOOL),
+        ("e", ColumnType.TEXT),
+    )
+
+    class Bad(NamedTuple):
+        a: int
+        b: bytes
+
+    with pytest.raises(SchemaError, match="Bad.b"):
+        Schema.of_row(Bad)

@@ -8,7 +8,6 @@ from repro.config import mb
 from repro.health import (
     DEGRADED,
     FAILING,
-    HEALTH_COLUMNS,
     OK,
     ComponentHealth,
     HealthReport,
@@ -46,7 +45,7 @@ def test_rows_end_with_the_overall_row():
     rows = report.rows()
     assert rows[0] == ("a", OK, "fine")
     assert rows[-1][0] == "overall"
-    assert all(len(row) == len(HEALTH_COLUMNS) for row in rows)
+    assert all(len(row) == len(ComponentHealth._fields) for row in rows)
     assert "overall: ok" in report.render()
 
 
@@ -115,7 +114,7 @@ def test_show_health_matches_the_report():
     with Database(telemetry_enabled=True) as db:
         db.register_model(fraud_fc_256(), name="fraud")
         cur = db.execute("SHOW HEALTH")
-        assert cur.columns == HEALTH_COLUMNS
+        assert cur.columns == ComponentHealth._fields
         rows = cur.fetchall()
         assert rows[-1][0] == "overall"
         assert rows[-1][1] == OK
@@ -135,4 +134,4 @@ def test_health_gauges_published_on_collection(rng):
 
 def test_show_health_parses_case_insensitively():
     with Database() as db:
-        assert db.execute("show health").columns == HEALTH_COLUMNS
+        assert db.execute("show health").columns == ComponentHealth._fields

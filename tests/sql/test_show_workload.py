@@ -11,7 +11,7 @@ from repro.errors import SqlParseError
 from repro.sql import ast
 from repro.sql.parser import parse
 from repro.sql.unparse import unparse
-from repro.telemetry.workload import WORKLOAD_COLUMNS
+from repro.telemetry.workload import WorkloadRow
 
 
 # -- grammar -------------------------------------------------------------
@@ -97,9 +97,9 @@ def test_workload_counts_sum_to_executed_queries(db):
         db.execute(f"SELECT name FROM t LIMIT {i + 1}")
     rows = db.execute("SHOW WORKLOAD TOP 50 BY count").fetchall()
     executed = 1 + 6 + 10 + 4  # create + inserts + two select shapes
-    assert sum(r[WORKLOAD_COLUMNS.index("calls")] for r in rows) == executed
+    assert sum(r[WorkloadRow._fields.index("calls")] for r in rows) == executed
     # Literal-insensitive: 10 point lookups fold into one fingerprint.
-    calls = {r[WORKLOAD_COLUMNS.index("sql")]: r[2] for r in rows}
+    calls = {r[WorkloadRow._fields.index("sql")]: r[2] for r in rows}
     assert 10 in calls.values()
     assert 6 in calls.values()
 
@@ -126,9 +126,9 @@ def test_show_workload_under_concurrency(db):
     assert errors == []
     rows = db.execute("SHOW WORKLOAD TOP 5 BY latency").fetchall()
     lookup = next(
-        r for r in rows if "WHERE" in r[WORKLOAD_COLUMNS.index("sql")]
+        r for r in rows if "WHERE" in r[WorkloadRow._fields.index("sql")]
     )
-    assert lookup[WORKLOAD_COLUMNS.index("calls")] == 8 * per_thread
+    assert lookup[WorkloadRow._fields.index("calls")] == 8 * per_thread
 
 
 def test_top_k_and_ordering(db):
@@ -137,7 +137,7 @@ def test_top_k_and_ordering(db):
         db.execute("SELECT * FROM t")
     rows = db.execute("SHOW WORKLOAD TOP 1 BY count").fetchall()
     assert len(rows) == 1
-    assert rows[0][WORKLOAD_COLUMNS.index("calls")] >= 5
+    assert rows[0][WorkloadRow._fields.index("calls")] >= 5
 
 
 def test_fingerprint_detail_view(db):
@@ -145,9 +145,9 @@ def test_fingerprint_detail_view(db):
     db.execute("SELECT * FROM t WHERE x = 7")
     summary = db.execute("SHOW WORKLOAD TOP 50 BY count").fetchall()
     target = next(
-        r for r in summary if "WHERE" in r[WORKLOAD_COLUMNS.index("sql")]
+        r for r in summary if "WHERE" in r[WorkloadRow._fields.index("sql")]
     )
-    fp = target[WORKLOAD_COLUMNS.index("fingerprint")]
+    fp = target[WorkloadRow._fields.index("fingerprint")]
     detail = dict(db.execute(f"SHOW WORKLOAD '{fp}'").fetchall())
     assert detail["fingerprint"] == fp
     assert detail["calls"] == 1
@@ -163,11 +163,11 @@ def test_show_workload_records_itself_shape_normalized(db):
     db.execute("SHOW WORKLOAD TOP 9 BY count")
     rows = db.execute("SHOW WORKLOAD TOP 50 BY count").fetchall()
     show_rows = [
-        r for r in rows if "sys.workload" in r[WORKLOAD_COLUMNS.index("sql")]
+        r for r in rows if "sys.workload" in r[WorkloadRow._fields.index("sql")]
     ]
     assert len(show_rows) == 1
-    assert show_rows[0][WORKLOAD_COLUMNS.index("statement")] == "Select"
-    assert show_rows[0][WORKLOAD_COLUMNS.index("calls")] == 2
+    assert show_rows[0][WorkloadRow._fields.index("statement")] == "Select"
+    assert show_rows[0][WorkloadRow._fields.index("calls")] == 2
 
 
 _OLD_KEYS = {

@@ -9,12 +9,20 @@ from pathlib import Path
 import pytest
 
 from repro import Database
-from repro.errors import BindError, CatalogError, SqlError, SqlParseError
-from repro.faults import FAULT_SCHEMA
+from repro.errors import (
+    BindError,
+    CatalogError,
+    ExecutionError,
+    SchemaError,
+    SqlError,
+    SqlParseError,
+)
+from repro.faults import FaultRow
 from repro.models import fraud_fc_256
 from repro.relational.schema import ColumnType, Schema
 from repro.sql.lexer import SHOW_TARGETS
 from repro.sql.parser import parse
+from repro.telemetry import events
 
 
 @pytest.fixture
@@ -45,7 +53,7 @@ def test_api_md_table_lists_the_registry(db):
             name, columns = [cell.strip(" `") for cell in line.split("|")[1:3]]
             documented.append((name, tuple(c.strip() for c in columns.split(","))))
     assert documented == [
-        (name, schema.names) for name, (schema, __) in db._relations.items()
+        (name, row_type._fields) for name, (row_type, __) in db._relations.items()
     ]
 
 
@@ -66,17 +74,19 @@ def _typed(rows):
 def _freeze(db, target):
     """Pin a relation's current rows: counters and events move with every
     statement, and a test compares two reads of the same rows."""
-    schema, rows = db._relations[target]
+    row_type, rows = db._relations[target]
     frozen = rows()
-    db._relations[target] = (schema, lambda: frozen)
+    db._relations[target] = (row_type, lambda: frozen)
     return frozen
 
 
 @pytest.mark.parametrize("target", SHOW_TARGETS)
 def test_every_target_takes_where_and_yields_typed_rows(db, target):
-    schema, rows = db._relations[target]
+    row_type, rows = db._relations[target]
+    schema = Schema.of_row(row_type)
     cursor = db.execute(f"SHOW {target}")
     assert cursor.columns == schema.names
+    assert all(isinstance(row, row_type) for row in rows())
     if schema.names[-2:] != ("stat", "value"):  # mixed-type values stay as-is
         for row in rows():
             schema.validate_row(row)
@@ -129,14 +139,14 @@ def test_order_by_and_limit_over_a_system_relation(db):
 
 def test_create_table_as_snapshots_a_system_relation(db):
     db.execute("CREATE TABLE snap AS SELECT * FROM sys.faults")
-    assert db.catalog.get_table("snap").schema == FAULT_SCHEMA
+    assert db.catalog.get_table("snap").schema == Schema.of_row(FaultRow)
     assert db.execute("SELECT * FROM snap").rows == db.execute("SHOW FAULTS").rows
 
 
 def test_explain_names_the_system_scan_without_reading_it(db):
     calls = []
-    schema, rows = db._relations["faults"]
-    db._relations["faults"] = (schema, lambda: calls.append(1) or rows())
+    row_type, rows = db._relations["faults"]
+    db._relations["faults"] = (row_type, lambda: calls.append(1) or rows())
     plan = db.explain("SELECT f.site FROM sys.faults AS f WHERE f.armed = TRUE")
     assert "GeneratorScan(sys.faults AS f)" in plan
     assert db.explain("SHOW FAULTS").endswith("GeneratorScan(sys.faults)")
@@ -169,7 +179,7 @@ def test_show_stats_where_filters_like_select(db):
 
 def test_show_faults_where_matches_select_over_the_same_rows(db):
     shown = db.execute("SHOW FAULTS WHERE armed = TRUE").rows
-    db.create_table("faults_copy", FAULT_SCHEMA)
+    db.create_table("faults_copy", Schema.of_row(FaultRow))
     db.load_rows("faults_copy", db.execute("SHOW FAULTS").rows)
     selected = db.execute("SELECT * FROM faults_copy WHERE armed = TRUE").rows
     assert shown == selected
@@ -181,3 +191,66 @@ def test_show_where_binds_like_select(db):
         db.execute("SHOW FAULTS WHERE nope = 1")
     with pytest.raises(BindError):
         db.execute("SHOW FAULTS WHERE armed = 'yes'")
+
+
+def test_timeline_key_is_pushed_into_the_scan(request, monkeypatch):
+    """``SHOW TIMELINE <n>`` over a full span ring builds that one trace's
+    timeline, and answers what the unpushed plan answers."""
+    db = Database()
+    request.addfinalizer(db.close)
+    tracer = db.telemetry.tracer
+    traces = []
+    for __ in range(db.config.telemetry_max_spans // 4):
+        with tracer.span("request") as root:
+            traces.append(root.trace_id)
+            for __ in range(3):
+                with tracer.span("stage"):
+                    pass
+    assert len(tracer.finished) == db.config.telemetry_max_spans
+    trace = traces[len(traces) // 2]
+    built = []
+    timeline_rows = events.timeline_rows
+    monkeypatch.setattr(
+        events, "timeline_rows", lambda *a: built.append(1) or timeline_rows(*a)
+    )
+    pushed = f"SHOW TIMELINE {trace}"
+    unpushed = (
+        "SELECT at_ms, source, what, detail FROM sys.timeline "
+        f"WHERE trace_id + 0 = {trace}"
+    )
+    scan = f"GeneratorScan(sys.timeline, trace_id = {trace})"
+    assert db.explain(pushed).endswith(scan)
+    assert db.explain(unpushed).endswith("GeneratorScan(sys.timeline)")
+    rows = db.execute(pushed).rows
+    assert len(built) == 1
+    assert rows == db.execute(unpushed).rows and len(rows) == 5
+    assert len(built) > len(traces) // 2
+
+
+def test_workload_detail_key_is_pushed_into_the_scan(db):
+    fp = db.execute("SHOW WORKLOAD").rows[0][0]
+    pushed = f"SHOW WORKLOAD '{fp}'"
+    unpushed = (
+        f"SELECT stat, value FROM sys.workload_detail WHERE fingerprint LIKE '{fp}'"
+    )
+    scan = f"GeneratorScan(sys.workload_detail, fingerprint = '{fp}')"
+    assert db.explain(pushed).endswith(scan)
+    assert db.explain(unpushed).endswith("GeneratorScan(sys.workload_detail)")
+    rows = db.execute(pushed).rows
+    assert rows == db.execute(unpushed).rows and ("fingerprint", fp) in rows
+
+
+@pytest.mark.parametrize(
+    "sql", ["SELECT * FROM sys.stats ORDER BY value", "SELECT MAX(value) FROM sys.stats"]
+)
+def test_mixed_type_values_neither_order_nor_fold(db, sql):
+    assert {int, str} <= {type(value) for __, value in db.execute("SHOW STATS").rows}
+    with pytest.raises(ExecutionError, match=r"\bvalue\b"):
+        db.execute(sql)
+
+
+def test_create_table_as_refuses_mixed_type_values(db):
+    with pytest.raises(SchemaError, match="column 'value' of type TEXT"):
+        db.execute("CREATE TABLE snap AS SELECT * FROM sys.stats")
+    with pytest.raises(CatalogError):
+        db.catalog.get_table("snap")

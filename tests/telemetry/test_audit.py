@@ -7,8 +7,8 @@ from repro.config import KB, MB
 from repro.data import fraud_transactions
 from repro.errors import SqlError
 from repro.models import fraud_fc_256
-from repro.telemetry import NULL_AUDITOR, AUDIT_COLUMNS, PlanAuditor
-from repro.telemetry.audit import classify
+from repro.telemetry import NULL_AUDITOR, PlanAuditor
+from repro.telemetry.audit import AuditRow, classify
 from repro.telemetry.registry import MetricsRegistry
 
 FEATURES = ", ".join(f"f{i}" for i in range(28))
@@ -147,8 +147,8 @@ def test_audit_rows_align_with_columns():
     record(auditor, 0)
     rows = auditor.rows()
     assert len(rows) == 1
-    assert len(rows[0]) == len(AUDIT_COLUMNS)
-    as_dict = dict(zip(AUDIT_COLUMNS, rows[0]))
+    assert len(rows[0]) == len(AuditRow._fields)
+    as_dict = dict(zip(AuditRow._fields, rows[0]))
     assert as_dict["model"] == "m"
     assert as_dict["ratio"] == 1.0
     assert as_dict["verdict"] == "ok"
@@ -183,7 +183,7 @@ def test_show_audit_reports_misprediction_after_threshold_crossing():
         assert db.execute("SHOW AUDIT").rows == []
         db.execute(PREDICT_SQL)
         cur = db.execute("SHOW AUDIT")
-        assert cur.columns == AUDIT_COLUMNS
+        assert cur.columns == AuditRow._fields
         assert len(cur) >= 1
         by_verdict = dict(
             zip(cur.column("verdict"), cur.column("note"))

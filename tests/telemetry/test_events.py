@@ -8,7 +8,6 @@ import pytest
 
 from repro.errors import TelemetryError
 from repro.telemetry import (
-    EVENT_COLUMNS,
     EVENT_KINDS,
     NULL_RECORDER,
     Event,
@@ -16,6 +15,7 @@ from repro.telemetry import (
     timeline_rows,
     timelines,
 )
+from repro.telemetry.events import EventRow
 from repro.telemetry.registry import MetricsRegistry
 from repro.telemetry.tracing import Tracer
 
@@ -64,7 +64,7 @@ def test_rows_match_show_events_columns():
     recorder = FlightRecorder()
     recorder.emit("cache.hit", trace_id=3, model="fraud", hits=4)
     (row,) = recorder.rows()
-    assert len(row) == len(EVENT_COLUMNS)
+    assert len(row) == len(EventRow._fields)
     seq, ts_ms, kind, trace_id, detail = row
     assert (seq, kind, trace_id) == (1, "cache.hit", 3)
     assert isinstance(ts_ms, float)

@@ -13,9 +13,9 @@ from repro import Database
 from repro.errors import TelemetryError
 from repro.models import fraud_fc_256
 from repro.telemetry.profiler import (
-    PROFILE_COLUMNS,
     ROOT_FRAME,
     NullStageProfiler,
+    ProfileRow,
     StageProfiler,
 )
 
@@ -55,7 +55,7 @@ def test_sampler_attributes_marked_frames():
     assert not profiler.stop(), "second stop is a no-op"
     rows = profiler.top_rows()
     assert rows and rows[0][0] == "m;stage0:dl-centric"
-    row = dict(zip(PROFILE_COLUMNS, rows[0]))
+    row = dict(zip(ProfileRow._fields, rows[0]))
     assert row["samples"] >= 5
     assert row["share"] == pytest.approx(1.0)
     assert row["est_ms"] == pytest.approx(row["samples"] * 1.0)
@@ -205,6 +205,8 @@ def test_profiler_disabled_with_telemetry_off(tmp_path):
     try:
         assert not db.start_profiler()
         assert db.execute("SHOW PROFILE").fetchall() == []
-        assert db.export_profile(str(tmp_path / "off.folded")) == 0
+        path = tmp_path / "off.folded"
+        assert db.export_profile(str(path)) == 0
+        assert path.exists() and path.read_text() == ""
     finally:
         db.close()

@@ -11,7 +11,7 @@ from repro import Database
 from repro.errors import TelemetryError
 from repro.health import DEGRADED, FAILING, OK
 from repro.models import fraud_fc_256
-from repro.telemetry.slo import SLO_COLUMNS, NullSloTracker, SloPolicy, SloTracker
+from repro.telemetry.slo import NullSloTracker, SloPolicy, SloRow, SloTracker
 
 
 class FakeClock:
@@ -54,11 +54,11 @@ def test_burn_rate_zero_until_min_samples(clock):
     for __ in range(3):
         t.observe("m", ok=False, latency_ms=0.0)
     rows = t.rows()
-    assert all(row[SLO_COLUMNS.index("burn_rate")] == 0.0 for row in rows)
+    assert all(row[SloRow._fields.index("burn_rate")] == 0.0 for row in rows)
     t.observe("m", ok=False, latency_ms=0.0)
     fast = t.rows()[0]
-    assert fast[SLO_COLUMNS.index("burn_rate")] == pytest.approx(2.0)
-    assert fast[SLO_COLUMNS.index("status")] == "burning"
+    assert fast[SloRow._fields.index("burn_rate")] == pytest.approx(2.0)
+    assert fast[SloRow._fields.index("status")] == "burning"
 
 
 def test_latency_objective_counts_slow_requests_as_bad(clock):
@@ -149,7 +149,7 @@ def test_impossible_latency_slo_burns_and_degrades_health(db):
             server.predict("fraud", rng.normal(size=(4, 28)))
     rows = db.execute("SHOW SLO").fetchall()
     assert len(rows) == 2
-    fast = dict(zip(SLO_COLUMNS, rows[0]))
+    fast = dict(zip(SloRow._fields, rows[0]))
     assert fast["model"] == "fraud"
     assert fast["samples"] >= 4
     assert fast["burn_rate"] > 1.0
@@ -170,7 +170,7 @@ def test_generous_slo_stays_ok(db):
         for __ in range(8):
             server.predict("fraud", rng.normal(size=(4, 28)))
     rows = db.execute("SHOW SLO").fetchall()
-    assert all(row[SLO_COLUMNS.index("status")] == "ok" for row in rows)
+    assert all(row[SloRow._fields.index("status")] == "ok" for row in rows)
     component = db.health().component("slo:fraud")
     assert component is not None and component.status == OK
 

@@ -10,8 +10,8 @@ from repro.sql.parser import parse
 from repro.sql.unparse import unparse
 from repro.telemetry.query_stats import QueryStats
 from repro.telemetry.workload import (
-    WORKLOAD_COLUMNS,
     NullWorkloadStore,
+    WorkloadRow,
     WorkloadStore,
     fingerprint,
     normalize,
@@ -135,7 +135,7 @@ def test_record_aggregates_per_fingerprint():
     store.record(b, stats(elapsed=0.030, rows=1, cache_hits=1))
     rows = store.top_rows()
     assert len(rows) == 1
-    row = dict(zip(WORKLOAD_COLUMNS, rows[0]))
+    row = dict(zip(WorkloadRow._fields, rows[0]))
     assert row["calls"] == 2
     assert row["rows"] == 4
     assert row["mean_ms"] == pytest.approx(20.0, rel=0.01)
@@ -152,7 +152,7 @@ def test_top_rows_orderings():
     for __ in range(10):
         store.record(hot, stats(elapsed=0.001))
     store.record(big, stats(elapsed=0.002, pool_misses=100))
-    rows = [dict(zip(WORKLOAD_COLUMNS, row)) for row in store.top_rows()]
+    rows = [dict(zip(WorkloadRow._fields, row)) for row in store.top_rows()]
     # The relation's own order is total latency; TOP k BY count | bytes
     # sort on the calls / bytes columns.
     tables = [row["sql"].split()[-1] for row in rows]
