@@ -100,8 +100,8 @@ class SystemConfig:
     framework_compute_efficiency: float = 2.5
     num_cores: int = 8
     # Unified telemetry (repro.telemetry): metrics registry, query spans,
-    # per-query stats.  Disabling swaps in no-op collectors so the hot
-    # paths pay only a null method call.
+    # per-query stats.  Disabling builds the collectors disabled, so the
+    # hot paths pay one attribute check and record nothing.
     telemetry_enabled: bool = True
     # Bound on retained finished spans (a ring: the newest are kept).  A
     # span holds ~430 bytes, so this caps the buffer near 7 MB; until it is

@@ -28,7 +28,6 @@ class CompiledModel:
     model: Model
     batch_grid: tuple[int, ...]
     plans: dict[int, InferencePlan]
-    selections: int = 0
     #: Recovery-ledger generation this model was compiled under; when the
     #: ledger has advanced past it, the session recompiles so runtime
     #: rescues become up-front lowering decisions.
@@ -45,7 +44,6 @@ class CompiledModel:
             raise PlanError("batch_size must be >= 1")
         idx = bisect.bisect_left(self.batch_grid, batch_size)
         grid_batch = self.batch_grid[min(idx, len(self.batch_grid) - 1)]
-        self.selections += 1
         return self.plans[grid_batch]
 
 

@@ -375,9 +375,9 @@ class HybridExecutor:
         """Retry an OOMed stage on recursively halved batches.
 
         The full batch already failed, so start from the halves; each
-        half that still OOMs splits again until the configured floor,
-        below which the error propagates (the operator itself, not the
-        batch, is what does not fit).
+        half that still OOMs splits again (:meth:`_run_split`) until the
+        configured floor, below which the error propagates (the operator
+        itself, not the batch, is what does not fit).
         """
         mid = x.shape[0] // 2
         left, pieces_l = self._run_split(stage, x[:mid], model_info)
@@ -390,13 +390,9 @@ class HybridExecutor:
         try:
             return self._run_stage(stage, chunk, model_info), 1
         except OutOfMemoryError:
-            floor = max(1, self.config.resilience_split_floor_rows)
-            if chunk.shape[0] <= floor or chunk.shape[0] <= 1:
+            if chunk.shape[0] <= max(1, self.config.resilience_split_floor_rows):
                 raise
-            mid = chunk.shape[0] // 2
-            left, pieces_l = self._run_split(stage, chunk[:mid], model_info)
-            right, pieces_r = self._run_split(stage, chunk[mid:], model_info)
-            return _merge_results(left, right), pieces_l + pieces_r
+            return self._split_stage(stage, chunk, model_info)
 
     def _note_rescue(
         self, plan: InferencePlan, stage: PlanStage, node_base: int

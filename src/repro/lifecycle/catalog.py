@@ -41,7 +41,7 @@ from ..storage.catalog import (
     VersionRecord,
     split_version_name,
 )
-from ..telemetry.events import NULL_RECORDER
+from ..telemetry.events import FlightRecorder
 
 
 @dataclass(frozen=True)
@@ -112,11 +112,13 @@ class ModelCatalog:
     the new snapshot atomically.  ``snapshot()`` is the entire read API.
     """
 
-    def __init__(self, injector=None, recorder=NULL_RECORDER):
+    def __init__(self, injector=None, recorder=None):
         self._mutate = threading.Lock()
         self._head = CatalogSnapshot(0, {})
         self._injector = injector
-        self._recorder = recorder
+        self._recorder = (
+            recorder if recorder is not None else FlightRecorder(enabled=False)
+        )
         #: Publication history: ``(generation, description)`` per publish.
         self._history: list[tuple[int, str]] = [(0, "empty")]
 

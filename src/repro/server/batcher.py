@@ -28,7 +28,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from ..errors import DeadlineExceededError
-from ..telemetry.events import NULL_RECORDER
+from ..telemetry.events import FlightRecorder
 from .futures import RequestFuture, RequestState
 
 
@@ -75,7 +75,9 @@ class MicroBatcher:
         if max_queue_delay_s < 0:
             raise ValueError("max_queue_delay_s must be >= 0")
         self.model = model
-        self._recorder = recorder if recorder is not None else NULL_RECORDER
+        self._recorder = (
+            recorder if recorder is not None else FlightRecorder(enabled=False)
+        )
         self.max_batch_size = max_batch_size
         self.max_queue_delay_s = max_queue_delay_s
         self.stats = BatcherStats()

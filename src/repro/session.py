@@ -665,42 +665,47 @@ class Database:
     def execute(self, sql: str) -> Cursor:
         """Parse and execute one SQL statement.
 
-        With telemetry enabled the statement runs under nested
-        ``query -> parse / plan / execute`` spans and the returned
-        cursor's ``stats`` holds the per-query counter deltas.
+        The statement runs under nested ``query -> parse / plan /
+        execute`` spans; with telemetry enabled the returned cursor's
+        ``stats`` holds the per-query counter deltas.
         """
         telemetry = self._telemetry
-        if not telemetry.enabled:
-            stmt = parse(sql)
-            with self._statement_lock(stmt):
-                return self._execute_statement(stmt)
         tracer = telemetry.tracer
-        pool = self._pool.stats
-        pool_before = (pool.hits, pool.misses, pool.evictions)
-        cache_before = self._cache_totals()
-        engine_before = self._executor._m_engine_seconds.value
-        stage_before = {
-            rep: counter.value
-            for rep, counter in self._executor._m_stage_runs.items()
-        }
-        audit_marker = telemetry.audit.marker()
+        if telemetry.enabled:  # the counters QueryStats are deltas of
+            pool = self._pool.stats
+            pool_before = (pool.hits, pool.misses, pool.evictions)
+            cache_before = self._cache_totals()
+            engine_before = self._executor._m_engine_seconds.value
+            stage_before = {
+                rep: counter.value
+                for rep, counter in self._executor._m_stage_runs.items()
+            }
+            audit_marker = telemetry.audit.marker()
         start = time.perf_counter()
         with tracer.span("query", category="sql", sql=sql.strip()[:200]) as query_span:
             with tracer.span("parse", category="sql"):
                 stmt, shape = STATEMENTS.parse(sql)
             with self._statement_lock(stmt):
-                if isinstance(stmt, sql_ast.Select):
-                    op = self._planner.plan_select(stmt)  # emits the "plan" span
-                    with tracer.span("execute", category="sql", statement="Select"):
-                        cursor = Cursor(op.schema.names, list(op))
-                else:
-                    with tracer.span(
-                        "execute", category="sql", statement=type(stmt).__name__
-                    ):
-                        cursor = self._execute_statement(stmt)
+                # A SELECT is planned before "execute" opens, so its
+                # "plan" span is a sibling of "parse" and "execute".
+                op = (
+                    self._planner.plan_select(stmt)
+                    if isinstance(stmt, sql_ast.Select)
+                    else None
+                )
+                with tracer.span(
+                    "execute", category="sql", statement=type(stmt).__name__
+                ):
+                    cursor = (
+                        self._execute_statement(stmt)
+                        if op is None
+                        else Cursor(op.schema.names, list(op))
+                    )
         elapsed = time.perf_counter() - start
         self._m_queries.inc()
         self._m_query_seconds.observe(elapsed)
+        if not telemetry.enabled:
+            return cursor
         cache_after = self._cache_totals()
         representations = {
             rep.value: int(counter.value - stage_before[rep])
@@ -822,9 +827,6 @@ class Database:
                 else self._explain(stmt.query)
             )
             return Cursor(("plan",), [(line,) for line in lines])
-        if isinstance(stmt, sql_ast.Select):
-            op = self._planner.plan_select(stmt)
-            return Cursor(op.schema.names, list(op))
         if isinstance(stmt, sql_ast.DeployModel):
             dep = self._deployments.deploy(
                 stmt.model,

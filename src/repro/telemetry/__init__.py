@@ -13,10 +13,10 @@ One :class:`Telemetry` object bundles the three collection surfaces —
 behind a single on/off switch (``SystemConfig.telemetry_enabled``).
 Counters are system state, so every ``Telemetry`` owns a live registry
 and the switch stops *exporting* it, not counting into it.  What the
-switch does skip is recording work: disabled telemetry swaps in shared
-null tracer, recorder, auditor, workload store, SLO tracker and profiler
-objects, so spans, events, plan audits, fingerprints, burn rates and
-stage samples cost one no-op method call.
+switch does skip is recording work: off, the tracer, recorder, auditor,
+workload store, SLO tracker and profiler are the same classes built
+disabled, so spans, events, plan audits, fingerprints, burn rates and
+stage samples return after one attribute check and record nothing.
 
 A :class:`~repro.session.Database` owns one ``Telemetry``; query it from
 SQL with ``SHOW METRICS`` / ``SHOW STATS`` / ``SHOW EVENTS`` /
@@ -28,16 +28,8 @@ SQL with ``SHOW METRICS`` / ``SHOW STATS`` / ``SHOW EVENTS`` /
 
 from __future__ import annotations
 
-from .audit import NULL_AUDITOR, NullAuditor, PlanAuditor, StageAudit
-from .events import (
-    EVENT_KINDS,
-    NULL_RECORDER,
-    Event,
-    FlightRecorder,
-    NullRecorder,
-    timeline_rows,
-    timelines,
-)
+from .audit import PlanAuditor, StageAudit
+from .events import EVENT_KINDS, Event, FlightRecorder, timeline_rows, timelines
 from .logs import (
     ROOT_LOGGER_NAME,
     TRACE_LOG_FORMAT,
@@ -47,10 +39,10 @@ from .logs import (
     get_logger,
     register_tracer,
 )
-from .profiler import NULL_PROFILER, NullStageProfiler, StageProfiler
+from .profiler import StageProfiler
 from .query_stats import QueryStats
-from .slo import NULL_SLO, NullSloTracker, SloPolicy, SloTracker
-from .workload import NULL_WORKLOAD, NullWorkloadStore, WorkloadStore, fingerprint
+from .slo import SloPolicy, SloTracker
+from .workload import WorkloadStore, fingerprint
 from .registry import (
     DEFAULT_LATENCY_BUCKETS,
     Counter,
@@ -59,7 +51,7 @@ from .registry import (
     Histogram,
     MetricsRegistry,
 )
-from .tracing import NULL_TRACER, NullTracer, Span, TraceContext, Tracer
+from .tracing import Span, TraceContext, Tracer
 
 
 class Telemetry:
@@ -68,7 +60,7 @@ class Telemetry:
     a single switch.
 
     The registry is live either way; ``enabled`` decides whether it is
-    exported and whether the recording objects are real or null.
+    exported and whether the recording objects record.
     """
 
     def __init__(
@@ -81,35 +73,33 @@ class Telemetry:
     ):
         self.enabled = enabled
         self.registry = MetricsRegistry()
-        if not enabled:
-            self.tracer: Tracer | NullTracer = NULL_TRACER
-            self.audit: PlanAuditor | NullAuditor = NULL_AUDITOR
-            self.events: FlightRecorder | NullRecorder = NULL_RECORDER
-            self.workload: WorkloadStore | NullWorkloadStore = NULL_WORKLOAD
-            self.slo: SloTracker | NullSloTracker = NULL_SLO
-            self.profiler: StageProfiler | NullStageProfiler = NULL_PROFILER
-            return
-        self.tracer = Tracer(max_spans=max_spans, metrics=self.registry)
+        self.tracer = Tracer(
+            max_spans=max_spans, metrics=self.registry, enabled=enabled
+        )
         register_tracer(self.tracer)  # log-record trace correlation
-        self.audit = PlanAuditor(self.registry)
-        self.events = FlightRecorder(metrics=self.registry)
+        self.audit = PlanAuditor(self.registry, enabled=enabled)
+        self.events = FlightRecorder(metrics=self.registry, enabled=enabled)
         self.workload = WorkloadStore(
-            page_size=page_size, metrics=self.registry, recorder=self.events
+            page_size=page_size,
+            metrics=self.registry,
+            recorder=self.events,
+            enabled=enabled,
         )
         self.slo = SloTracker(
-            min_samples=slo_min_samples, metrics=self.registry, recorder=self.events
+            min_samples=slo_min_samples,
+            metrics=self.registry,
+            recorder=self.events,
+            enabled=enabled,
         )
         self.profiler = StageProfiler(
-            interval_ms=profiler_interval_ms, metrics=self.registry
+            interval_ms=profiler_interval_ms, metrics=self.registry, enabled=enabled
         )
 
 
 __all__ = [
     "Telemetry",
     "PlanAuditor",
-    "NullAuditor",
     "StageAudit",
-    "NULL_AUDITOR",
     "MetricsRegistry",
     "Counter",
     "CounterView",
@@ -117,14 +107,10 @@ __all__ = [
     "Histogram",
     "DEFAULT_LATENCY_BUCKETS",
     "Tracer",
-    "NullTracer",
     "Span",
     "TraceContext",
-    "NULL_TRACER",
     "Event",
     "FlightRecorder",
-    "NullRecorder",
-    "NULL_RECORDER",
     "EVENT_KINDS",
     "timeline_rows",
     "timelines",
@@ -137,14 +123,8 @@ __all__ = [
     "TRACE_LOG_FORMAT",
     "ROOT_LOGGER_NAME",
     "WorkloadStore",
-    "NullWorkloadStore",
-    "NULL_WORKLOAD",
     "fingerprint",
     "SloTracker",
-    "NullSloTracker",
     "SloPolicy",
-    "NULL_SLO",
     "StageProfiler",
-    "NullStageProfiler",
-    "NULL_PROFILER",
 ]

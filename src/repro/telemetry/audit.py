@@ -179,10 +179,8 @@ class PlanAuditor:
 
     All mutation happens under one lock so concurrent engine runs (the
     serving front-end's worker pool) cannot drop records or double-count
-    ``total_recorded``.
+    ``total_recorded``.  Built with ``enabled=False`` it records nothing.
     """
-
-    enabled = True
 
     def __init__(
         self,
@@ -190,7 +188,9 @@ class PlanAuditor:
         max_records: int = 1024,
         over_factor: float = DEFAULT_OVER_FACTOR,
         under_fraction: float = DEFAULT_UNDER_FRACTION,
+        enabled: bool = True,
     ):
+        self.enabled = enabled
         self._records: deque[StageAudit] = deque(maxlen=max_records)
         self.total_recorded = 0
         self._lock = threading.Lock()
@@ -217,6 +217,8 @@ class PlanAuditor:
 
     def observe_peak(self, engine: str, peak_bytes: int) -> None:
         """Record one engine invocation's peak memory (any entry point)."""
+        if not self.enabled:
+            return
         histogram = self._m_peaks.get(engine)
         if histogram is None:
             with self._lock:
@@ -245,7 +247,9 @@ class PlanAuditor:
         actual_peak_bytes: int,
         threshold_bytes: int,
         recovery: str = "",
-    ) -> StageAudit:
+    ) -> StageAudit | None:
+        if not self.enabled:
+            return None
         verdict, note = classify(
             representation,
             estimated_bytes,
@@ -328,45 +332,3 @@ class PlanAuditor:
         with self._lock:
             self._records.clear()
             self.total_recorded = 0
-
-
-class NullAuditor:
-    """No-op auditor used when telemetry is disabled."""
-
-    enabled = False
-    total_recorded = 0
-
-    def observe_peak(self, engine: str, peak_bytes: int) -> None:
-        pass
-
-    def record_stage(self, *args: object, **kwargs: object) -> None:
-        return None
-
-    @property
-    def records(self) -> list[StageAudit]:
-        return []
-
-    def __iter__(self) -> Iterator[StageAudit]:
-        return iter(())
-
-    def __len__(self) -> int:
-        return 0
-
-    def marker(self) -> int:
-        return 0
-
-    def records_since(self, marker: int) -> list[StageAudit]:
-        return []
-
-    def mispredictions(self) -> list[StageAudit]:
-        return []
-
-    def rows(self) -> list[AuditRow]:
-        return []
-
-    def clear(self) -> None:
-        pass
-
-
-#: Shared no-op auditor for disabled telemetry.
-NULL_AUDITOR = NullAuditor()

@@ -14,8 +14,8 @@ the ring joins against the span tracer: ``SHOW EVENTS [WHERE ...]``
 queries the ring relationally and ``SHOW TIMELINE <trace_id>`` replays
 one request's lifecycle (see :func:`timeline_rows`).
 
-When telemetry is disabled the shared :data:`NULL_RECORDER` is used:
-``emit`` is a single no-op method call, preserving the disabled fast
+A recorder built with ``enabled=False`` (telemetry off) records nothing:
+``emit`` returns after one attribute check, preserving the disabled fast
 path's overhead contract.
 """
 
@@ -128,15 +128,15 @@ class Event(NamedTuple):
 
 
 class FlightRecorder:
-    """A thread-safe bounded event ring (keeps newest, counts evictions)."""
+    """A thread-safe bounded event ring (keeps newest, counts evictions);
+    built disabled, it keeps nothing."""
 
-    enabled = True
-
-    def __init__(self, max_events: int = 4096, metrics=None):
+    def __init__(self, max_events: int = 4096, metrics=None, enabled: bool = True):
         if max_events < 1:
             from ..errors import TelemetryError
 
             raise TelemetryError("max_events must be >= 1")
+        self.enabled = enabled
         self.max_events = max_events
         self._ring: deque[Event] = deque(maxlen=max_events)
         self._lock = threading.Lock()
@@ -146,8 +146,12 @@ class FlightRecorder:
         self._registry = metrics if metrics is not None else MetricsRegistry()
         self._m_by_kind: dict[str, object] = {}
 
-    def emit(self, kind: str, trace_id: int | None = None, **fields: object) -> Event:
+    def emit(
+        self, kind: str, trace_id: int | None = None, **fields: object
+    ) -> Event | None:
         """Record one event; cheap enough for hot paths when enabled."""
+        if not self.enabled:
+            return None
         with self._lock:
             self._seq += 1
             event = Event(
@@ -310,35 +314,3 @@ def timelines(
         for tid in sorted(grouped)
         for row in timeline_rows(*grouped[tid])
     ]
-
-
-class NullRecorder:
-    """No-op flight recorder for disabled telemetry."""
-
-    enabled = False
-    max_events = 0
-    emitted_total = 0
-    evicted_total = 0
-    dropped = 0
-
-    def emit(self, kind: str, trace_id: int | None = None, **fields: object) -> None:
-        return None
-
-    def __len__(self) -> int:
-        return 0
-
-    def events(self, kind=None, trace_id=None, limit=None) -> list[Event]:
-        return []
-
-    def rows(self) -> list[EventRow]:
-        return []
-
-    def as_dicts(self, limit: int | None = None) -> list[dict]:
-        return []
-
-    def clear(self) -> None:
-        pass
-
-
-#: Shared no-op recorder for disabled telemetry.
-NULL_RECORDER = NullRecorder()

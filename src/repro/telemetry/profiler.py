@@ -50,21 +50,22 @@ class StageProfiler:
     sampler thread is started explicitly (``Database.start_profiler()``
     or the ``profiler_enabled`` config knob) and the enter/exit hooks are
     near-free while it is stopped — the engine only pays the dict writes
-    when someone is actually profiling.
+    when someone is actually profiling.  Built with ``enabled=False`` it
+    never starts.
     """
-
-    enabled = True
 
     def __init__(
         self,
         interval_ms: float = 5.0,
         max_frames: int = 256,
         metrics=None,
+        enabled: bool = True,
     ):
         if interval_ms <= 0:
             raise TelemetryError("profiler interval_ms must be positive")
         if max_frames < 1:
             raise TelemetryError("profiler max_frames must be >= 1")
+        self.enabled = enabled
         self.interval_s = interval_ms / 1e3
         self.interval_ms = interval_ms
         self.max_frames = max_frames
@@ -100,7 +101,10 @@ class StageProfiler:
     # -- sampler lifecycle -----------------------------------------------
 
     def start(self) -> bool:
-        """Start the background sampler; False if already running."""
+        """Start the background sampler; False if already running or
+        disabled."""
+        if not self.enabled:
+            return False
         with self._lock:
             if self.running:
                 return False
@@ -210,43 +214,3 @@ class StageProfiler:
             self._ticks = 0
             self._sampled = 0
             self._idle_ticks = 0
-
-
-class NullStageProfiler:
-    """No-op profiler for disabled telemetry."""
-
-    enabled = False
-    running = False
-    ticks = 0
-    sampled = 0
-    idle_ticks = 0
-    interval_ms = 0.0
-
-    def enter(self, frame: str) -> None:
-        pass
-
-    def exit(self) -> None:
-        pass
-
-    def start(self) -> bool:
-        return False
-
-    def stop(self) -> bool:
-        return False
-
-    def top_rows(self, top: int | None = None) -> list[ProfileRow]:
-        return []
-
-    def collapsed(self) -> list[str]:
-        return []
-
-    def export(self, path) -> int:
-        open(path, "w", encoding="utf-8").close()
-        return 0
-
-    def clear(self) -> None:
-        pass
-
-
-#: Shared no-op profiler for disabled telemetry.
-NULL_PROFILER = NullStageProfiler()

@@ -117,10 +117,9 @@ class SloTracker:
     samples and a running bad count: a new sample is one append per
     window, and evaluation first drops the samples that aged out, so the
     serving hot path pays O(1 + evicted samples) per request under the
-    tracker's lock, never a walk over the window.
+    tracker's lock, never a walk over the window.  Built with
+    ``enabled=False`` it takes no policy, so it tracks no model.
     """
-
-    enabled = True
 
     def __init__(
         self,
@@ -134,6 +133,7 @@ class SloTracker:
         metrics=None,
         recorder=None,
         clock=time.monotonic,
+        enabled: bool = True,
     ):
         if fast_window_s <= 0 or slow_window_s <= 0:
             raise TelemetryError("slo windows must be positive")
@@ -145,6 +145,7 @@ class SloTracker:
             raise TelemetryError("slo min_samples must be >= 1")
         if burn_threshold <= 0:
             raise TelemetryError("slo burn_threshold must be positive")
+        self.enabled = enabled
         self.fast_window_s = fast_window_s
         self.slow_window_s = slow_window_s
         self.min_samples = min_samples
@@ -175,8 +176,10 @@ class SloTracker:
         model: str,
         latency_ms: float = 0.0,
         error_budget: float = 0.01,
-    ) -> SloPolicy:
+    ) -> SloPolicy | None:
         """Declare (or replace) one model's objective; samples persist."""
+        if not self.enabled:
+            return None
         policy = SloPolicy(model, latency_ms, error_budget)
         with self._lock:
             state = self._models.get(model)
@@ -217,7 +220,7 @@ class SloTracker:
         with self._lock:
             state = self._models.get(model)
             if state is None:
-                if self.default_latency_ms <= 0:
+                if not self.enabled or self.default_latency_ms <= 0:
                     return
                 state = self._new_state(
                     SloPolicy(
@@ -345,38 +348,3 @@ class SloTracker:
     def clear(self) -> None:
         with self._lock:
             self._models.clear()
-
-
-class NullSloTracker:
-    """No-op tracker for disabled telemetry."""
-
-    enabled = False
-
-    def set_policy(
-        self, model: str, latency_ms: float = 0.0, error_budget: float = 0.01
-    ) -> None:
-        return None
-
-    def policies(self) -> list[SloPolicy]:
-        return []
-
-    def observe(self, model: str, ok: bool, latency_ms: float) -> None:
-        pass
-
-    def observe_many(
-        self, model: str, latencies_ms: Sequence[float], ok: bool = True
-    ) -> None:
-        pass
-
-    def rows(self) -> list[SloRow]:
-        return []
-
-    def snapshot(self) -> dict[str, dict[str, object]]:
-        return {}
-
-    def clear(self) -> None:
-        pass
-
-
-#: Shared no-op tracker for disabled telemetry.
-NULL_SLO = NullSloTracker()

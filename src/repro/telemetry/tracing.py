@@ -43,9 +43,9 @@ import os
 import threading
 import time
 from collections import deque
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import ContextManager, Iterator
 
 from .registry import MetricsRegistry
 
@@ -126,17 +126,67 @@ class Span:
         self.end_s = time.perf_counter()
         tracer._collect(self)
 
+    # ``with tracer.span(...)``: the span is the open child while inside.
+    def __enter__(self) -> "Span":
+        self._tracer._stack().append(self)
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.end_s = time.perf_counter()
+        self._tracer._stack().pop()
+        self._tracer._collect(self)
+
+
+class _InertSpan:
+    """The span a disabled tracer hands out: shared, reentrant, inert."""
+
+    __slots__ = ()
+    name = category = ""
+    span_id = trace_id = tid = 0
+    parent_id = None
+    start_s = end_s = duration_s = 0.0
+    links: tuple[int, ...] = ()
+    args: dict[str, object] = {}
+
+    def set(self, **args: object) -> None:
+        pass
+
+    def link(self, *trace_ids: int) -> None:
+        pass
+
+    def context(self, **baggage: object) -> None:
+        return None
+
+    def finish(self, **args: object) -> None:
+        pass
+
+    def __enter__(self) -> "_InertSpan":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        return None
+
+
+_INERT_SPAN = _InertSpan()
+
+#: What a disabled tracer's :meth:`Tracer.context` returns (yields None).
+_NO_ANCHOR = nullcontext()
+
 
 class Tracer:
-    """Collects nested spans; per-thread nesting, shared finished list."""
+    """Collects nested spans; per-thread nesting, shared finished list.
 
-    enabled = True
+    Built with ``enabled=False`` it records nothing: ``span``,
+    ``start_span`` and ``context`` hand out one shared inert span or
+    context and build no :class:`Span`.
+    """
 
-    def __init__(self, max_spans: int = 16384, metrics=None):
+    def __init__(self, max_spans: int = 16384, metrics=None, enabled: bool = True):
         if max_spans < 1:
             from ..errors import TelemetryError
 
             raise TelemetryError("max_spans must be >= 1")
+        self.enabled = enabled
         self._finished: deque[Span] = deque(maxlen=max_spans)
         self._local = threading.local()
         self._ids = itertools.count(1)
@@ -192,18 +242,13 @@ class Tracer:
                 self._m_dropped.inc()
             self._finished.append(span)
 
-    @contextmanager
-    def span(self, name: str, category: str = "repro", **args: object) -> Iterator[Span]:
+    def span(self, name: str, category: str = "repro", **args: object) -> Span:
+        """A span to open with ``with``: a child of this thread's current
+        span or anchor, finished and collected when the block exits."""
+        if not self.enabled:
+            return _INERT_SPAN
         stack = self._stack()
-        parent = stack[-1] if stack else None
-        record = self._open(name, category, dict(args), parent)
-        stack.append(record)
-        try:
-            yield record
-        finally:
-            record.end_s = time.perf_counter()
-            stack.pop()
-            self._collect(record)
+        return self._open(name, category, args, stack[-1] if stack else None)
 
     def start_span(
         self,
@@ -218,18 +263,19 @@ class Tracer:
         when given, else from the calling thread's current span.  Close it
         with :meth:`Span.finish` (or :meth:`end_span`) from any thread.
         """
+        if not self.enabled:
+            return _INERT_SPAN
         parent: Span | TraceContext | None = ctx
         if parent is None:
             stack = self._stack()
             parent = stack[-1] if stack else None
-        return self._open(name, category, dict(args), parent)
+        return self._open(name, category, args, parent)
 
     def end_span(self, span: Span, **args: object) -> None:
         """Finish a detached span (alias for :meth:`Span.finish`)."""
         span.finish(**args)
 
-    @contextmanager
-    def context(self, ctx: TraceContext | None) -> Iterator[None]:
+    def context(self, ctx: TraceContext | None) -> ContextManager[None]:
         """Anchor this thread's new spans under a request's context.
 
         Pushes a lightweight anchor onto the thread-local stack: spans
@@ -237,9 +283,12 @@ class Tracer:
         ``ctx.span_id``, even though the context was minted on another
         thread.  ``ctx=None`` is a no-op (requests without tracing).
         """
-        if ctx is None:
-            yield None
-            return
+        if ctx is None or not self.enabled:
+            return _NO_ANCHOR
+        return self._anchored(ctx)
+
+    @contextmanager
+    def _anchored(self, ctx: TraceContext) -> Iterator[None]:
         stack = self._stack()
         stack.append(ctx)
         try:
@@ -280,7 +329,11 @@ class Tracer:
     def export_chrome_trace(self, path: str) -> int:
         """Write finished spans as Chrome trace-event JSON; returns the
         number of duration events written (metadata/flow records ride
-        along for free)."""
+        along for free).  Disabled, it writes an empty trace."""
+        if not self.enabled:
+            with open(path, "w", encoding="utf-8") as f:
+                json.dump({"traceEvents": [], "displayTimeUnit": "ms"}, f)
+            return 0
         spans = self.finished
         with self._lock:
             thread_names = dict(self._thread_names)
@@ -374,110 +427,3 @@ class Tracer:
         return count
 
 
-class _NullSpan:
-    """Shared inert span for the disabled fast path."""
-
-    __slots__ = ()
-    name = ""
-    category = ""
-    span_id = 0
-    parent_id = None
-    start_s = 0.0
-    end_s = 0.0
-    duration_s = 0.0
-    trace_id = 0
-    tid = 0
-    links: tuple[int, ...] = ()
-    args: dict[str, object] = {}
-
-    def set(self, **args: object) -> None:
-        pass
-
-    def link(self, *trace_ids: int) -> None:
-        pass
-
-    def context(self, **baggage: object) -> None:
-        return None
-
-    def finish(self, **args: object) -> None:
-        pass
-
-
-_NULL_SPAN = _NullSpan()
-
-
-class _NullSpanContext:
-    """A reusable, reentrant context manager yielding the null span."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> _NullSpan:
-        return _NULL_SPAN
-
-    def __exit__(self, *exc_info: object) -> None:
-        return None
-
-
-_NULL_CTX = _NullSpanContext()
-
-
-class _NullAnchorContext:
-    """Reusable no-op for ``NullTracer.context``."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> None:
-        return None
-
-    def __exit__(self, *exc_info: object) -> None:
-        return None
-
-
-_NULL_ANCHOR = _NullAnchorContext()
-
-
-class NullTracer:
-    """No-op tracer: spans cost one method call, exports are empty."""
-
-    enabled = False
-    dropped = 0
-
-    @property
-    def finished(self) -> list[Span]:
-        return []
-
-    def span(self, name: str, category: str = "repro", **args: object) -> _NullSpanContext:
-        return _NULL_CTX
-
-    def start_span(
-        self,
-        name: str,
-        category: str = "repro",
-        ctx: TraceContext | None = None,
-        **args: object,
-    ) -> _NullSpan:
-        return _NULL_SPAN
-
-    def end_span(self, span: object, **args: object) -> None:
-        pass
-
-    def context(self, ctx: TraceContext | None) -> _NullAnchorContext:
-        return _NULL_ANCHOR
-
-    def current_context(self, **baggage: object) -> None:
-        return None
-
-    def current_trace_id(self) -> None:
-        return None
-
-    def clear(self) -> None:
-        pass
-
-    def export_chrome_trace(self, path: str) -> int:
-        with open(path, "w", encoding="utf-8") as f:
-            json.dump({"traceEvents": [], "displayTimeUnit": "ms"}, f)
-        return 0
-
-
-#: Shared no-op tracer for disabled telemetry.
-NULL_TRACER = NullTracer()

@@ -292,10 +292,9 @@ class WorkloadStore:
     At most ``max_fingerprints`` shapes are tracked; recording a new
     shape at capacity evicts the least-recently-seen one (counted in
     ``workload_evicted_total``), so a run of one-off ad-hoc statements
-    cannot push out the recurring shapes that matter.
+    cannot push out the recurring shapes that matter.  Built with
+    ``enabled=False`` it records nothing.
     """
-
-    enabled = True
 
     def __init__(
         self,
@@ -306,11 +305,13 @@ class WorkloadStore:
         regression_min_ms: float = 5.0,
         metrics=None,
         recorder=None,
+        enabled: bool = True,
     ):
         if max_fingerprints < 1:
             from ..errors import TelemetryError
 
             raise TelemetryError("max_fingerprints must be >= 1")
+        self.enabled = enabled
         self.max_fingerprints = max_fingerprints
         self.page_size = page_size
         self.regression_factor = regression_factor
@@ -344,12 +345,15 @@ class WorkloadStore:
     ) -> str:
         """Fold one executed statement's ``QueryStats`` into the store.
 
-        Returns the statement's fingerprint.  ``fingerprinted`` is
+        Returns the statement's fingerprint (``""`` when disabled).
+        ``fingerprinted`` is
         :func:`fingerprint`'s result when the caller already has it (the
         statement cache keeps it per shape).  Called by
         ``Database.execute`` after the per-query stats are assembled, so
         it never holds the store lock while the query runs.
         """
+        if not self.enabled:
+            return ""
         fp, text = fingerprinted or fingerprint(stmt)
         bytes_read = stats.pool_misses * self.page_size
         with self._lock:
@@ -508,34 +512,3 @@ class WorkloadStore:
             self._entries.clear()
             self.evicted_total = 0
             self.recorded_total = 0
-
-
-class NullWorkloadStore:
-    """No-op workload store for disabled telemetry."""
-
-    enabled = False
-    max_fingerprints = 0
-    evicted_total = 0
-    recorded_total = 0
-
-    def __len__(self) -> int:
-        return 0
-
-    def record(self, stmt, stats, fingerprinted=None) -> str:
-        return ""
-
-    def top_rows(self) -> list[WorkloadRow]:
-        return []
-
-    def detail_rows(self, fingerprint: str | None = None) -> list[WorkloadDetailRow]:
-        return []
-
-    def regressions_total(self) -> int:
-        return 0
-
-    def clear(self) -> None:
-        pass
-
-
-#: Shared no-op store for disabled telemetry.
-NULL_WORKLOAD = NullWorkloadStore()

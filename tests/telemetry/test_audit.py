@@ -7,7 +7,7 @@ from repro.config import KB, MB
 from repro.data import fraud_transactions
 from repro.errors import SqlError
 from repro.models import fraud_fc_256
-from repro.telemetry import NULL_AUDITOR, PlanAuditor
+from repro.telemetry import PlanAuditor
 from repro.telemetry.audit import AuditRow, classify
 from repro.telemetry.registry import MetricsRegistry
 
@@ -155,11 +155,13 @@ def test_audit_rows_align_with_columns():
 
 
 def test_null_auditor_is_inert():
-    assert NULL_AUDITOR.enabled is False
-    assert NULL_AUDITOR.record_stage() is None
-    NULL_AUDITOR.observe_peak("udf-centric", 123)
-    assert NULL_AUDITOR.rows() == []
-    assert NULL_AUDITOR.records_since(NULL_AUDITOR.marker()) == []
+    auditor = PlanAuditor(MetricsRegistry(), enabled=False)
+    assert auditor.enabled is False
+    audit = auditor.record_stage("m", 0, "udf-centric", "matmul", 1, 0.1, 1, 1, 1)
+    assert audit is None
+    auditor.observe_peak("udf-centric", 123)
+    assert auditor.rows() == []
+    assert auditor.records_since(auditor.marker()) == []
 
 
 # -- end to end through SQL -------------------------------------------------

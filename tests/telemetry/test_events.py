@@ -9,7 +9,6 @@ import pytest
 from repro.errors import TelemetryError
 from repro.telemetry import (
     EVENT_KINDS,
-    NULL_RECORDER,
     Event,
     FlightRecorder,
     timeline_rows,
@@ -119,13 +118,14 @@ def test_clear_resets_ring_and_counters():
 
 
 def test_null_recorder_is_inert():
-    assert NULL_RECORDER.emit("request.admitted", model="x") is None
-    assert NULL_RECORDER.events() == []
-    assert NULL_RECORDER.rows() == []
-    assert NULL_RECORDER.as_dicts() == []
-    assert len(NULL_RECORDER) == 0
-    assert NULL_RECORDER.dropped == 0
-    assert not NULL_RECORDER.enabled
+    recorder = FlightRecorder(enabled=False)
+    assert recorder.emit("request.admitted", model="x") is None
+    assert recorder.events() == []
+    assert recorder.rows() == []
+    assert recorder.as_dicts() == []
+    assert len(recorder) == 0
+    assert recorder.dropped == 0
+    assert not recorder.enabled
 
 
 def test_known_event_kinds_are_distinct():

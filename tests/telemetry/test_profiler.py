@@ -14,7 +14,6 @@ from repro.errors import TelemetryError
 from repro.models import fraud_fc_256
 from repro.telemetry.profiler import (
     ROOT_FRAME,
-    NullStageProfiler,
     ProfileRow,
     StageProfiler,
 )
@@ -148,7 +147,7 @@ def test_collapsed_export_round_trips(tmp_path):
 
 
 def test_null_profiler_is_inert(tmp_path):
-    profiler = NullStageProfiler()
+    profiler = StageProfiler(enabled=False)
     assert not profiler.start()
     profiler.enter("x")
     profiler.exit()

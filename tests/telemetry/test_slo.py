@@ -11,7 +11,7 @@ from repro import Database
 from repro.errors import TelemetryError
 from repro.health import DEGRADED, FAILING, OK
 from repro.models import fraud_fc_256
-from repro.telemetry.slo import NullSloTracker, SloPolicy, SloRow, SloTracker
+from repro.telemetry.slo import SloPolicy, SloRow, SloTracker
 
 
 class FakeClock:
@@ -123,7 +123,7 @@ def test_unconfigured_model_untracked_unless_default_set(clock):
 
 
 def test_null_tracker_is_inert():
-    t = NullSloTracker()
+    t = SloTracker(enabled=False)
     t.set_policy("m", latency_ms=1)
     t.observe("m", ok=False, latency_ms=0)
     assert t.rows() == [] and t.snapshot() == {}

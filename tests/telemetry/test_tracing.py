@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.errors import TelemetryError
-from repro.telemetry import NullTracer, Tracer
+from repro.telemetry import Tracer
 
 
 def test_nested_spans_record_parent_child():
@@ -90,7 +90,7 @@ def test_export_chrome_trace_is_valid_json(tmp_path):
 
 
 def test_null_tracer_exports_valid_empty_trace(tmp_path):
-    tracer = NullTracer()
+    tracer = Tracer(enabled=False)
     with tracer.span("ignored") as span:
         span.set(anything=1)
     path = tmp_path / "trace.json"

@@ -10,7 +10,6 @@ from repro.sql.parser import parse
 from repro.sql.unparse import unparse
 from repro.telemetry.query_stats import QueryStats
 from repro.telemetry.workload import (
-    NullWorkloadStore,
     WorkloadRow,
     WorkloadStore,
     fingerprint,
@@ -266,7 +265,7 @@ def test_persistently_slower_world_rebaselines():
 
 
 def test_null_store_is_inert():
-    store = NullWorkloadStore()
+    store = WorkloadStore(enabled=False)
     assert store.record(parse("SELECT * FROM t"), stats()) == ""
     assert store.top_rows() == []
     assert store.detail_rows() == []
