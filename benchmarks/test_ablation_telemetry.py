@@ -6,20 +6,19 @@ workload; the disabled path keeps counting into its registry, builds the tracer,
 recorder and the other recording objects disabled (they record nothing),
 and stops exporting metrics.
 
-We run the same PREDICT workload on two otherwise-identical databases —
-``telemetry_enabled=True`` and ``False`` — taking the min of several
-repeats so scheduler noise doesn't drown the (small) effect being
-measured.
+Every comparison here is interleaved: the sides take turns pass by pass,
+and the order flips each pass, so a slow spell on the host lands on both
+sides instead of on whichever side happened to run then.  Each side keeps
+its fastest pass (the min filters scheduler noise).
 """
 
 from __future__ import annotations
 
-import json
 import os
 import statistics
 import time
 
-import pytest
+import numpy as np
 
 from repro import Database
 from repro.data import fraud_transactions
@@ -29,9 +28,13 @@ from _util import emit, fmt_seconds, render_table
 
 ROWS = 400
 QUERIES = 6
-REPEATS = 5
+PASSES = 10
 FEATURES = ", ".join(f"f{i}" for i in range(28))
 PREDICT_SQL = f"SELECT PREDICT(fraud, {FEATURES}) FROM tx"
+
+#: Extra allowance over each budget for wall-clock jitter; CI runners can
+#: override it without loosening the budgets being tracked.
+P50_JITTER = float(os.environ.get("REPRO_P50_JITTER", "0.10"))
 
 
 def make_db(telemetry_enabled: bool) -> Database:
@@ -50,28 +53,54 @@ def run_workload(db: Database) -> None:
         assert len(cur) == ROWS
 
 
-def min_workload_seconds(db: Database) -> float:
-    run_workload(db)  # warm the buffer pool and plan cache
-    best = float("inf")
-    for __ in range(REPEATS):
+def workload_seconds(db: Database) -> float:
+    """Wall time of one pass of the workload."""
+    start = time.perf_counter()
+    run_workload(db)
+    return time.perf_counter() - start
+
+
+def query_p50_seconds(db: Database) -> float:
+    """Median per-query latency over one pass of the workload."""
+    samples = []
+    for __ in range(QUERIES):
         start = time.perf_counter()
-        run_workload(db)
-        best = min(best, time.perf_counter() - start)
+        cur = db.execute(PREDICT_SQL)
+        samples.append(time.perf_counter() - start)
+        assert len(cur) == ROWS
+    return statistics.median(samples)
+
+
+def fastest(schedule: list[str], **sides) -> dict[str, float]:
+    """Each side's fastest sample, taking one sample per name in
+    ``schedule``, in order."""
+    best = dict.fromkeys(sides, float("inf"))
+    for name in schedule:
+        best[name] = min(best[name], sides[name]())
     return best
+
+
+def alternating(passes: int, first: str, second: str) -> list[str]:
+    """``passes`` pairs of samples whose order flips pass by pass."""
+    return [first, second, second, first] * (passes // 2)
 
 
 def test_ablation_telemetry_overhead(benchmark, capsys):
     db_on = make_db(telemetry_enabled=True)
     db_off = make_db(telemetry_enabled=False)
     try:
-        off_s = min_workload_seconds(db_off)
-        on_s = min_workload_seconds(db_on)
-        on_s = min(
-            on_s,
-            benchmark.pedantic(
-                lambda: min_workload_seconds(db_on), rounds=1, iterations=1
+        run_workload(db_off)  # warm the buffer pool and plan cache
+        run_workload(db_on)
+        best = benchmark.pedantic(
+            lambda: fastest(
+                alternating(PASSES, "off", "on"),
+                off=lambda: workload_seconds(db_off),
+                on=lambda: workload_seconds(db_on),
             ),
+            rounds=1,
+            iterations=1,
         )
+        off_s, on_s = best["off"], best["on"]
         overhead = on_s / off_s - 1.0
         spans = len(db_on.telemetry.tracer.finished)
         metrics = len(db_on.execute("SHOW METRICS").rows)
@@ -79,7 +108,8 @@ def test_ablation_telemetry_overhead(benchmark, capsys):
             capsys,
             render_table(
                 f"Ablation A7: telemetry overhead "
-                f"({QUERIES}x PREDICT over {ROWS} rows, min of {REPEATS})",
+                f"({QUERIES}x PREDICT over {ROWS} rows, min of {PASSES} "
+                "interleaved passes)",
                 ["telemetry", "workload time", "overhead", "spans", "metrics"],
                 [
                     ["off", fmt_seconds(off_s), "-", 0, 0],
@@ -100,87 +130,84 @@ def test_ablation_telemetry_overhead(benchmark, capsys):
         db_off.close()
 
 
-#: Checked-in disabled-path p50, regenerated with
-#: ``REPRO_WRITE_BASELINES=1 pytest benchmarks/test_ablation_telemetry.py``.
-BASELINE_PATH = os.path.join(
-    os.path.dirname(os.path.abspath(__file__)),
-    "baselines",
-    "telemetry_overhead.json",
-)
-
-#: The flight recorder's budget on the disabled fast path: its no-op
-#: emit hooks may add at most 2% to p50 query latency.  CI runners can
-#: override the jitter allowance without loosening the local contract.
+#: The flight recorder's budget on the disabled fast path: its hooks may
+#: add at most 2% to p50 latency over the same calls with ``emit`` a bare
+#: no-op.
 P50_BUDGET = 0.02
-P50_JITTER = float(os.environ.get("REPRO_P50_JITTER", "0.10"))
+
+#: Point lookups served through an exact result cache: every call ends in
+#: one ``cache.hit`` hook, and a call costs a few microseconds, so a hook
+#: that does work shows.  (A SQL PREDICT over the table fires no hook.)
+POINT_CALLS = 200
 
 
-def p50_query_seconds(db: Database, repeats: int = 7) -> float:
-    """Stable p50 of per-query latency: median within a pass, min across
-    passes (the min filters scheduler noise, the median smooths GC)."""
-    run_workload(db)  # warm
-    best = float("inf")
-    for __ in range(repeats):
-        samples = []
-        for __q in range(QUERIES):
-            start = time.perf_counter()
-            cur = db.execute(PREDICT_SQL)
-            samples.append(time.perf_counter() - start)
-            assert len(cur) == ROWS
-        best = min(best, statistics.median(samples))
-    return best
+def point_p50_seconds(db: Database, x: np.ndarray) -> float:
+    """Median latency of one pass of cached point lookups."""
+    samples = []
+    for __ in range(POINT_CALLS):
+        start = time.perf_counter()
+        db.predict_labels("fraud", x)
+        samples.append(time.perf_counter() - start)
+    return statistics.median(samples)
 
 
 def test_ablation_events_disabled_p50_budget(capsys):
     """Flight-recorder hooks must not tax the telemetry-disabled path.
 
     With ``telemetry_enabled=False`` the flight recorder is built
-    disabled (each hook returns after one attribute check), so
-    the disabled p50 must stay within 2% of the checked-in baseline
-    (plus a CI-tunable jitter allowance — wall clocks are noisy, the 2%
-    budget is the contract being tracked).
+    disabled (each hook returns after one attribute check).  The
+    reference is the same database in the same session with
+    ``events.emit`` swapped for a bare no-op, interleaved pass by pass;
+    the disabled p50 must stay within 2% of it (plus the jitter
+    allowance — wall clocks are noisy, the 2% budget is the contract
+    being tracked).
     """
     db = make_db(telemetry_enabled=False)
+    events = db.telemetry.events
+    x = np.random.default_rng(17).normal(size=(1, 28))
+
+    def with_emit(replacement):
+        events.emit = replacement
+        try:
+            return point_p50_seconds(db, x)
+        finally:
+            del events.emit
+
     try:
-        assert not db.telemetry.events.enabled
-        p50 = p50_query_seconds(db)
-        assert len(db.telemetry.events) == 0
+        assert not events.enabled
+        db.enable_result_cache("fraud", distance_threshold=0.0, exact=True)
+        hooks = []
+        with_emit(lambda *args, **fields: hooks.append(args))  # also warms
+        assert len(hooks) >= POINT_CALLS, "every lookup must pass a hook"
+        best = fastest(
+            alternating(2 * PASSES, "disabled", "noop"),
+            disabled=lambda: point_p50_seconds(db, x),
+            noop=lambda: with_emit(lambda *args, **fields: None),
+        )
+        assert len(events) == 0
         assert db.execute("SHOW EVENTS").rows == []
-
-        if os.environ.get("REPRO_WRITE_BASELINES") == "1":
-            with open(BASELINE_PATH, "w", encoding="utf-8") as f:
-                json.dump(
-                    {
-                        "version": 1,
-                        "p50_seconds": p50,
-                        "meta": {"rows": ROWS, "queries": QUERIES},
-                    },
-                    f,
-                    indent=2,
-                )
-            pytest.skip("baseline regenerated; rerun to compare")
-
-        with open(BASELINE_PATH, encoding="utf-8") as f:
-            baseline = json.load(f)["p50_seconds"]
-        overhead = p50 / baseline - 1.0
+        p50, reference = best["disabled"], best["noop"]
+        overhead = p50 / reference - 1.0
         emit(
             capsys,
             render_table(
-                "Ablation A7b: flight-recorder overhead, telemetry disabled",
-                ["p50", "baseline p50", "overhead", "budget"],
+                "Ablation A7b: flight-recorder overhead, telemetry disabled "
+                f"({POINT_CALLS} cached point lookups, min of {2 * PASSES} "
+                "interleaved passes)",
+                ["p50", "no-op emit p50", "overhead", "budget"],
                 [
                     [
                         fmt_seconds(p50),
-                        fmt_seconds(baseline),
+                        fmt_seconds(reference),
                         f"{overhead * 100:+.1f}%",
                         f"{P50_BUDGET * 100:.0f}% (+{P50_JITTER * 100:.0f}% jitter)",
                     ]
                 ],
             ),
         )
-        assert p50 <= baseline * (1.0 + P50_BUDGET + P50_JITTER), (
-            f"disabled-path p50 {fmt_seconds(p50)} exceeds baseline "
-            f"{fmt_seconds(baseline)} by {overhead * 100:.1f}% "
+        assert p50 <= reference * (1.0 + P50_BUDGET + P50_JITTER), (
+            f"disabled-path p50 {fmt_seconds(p50)} exceeds the no-op emit "
+            f"p50 {fmt_seconds(reference)} by {overhead * 100:.1f}% "
             f"(budget {P50_BUDGET * 100:.0f}%)"
         )
     finally:
@@ -197,37 +224,53 @@ PROFILER_BUDGET = 0.15
 def test_ablation_profiler_overhead(capsys):
     """Ablation A7c — stage-profiler overhead while sampling vs stopped.
 
-    Three p50s on one telemetry-enabled database: before the sampler
-    starts, while it runs, and after it stops.  Running must stay within
-    ``PROFILER_BUDGET`` (+ the shared jitter allowance) of the baseline,
-    and stopping must return to it — the enter/exit hooks leave no
-    residual cost.
+    Three p50s on one telemetry-enabled database, interleaved as
+    stopped, running, running, after, stopped, ...: stopped (a pass that
+    does not follow a sampling pass), running, and stopped right after a
+    sampling pass.  Running must stay within
+    ``PROFILER_BUDGET`` (+ the jitter allowance) of stopped, and a
+    stopped pass right after one that sampled must match it — the
+    enter/exit hooks leave no residual cost.
     """
     db = make_db(telemetry_enabled=True)
-    try:
-        before = p50_query_seconds(db)
+
+    def running() -> float:
         assert db.start_profiler()
-        running = p50_query_seconds(db)
-        assert db.stop_profiler()
-        after = p50_query_seconds(db)
-        running_overhead = running / before - 1.0
+        try:
+            return query_p50_seconds(db)
+        finally:
+            assert db.stop_profiler()
+
+    try:
+        run_workload(db)  # warm
+        # Every "after" pass directly follows a sampling pass, and no
+        # "stopped" pass does.
+        best = fastest(
+            ["stopped", "running", "running", "after"] * PASSES,
+            stopped=lambda: query_p50_seconds(db),
+            running=running,
+            after=lambda: query_p50_seconds(db),
+        )
+        before, sampling, after = best["stopped"], best["running"], best["after"]
+        running_overhead = sampling / before - 1.0
         stopped_overhead = after / before - 1.0
         emit(
             capsys,
             render_table(
-                "Ablation A7c: stage-profiler overhead on the query path",
+                "Ablation A7c: stage-profiler overhead on the query path "
+                f"(min of {PASSES}+ interleaved passes)",
                 ["profiler", "p50", "overhead", "budget"],
                 [
-                    ["stopped (before)", fmt_seconds(before), "-", "-"],
+                    ["stopped", fmt_seconds(before), "-", "-"],
                     [
                         "running",
-                        fmt_seconds(running),
+                        fmt_seconds(sampling),
                         f"{running_overhead * 100:+.1f}%",
                         f"{PROFILER_BUDGET * 100:.0f}% "
                         f"(+{P50_JITTER * 100:.0f}% jitter)",
                     ],
                     [
-                        "stopped (after)",
+                        "stopped (after running)",
                         fmt_seconds(after),
                         f"{stopped_overhead * 100:+.1f}%",
                         f"(+{P50_JITTER * 100:.0f}% jitter)",
@@ -235,7 +278,7 @@ def test_ablation_profiler_overhead(capsys):
                 ],
             ),
         )
-        assert running <= before * (1.0 + PROFILER_BUDGET + P50_JITTER), (
+        assert sampling <= before * (1.0 + PROFILER_BUDGET + P50_JITTER), (
             f"profiler adds {running_overhead * 100:.1f}% while sampling"
         )
         assert after <= before * (1.0 + P50_JITTER), (

@@ -63,7 +63,7 @@ from ..errors import (
     WorkerExecutionError,
     WorkerLoadError,
 )
-from ..resources.threads import worker_thread_budget
+from ..session_relations import CLUSTER_POOLS
 from . import shm as shm_transport
 from .placement import Placement
 from .router import ClusterRouter
@@ -150,15 +150,13 @@ class ClusterPool:
             else "spawn"
         )
         self._ctx = multiprocessing.get_context(self.start_method)
-        # Per-worker thread budget: each child's BLAS/engine threading is
-        # sized from its share of the cores, not the whole machine.
+        # Workers run with telemetry off: the parent owns observability.
         self._worker_config = replace(
             config,
             telemetry_enabled=False,
             profiler_enabled=False,
             diagnostics_dir="",
             cluster_workers=0,
-            num_cores=worker_thread_budget(config.num_cores, self.workers),
         )
         self._recorder = db.telemetry.events
         registry = db.telemetry.registry
@@ -222,10 +220,7 @@ class ClusterPool:
             target=self._monitor_loop, name="repro-cluster-monitor", daemon=True
         )
         self._monitor.start()
-        # Attach so SHOW CLUSTER / diagnostics see the pool even when it
-        # is constructed directly rather than via Database.serve().
-        if getattr(db, "_cluster", None) is None:
-            db._cluster = self
+        CLUSTER_POOLS[db] = self
 
     # -- client API ------------------------------------------------------
 
@@ -814,8 +809,8 @@ class ClusterPool:
             self._monitor.join(timeout=2.0)
         self._refresh_alive_gauge()
         self.closed = True
-        if getattr(self._db, "_cluster", None) is self:
-            self._db._cluster = None
+        if CLUSTER_POOLS.get(self._db) is self:
+            del CLUSTER_POOLS[self._db]
 
     def __enter__(self) -> "ClusterPool":
         try:

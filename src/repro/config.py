@@ -86,19 +86,12 @@ class SystemConfig:
     memory_threshold_bytes: int = 2 * MB
     tensor_block_rows: int = 128
     tensor_block_cols: int = 128
-    default_batch_size: int = 256
     # Buffer pool replacement policy: "lru", "clock", or "2q" (the
     # scan-resistant policy Sec. 5.1 calls for when tensor-block sweeps
     # share the pool with relational working sets).
     eviction_policy: str = "lru"
     seed: int = 2024
     connector: ConnectorCostModel = field(default_factory=ConnectorCostModel)
-    # Calibrated compute-efficiency factors for the external-framework
-    # stand-ins (Sec. 7.1 notes TF/PyTorch win on raw compute when operators
-    # fit memory; numpy is numpy everywhere, so the stand-ins report a
-    # modeled latency of measured_compute / efficiency).
-    framework_compute_efficiency: float = 2.5
-    num_cores: int = 8
     # Unified telemetry (repro.telemetry): metrics registry, query spans,
     # per-query stats.  Disabling builds the collectors disabled, so the
     # hot paths pay one attribute check and record nothing.
@@ -193,8 +186,6 @@ class SystemConfig:
             "memory_threshold_bytes",
             "tensor_block_rows",
             "tensor_block_cols",
-            "default_batch_size",
-            "num_cores",
             "telemetry_max_spans",
         ):
             if getattr(self, name) <= 0:
@@ -215,8 +206,6 @@ class SystemConfig:
             raise ConfigError("breaker_min_samples cannot exceed breaker_window")
         if self.breaker_cooldown_requests < 1:
             raise ConfigError("breaker_cooldown_requests must be >= 1")
-        if self.framework_compute_efficiency <= 0:
-            raise ConfigError("framework_compute_efficiency must be positive")
         if self.eviction_policy not in ("lru", "clock", "2q"):
             raise ConfigError(
                 f"eviction_policy must be 'lru', 'clock', or '2q', "

@@ -141,11 +141,7 @@ class HybridExecutor:
         self._relation_lock = threading.Lock()
         self.dl_engine = DlCentricEngine(
             Connector(config.connector),
-            ExternalRuntime(
-                runtime_flavor,
-                self.dl_budget,
-                compute_efficiency=config.framework_compute_efficiency,
-            ),
+            ExternalRuntime(runtime_flavor, self.dl_budget),
             telemetry=self.telemetry,
         )
 

@@ -120,17 +120,17 @@ def _utilisation_health(
     )
 
 
-def collect(db) -> HealthReport:
-    """Build the health report for one :class:`~repro.session.Database`.
+def collect(db, executor, server, cluster) -> HealthReport:
+    """Build the health report for one :class:`~repro.session.Database`,
+    its hybrid executor and its attached server and cluster pool (either
+    may be None).
 
     Collection is read-only and lock-free: every signal source is either
     immutable or internally synchronized, so this is safe to call from a
     monitoring thread while the serving front-end is under load.
     """
     components: list[ComponentHealth] = []
-    executor = db._executor
-    ledger = db._ledger
-    server = db._server
+    ledger = db.recovery_ledger
 
     # Engine-level circuit breakers (hybrid executor).
     if executor.breakers is not None:
@@ -152,7 +152,6 @@ def collect(db) -> HealthReport:
     # Cluster tier: one component per worker process.  DEAD slots are
     # failing (the monitor is between crash and respawn); a respawned or
     # heartbeat-stale worker is degraded; a fresh READY worker is ok.
-    cluster = db._cluster
     if cluster is not None:
         for row in cluster.snapshot()["workers"]:
             stale = row["heartbeat_age_ms"] > (
@@ -177,7 +176,7 @@ def collect(db) -> HealthReport:
     # In-flight deployments: a live traffic split (canary/shadow) is a
     # deliberate degraded state — the fleet is mid-transition — and the
     # deployment's per-version breaker folds in like any other breaker.
-    deployments = db._deployments
+    deployments = db.deployments
     for dep in deployments.active():
         components.append(
             ComponentHealth(
@@ -236,7 +235,7 @@ def collect(db) -> HealthReport:
 
     # Flight recorder: a dropping ring still works (newest kept) but a
     # postmortem would be missing history, so eviction degrades it.
-    telemetry = db._telemetry
+    telemetry = db.telemetry
     if telemetry.enabled:
         recorder = telemetry.events
         components.append(
@@ -268,18 +267,18 @@ def collect(db) -> HealthReport:
             )
 
     # Armed fault injections mean the session is deliberately unreliable.
-    if db._faults.active and db._faults.armed_count:
+    faults = db.faults
+    if faults.active and faults.armed_count:
         components.append(
             ComponentHealth(
                 "faults",
                 DEGRADED,
-                f"armed={db._faults.armed_count} "
-                f"injected={db._faults.injected_total}",
+                f"armed={faults.armed_count} injected={faults.injected_total}",
             )
         )
 
     report = HealthReport(components)
-    _publish(db._telemetry.registry, report)
+    _publish(telemetry.registry, report)
     return report
 
 

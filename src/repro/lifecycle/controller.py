@@ -106,10 +106,15 @@ class Deployment:
 
 
 class DeploymentController:
-    """Drives deployments against a Database's lifecycle catalog."""
+    """Drives deployments against a lifecycle catalog: ``config`` gives the
+    deploy and breaker settings, ``recorder`` takes the ``deploy.*``
+    events and ``slo`` is read for fast burn."""
 
-    def __init__(self, db):
-        self._db = db
+    def __init__(self, catalog, config, recorder, slo):
+        self._catalog = catalog
+        self._config = config
+        self._recorder = recorder
+        self._slo = slo
         self._lock = threading.RLock()
         self._deployments: list[Deployment] = []
         self._active: dict[str, Deployment] = {}
@@ -118,24 +123,10 @@ class DeploymentController:
         # broken v2 trips its own circuit without touching the serving
         # version's (or the server's per-model) breaker state.
         self.breakers = (
-            BreakerBoard.from_config(db.config, seed=db.config.faults_seed)
-            if db.config.breaker_enabled
+            BreakerBoard.from_config(config, seed=config.faults_seed)
+            if config.breaker_enabled
             else None
         )
-
-    # -- helpers ---------------------------------------------------------
-
-    @property
-    def _catalog(self):
-        return self._db._lifecycle
-
-    @property
-    def _config(self):
-        return self._db.config
-
-    def _recorder(self):
-        telemetry = self._db._telemetry
-        return telemetry.events
 
     def breaker_for(self, model: str, version: str):
         if self.breakers is None:
@@ -185,7 +176,7 @@ class DeploymentController:
             self._next_id += 1
             dep.history.append(PREPARING)
             self._deployments.append(dep)
-            self._recorder().emit(
+            self._recorder.emit(
                 "deploy.start",
                 deploy_id=dep.deploy_id,
                 model=model,
@@ -210,7 +201,7 @@ class DeploymentController:
                 # pointer assignment), so the old version still serves.
                 dep.reason = f"deploy aborted: {exc}"
                 dep.transition(ROLLED_BACK, self._catalog.generation)
-                self._recorder().emit(
+                self._recorder.emit(
                     "deploy.rollback",
                     deploy_id=dep.deploy_id,
                     model=model,
@@ -254,7 +245,6 @@ class DeploymentController:
                     )
                     candidate.reason = reason
                     candidate.transition(ROLLED_BACK, gen)
-                    self._db._on_routing_changed(model)
                     self._emit_rollback(candidate, reason)
                     return candidate
             raise DeploymentError(
@@ -265,8 +255,7 @@ class DeploymentController:
         gen = self._catalog.promote(dep.model, dep.version)
         self._active.pop(dep.model, None)
         dep.transition(PROMOTED, gen)
-        self._db._on_routing_changed(dep.model)
-        self._recorder().emit(
+        self._recorder.emit(
             "deploy.promote",
             deploy_id=dep.deploy_id,
             model=dep.model,
@@ -275,7 +264,7 @@ class DeploymentController:
         )
 
     def _emit_state(self, dep: Deployment) -> None:
-        self._recorder().emit(
+        self._recorder.emit(
             "deploy.state",
             deploy_id=dep.deploy_id,
             model=dep.model,
@@ -285,7 +274,7 @@ class DeploymentController:
         )
 
     def _emit_rollback(self, dep: Deployment, reason: str) -> None:
-        self._recorder().emit(
+        self._recorder.emit(
             "deploy.rollback",
             deploy_id=dep.deploy_id,
             model=dep.model,
@@ -366,7 +355,7 @@ class DeploymentController:
                 return
             rate = dep.shadow_diverged / dep.shadow_compared
             if rate > SHADOW_DIVERGENCE_THRESHOLD:
-                self._recorder().emit(
+                self._recorder.emit(
                     "deploy.shadow_diverged",
                     deploy_id=dep.deploy_id,
                     model=model,
@@ -406,11 +395,7 @@ class DeploymentController:
         return True
 
     def _slo_fast_burning(self, model: str) -> bool:
-        telemetry = self._db._telemetry
-        slo = getattr(telemetry, "slo", None)
-        if slo is None:
-            return False
-        state = slo.snapshot().get(model)
+        state = self._slo.snapshot().get(model)
         return bool(state and state.get("burning_fast"))
 
     # -- introspection ---------------------------------------------------

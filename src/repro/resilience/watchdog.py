@@ -31,7 +31,7 @@ class Deadline:
     @classmethod
     def for_stage(cls, config, label: str) -> "Deadline | None":
         """A deadline from ``resilience_stage_timeout_ms`` (None when 0)."""
-        timeout_ms = getattr(config, "resilience_stage_timeout_ms", 0.0)
+        timeout_ms = config.resilience_stage_timeout_ms
         if not timeout_ms:
             return None
         return cls(timeout_ms / 1e3, label=label)

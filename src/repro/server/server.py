@@ -27,7 +27,9 @@ feeds the SLO window and the breaker once per batch, not per request.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
+import os
 import threading
 import time
 from dataclasses import dataclass
@@ -40,7 +42,7 @@ from ..errors import (
     ServerClosedError,
     ServerOverloadedError,
 )
-from ..faults import NULL_INJECTOR, is_transient
+from ..faults import is_transient
 from ..resilience import BreakerBoard, CircuitBreaker
 from ..serving.policy import ServiceTimeEstimator
 from .admission import AdmissionController
@@ -90,6 +92,8 @@ class ModelServer:
     def __init__(
         self,
         db,
+        predict,
+        on_close,
         workers: int | None = None,
         max_batch_size: int = 64,
         max_queue_delay_ms: float = 2.0,
@@ -101,6 +105,11 @@ class ModelServer:
     ):
         config = db.config
         self._db = db
+        #: The database's one predict path, ``predict(model, features,
+        #: execute=...) -> (labels, generation)``; ``on_close(self)``
+        #: detaches this server from the database.
+        self._predict = predict
+        self._on_close = on_close
         #: Optional :class:`~repro.cluster.ClusterPool`.  When attached,
         #: batches execute on its worker processes instead of in-process;
         #: everything above the execute call (batching, admission,
@@ -108,7 +117,7 @@ class ModelServer:
         self.cluster = cluster
         #: What runs one model version: the pool, or (None) in-process.
         self._execute = cluster.predict if cluster is not None else None
-        self._injector = getattr(db, "faults", NULL_INJECTOR)
+        self._injector = db.faults
         self.retry_limit = int(retry_limit)
         self.retry_backoff_s = retry_backoff_ms / 1e3
         if self.retry_limit < 0:
@@ -401,7 +410,7 @@ class ModelServer:
             )
         if self.cluster is not None:
             self.cluster.close()
-        self._db._detach_server(self)
+        self._on_close(self)
         return abandoned
 
     @property
@@ -610,7 +619,7 @@ class ModelServer:
         if unresolved:
             self._m_requests["failed"].inc(unresolved)
         self._record_failure(batch.model)
-        self._db._maybe_dump_diagnostics("server.worker_error", error=exc)
+        self._auto_dump("server.worker_error", exc)
 
     def _postmortem(self, exc: BaseException) -> None:
         """Auto-dump one bundle on the FIRST terminal request failure.
@@ -624,7 +633,18 @@ class ModelServer:
         if self._postmortem_dumped:
             return
         self._postmortem_dumped = True
-        self._db._maybe_dump_diagnostics("server.request_failed", error=exc)
+        self._auto_dump("server.request_failed", exc)
+
+    def _auto_dump(self, reason: str, error: BaseException) -> None:
+        """Best-effort bundle into ``config.diagnostics_dir`` (if set): a
+        diagnostics failure must never mask the original error."""
+        directory = self._db.config.diagnostics_dir
+        if directory:
+            stamp = int(time.time() * 1e3)
+            name = f"diagnostics-{reason.replace('.', '-')}-{stamp}.json"
+            path = os.path.join(directory, name)
+            with contextlib.suppress(Exception):
+                self._db.dump_diagnostics(path, reason=reason, error=error)
 
     def _sync_drops_locked(self, batcher: MicroBatcher) -> None:
         """Mirror the batcher's deadline drops into the outcome counter."""
@@ -710,7 +730,7 @@ class ModelServer:
                         # Thread and cluster mode share the database's one
                         # predict path, so canary/shadow deployments apply
                         # identically; only the version executor differs.
-                        predictions, __ = self._db._predict(
+                        predictions, __ = self._predict(
                             model, features, execute=self._execute
                         )
                         execute_seconds = time.perf_counter() - start

@@ -70,12 +70,20 @@ REQUIRED_KEYS: tuple[str, ...] = (
 
 
 def build_bundle(
-    db, reason: str = "requested", error: BaseException | None = None,
+    db, relations, server, cluster, executor,
+    reason: str = "requested", error: BaseException | None = None,
     max_events: int = 512, max_spans: int = 512,
 ) -> dict:
-    """Assemble the diagnostics dict for one database (JSON-safe)."""
-    telemetry = db._telemetry
-    cluster = db._cluster
+    """Assemble the diagnostics dict (JSON-safe) for one database, given
+    its system relations, its hybrid executor and its attached server
+    and cluster pool (either may be None)."""
+    telemetry = db.telemetry
+    breakers = [
+        list(row)
+        for board in (server and server.breakers, executor.breakers)
+        if board is not None
+        for row in board.rows()
+    ]
     return {
         "bundle_version": BUNDLE_VERSION,
         "created_unix": time.time(),
@@ -87,7 +95,7 @@ def build_bundle(
         ),
         "config": dataclasses.asdict(db.config),
         "metrics": telemetry.registry.snapshot() if telemetry.enabled else {},
-        "breakers": _breaker_rows(db),
+        "breakers": breakers,
         "recovery_ledger": [list(row) for row in db.recovery_ledger.rows()],
         "faults": {"seed": db.faults.seed, "armed": db.faults.armed_count},
         "events": telemetry.events.as_dicts(limit=max_events),
@@ -118,20 +126,10 @@ def build_bundle(
                 "columns": list(row_type._fields),
                 "rows": [[json_safe(v) for v in row] for row in rows()],
             }
-            for name, (row_type, rows) in db._relations.items()
+            for name, (row_type, rows) in relations.items()
             if name not in _HELD_ELSEWHERE
         },
     }
-
-
-def _breaker_rows(db) -> list[list]:
-    rows: list[list] = []
-    server = db._server
-    if server is not None and server.breakers is not None:
-        rows.extend(list(row) for row in server.breakers.rows())
-    if db._executor.breakers is not None:
-        rows.extend(list(row) for row in db._executor.breakers.rows())
-    return rows
 
 
 def _span_dicts(tracer, max_spans: int) -> list[dict]:

@@ -66,13 +66,13 @@ def test_persistent_fault_poisons_one_request_not_the_batch(db, features):
     fails.  Regardless of how the batcher coalesced the submissions,
     exactly one future fails."""
     expected = db.predict_labels("fraud", features)
-    real_predict = db._predict
+    real_predict = db._models.labels
 
     def slow_predict(name, feats, **kwargs):
         time.sleep(0.02)  # hold the lone worker so later submits coalesce
         return real_predict(name, feats, **kwargs)
 
-    db._predict = slow_predict
+    db._models.labels = slow_predict
     try:
         with db.serve(workers=1, max_batch_size=8, max_queue_delay_ms=0.0) as server:
             retry_limit = server.retry_limit
@@ -107,7 +107,7 @@ def test_persistent_fault_poisons_one_request_not_the_batch(db, features):
             ok = server.submit("fraud", features[3]).result(timeout=30.0)
             np.testing.assert_array_equal(ok, expected[3:4])
     finally:
-        db._predict = real_predict
+        db._models.labels = real_predict
 
 
 def test_retry_knobs_surface_in_stats_and_serve_overrides(db, features):

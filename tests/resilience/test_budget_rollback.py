@@ -18,7 +18,7 @@ TIGHT = dict(
 
 
 def budgets(db):
-    executor = db._executor
+    executor = db._models.executor
     return {
         "db": executor.db_budget,
         "dl": executor.dl_budget,

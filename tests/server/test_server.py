@@ -82,13 +82,13 @@ def test_stress_concurrent_clients_deterministic(db, rng):
 
 
 def test_backpressure_raises_server_overloaded(db, features):
-    real_predict = db._predict
+    real_predict = db._models.labels
 
     def slow_predict(name, feats, **kwargs):
         time.sleep(0.05)
         return real_predict(name, feats, **kwargs)
 
-    db._predict = slow_predict
+    db._models.labels = slow_predict
     try:
         with db.serve(workers=1, queue_capacity=2, max_queue_delay_ms=0.0) as server:
             futures, rejected = [], 0
@@ -104,17 +104,17 @@ def test_backpressure_raises_server_overloaded(db, features):
             rows = dict(server.stats_rows())
             assert rows["server.requests.rejected"] == rejected
     finally:
-        db._predict = real_predict
+        db._models.labels = real_predict
 
 
 def test_sla_shedding_visible_in_stats_and_metrics(db, features):
-    real_predict = db._predict
+    real_predict = db._models.labels
 
     def slow_predict(name, feats, **kwargs):
         time.sleep(0.05)
         return real_predict(name, feats, **kwargs)
 
-    db._predict = slow_predict
+    db._models.labels = slow_predict
     try:
         with db.serve(workers=1, max_queue_delay_ms=0.0) as server:
             # Warm the estimator past its confidence gate (~50ms/batch).
@@ -128,20 +128,20 @@ def test_sla_shedding_visible_in_stats_and_metrics(db, features):
             rows = dict(server.stats_rows())
             assert rows["server.requests.shed"] >= 1
     finally:
-        db._predict = real_predict
+        db._models.labels = real_predict
     snapshot = db.telemetry.registry.snapshot()
     shed = [v for k, v in snapshot.items() if "server_requests_total" in k and "shed" in k]
     assert shed and shed[0] >= 1
 
 
 def test_queued_requests_expire_while_waiting(db, features):
-    real_predict = db._predict
+    real_predict = db._models.labels
 
     def slow_predict(name, feats, **kwargs):
         time.sleep(0.15)
         return real_predict(name, feats, **kwargs)
 
-    db._predict = slow_predict
+    db._models.labels = slow_predict
     try:
         with db.serve(workers=1, max_queue_delay_ms=0.0) as server:
             first = server.submit("fraud", features[0])
@@ -158,7 +158,7 @@ def test_queued_requests_expire_while_waiting(db, features):
             assert rows["server.model.fraud.deadline_drops"] >= 1
             assert rows["server.requests.expired"] >= 1
     finally:
-        db._predict = real_predict
+        db._models.labels = real_predict
 
 
 def test_show_server_sql(db, features):
@@ -204,13 +204,13 @@ def test_only_one_server_per_database(db):
 
 
 def test_close_without_drain_fails_queued_requests(db, features):
-    real_predict = db._predict
+    real_predict = db._models.labels
 
     def slow_predict(name, feats, **kwargs):
         time.sleep(0.1)
         return real_predict(name, feats, **kwargs)
 
-    db._predict = slow_predict
+    db._models.labels = slow_predict
     try:
         server = db.serve(workers=1, max_queue_delay_ms=0.0)
         futures = [server.submit("fraud", features[i]) for i in range(6)]
@@ -219,7 +219,7 @@ def test_close_without_drain_fails_queued_requests(db, features):
         # Everything resolved: executed, or failed with ServerClosedError.
         assert outcomes <= {"NoneType", "ServerClosedError"}
     finally:
-        db._predict = real_predict
+        db._models.labels = real_predict
 
 
 def test_serving_concurrent_with_sql_queries(db, rng):
@@ -406,13 +406,13 @@ def test_arrival_during_a_lease_is_taken_by_an_idle_worker(db, features):
     """A request queued while one worker holds the batcher's lease wakes
     the idle worker when the lease ends, instead of waiting for the busy
     worker's batch or the idle worker's 50 ms poll."""
-    real_predict = db._predict
+    real_predict = db._models.labels
 
     def slow_predict(name, feats, **kwargs):
         time.sleep(0.04)
         return real_predict(name, feats, **kwargs)
 
-    db._predict = slow_predict
+    db._models.labels = slow_predict
     try:
         with db.serve(workers=2, max_batch_size=1, max_queue_delay_ms=0.0) as server:
             server.submit("fraud", features[0]).result(timeout=10.0)  # warm-up
@@ -437,7 +437,7 @@ def test_arrival_during_a_lease_is_taken_by_an_idle_worker(db, features):
                 arrivals[-1].result(timeout=10.0)
             waits = [future.queue_seconds for future in arrivals]
     finally:
-        db._predict = real_predict
+        db._models.labels = real_predict
     # Without the hand-off the arrival waits for the first batch (40 ms)
     # or the idle worker's poll, whichever ends first.
     assert float(np.median(waits)) < 0.015

@@ -98,3 +98,22 @@ def test_cache_serves_emit_cache_events(db, exact):
     assert [kind for kind, __ in events] == ["cache.miss", "cache.hit"]
     kind = "exact" if exact else "ann"
     assert all(f"cache={kind}" in detail for __, detail in events)
+
+
+def test_versioned_name_resolves_alike_in_every_cache_method(db):
+    # enable, result_cache and disable all resolve "fraud@v2" to the same
+    # version: the cache enabled under that name is the one read back and
+    # the one disabled.
+    database, features = db
+    database.register_model_version("fraud", "v2", model=fraud_fc_256())
+    database.enable_result_cache("fraud@v2", distance_threshold=0.0, exact=True)
+    cache = database.result_cache("fraud@v2")
+    assert cache is not None
+    x = features[:4]
+    database.predict_labels("fraud@v2", x)
+    database.predict_labels("fraud@v2", x)
+    assert (cache.stats.hits, cache.stats.misses) == (4, 4)
+    database.disable_result_cache("fraud@v2")
+    assert database.result_cache("fraud@v2") is None
+    database.predict_labels("fraud@v2", x)
+    assert (cache.stats.hits, cache.stats.misses) == (4, 4)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -18,10 +19,17 @@ from repro.telemetry.diagnostics import (
     BUNDLE_VERSION,
     BUNDLED_RELATIONS,
     REQUIRED_KEYS,
-    build_bundle,
     validate_bundle,
     write_bundle,
 )
+
+
+def dumped_bundle(db, **kwargs) -> dict:
+    """The bundle ``db.dump_diagnostics`` writes, read back."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = db.dump_diagnostics(os.path.join(tmp, "bundle.json"), **kwargs)
+        with open(path, encoding="utf-8") as f:
+            return json.load(f)
 
 
 @pytest.fixture
@@ -36,7 +44,7 @@ def db(rng):
 
 def test_bundle_has_every_required_key_and_validates(db):
     db.execute("SELECT * FROM tx")
-    bundle = build_bundle(db)
+    bundle = dumped_bundle(db)
     for key in REQUIRED_KEYS:
         assert key in bundle
     assert bundle["bundle_version"] == BUNDLE_VERSION
@@ -50,7 +58,7 @@ def test_bundle_has_every_required_key_and_validates(db):
 def test_bundle_captures_events_and_error(db, rng):
     with db.serve(workers=1) as server:
         server.predict("fraud", rng.normal(size=(4, 28)))
-    bundle = build_bundle(db, reason="test", error=ValueError("boom"))
+    bundle = dumped_bundle(db, reason="test", error=ValueError("boom"))
     assert bundle["reason"] == "test"
     assert bundle["error"] == {"type": "ValueError", "message": "boom"}
     kinds = {event["kind"] for event in bundle["events"]}
@@ -74,7 +82,7 @@ def test_bundle_workload_slo_profile_sections(db):
     db.execute("SELECT * FROM tx WHERE id = 1")
     db.execute("SELECT * FROM tx WHERE id = 2")
     db.set_slo("fraud", latency_ms=250.0)
-    bundle = build_bundle(db)
+    bundle = dumped_bundle(db)
     relations = bundle["relations"]
     assert set(relations) == set(BUNDLED_RELATIONS)
     workload = relations["workload"]
@@ -103,7 +111,7 @@ def test_bundle_profile_section_carries_collapsed_stacks(db, rng):
         db.predict_labels("fraud", rng.normal(size=(256, 28)))
         deadline_samples += 1
     db.stop_profiler()
-    bundle = build_bundle(db)
+    bundle = dumped_bundle(db)
     profile = bundle["profile"]
     assert profile["samples"] >= 3
     assert profile["collapsed"], "sampled frames must serialize"
@@ -230,7 +238,7 @@ def valid_bundle():
     db.register_model_version("fraud", "v2", model=fraud_fc_256())
     db.execute("DEPLOY MODEL fraud VERSION v2")
     db.predict_labels("fraud", np.random.default_rng(3).normal(size=(4, 28)))
-    bundle = json.loads(json.dumps(build_bundle(db), default=str))
+    bundle = dumped_bundle(db)
     db.close()
     assert validate_bundle(bundle) == []
     return bundle
@@ -314,7 +322,7 @@ def test_seeded_fault_in_bundle_is_replayable(tmp_path, rng):
             db.predict_labels("fraud", feats)
         except Exception:
             pass
-        bundle = build_bundle(db, reason="chaos")
+        bundle = dumped_bundle(db, reason="chaos")
         db.close()
         return bundle
 

@@ -1,5 +1,7 @@
 """Metrics registry: counters, gauges, histograms, rendering."""
 
+import json
+
 import pytest
 
 from repro.errors import TelemetryError
@@ -8,7 +10,6 @@ from repro.telemetry import (
     DEFAULT_LATENCY_BUCKETS,
     MetricsRegistry,
 )
-from repro.telemetry.diagnostics import build_bundle
 
 
 @pytest.fixture
@@ -114,7 +115,7 @@ def test_reset_zeroes_but_keeps_instances(registry):
     assert registry.counter("n_total", "N.") is c
 
 
-def test_disabled_telemetry_counts_but_does_not_export():
+def test_disabled_telemetry_counts_but_does_not_export(tmp_path):
     # Counters are system state: with telemetry off the registry still
     # counts, and only the three export sites go empty.
     with Database(telemetry_enabled=False) as db:
@@ -126,7 +127,9 @@ def test_disabled_telemetry_counts_but_does_not_export():
         assert hits.value == db.buffer_pool.stats.hits
         assert db.execute("SHOW METRICS").rows == []
         assert db.metrics_text() == ""
-        assert build_bundle(db)["metrics"] == {}
+        assert db.dump_diagnostics(str(tmp_path / "bundle.json"))
+        with open(tmp_path / "bundle.json", encoding="utf-8") as f:
+            assert json.load(f)["metrics"] == {}
 
 
 def test_metric_updates_are_thread_safe(registry):

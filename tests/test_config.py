@@ -43,9 +43,9 @@ def test_unknown_options_raise_config_error_naming_them():
         {"buffer_pool_bytes": 1024, "page_size": 4096},
         {"dl_memory_limit_bytes": 0},
         {"tensor_block_rows": 0},
-        {"default_batch_size": -1},
-        {"num_cores": 0},
-        {"framework_compute_efficiency": 0.0},
+        {"faults_seed": -1},
+        {"breaker_window": 4, "breaker_min_samples": 5},
+        {"cluster_heartbeat_interval_ms": 100.0, "cluster_heartbeat_timeout_ms": 100.0},
         {"eviction_policy": "fifo"},
     ],
 )

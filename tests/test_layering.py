@@ -55,3 +55,71 @@ def test_module_imports_no_higher_layer(module):
 def test_relative_imports_resolve():
     names = imported(SRC / "repro/telemetry/diagnostics.py")
     assert "repro.sql.lexer" in names and "repro.telemetry.events" in names
+
+
+#: The facade and its parts: the only modules that touch a Database's
+#: private state.
+SESSION = ("session.py", "session_statements.py", "session_models.py",
+           "session_relations.py")
+
+#: Expressions that hold a Database by the codebase's naming convention:
+#: a ``db`` / ``database`` name, or a ``.db`` / ``._db`` attribute.
+DATABASE_NAMES = frozenset({"db", "_db", "database", "_database"})
+
+
+def _holds_database(node: ast.expr) -> bool:
+    if isinstance(node, ast.Name):
+        return node.id in DATABASE_NAMES
+    return isinstance(node, ast.Attribute) and node.attr in DATABASE_NAMES
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def private_database_uses(source: str) -> list[str]:
+    """Every read or write of a Database's underscore attribute in
+    ``source``: ``db._x``, ``self._db._x`` and ``getattr(db, "_x")``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):  # breadth first, not in line order
+        if (
+            isinstance(node, ast.Attribute)
+            and _private(node.attr)
+            and _holds_database(node.value)
+        ):
+            found.append(f"line {node.lineno}: {ast.unparse(node)}")
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id in ("getattr", "setattr", "hasattr", "delattr")
+            and len(node.args) >= 2
+            and _holds_database(node.args[0])
+            and isinstance(node.args[1], ast.Constant)
+            and _private(str(node.args[1].value))
+        ):
+            found.append(f"line {node.lineno}: {ast.unparse(node)}")
+    return found
+
+
+def test_private_database_uses_are_found():
+    source = (
+        "def f(db, pool):\n"
+        "    db._cluster = pool\n"
+        "    x = self._db._predict(1)\n"
+        "    y = getattr(db, '_cluster', None)\n"
+        "    return db.config, db.__class__, pool._db.faults\n"
+    )
+    assert sorted(use.split(": ")[1] for use in private_database_uses(source)) == [
+        "db._cluster", "getattr(db, '_cluster', None)", "self._db._predict",
+    ]
+
+
+def test_no_module_outside_the_session_touches_database_private_state():
+    offenders = {
+        str(path.relative_to(SRC)): uses
+        for path in sorted((SRC / "repro").rglob("*.py"))
+        if path.parent.name != "repro" or path.name not in SESSION
+        for uses in [private_database_uses(path.read_text(encoding="utf-8"))]
+        if uses
+    }
+    assert offenders == {}
