@@ -76,8 +76,11 @@ class ExternalRuntime:
         self._models[model.name] = model
         return model.name
 
-    def run(self, handle: str, x: np.ndarray) -> RunResult:
-        """Whole-tensor inference on the framework's device budget.
+    def run(
+        self, handle: str, x: np.ndarray, budget: MemoryBudget | None = None
+    ) -> RunResult:
+        """Whole-tensor inference on the framework's device budget, or on
+        ``budget`` for this call if one is given.
 
         The entire batch ``x`` is processed as one framework call (the
         paper tunes the baseline batch size externally, so callers choose
@@ -87,17 +90,18 @@ class ExternalRuntime:
         model = self._models.get(handle)
         if model is None:
             raise ModelError(f"no model loaded under handle {handle!r}")
-        self.budget.reset_peak()
+        budget = budget if budget is not None else self.budget
+        budget.reset_peak()
         start = time.perf_counter()
         outputs = model.forward(
-            x, budget=self.budget, eager_free=True, charge_scale=self.memory_scale
+            x, budget=budget, eager_free=True, charge_scale=self.memory_scale
         )
         measured = time.perf_counter() - start
         return RunResult(
             outputs=outputs,
             measured_seconds=measured,
             modeled_seconds=measured / self.COMPUTE_EFFICIENCY,
-            peak_memory_bytes=self.budget.peak,
+            peak_memory_bytes=budget.peak,
         )
 
     def run_batched(self, handle: str, x: np.ndarray, batch_size: int) -> RunResult:

@@ -16,6 +16,7 @@ import numpy as np
 
 from ..dlruntime.connector import Connector
 from ..dlruntime.layers import Model
+from ..dlruntime.memory import MemoryBudget
 from ..dlruntime.runtime import ExternalRuntime
 from ..relational.operators import Operator
 from ..telemetry import Telemetry
@@ -67,9 +68,12 @@ class DlCentricEngine:
         return self._run(model, features, extract.serialize_seconds,
                          extract.modeled_wire_seconds, extract.wire_bytes)
 
-    def run_on_array(self, model: Model, features: np.ndarray) -> EngineResult:
-        """Inference on an already-extracted array (no transfer accounted)."""
-        return self._run(model, features, 0.0, 0.0, 0)
+    def run_on_array(
+        self, model: Model, features: np.ndarray, budget: MemoryBudget | None = None
+    ) -> EngineResult:
+        """Inference on an already-extracted array (no transfer accounted),
+        charged to ``budget`` instead of the runtime's own if one is given."""
+        return self._run(model, features, 0.0, 0.0, 0, budget)
 
     def _run(
         self,
@@ -78,10 +82,11 @@ class DlCentricEngine:
         transfer_measured: float,
         transfer_modeled: float,
         wire_bytes: int,
+        budget: MemoryBudget | None = None,
     ) -> EngineResult:
         handle = self.runtime.load_model(model)
         start = time.perf_counter()
-        run = self.runtime.run(handle, features)
+        run = self.runtime.run(handle, features, budget)
         compute_measured = time.perf_counter() - start
         self._m_run_seconds.observe(transfer_measured + compute_measured)
         self._m_wire_bytes.inc(float(wire_bytes))

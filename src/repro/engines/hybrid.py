@@ -39,8 +39,6 @@ to finish the work, slowly but surely.
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 
 from ..config import SystemConfig
@@ -77,7 +75,6 @@ class HybridExecutor:
         catalog: Catalog,
         config: SystemConfig,
         db_budget: MemoryBudget | None = None,
-        dl_budget: MemoryBudget | None = None,
         runtime_flavor: str = "tensorflow-sim",
         telemetry: Telemetry | None = None,
         injector: FaultInjector | None = None,
@@ -124,21 +121,13 @@ class HybridExecutor:
             if db_budget is not None
             else MemoryBudget(config.dl_memory_limit_bytes, "db")
         )
-        self.dl_budget = (
-            dl_budget
-            if dl_budget is not None
-            else MemoryBudget(config.dl_memory_limit_bytes, "dl-runtime")
-        )
+        self.dl_budget = MemoryBudget(config.dl_memory_limit_bytes, "dl-runtime")
         self.udf_engine = UdfCentricEngine(
             self.db_budget, eager_free=False, telemetry=self.telemetry
         )
         self.relation_engine = RelationCentricEngine(
             catalog, config, telemetry=self.telemetry
         )
-        # Relation-centric stages materialise scratch block tables in the
-        # shared catalog; serialize them across the serving front-end's
-        # workers rather than making the whole engine re-entrant.
-        self._relation_lock = threading.Lock()
         self.dl_engine = DlCentricEngine(
             Connector(config.connector),
             ExternalRuntime(runtime_flavor, self.dl_budget),
@@ -150,8 +139,13 @@ class HybridExecutor:
         plan: InferencePlan,
         x: np.ndarray,
         model_info: VersionRecord,
+        dl_budget: MemoryBudget | None = None,
     ) -> EngineResult:
-        """Run a plan over an input array; returns combined accounting."""
+        """Run a plan over an input array; returns combined accounting.
+
+        ``dl_budget`` replaces the DL runtime's own budget for this call.
+        """
+        dl_budget = dl_budget if dl_budget is not None else self.dl_budget
         current = np.asarray(x, dtype=np.float64)
         measured = 0.0
         modeled_extra = 0.0
@@ -203,6 +197,7 @@ class HybridExecutor:
                             stage_index=i,
                             node_base=node_base,
                             recoveries_left=recoveries_left,
+                            dl_budget=dl_budget,
                         )
                     except RECOVERABLE as exc:
                         # Recovery budget spent (or disabled): audit the
@@ -224,7 +219,7 @@ class HybridExecutor:
                             rows=int(current.shape[0]),
                             elapsed_seconds=0.0,
                             estimated_bytes=stage.estimated_bytes,
-                            actual_peak_bytes=self._stage_peak(stage),
+                            actual_peak_bytes=self._stage_peak(stage, dl_budget),
                             threshold_bytes=plan.threshold_bytes,
                             recovery="gave-up",
                         )
@@ -296,6 +291,7 @@ class HybridExecutor:
         stage_index: int,
         node_base: int,
         recoveries_left: int,
+        dl_budget: MemoryBudget,
     ) -> tuple[EngineResult, str, int]:
         """Run one stage with breaker routing and failure recovery.
 
@@ -327,7 +323,7 @@ class HybridExecutor:
         )
         checkpoint = deadline.checkpoint() if deadline is not None else None
         try:
-            result = self._run_stage(stage, x, model_info, checkpoint=checkpoint)
+            result = self._run_stage(stage, x, model_info, dl_budget, checkpoint)
         except RECOVERABLE as exc:
             if breaker is not None:
                 breaker.record_failure()
@@ -339,7 +335,7 @@ class HybridExecutor:
                 self._m_recoveries["relowered"].inc()
                 return result, "relowered", recoveries_left - 1
             if isinstance(exc, OutOfMemoryError) and x.shape[0] > 1:
-                result, pieces = self._split_stage(stage, x, model_info)
+                result, pieces = self._split_stage(stage, x, model_info, dl_budget)
                 self._note_rescue(plan, stage, node_base)
                 self._m_recoveries["split"].inc()
                 return result, f"split({pieces})", recoveries_left - 1
@@ -360,13 +356,10 @@ class HybridExecutor:
         self, stage: PlanStage, x: np.ndarray, model_info: VersionRecord
     ) -> EngineResult:
         """Re-run a whole-tensor stage through the relation engine."""
-        with self._relation_lock:
-            return self.relation_engine.run_vector_stage(
-                stage.layers, x, model_info
-            )
+        return self.relation_engine.run_vector_stage(stage.layers, x, model_info)
 
     def _split_stage(
-        self, stage: PlanStage, x: np.ndarray, model_info: VersionRecord
+        self, stage: PlanStage, x: np.ndarray, model_info: VersionRecord, dl_budget
     ) -> tuple[EngineResult, int]:
         """Retry an OOMed stage on recursively halved batches.
 
@@ -376,19 +369,19 @@ class HybridExecutor:
         itself, not the batch, is what does not fit).
         """
         mid = x.shape[0] // 2
-        left, pieces_l = self._run_split(stage, x[:mid], model_info)
-        right, pieces_r = self._run_split(stage, x[mid:], model_info)
+        left, pieces_l = self._run_split(stage, x[:mid], model_info, dl_budget)
+        right, pieces_r = self._run_split(stage, x[mid:], model_info, dl_budget)
         return _merge_results(left, right), pieces_l + pieces_r
 
     def _run_split(
-        self, stage: PlanStage, chunk: np.ndarray, model_info: VersionRecord
+        self, stage: PlanStage, chunk: np.ndarray, model_info: VersionRecord, dl_budget
     ) -> tuple[EngineResult, int]:
         try:
-            return self._run_stage(stage, chunk, model_info), 1
+            return self._run_stage(stage, chunk, model_info, dl_budget), 1
         except OutOfMemoryError:
             if chunk.shape[0] <= max(1, self.config.resilience_split_floor_rows):
                 raise
-            return self._split_stage(stage, chunk, model_info)
+            return self._split_stage(stage, chunk, model_info, dl_budget)
 
     def _note_rescue(
         self, plan: InferencePlan, stage: PlanStage, node_base: int
@@ -400,12 +393,12 @@ class HybridExecutor:
                 plan.model.name, node_base + offset, op=node.op.value
             )
 
-    def _stage_peak(self, stage: PlanStage) -> int:
+    def _stage_peak(self, stage: PlanStage, dl_budget: MemoryBudget) -> int:
         """Best-effort peak bytes for a stage that failed outright."""
         if stage.representation is Representation.UDF_CENTRIC:
             return self.db_budget.peak
         if stage.representation is Representation.DL_CENTRIC:
-            return self.dl_budget.peak
+            return dl_budget.peak
         return self.relation_engine.budget.peak
 
     # -- dispatch -----------------------------------------------------------
@@ -415,15 +408,15 @@ class HybridExecutor:
         stage: PlanStage,
         x: np.ndarray,
         model_info: VersionRecord,
+        dl_budget: MemoryBudget,
         checkpoint=None,
     ) -> EngineResult:
         if stage.representation is Representation.UDF_CENTRIC:
             return self.udf_engine.run_layers(stage.layers, x, checkpoint=checkpoint)
         if stage.representation is Representation.RELATION_CENTRIC:
-            with self._relation_lock:
-                return self._run_relation_stage(stage, x, model_info, checkpoint)
+            return self._run_relation_stage(stage, x, model_info, checkpoint)
         if stage.representation is Representation.DL_CENTRIC:
-            return self._run_dl_stage(stage, x)
+            return self._run_dl_stage(stage, x, dl_budget)
         raise PlanError(f"stage has no representation assigned: {stage.describe()}")
 
     def _run_relation_stage(
@@ -451,10 +444,12 @@ class HybridExecutor:
             stage.layers, x, model_info, checkpoint=checkpoint
         )
 
-    def _run_dl_stage(self, stage: PlanStage, x: np.ndarray) -> EngineResult:
+    def _run_dl_stage(
+        self, stage: PlanStage, x: np.ndarray, budget: MemoryBudget
+    ) -> EngineResult:
         """Offload a stage: pay modeled wire cost both ways, then run."""
         stage_model = Model("offload", stage.layers, input_shape=tuple(x.shape[1:]))
-        result = self.dl_engine.run_on_array(stage_model, x)
+        result = self.dl_engine.run_on_array(stage_model, x, budget)
         boundary_bytes = x.nbytes + result.outputs.nbytes
         wire = self.config.connector.wire_time(boundary_bytes, x.shape[0])
         result.modeled_extra_seconds += wire

@@ -12,10 +12,16 @@ OOM every whole-tensor engine.  A stripe is one block row: its blocks are
 Weight tables keep the stored ``tensor_block_rows × tensor_block_cols``
 blocks; a vector stage multiplies on square *compute blocks* of side
 ``f × tensor_block_cols``, assembled from the stored blocks as the weight
-scan streams (:func:`~repro.tensor.linalg.reblock`).  ``f`` is picked per
-stage call from the memory the stage may use
-(:func:`~repro.core.cost.compute_block_factor`); ``f = 1`` multiplies the
-stored blocks as they are.  Convolution stages always use ``f = 1``.
+scan streams (:func:`~repro.tensor.linalg.reblock`), and kept resident in
+the buffer pool for the next call.  ``f`` is picked per stage call from
+the memory the stage may use (:func:`~repro.core.cost.compute_block_factor`);
+at ``f = 1`` the compute blocks are the stored blocks, decoded once.
+Convolution stages multiply the stored blocks as the scan reads them.
+
+A vector stage's operator tree depends on the version, its layers and
+``f`` only, so the engine builds it once per such triple and each call
+binds its stripes into the tree's input scan.  The engine runs one stage
+at a time: the trees and the stage's budget are shared state.
 
 Two stage shapes cover the paper's models:
 
@@ -29,7 +35,10 @@ Two stage shapes cover the paper's models:
 from __future__ import annotations
 
 import itertools
+import threading
 import time
+import weakref
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,6 +55,7 @@ from ..tensor.block import block_table_schema
 from ..tensor.blocked import BlockedMatrix
 from ..tensor.im2col import im2col
 from ..tensor.linalg import (
+    BoundBlockScan,
     bias_add_pipeline,
     block_scan_from_matrix,
     block_scan_from_table,
@@ -58,6 +68,15 @@ from ..tensor.linalg import (
 from .base import EngineResult
 
 _result_counter = itertools.count()
+
+
+class _PreparedRun(NamedTuple):
+    """A Softmax-free run's operator tree, the scan its stripes are bound
+    to, and the weight tables it reads (a re-stored table rebuilds it)."""
+
+    tree: Operator
+    stripes: BoundBlockScan
+    tables: tuple[TableInfo, ...]
 
 
 class RelationCentricEngine:
@@ -89,6 +108,12 @@ class RelationCentricEngine:
         self._m_stripes = self._telemetry.registry.counter(
             "relation_stripes_total", "Row stripes processed block-wise"
         )
+        # Stages share the budget, the prepared trees and (conv stages)
+        # the catalog's result tables: one runs at a time.
+        self._lock = threading.Lock()
+        # model → (version name, run's layers, side) → its prepared run;
+        # entries die with the model, or with this engine on a config change.
+        self._runs: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
     @property
     def _block_shape(self) -> tuple[int, int]:
@@ -116,6 +141,10 @@ class RelationCentricEngine:
             raise PlanError(
                 f"vector stage expects (batch, features) input, got {x.shape}"
             )
+        with self._lock:
+            return self._run_vector_stage(layers, x, model_info, checkpoint)
+
+    def _run_vector_stage(self, layers, x, model_info, checkpoint) -> EngineResult:
         self.budget.reset_peak()
         factor, footprint = self._compute_blocks(layers, x)
         side = factor * self.config.tensor_block_cols
@@ -193,21 +222,45 @@ class RelationCentricEngine:
         if not layers:
             return current
         shape = (current.shape[0], _stage_output_features(layers, current.shape[1]))
-        pipeline = self.vector_pipeline(layers, current, model_info)
-        return drain_to_matrix(pipeline, shape, current.block_shape)
+        run = self._prepared_run(layers, current.block_shape[1], model_info)
+        run.stripes.bind(current)
+        try:
+            return drain_to_matrix(run.tree, shape, current.block_shape)
+        finally:
+            run.stripes.bind(None)  # the tree outlives the caller's input
+
+    def _prepared_run(
+        self, layers: list, side: int, model_info: VersionRecord
+    ) -> _PreparedRun:
+        """The run's tree, built on its first call and again only if one
+        of its weight tables was dropped and stored anew."""
+        tables = tuple(
+            weight_block_table(self.catalog, model_info, layer, self._block_shape)
+            for layer in layers
+            if isinstance(layer, Linear)
+        )
+        runs = self._runs.get(model_info.model)
+        if runs is None:
+            runs = self._runs[model_info.model] = {}
+        key = (model_info.name, tuple(map(id, layers)), side)
+        run = runs.get(key)
+        if run is None or any(a is not b for a, b in zip(run.tables, tables)):
+            tree, stripes = self.vector_pipeline(layers, side, model_info)
+            run = runs[key] = _PreparedRun(tree, stripes, tables)
+        return run
 
     def vector_pipeline(
-        self, layers: list, blocks: BlockedMatrix, model_info: VersionRecord
-    ) -> Operator:
-        """The block pipeline of a Softmax-free run of layers over one
-        stripe, blocked ``stripe rows × side``.
+        self, layers: list, side: int, model_info: VersionRecord
+    ) -> tuple[Operator, BoundBlockScan]:
+        """The block pipeline of a Softmax-free run of layers, and the scan
+        its input is bound to: one stripe, blocked ``stripe rows × side``.
 
-        Each Linear joins the stripe against its stored weight blocks,
-        re-blocked to ``side × side`` (a multiple of the stored side).
+        Each Linear joins the stripe against its weight table's compute
+        blocks, ``side × side`` (a multiple of the stored side).
         """
-        side = blocks.block_shape[1]
         factor = side // self.config.tensor_block_cols
-        pipeline = block_scan_from_matrix(blocks, "", label="stripe")
+        stripes = BoundBlockScan(label="stripe")
+        pipeline: Operator = stripes
         for layer in layers:
             if isinstance(layer, Linear):
                 table = weight_block_table(
@@ -238,7 +291,7 @@ class RelationCentricEngine:
                     f"relation-centric vector stage cannot execute layer "
                     f"{type(layer).__name__}"
                 )
-        return pipeline
+        return pipeline, stripes
 
     # -- convolution stages --------------------------------------------------
 
@@ -262,6 +315,12 @@ class RelationCentricEngine:
             raise PlanError(
                 f"conv stage expects (batch, H, W, C) input, got {images.shape}"
             )
+        with self._lock:
+            return self._run_conv_stage(conv, images, model_info, apply_relu, result_table)
+
+    def _run_conv_stage(
+        self, conv, images, model_info, apply_relu, result_table
+    ) -> EngineResult:
         block_shape = self._block_shape
         weights = weight_block_table(self.catalog, model_info, conv, block_shape)
         name = result_table or f"__result_{model_info.name}_{next(_result_counter)}"

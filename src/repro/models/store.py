@@ -37,19 +37,26 @@ def store_model_blocks(
 ) -> dict[str, str]:
     """Materialise every weight matrix of a registered model into block tables.
 
-    Idempotent: layers already stored are skipped.  Returns the mapping of
-    ``layer_name`` → table name (also recorded in ``info.block_tables``).
+    Idempotent: layers already stored are skipped; a layer whose table was
+    dropped is stored again.  Returns the mapping of ``layer_name`` → table
+    name (also recorded in ``info.block_tables``).
     """
     for layer in info.model.layers:
         matrix = _weight_matrix(layer)
         if matrix is None:
             continue
         layer_name = layer.name
-        if layer_name in info.block_tables:
+        if catalog.has_table(info.block_tables.get(layer_name, "")):
             continue
         table = block_table_name(info.name, layer_name)
         if not catalog.has_table(table):
-            BlockedMatrix.from_dense(matrix, block_shape).store(catalog, table)
+            try:
+                BlockedMatrix.from_dense(matrix, block_shape).store(catalog, table)
+            except BaseException:
+                # A half-stored table would read as a matrix with holes.
+                if catalog.has_table(table):
+                    catalog.drop_table(table)
+                raise
         info.block_tables[layer_name] = table
     return dict(info.block_tables)
 
@@ -57,11 +64,13 @@ def store_model_blocks(
 def weight_block_table(
     catalog: Catalog, info: VersionRecord, layer: Layer, block_shape: tuple[int, int]
 ) -> TableInfo:
-    """The block table for one layer's weights, storing it on first use."""
-    layer_name = layer.name
-    if layer_name not in info.block_tables:
+    """The block table for one layer's weights, storing it on first use
+    (and again after a drop)."""
+    name = info.block_tables.get(layer.name)
+    if name is None or not catalog.has_table(name):
         store_model_blocks(catalog, info, block_shape)
-    return catalog.get_table(info.block_tables[layer_name])
+        name = info.block_tables[layer.name]
+    return catalog.get_table(name)
 
 
 def load_model_weights(

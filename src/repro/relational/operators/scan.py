@@ -32,10 +32,12 @@ class SeqScan(Operator):
     def batches(self) -> Iterator[Batch]:
         return self._table.heap.scan_batches()
 
-    def scan_into(self, place: Callable[[tuple], np.ndarray]) -> Iterator[tuple]:
+    def scan_into(
+        self, place: Callable[[tuple], np.ndarray], pages: list | None = None
+    ) -> Iterator[tuple]:
         """Each row's leading values, once its trailing BLOB is copied into
         ``place(them)`` (see :meth:`~repro.storage.heap.HeapFile.scan_into`)."""
-        return self._table.heap.scan_into(place)
+        return self._table.heap.scan_into(place, pages)
 
     def describe(self) -> str:
         suffix = f" AS {self._alias}" if self._alias else ""

@@ -14,7 +14,6 @@ from .core.compiler import AotCompiler, CompiledModel
 from .core.ir import InferencePlan, Representation
 from .core.optimizer import RuleBasedOptimizer
 from .dlruntime.layers import Model
-from .dlruntime.memory import MemoryBudget
 from .engines.base import EngineResult
 from .engines.hybrid import HybridExecutor
 from .errors import CatalogError, SqlError
@@ -75,19 +74,15 @@ class Models:
             config, telemetry=self._telemetry, ledger=self._ledger
         )
         self._compiler = AotCompiler(config, telemetry=self._telemetry, ledger=self._ledger)
-        self.executor = self.make_executor()
-        for record in self.lifecycle.snapshot().records():
-            self.compiled_for(record.model)
-
-    def make_executor(self, dl_budget: MemoryBudget | None = None) -> HybridExecutor:
-        return HybridExecutor(
+        self.executor = HybridExecutor(
             self._catalog,
-            self.config,
-            dl_budget=dl_budget,
+            config,
             telemetry=self._telemetry,
             injector=self._faults,
             ledger=self._ledger,
         )
+        for record in self.lifecycle.snapshot().records():
+            self.compiled_for(record.model)
 
     def has_model(self, name: str) -> bool:
         return self.lifecycle.snapshot().entry(name.lower()) is not None
@@ -170,8 +165,7 @@ class Models:
     def run(self, record, features, force=None, dl_budget=None) -> EngineResult:
         """Execute one version in-process; callers hold the read lock."""
         plan = self.plan(record.model, features.shape[0], force)
-        executor = self.executor if dl_budget is None else self.make_executor(dl_budget)
-        return executor.execute(plan, features, record)
+        return self.executor.execute(plan, features, record, dl_budget)
 
     def labels(self, name, features, proba_class=None, execute=None) -> tuple:
         """The one predict path: ``(labels, generation served from)``.
@@ -226,22 +220,30 @@ class Models:
                 "injector": self._faults,
                 "recorder": self._telemetry.events,
             }
+            self._drop_cache(record.name)
             if exact:
                 self.caches[record.name] = ExactResultCache(record.model, **wiring)
                 return
             dim = int(np.prod(record.model.input_shape))
+            suffix = "" if record.name == record.model_name else f"_{record.version}"
             self.caches[record.name] = InferenceResultCache(
                 record.model,
                 self.make_index(index, dim, "cache index", m=8, ef_search=16),
                 distance_threshold=distance_threshold,
                 catalog=self._catalog,
-                table_name=f"__cache_{record.model_name}",
+                table_name=f"__cache_{record.model_name}{suffix}",
                 **wiring,
             )
 
     def disable_cache(self, name: str) -> None:
         with self._rwlock.write():
-            self.caches.pop(self.resolve(name).name, None)
+            self._drop_cache(self.resolve(name).name)
+
+    def _drop_cache(self, key: str) -> None:
+        """Forget a version's cache, and the table an ANN cache keeps."""
+        table = getattr(self.caches.pop(key, None), "table", None)
+        if table is not None:
+            self._catalog.drop_table(table.name)
 
     def cache_totals(self) -> tuple[int, int]:
         hits = misses = 0

@@ -127,7 +127,8 @@ class Catalog:
         key = name.lower()
         if key not in self._tables:
             raise CatalogError(f"no table named {name!r}")
-        del self._tables[key]
+        info = self._tables.pop(key)
+        self._pool.drop_blocks(info.heap.first_page_id)
 
     def get_table(self, name: str) -> TableInfo:
         key = name.lower()

@@ -74,6 +74,7 @@ class HeapFile:
     def __init__(self, pool: BufferPool, serde: RowSerde, first_page_id: PageId | None = None):
         self._pool = pool
         self._serde = serde
+        self._generation = 0
         records = serde.record_dtype
         # Decided once: which of the two page decoders the scan loop uses.
         self._fixed_width = (
@@ -98,6 +99,20 @@ class HeapFile:
     @property
     def serde(self) -> RowSerde:
         return self._serde
+
+    @property
+    def pool(self) -> BufferPool:
+        return self._pool
+
+    @property
+    def generation(self) -> int:
+        """How many writes (inserts and deletes) the heap has taken: what
+        is derived from its rows is keyed by this, so a write retires it."""
+        return self._generation
+
+    def _written(self) -> None:
+        self._generation += 1
+        self._pool.drop_blocks(self._first_page_id)
 
     # -- page helpers ------------------------------------------------------
 
@@ -147,6 +162,7 @@ class HeapFile:
     def insert(self, row: Sequence[object]) -> RowId:
         """Serialize and append one row; returns its stable address."""
         payload = self._serde.serialize(row)
+        self._written()
         page_size = self._pool.disk.page_size
         page_capacity = page_size - _HEADER.size - _SLOT.size
         if len(payload) > page_capacity:
@@ -229,13 +245,17 @@ class HeapFile:
         total_length: int,
         filled: int,
         sink: Callable[[memoryview, int], None],
+        pages: list[PageId] | None = None,
     ) -> None:
         """Walk an overflow row's chain from record byte ``filled`` on:
         ``sink(chunk, offset in the record)`` gets each chunk while its
-        frame is pinned, and must copy what it keeps."""
+        frame is pinned, and must copy what it keeps.  Each chain page id
+        is appended to ``pages`` if one is given."""
         chunk_capacity = self._pool.disk.page_size - _OVERFLOW_HEADER.size
         page_id = first_page_id
         while filled < total_length:
+            if pages is not None and page_id != INVALID_PAGE_ID:
+                pages.append(page_id)
             if page_id == INVALID_PAGE_ID:
                 raise StorageError(
                     f"overflow chain from page {first_page_id} ends early: "
@@ -297,6 +317,7 @@ class HeapFile:
 
     def delete(self, rid: RowId) -> None:
         """Tombstone one row (space is not reclaimed)."""
+        self._written()
         page = self._pool.fetch_page(rid.page_id)
         written = False
         try:
@@ -323,7 +344,9 @@ class HeapFile:
         return map(itemgetter(2), self._scan())
 
     def scan_into(
-        self, place: Callable[[tuple[object, ...]], np.ndarray]
+        self,
+        place: Callable[[tuple[object, ...]], np.ndarray],
+        pages: list[PageId] | None = None,
     ) -> Iterator[tuple[object, ...]]:
         """Every live row, in physical order, with its trailing BLOB copied
         into an array the caller supplies: ``place(leading values)`` returns
@@ -335,7 +358,8 @@ class HeapFile:
         bytes, and be 1-D or 2-D with contiguous rows (any row stride); the
         BLOB fills it row-major.  A chain chunk is copied once, from its
         pinned frame into the destination; ``place`` may run while that
-        frame is pinned, but nothing is yielded while a page is.
+        frame is pinned, but nothing is yielded while a page is.  Every page
+        the scan reads is appended to ``pages`` if one is given.
         """
         head_size = self._serde.blob_head_size
         if head_size is None:
@@ -343,7 +367,9 @@ class HeapFile:
                 f"scan_into needs a trailing BLOB after INT, DOUBLE or BOOL "
                 f"columns, not {self._serde.schema!r}"
             )
-        for __, payloads in self._pages(self._live_payloads):
+        for page_id, payloads in self._pages(self._live_payloads):
+            if pages is not None:
+                pages.append(page_id)
             for __, payload, flags in payloads:
                 if flags & FLAG_OVERFLOW:
                     first_page_id, total_length, inline = self._overflow_ref(payload)
@@ -351,7 +377,7 @@ class HeapFile:
                     first_page_id, total_length, inline = INVALID_PAGE_ID, len(payload), payload
                 sink = _Scatter(self._serde, place, min(head_size, total_length), total_length)
                 sink(memoryview(inline), 0)
-                self._copy_chain(first_page_id, total_length, len(inline), sink)
+                self._copy_chain(first_page_id, total_length, len(inline), sink, pages)
                 yield sink.values
 
     def _pages(self, read: Callable[[Page, int], object]) -> Iterator[tuple[PageId, object]]:

@@ -16,6 +16,7 @@ from .im2col import (
     kernel_matrix,
 )
 from .linalg import (
+    BoundBlockScan,
     bias_add_pipeline,
     block_scan_from_matrix,
     block_scan_from_table,
@@ -30,6 +31,7 @@ __all__ = [
     "block_array",
     "block_table_schema",
     "BlockedMatrix",
+    "BoundBlockScan",
     "im2col",
     "kernel_matrix",
     "conv2d_direct",

@@ -15,9 +15,11 @@ time, and a stripe is one block row: ``A``'s blocks are ``stripe rows ×
 side`` against square ``side × side`` weight blocks, so the join emits one
 row — and the multiply runs one GEMM — per weight block.  Weight tables
 store small square blocks; :func:`reblock` assembles them into the
-engine's larger compute blocks as they stream out of the scan, copying
-each weight byte once: from the buffer pool's frame into its compute
-block.  The stripe's blocks are read-only views of the input, not copies.
+engine's compute blocks as they stream out of the scan, copying each
+weight byte once: from the buffer pool's frame into its compute block,
+which then stays resident in the pool until the table is written or the
+pool needs the room.  The stripe's blocks are read-only views of the
+input, not copies.
 
 Every other block stage (bias-add, element-wise maps, transpose, the
 element-wise combine of two relations, column sums) is one ``MapBatches``
@@ -69,6 +71,23 @@ def block_scan_from_matrix(
     return prefix_blocks(scan, prefix)
 
 
+class BoundBlockScan(GeneratorScan):
+    """A block relation read from whichever blocked matrix is bound to it:
+    the input of a pipeline that is built once and run on many inputs."""
+
+    def __init__(self, label: str):
+        super().__init__(block_table_schema(), self._block_rows, label=label)
+        self._matrix: BlockedMatrix | None = None
+
+    def bind(self, matrix: BlockedMatrix | None) -> None:
+        self._matrix = matrix
+
+    def _block_rows(self) -> Iterator[tuple]:
+        if self._matrix is None:
+            raise ShapeError(f"no blocked matrix is bound to {self.describe()}")
+        return self._matrix.block_rows()
+
+
 def block_scan_from_table(table: TableInfo, prefix: str) -> Operator:
     """Scan a persisted block table, renaming columns with ``prefix``."""
     return prefix_blocks(SeqScan(table), prefix)
@@ -91,22 +110,75 @@ class _Reblock(Operator):
         self._block_shape = block_shape
         self._factor = factor
         self._get = itemgetter(*(child.schema.index_of(c) for c in BLOCK_COLUMNS))
+        # A block table's compute blocks can stay resident in its pool.
+        self._heap = (
+            child.table.heap
+            if isinstance(child, SeqScan) and child.table.schema == block_table_schema()
+            else None
+        )
+        side_r, side_c = (n * factor for n in block_shape)
+        self._grid = [
+            (i, j) for i in range(-(-shape[0] // side_r)) for j in range(-(-shape[1] // side_c))
+        ]
 
-    def _stored_blocks(self, place: Callable[[tuple], np.ndarray]) -> Iterator[tuple]:
+    def batches(self) -> Iterator[Batch]:
+        heap = self._heap
+        if heap is None:
+            for (i, j), block in self._assemble(None):
+                yield _block_batch([i], [j], [block])
+            return
+        pool = heap.pool
+        owner = (heap.first_page_id, heap.generation, self._shape, self._block_shape, self._factor)
+        held = pool.get_blocks([(*owner, i, j) for i, j in self._grid])
+        if held is not None:
+            try:
+                yield _block_batch(*zip(*self._grid), [entry.array for entry in held])
+            finally:
+                pool.unpin_blocks(held)
+            return
+        pages: list = []
+        offer = True
+        try:
+            for (i, j), block in self._assemble(pages):
+                entry = pool.put_block((*owner, i, j), block) if offer else None
+                if entry is not None:
+                    pool.release_pages(pages)  # their bytes are in this block or a pending one
+                    pages.clear()
+                elif offer:
+                    # Served only whole, a table the pool cannot hold
+                    # whole would just take frames: hold none of it.
+                    offer = False
+                    pool.drop_blocks(owner[0])
+                try:
+                    yield _block_batch([i], [j], [block])
+                finally:
+                    if entry is not None:
+                        pool.unpin_blocks((entry,))
+        except BaseException:
+            # Only a scan that read the whole table leaves its blocks: a
+            # table that fails a check fails it on every call.
+            pool.drop_blocks(owner[0])
+            raise
+
+    def _stored_blocks(
+        self, place: Callable[[tuple], np.ndarray], pages: list | None
+    ) -> Iterator[tuple]:
         """Each stored block's ``(row_blk, col_blk, nrows, ncols)``, once
         its data is in ``place(those values)``.  A block table's chain
-        chunks are copied there straight from their frames; any other
-        source's arrays (or ``bytes``) are copied there from its rows."""
-        child = self._child
-        if isinstance(child, SeqScan) and child.table.schema == block_table_schema():
-            yield from child.scan_into(place)
+        chunks are copied there straight from their frames (each page read
+        is appended to ``pages``); any other source's arrays (or ``bytes``)
+        are copied there from its rows."""
+        if self._heap is not None:
+            yield from self._child.scan_into(place, pages)  # type: ignore[attr-defined]
             return
-        for batch in child.batches():
+        for batch in self._child.batches():
             for *head, data in zip(*self._get(batch.columns)):
                 place(head)[...] = block_array(head[2], head[3], data)
                 yield head
 
-    def batches(self) -> Iterator[Batch]:
+    def _assemble(self, pages: list | None) -> Iterator[tuple[tuple[int, int], np.ndarray]]:
+        """Every compute block, ``((row_blk, col_blk), array)``, as soon as
+        all its stored blocks have arrived."""
         f = self._factor
         rows, cols = self._shape
         br, bc = self._block_shape
@@ -116,6 +188,7 @@ class _Reblock(Operator):
         # blocks it holds, how many it needs).  Row-major input keeps one
         # super-row here.
         pending: dict[tuple[int, int], tuple[np.ndarray, set, int]] = {}
+        done: set[tuple[int, int]] = set()
 
         def place(head: tuple) -> np.ndarray:
             """Where stored block ``head`` goes: its sub-view of its compute
@@ -132,6 +205,8 @@ class _Reblock(Operator):
                     f"stored block ({rb}, {cb}) is {nr}×{nc}; its slot is {slot[0]}×{slot[1]}"
                 )
             key = (rb // f, cb // f)
+            if key in done:
+                raise ShapeError(f"stored block ({rb}, {cb}) arrived twice")
             entry = pending.get(key)
             if entry is None:
                 i, j = key
@@ -147,14 +222,20 @@ class _Reblock(Operator):
             r0, c0 = rb % f * br, cb % f * bc
             return block[r0 : r0 + nr, c0 : c0 + nc]
 
-        for rb, cb, *__ in self._stored_blocks(place):
+        for rb, cb, *__ in self._stored_blocks(place, pages):
             key = (int(rb) // f, int(cb) // f)
             block, arrived, parts = pending[key]
             if len(arrived) == parts:
                 del pending[key]
-                yield Batch(1, [[key[0]], [key[1]], [block.shape[0]], [block.shape[1]], [block]])
-        if pending:
-            (i, j), (__, arrived, __) = next(iter(pending.items()))
+                done.add(key)
+                yield key, block
+        if len(done) < len(self._grid):
+            # A compute block none of whose stored blocks arrived is missing
+            # too: a multiply must never read an absent block as zeros.
+            (i, j), arrived = next(
+                ((key, pending[key][1] if key in pending else set())
+                 for key in self._grid if key not in done)
+            )
             missing = next(
                 (rb, cb)
                 for rb in range(i * f, min((i + 1) * f, stored_r))
@@ -162,8 +243,9 @@ class _Reblock(Operator):
                 if (rb, cb) not in arrived
             )
             raise ShapeError(
-                f"{len(pending)} compute block(s) of a {rows}×{cols} matrix are "
-                f"missing stored {br}×{bc} blocks, stored block {missing} among them"
+                f"{len(self._grid) - len(done)} compute block(s) of a {rows}×{cols} "
+                f"matrix are missing stored {br}×{bc} blocks, stored block "
+                f"{missing} among them"
             )
 
     def describe(self) -> str:
@@ -174,6 +256,13 @@ class _Reblock(Operator):
         return (self._child,)
 
 
+def _block_batch(row_blks, col_blks, blocks: list[np.ndarray]) -> Batch:
+    return Batch(
+        len(blocks),
+        [list(row_blks), list(col_blks), [b.shape[0] for b in blocks], [b.shape[1] for b in blocks], blocks],
+    )
+
+
 def reblock(
     source: Operator,
     shape: tuple[int, int],
@@ -181,7 +270,8 @@ def reblock(
     factor: int,
 ) -> Operator:
     """Assemble the ``block_shape`` blocks of a ``shape`` matrix into blocks
-    ``factor`` times larger on each side.
+    ``factor`` times larger on each side (``factor == 1`` keeps the grid
+    and turns each stored block into an array once).
 
     Each stored block is copied once, into its sub-view of its compute
     block; from a block table's ``SeqScan`` that copy is the page read
@@ -190,11 +280,16 @@ def reblock(
     result does not depend on scan order; in row-major order at most one
     super-row (``factor`` block rows) is pending.  A stored block outside
     the grid, of the wrong dims for its slot, or arriving twice raises
-    :class:`ShapeError`.  ``source`` yields unprefixed block rows;
-    ``factor == 1`` returns it.
+    :class:`ShapeError`.  ``source`` yields unprefixed block rows.
+
+    Over a block table the compute blocks stay resident in the table's
+    buffer pool (:meth:`~repro.storage.buffer_pool.BufferPool.put_block`),
+    keyed by the table's heap, its write generation, the grid and the
+    block coordinates: a run that finds every block resident yields them
+    all at once without reading a page, and any other run scans the table
+    and offers each block it assembles to the pool, which then releases
+    the clean pages the scan read.  A write to the table retires its blocks.
     """
-    if factor == 1:
-        return source
     return _Reblock(source, shape, block_shape, factor)
 
 

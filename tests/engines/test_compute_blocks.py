@@ -1,5 +1,7 @@
 """The relation-centric engine multiplying on compute blocks: stored
-weight blocks re-blocked ``f`` times larger as they stream."""
+weight blocks re-blocked ``f`` times larger as they stream, kept resident
+in the buffer pool, under a stage tree that is built once and re-bound
+per stripe."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -36,15 +38,15 @@ def walk(op):
 
 
 def spy_pipelines(engine):
-    """Record every stripe pipeline the engine builds, instrumented, with
+    """Record every stage pipeline the engine builds, instrumented, with
     the side of its blocks."""
     built = []
     build = engine.vector_pipeline
 
-    def spy(layers, blocks, model_info):
-        pipeline = build(layers, blocks, model_info)
-        built.append((pipeline, instrument(pipeline), blocks.block_shape[1]))
-        return pipeline
+    def spy(layers, side, model_info):
+        pipeline, stripes = build(layers, side, model_info)
+        built.append((pipeline, instrument(pipeline), side))
+        return pipeline, stripes
 
     engine.vector_pipeline = spy
     return built
@@ -99,7 +101,8 @@ def test_compute_blocks_match_the_oracle(
         tensor_block_rows=FLOOR,
         tensor_block_cols=FLOOR,
     )
-    engine = RelationCentricEngine(make_catalog()[0], config, stripe_rows=STRIPE)
+    # Room for every compute block: at f = 1 each 8×8 block takes a frame.
+    engine = RelationCentricEngine(make_catalog(2048)[0], config, stripe_rows=STRIPE)
     built = spy_pipelines(engine)
     result = engine.run_vector_stage(model.layers, x, VersionRecord("chain", model))
 
@@ -108,25 +111,36 @@ def test_compute_blocks_match_the_oracle(
     stripes = -(-batch // STRIPE)
     per_stripe = sum(-(-i // side) * -(-o // side) for i, o in zip(dims, dims[1:]))
     assert block_pairs(built) == stripes * per_stripe
+    # One tree per Softmax-free run with a Linear in it, whatever the
+    # number of stripes; every stripe runs it once.
+    runs = [[]]
+    for layer in layers:
+        if isinstance(layer, Softmax):
+            runs.append([])
+        else:
+            runs[-1].append(layer)
+    assert len(built) == sum(1 for run in runs if run)
+    assert all(report.for_node(tree).opened == stripes for tree, report, __ in built)
     reblocks = [
         node for pipeline, __, __ in built for node in walk(pipeline)
         if node.describe().startswith("Reblock")
     ]
-    assert len(reblocks) == (stripes * len(widths) if factor > 1 else 0)
-    # Every weight scan reports its stored blocks, under a Reblock too.
+    assert len(reblocks) == len(widths)
+    # Each weight table's stored blocks are read once, by the first
+    # stripe; the later stripes multiply on the resident compute blocks.
     scans = [
         (report.for_node(node).rows, node.table.row_count)
         for pipeline, report, __ in built for node in walk(pipeline)
         if node.describe().startswith("SeqScan")
     ]
-    assert len(scans) == stripes * len(widths)
+    assert len(scans) == len(widths)
     assert all(rows == blocks > 0 for rows, blocks in scans)
     footprint = compute_block_bytes(side, max(widths), rows) if factor > 1 else 0
     assert result.peak_memory_bytes >= rows * in_features * 8 + footprint
 
 
-# The pipeline the engine built before compute blocks existed, for
-# fc0 → ReLU → fc1 on one stripe.
+# The pipeline of fc0 → ReLU → fc1 at f = 1: the tree from before compute
+# blocks existed, with the weight scans decoded once by ``Reblock(1x, …)``.
 PARENT_TREE = """\
 MapRows(bias-add, batch=64)
   Aggregate(group by [row_blk, col_blk, nrows, ncols]; SUM_BLOCK(...) AS data)
@@ -141,9 +155,11 @@ MapRows(bias-add, batch=64)
                     Project(row_blk AS a_row_blk, col_blk AS a_col_blk, nrows AS a_nrows, ncols AS a_ncols, data AS a_data)
                       GeneratorScan(stripe)
                     Project(row_blk AS b_row_blk, col_blk AS b_col_blk, nrows AS b_nrows, ncols AS b_ncols, data AS b_data)
-                      SeqScan(__model_m_fc0_weight)
+                      Reblock(1x, 16x16)
+                        SeqScan(__model_m_fc0_weight)
         Project(row_blk AS b_row_blk, col_blk AS b_col_blk, nrows AS b_nrows, ncols AS b_ncols, data AS b_data)
-          SeqScan(__model_m_fc1_weight)"""
+          Reblock(1x, 16x16)
+            SeqScan(__model_m_fc1_weight)"""
 
 
 def _two_layer_model(rng):
@@ -221,7 +237,6 @@ def test_weights_scatter_from_frames_and_stripes_stay_views(rng, monkeypatch):
     pool = BufferPool(InMemoryDiskManager(4096), capacity_pages=64)
     engine = RelationCentricEngine(Catalog(pool), config, stripe_rows=100)
     info = VersionRecord("m", model)
-    engine.run_vector_stage(model.layers, x, info)  # stores the weight tables
 
     weight_reads = []
     read_overflow = HeapFile._read_overflow_row
@@ -241,13 +256,21 @@ def test_weights_scatter_from_frames_and_stripes_stay_views(rng, monkeypatch):
     stripes, plans = [], []
     build = engine.vector_pipeline
 
-    def spy(layers, blocks, model_info):
-        stripes.extend(data for *__, data in blocks.block_rows())
-        plans.append(build(layers, blocks, model_info))
-        return plans[-1]
+    def spy(layers, side, model_info):
+        plan, source = build(layers, side, model_info)
+        bind = source.bind
+
+        def spy_bind(matrix):
+            if matrix is not None:
+                stripes.extend(data for *__, data in matrix.block_rows())
+            bind(matrix)
+
+        source.bind = spy_bind
+        plans.append(plan)
+        return plan, source
 
     engine.vector_pipeline = spy
-    pool.stats.reset()
+    # The first call stores the weight tables, then reads them from frames.
     result = engine.run_vector_stage(model.layers, x, info)
     np.testing.assert_allclose(result.outputs, model.forward(x), rtol=1e-6)
     assert pool.stats.hits > 0 and weight_reads == []

@@ -121,6 +121,34 @@ def test_session_predict_with_custom_dl_budget(rng):
             db.predict("fraud", x, force="dl-centric", dl_budget=tiny)
 
 
+def test_budgeted_predict_reuses_the_session_executor(rng, monkeypatch):
+    """A per-call DL budget is charged by the session's one executor: no
+    executor is built for the call, and the session's own budget is not
+    charged."""
+    from repro import Database
+
+    with Database(memory_threshold_bytes=mb(64)) as db:
+        model = fraud_fc_256()
+        db.register_model(model, name="fraud")
+        executor = db._models.executor
+        built = []
+        init = HybridExecutor.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(HybridExecutor, "__init__", spy)
+        x = rng.normal(size=(32, 28))
+        roomy = MemoryBudget(mb(64))
+        result = db.predict("fraud", x, force="dl-centric", dl_budget=roomy)
+        np.testing.assert_allclose(result.outputs, model.forward(x), atol=1e-12)
+        assert roomy.peak > 0 and executor.dl_budget.peak == 0
+        with pytest.raises(OutOfMemoryError):
+            db.predict("fraud", x, force="dl-centric", dl_budget=MemoryBudget(16))
+        assert built == [] and db._models.executor is executor
+
+
 def test_execute_explain_statement_returns_plan_rows(rng):
     from repro import Database
 

@@ -117,3 +117,19 @@ def test_versioned_name_resolves_alike_in_every_cache_method(db):
     assert database.result_cache("fraud@v2") is None
     database.predict_labels("fraud@v2", x)
     assert (cache.stats.hits, cache.stats.misses) == (4, 4)
+
+
+def test_an_ann_cache_can_be_enabled_again_after_disable(db):
+    # Disabling an ANN cache drops its catalog table, so enabling one again
+    # (for this version or, under its own table, another) does not collide.
+    database, features = db
+    database.enable_result_cache("fraud", distance_threshold=0.1, index="flat")
+    database.predict_labels("fraud", features[:4])
+    database.disable_result_cache("fraud")
+    assert not database.catalog.has_table("__cache_fraud")
+    database.enable_result_cache("fraud", distance_threshold=0.1, index="flat")
+    database.register_model_version("fraud", "v2", model=fraud_fc_256())
+    database.enable_result_cache("fraud@v2", distance_threshold=0.1, index="flat")
+    assert len(database.predict_labels("fraud", features[:4])) == 4
+    assert database.catalog.get_table("__cache_fraud").row_count == 4
+    assert database.catalog.has_table("__cache_fraud_v2")

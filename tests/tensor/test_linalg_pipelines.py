@@ -212,3 +212,70 @@ def test_reblock_refuses_a_payload_shorter_than_its_dims(rng):
         list(reblock(generator_source(rows), SHAPE, STORED, 2).batches())
     with pytest.raises(StorageError, match="88-byte BLOB does not fill its 96-byte"):
         list(reblock(table_source(rows), SHAPE, STORED, 2).batches())
+
+
+@SOURCES
+@pytest.mark.parametrize("factor", [1, 2])
+def test_reblock_refuses_a_block_arriving_after_its_compute_block(source, factor, rng):
+    """A duplicate that arrives once its compute block is complete (at
+    ``f = 1``, every duplicate) is refused, not multiplied twice."""
+    rows = stored_rows(rng.normal(size=SHAPE))
+    rows.append(rows[0])
+    with pytest.raises(ShapeError, match=r"stored block \(0, 0\) arrived twice"):
+        list(reblock(source(rows), SHAPE, STORED, factor).batches())
+
+
+@pytest.mark.parametrize("factor", [1, 2])
+def test_reblock_refuses_a_compute_block_with_no_stored_blocks(factor, rng):
+    """A whole compute block missing from the table is an error, not zeros."""
+    rows = [row for row in stored_rows(rng.normal(size=SHAPE)) if row[0] < 2]
+    with pytest.raises(ShapeError, match=r"missing stored 4×3 blocks, stored block \(2, 0\)"):
+        list(reblock(generator_source(rows), SHAPE, STORED, factor).batches())
+
+
+def test_a_table_that_fails_a_check_fails_it_on_every_call(rng):
+    """The compute blocks of a scan that raised are not kept, so the next
+    call scans again and raises again instead of serving them."""
+    rows = stored_rows(rng.normal(size=SHAPE))
+    rows.append((3, 0, 4, 3, np.zeros((4, 3))))  # after every valid block
+    op = reblock(table_source(rows), SHAPE, STORED, 1)
+    for __ in range(2):
+        with pytest.raises(ShapeError, match="outside the 3×3 block grid"):
+            list(op.batches())
+    pool = op.children()[0].table.heap.pool
+    assert pool.resident_blocks == 0
+
+
+def test_reblock_keeps_a_block_tables_compute_blocks_resident(rng):
+    """The second pass over a block table reads no page: every compute
+    block comes from the pool, the same arrays as the first pass."""
+    a = rng.normal(size=SHAPE)
+    catalog, pool = make_catalog(page_size=512, capacity=64)  # free frames
+    info = catalog.create_table("weights", block_table_schema())
+    for row in stored_rows(a):
+        info.heap.insert(row)
+    op = reblock(SeqScan(info), SHAPE, STORED, 2)
+    first = [data for batch in op.batches() for data in batch.columns[4]]
+    hits, misses = pool.stats.hits, pool.stats.misses
+    second = [data for batch in op.batches() for data in batch.columns[4]]
+    assert (pool.stats.hits, pool.stats.misses) == (hits, misses)
+    assert all(x is y for x, y in zip(first, second)) and len(second) == 4
+    assert not any(block.flags.writeable for block in second)
+    np.testing.assert_array_equal(drain_to_matrix(op, SHAPE, (8, 6)).to_dense(), a)
+
+
+@pytest.mark.parametrize("capacity, resident", [(8, 0), (16, 9)])
+def test_a_table_is_resident_whole_or_not_at_all(capacity, resident, rng):
+    """At f = 1 the 3×3 grid takes nine frames: a pool of eight holds none
+    of it (its blocks never evict each other), a pool of sixteen all."""
+    a = rng.normal(size=SHAPE)
+    catalog, pool = make_catalog(page_size=512, capacity=capacity)
+    info = catalog.create_table("weights", block_table_schema())
+    for row in stored_rows(a):
+        info.heap.insert(row)
+    pool.flush_all()  # clean pages: a block may take their frames
+    op = reblock(SeqScan(info), SHAPE, STORED, 1)
+    for __ in range(2):
+        np.testing.assert_array_equal(drain_to_matrix(op, SHAPE, STORED).to_dense(), a)
+        assert pool.resident_blocks == resident
+        assert pool.resident_pages <= capacity
