@@ -39,6 +39,8 @@ to finish the work, slowly but surely.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from ..config import SystemConfig
@@ -65,6 +67,14 @@ from .udf_centric import UdfCentricEngine
 
 #: Errors the executor treats as recoverable stage failures.
 RECOVERABLE = (OutOfMemoryError, StageTimeoutError)
+
+
+class EngineCounters(NamedTuple):
+    """A snapshot of one executor's counters (see :meth:`HybridExecutor.counters`)."""
+
+    engine_seconds: float  # wall-clock seconds inside engines
+    stage_runs: dict[Representation, int]  # plan stages run, by representation
+    recoveries: dict[str, int]  # stage rescues, by outcome (``gave-up`` too)
 
 
 class HybridExecutor:
@@ -132,6 +142,14 @@ class HybridExecutor:
             Connector(config.connector),
             ExternalRuntime(runtime_flavor, self.dl_budget),
             telemetry=self.telemetry,
+        )
+
+    def counters(self) -> EngineCounters:
+        """The executor's counters as they read now."""
+        return EngineCounters(
+            self._m_engine_seconds.value,
+            {rep: int(c.value) for rep, c in self._m_stage_runs.items()},
+            {outcome: int(c.value) for outcome, c in self._m_recoveries.items()},
         )
 
     def execute(

@@ -29,7 +29,8 @@ Two stage shapes cover the paper's models:
   SIGMOID / SOFTMAX pipelines stripe by stripe;
 * convolution stages apply the spatial (im2col) rewrite per image and
   write the output feature map *into a result table*, because for
-  workloads like LandCover the output itself dwarfs memory.
+  workloads like LandCover the output itself dwarfs memory (a caller
+  that names no table gets the outputs back from a scratch one).
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from ..models.store import weight_block_table
 from ..relational.operators import Operator, SeqScan
 from ..storage.catalog import Catalog, VersionRecord, TableInfo
 from ..telemetry import Telemetry
-from ..tensor.block import block_table_schema
+from ..tensor.block import block_array, block_table_schema
 from ..tensor.blocked import BlockedMatrix
 from ..tensor.im2col import im2col
 from ..tensor.linalg import (
@@ -67,7 +68,7 @@ from ..tensor.linalg import (
 )
 from .base import EngineResult
 
-_result_counter = itertools.count()
+_scratch_tables = itertools.count()
 
 
 class _PreparedRun(NamedTuple):
@@ -306,33 +307,52 @@ class RelationCentricEngine:
         """Spatially rewrite a convolution and run it block-wise.
 
         Each image is flattened to a patch matrix F (im2col); F × Kᵀ runs
-        as join + aggregation against the kernel block table; output
-        blocks stream into ``result_table`` (the feature map is assumed
+        as join + aggregation against the kernel block table, and the
+        output blocks stream into a result table.  A named
+        ``result_table`` is kept for the caller (the feature map may be
         too large to materialise — that is why this representation was
-        chosen).  Returns the result table in ``detail``.
+        chosen; see :meth:`load_conv_result`) and the outputs are empty.
+        Unnamed, the table is a scratch one: the stage returns its
+        ``(batch, out_h, out_w, C)`` outputs and drops it.
         """
         if images.ndim != 4:
             raise PlanError(
                 f"conv stage expects (batch, H, W, C) input, got {images.shape}"
             )
         with self._lock:
-            return self._run_conv_stage(conv, images, model_info, apply_relu, result_table)
+            if result_table is not None:
+                result = self._run_conv_stage(conv, images, model_info, apply_relu, result_table)
+            else:
+                scratch = f"__result_{model_info.name}_{next(_scratch_tables)}"
+                try:
+                    result = self._run_conv_stage(conv, images, model_info, apply_relu, scratch)
+                    out_h, out_w, channels = conv.output_shape(images.shape[1:])
+                    nbytes = len(images) * out_h * out_w * channels * 8
+                    with self.budget.borrow(nbytes, tag="conv-out"):
+                        result.outputs = self.load_conv_result(
+                            scratch, len(images), out_h, out_w, channels
+                        )
+                finally:
+                    if self.catalog.has_table(scratch):
+                        self.catalog.drop_table(scratch)
+            result.peak_memory_bytes = self.budget.peak
+            self._telemetry.audit.observe_peak("relation-centric", result.peak_memory_bytes)
+            return result
 
     def _run_conv_stage(
         self, conv, images, model_info, apply_relu, result_table
     ) -> EngineResult:
         block_shape = self._block_shape
         weights = weight_block_table(self.catalog, model_info, conv, block_shape)
-        name = result_table or f"__result_{model_info.name}_{next(_result_counter)}"
-        out_info = self.catalog.create_table(name, block_table_schema())
+        out_info = self.catalog.create_table(result_table, block_table_schema())
         kh, kw = conv.kernel_size
+        out_h, out_w, __ = conv.output_shape(images.shape[1:])
+        stripe_blocks = self._stripe_blocks
+        stripes = -(-out_h * out_w // self.stripe_rows)
         self.budget.reset_peak()
         start = time.perf_counter()
-        out_h = out_w = 0
-        block_row_offset = 0
-        for image in images:
+        for n, image in enumerate(images):
             patches = im2col(image, kh, kw, conv.stride, conv.padding)
-            out_h, out_w = _conv_hw(image, conv)
             with self.budget.borrow(patches.nbytes, tag="im2col"):
                 for lo in range(0, patches.shape[0], self.stripe_rows):
                     stripe = patches[lo : lo + self.stripe_rows]
@@ -348,28 +368,30 @@ class RelationCentricEngine:
                         pipeline = elementwise_pipeline(
                             pipeline, lambda v: np.maximum(v, 0.0), "relu"
                         )
+                    # Each stripe of each image owns its own run of block
+                    # rows in the output relation (load_conv_result inverts).
+                    first = (n * stripes + lo // self.stripe_rows) * stripe_blocks
                     for row in pipeline:
-                        # Shift block rows so each stripe/image lands in its
-                        # own region of the output feature-map relation.
-                        shifted = (row[0] + block_row_offset,) + row[1:]
-                        out_info.heap.insert(shifted)
+                        out_info.heap.insert((row[0] + first,) + row[1:])
                         out_info.row_count += 1
-                    block_row_offset += -(-stripe.shape[0] // block_shape[0])
                     self._m_stripes.inc()
         measured = time.perf_counter() - start
         self._m_run_seconds.observe(measured)
-        self._telemetry.audit.observe_peak("relation-centric", self.budget.peak)
         return EngineResult(
             outputs=np.empty((0,)),
             engine="relation-centric",
             measured_seconds=measured,
-            peak_memory_bytes=self.budget.peak,
             detail={
                 "result_table_rows": float(out_info.row_count),
                 "out_h": float(out_h),
                 "out_w": float(out_w),
             },
         )
+
+    @property
+    def _stripe_blocks(self) -> int:
+        """Block rows one full stripe of a conv stage's patches spans."""
+        return -(-self.stripe_rows // self._block_shape[0])
 
     def load_conv_result(
         self,
@@ -379,22 +401,19 @@ class RelationCentricEngine:
         out_w: int,
         out_channels: int,
     ) -> np.ndarray:
-        """Materialise a conv result table (tests / small outputs only).
-
-        Requires each image's patch count (``out_h * out_w``) to be a
-        multiple of the block row size when ``images > 1`` so that block
-        indices align across images (both Table 2 workloads satisfy this
-        at benchmark scale).
-        """
+        """Materialise a conv result table written by this engine's
+        :meth:`run_conv_stage` as ``(images, out_h, out_w, C)``."""
         info = self.catalog.get_table(result_table)
-        per_image_rows = out_h * out_w
-        total_rows = images * per_image_rows
-        # Block rows were emitted contiguously per stripe, per image.
-        matrix = BlockedMatrix.load(
-            info, (total_rows, out_channels), self._block_shape
-        )
-        dense = matrix.to_dense()
-        return dense.reshape(images, out_h, out_w, out_channels)
+        rows = out_h * out_w
+        stripes = -(-rows // self.stripe_rows)
+        out = np.empty((images, rows, out_channels))
+        for __, (i, j, nrows, ncols, data) in info.heap.scan():
+            stripe, i = divmod(i, self._stripe_blocks)
+            n, s = divmod(stripe, stripes)
+            top = s * self.stripe_rows + i * self._block_shape[0]
+            left = j * self._block_shape[1]
+            out[n, top : top + nrows, left : left + ncols] = block_array(nrows, ncols, data)
+        return out.reshape(images, out_h, out_w, out_channels)
 
 
 def _stage_output_features(layers: list, in_features: int) -> int:
@@ -403,9 +422,3 @@ def _stage_output_features(layers: list, in_features: int) -> int:
         if isinstance(layer, Linear):
             features = layer.out_features
     return features
-
-
-def _conv_hw(image: np.ndarray, conv: Conv2d) -> tuple[int, int]:
-    out_h, out_w, __ = conv.output_shape(image.shape)
-    return out_h, out_w
-

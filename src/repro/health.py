@@ -205,12 +205,9 @@ def collect(db, executor, server, cluster) -> HealthReport:
 
     # Recovery activity: rescues are degraded (working via fallback),
     # gave-ups are failing (client-visible errors happened).
-    rescued = sum(
-        int(counter.value)
-        for outcome, counter in executor._m_recoveries.items()
-        if outcome != "gave-up"
-    )
-    gave_up = int(executor._m_recoveries["gave-up"].value)
+    recoveries = executor.counters().recoveries
+    gave_up = recoveries["gave-up"]
+    rescued = sum(recoveries.values()) - gave_up
     status = OK
     if gave_up:
         status = FAILING

@@ -4,7 +4,10 @@ Expressions are built unbound (referring to columns by name), then *bound*
 against a :class:`~repro.relational.schema.Schema`, which resolves names to
 tuple positions and infers the result type.  Binding returns a
 :class:`BoundExpression` whose ``eval`` closure works on plain tuples, so the
-hot loop of Filter/Project does no name lookups.
+hot loop of Filter/Project does no name lookups.  Numeric comparisons, and
+AND / OR / NOT over them, also get a column kernel: one numpy mask per
+batch, taken when every input column is a NULL-free int64 / float64 array
+and the values compare exactly as Python compares them.
 """
 
 from __future__ import annotations
@@ -13,6 +16,8 @@ import math
 import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
+
+import numpy as np
 
 from ..errors import BindError
 from .batch import Batch, ColumnValues
@@ -25,18 +30,27 @@ class BoundExpression:
 
     ``column`` is the input position when the expression is a bare column
     reference, so batch operators can take the column instead of
-    evaluating row by row.
+    evaluating row by row.  ``constant`` marks a value that does not depend
+    on the row (a literal, a prepared plan's parameter): ``eval`` of any
+    row gives it.  ``kernel`` computes the expression over a whole batch
+    as one bool array, or returns None when the batch needs the row path.
     """
 
     eval: Callable[[Sequence[object]], object]
     ctype: ColumnType
     name: str = "expr"
     column: int | None = None
+    constant: bool = False
+    kernel: Callable[[Batch], "np.ndarray | None"] | None = None
 
     def eval_batch(self, batch: Batch) -> ColumnValues:
         """This expression's values over ``batch``, as one column."""
         if self.column is not None:
             return batch.column(self.column)
+        if self.kernel is not None:
+            values = self.kernel(batch)
+            if values is not None:
+                return values
         return list(map(self.eval, batch.rows()))
 
 
@@ -126,7 +140,7 @@ class Literal(Expression):
             ctype = ColumnType.TEXT  # NULL literal; type refined by context
         else:
             raise BindError(f"unsupported literal {value!r}")
-        return BoundExpression(lambda row: value, ctype, name=repr(value))
+        return BoundExpression(lambda row: value, ctype, name=repr(value), constant=True)
 
 
 _ARITH_OPS: dict[str, Callable[[float, float], float]] = {
@@ -204,13 +218,17 @@ class UnaryOp(Expression):
             if not inner.ctype.is_numeric:
                 raise BindError("unary minus requires a numeric operand")
             return BoundExpression(
-                _null_safe(operator.neg, inner.eval), inner.ctype, f"(-{inner.name})"
+                _null_safe(operator.neg, inner.eval),
+                inner.ctype,
+                f"(-{inner.name})",
+                constant=inner.constant,
             )
         if self.op.upper() == "NOT":
             return BoundExpression(
                 _null_safe(operator.not_, inner.eval),
                 ColumnType.BOOL,
                 f"(NOT {inner.name})",
+                kernel=_mask_kernel(np.logical_not, inner.kernel),
             )
         raise BindError(f"unknown unary operator {self.op!r}")
 
@@ -236,8 +254,104 @@ class Comparison(Expression):
         fn = _CMP_OPS[self.op]
         name = f"({left.name} {self.op} {right.name})"
         return BoundExpression(
-            _null_safe(fn, left.eval, right.eval), ColumnType.BOOL, name
+            _null_safe(fn, left.eval, right.eval),
+            ColumnType.BOOL,
+            name,
+            kernel=_comparison_kernel(self.op, left, right),
         )
+
+
+# -- column kernels ---------------------------------------------------------
+
+_CMP_UFUNCS = {
+    "=": np.equal, "==": np.equal, "!=": np.not_equal, "<>": np.not_equal,
+    "<": np.less, "<=": np.less_equal, ">": np.greater, ">=": np.greater_equal,
+}
+_MIRRORED = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
+_NUMERIC = (ColumnType.INT, ColumnType.DOUBLE)
+# Every int of at most this magnitude is a float64 exactly, so numpy's
+# int-to-float comparisons agree with Python's exact ones there.
+_EXACT_FLOAT_INT = 2**53
+_INT64 = (-(2**63), 2**63 - 1)
+
+
+def _kind(values: object) -> str:
+    """``"i"`` for an int64 array, ``"f"`` for a float64 one, else ``""``
+    (a Python sequence, which may hold NULLs)."""
+    if isinstance(values, np.ndarray) and values.dtype.itemsize == 8:
+        kind = values.dtype.kind
+        if kind == "i" or kind == "f":
+            return kind
+    return ""
+
+
+def _floats_exactly(ints: np.ndarray) -> bool:
+    return len(ints) == 0 or (
+        -_EXACT_FLOAT_INT <= ints.min() and ints.max() <= _EXACT_FLOAT_INT
+    )
+
+
+def _comparison_kernel(op: str, left: BoundExpression, right: BoundExpression):
+    """The mask kernel of a numeric column compared with a column or a
+    constant, or None for any other comparison."""
+    if left.ctype not in _NUMERIC or right.ctype not in _NUMERIC:
+        return None
+    if left.column is None:
+        left, right, op = right, left, _MIRRORED.get(op, op)
+    compare, i = _CMP_UFUNCS[op], left.column
+    if i is None:
+        return None
+    if right.column is not None:
+        j = right.column
+
+        def column_kernel(batch: Batch) -> np.ndarray | None:
+            a, b = batch.column(i), batch.column(j)
+            kinds = _kind(a) + _kind(b)
+            if kinds == "if" and not _floats_exactly(a):
+                return None
+            if kinds == "fi" and not _floats_exactly(b):
+                return None
+            return compare(a, b) if len(kinds) == 2 else None
+
+        return column_kernel
+    if not right.constant:
+        return None
+    value_of = right.eval
+
+    def constant_kernel(batch: Batch) -> np.ndarray | None:
+        a, value = batch.column(i), value_of(())
+        kind = _kind(a)
+        if not kind:
+            return None
+        if isinstance(value, int):
+            low, high = (
+                _INT64 if kind == "i" else (-_EXACT_FLOAT_INT, _EXACT_FLOAT_INT)
+            )
+            if not low <= value <= high:
+                return None
+        elif kind == "i" and not _floats_exactly(a):
+            return None
+        return compare(a, value)
+
+    return constant_kernel
+
+
+def _mask_kernel(combine: Callable, *kernels):
+    """The kernel applying ``combine`` to the masks of ``kernels``, or None
+    when one of them has none."""
+    if any(kernel is None for kernel in kernels):
+        return None
+
+    def kernel(batch: Batch) -> np.ndarray | None:
+        masks = []
+        for part in kernels:
+            mask = part(batch)
+            if mask is None:
+                return None
+            masks.append(mask)
+        return combine(*masks)
+
+    return kernel
 
 
 @dataclass(frozen=True)
@@ -282,7 +396,9 @@ class LogicalOp(Expression):
         else:
             raise BindError(f"unknown logical operator {self.op!r}")
         name = f"({left.name} {op} {right.name})"
-        return BoundExpression(eval_row, ColumnType.BOOL, name)
+        combine = np.logical_and if op == "AND" else np.logical_or
+        kernel = _mask_kernel(combine, left.kernel, right.kernel)
+        return BoundExpression(eval_row, ColumnType.BOOL, name, kernel=kernel)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,12 @@ from .base import Operator
 
 
 class Filter(Operator):
-    """Keep rows whose predicate evaluates to true (NULL drops the row)."""
+    """Keep rows whose predicate evaluates to true (NULL drops the row).
+
+    The predicate runs column-native: a comparison (or AND / OR / NOT of
+    comparisons) over numpy columns is one mask per batch; anything else
+    is evaluated row by row (see :class:`BoundExpression`'s kernel).
+    """
 
     def __init__(self, child: Operator, predicate: Expression | BoundExpression):
         self._child = child
@@ -30,9 +35,11 @@ class Filter(Operator):
         self._predicate = bound
 
     def batches(self) -> Iterator[Batch]:
-        predicate = self._predicate.eval
+        predicate = self._predicate.eval_batch
         for batch in self._child.batches():
-            keep = np.fromiter(map(predicate, batch.rows()), dtype=bool, count=len(batch))
+            keep = predicate(batch)
+            if not isinstance(keep, np.ndarray) or keep.dtype != bool:
+                keep = np.fromiter(keep, dtype=bool, count=len(batch))
             if keep.all():
                 yield batch
             elif keep.any():

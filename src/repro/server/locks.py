@@ -34,6 +34,12 @@ class ReadWriteLock:
         self._writer: int | None = None  # ident of the write holder
         self._writer_depth = 0
         self._local = threading.local()
+        #: Advances as each outermost write section begins and as it ends,
+        #: so what a reader derived from the guarded state at one
+        #: generation is current for as long as the generation reads the
+        #: same (a read nested in a write section derives at a generation
+        #: the section's end retires).
+        self.generation = 0
 
     # -- read side -------------------------------------------------------
 
@@ -95,6 +101,7 @@ class ReadWriteLock:
                 self._waiting_writers -= 1
             self._writer = me
             self._writer_depth = 1
+            self.generation += 1
 
     def release_write(self) -> None:
         with self._cond:
@@ -103,6 +110,7 @@ class ReadWriteLock:
             self._writer_depth -= 1
             if self._writer_depth == 0:
                 self._writer = None
+                self.generation += 1
                 self._cond.notify_all()
 
     # -- context managers ------------------------------------------------

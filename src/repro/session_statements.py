@@ -4,16 +4,19 @@ EXPLAIN [ANALYZE] and the per-statement locking and ``QueryStats``."""
 from __future__ import annotations
 
 import struct
+import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .errors import SchemaError, SqlError
+from .errors import ReproError, SchemaError, SqlError
 from .lifecycle import DeploymentRow
+from .relational.operators import Operator
 from .relational.schema import Schema
 from .sql import ast as sql_ast
-from .sql.parser import STATEMENTS, parse
-from .sql.planner import Planner, predict_models
+from .sql.parser import STATEMENTS, Shape, lru_put, parse
+from .sql.planner import Parameter, Planner, predict_models, scanned_tables
 from .storage.catalog import TableInfo
 from .telemetry import QueryStats, StageAudit
 
@@ -127,9 +130,35 @@ def _explained(sql: str, analyze: bool) -> sql_ast.Select:
     return stmt
 
 
+def _preparable(template: sql_ast.Statement) -> bool:
+    """Whether a shape's plan may be kept: a SELECT that scans no system
+    relation (its scan pins a WHERE literal when it is planned)."""
+    return isinstance(template, sql_ast.Select) and not (
+        template.table.name.startswith("sys.")
+        or any(join.table.name.startswith("sys.") for join in template.joins)
+    )
+
+
+@dataclass
+class _Prepared:
+    """A SELECT shape's plan: valid at one write generation while every
+    table it scans is still the catalog's, run with the slot values
+    written into ``cells`` (None: the shape is planned per call)."""
+
+    generation: int
+    op: Operator | None
+    cells: list
+    tables: list[TableInfo]
+
+
 class Statements:
     """Runs SQL text against the catalog, the models and the system
-    relations under the database's read/write lock."""
+    relations under the database's read/write lock.
+
+    A SELECT whose shape the statement cache keeps runs a prepared plan:
+    planned once per write generation with a parameter for each slot,
+    then re-run with each call's values (see DESIGN.md item 8).
+    """
 
     def __init__(self, catalog, models, relations, telemetry, pool, rwlock):
         self._catalog = catalog
@@ -146,6 +175,9 @@ class Statements:
             has_model=models.has_model,
             relations=relations,
         )
+        # shape -> its prepared plan (least recently used out)
+        self._plans: OrderedDict[Shape, _Prepared] = OrderedDict()
+        self._plans_lock = threading.Lock()
         registry = telemetry.registry
         self._m_queries = registry.counter("queries_total", "SQL statements executed")
         self._m_query_seconds = registry.histogram(
@@ -160,46 +192,41 @@ class Statements:
             pool = self._pool.stats
             pool_before = (pool.hits, pool.misses, pool.evictions)
             cache_before = self._models.cache_totals()
-            engine_before = executor._m_engine_seconds.value
-            stage_before = {
-                rep: counter.value for rep, counter in executor._m_stage_runs.items()
-            }
+            engine_before = executor.counters()
             audit_marker = telemetry.audit.marker()
         start = time.perf_counter()
         with tracer.span("query", category="sql", sql=sql.strip()[:200]) as query_span:
             with tracer.span("parse", category="sql"):
-                stmt, shape = STATEMENTS.parse(sql)
-            read = isinstance(stmt, _READ_STATEMENTS)
-            with self._rwlock.read() if read else self._rwlock.write():
-                # A SELECT is planned before "execute" opens, so its
-                # "plan" span is a sibling of "parse" and "execute".
-                op = (
-                    self._planner.plan_select(stmt)
-                    if isinstance(stmt, sql_ast.Select)
-                    else None
-                )
-                with tracer.span(
-                    "execute", category="sql", statement=type(stmt).__name__
-                ):
-                    cursor = (
-                        self._execute_statement(stmt)
-                        if op is None
-                        else Cursor(op.schema.names, list(op))
-                    )
+                shape, literals, stmt = STATEMENTS.find(sql)
+                prepared = shape is not None and _preparable(shape.template)
+                if prepared:
+                    values = shape.values(literals)
+                elif stmt is None:
+                    stmt = shape.build(literals)
+            kind = type(shape.template) if prepared else type(stmt)
+            with self._rwlock.read() if kind in _READ_STATEMENTS else self._rwlock.write():
+                if prepared:
+                    cursor = self._run_prepared(shape, literals, values)
+                else:
+                    # A SELECT is planned before "execute" opens, so its
+                    # "plan" span is a sibling of "parse" and "execute".
+                    op = self._planner.plan_select(stmt) if kind is sql_ast.Select else None
+                    with tracer.span("execute", category="sql", statement=kind.__name__):
+                        cursor = (
+                            self._execute_statement(stmt)
+                            if op is None
+                            else Cursor(op.schema.names, list(op))
+                        )
         elapsed = time.perf_counter() - start
         self._m_queries.inc()
         self._m_query_seconds.observe(elapsed)
         if not telemetry.enabled:
             return cursor
         cache_after = self._models.cache_totals()
-        representations = {
-            rep.value: int(counter.value - stage_before[rep])
-            for rep, counter in executor._m_stage_runs.items()
-            if counter.value > stage_before[rep]
-        }
+        engine_after = executor.counters()
         cursor.stats = QueryStats(
             sql=sql,
-            statement=type(stmt).__name__,
+            statement=kind.__name__,
             rows=len(cursor.rows),
             elapsed_seconds=elapsed,
             pool_hits=pool.hits - pool_before[0],
@@ -207,15 +234,62 @@ class Statements:
             pool_evictions=pool.evictions - pool_before[2],
             cache_hits=cache_after[0] - cache_before[0],
             cache_misses=cache_after[1] - cache_before[1],
-            engine_seconds=executor._m_engine_seconds.value - engine_before,
-            representations=representations,
+            engine_seconds=engine_after.engine_seconds - engine_before.engine_seconds,
+            representations={
+                rep.value: runs - engine_before.stage_runs[rep]
+                for rep, runs in engine_after.stage_runs.items()
+                if runs > engine_before.stage_runs[rep]
+            },
             stage_audits=telemetry.audit.records_since(audit_marker),
             trace_id=query_span.trace_id,
         )
         telemetry.workload.record(
-            stmt, cursor.stats, shape.fingerprint if shape is not None else None
+            shape.template if shape is not None else stmt,
+            cursor.stats,
+            shape.fingerprint if shape is not None else None,
         )
         return cursor
+
+    def _run_prepared(self, shape: Shape, literals: list[str], values: list) -> Cursor:
+        """Run a SELECT through its shape's prepared plan, planning one when
+        none is current.  The plan is checked out while it runs: a
+        concurrent call of the shape plans its own, and a call that raises
+        drops it."""
+        generation = self._rwlock.generation
+        with self._plans_lock:
+            prepared = self._plans.pop(shape, None)
+        planner = self._planner
+        tracer = self._telemetry.tracer
+        # One "plan" span and count per SELECT, however its plan is found.
+        with tracer.span("plan", category="sql"):
+            planner.count_select()
+            if (
+                prepared is None
+                or prepared.generation != generation
+                or not all(map(self._catalog.current, prepared.tables))
+            ):
+                prepared = self._prepare(shape, values, generation)
+            else:
+                prepared.cells[:] = values
+            op = prepared.op
+            if op is None:  # this shape plans only with its literals
+                op = planner.plan(shape.build(literals))
+        with tracer.span("execute", category="sql", statement="Select"):
+            cursor = Cursor(op.schema.names, list(op))
+        with self._plans_lock:
+            lru_put(self._plans, shape, prepared)
+        return cursor
+
+    def _prepare(self, shape: Shape, values: list, generation: int) -> _Prepared:
+        """A plan of ``shape`` with a parameter per slot; its ``op`` is None
+        when the shape does not plan that way, and each call of this
+        generation then plans its own literals."""
+        cells = list(values)
+        try:
+            op = self._planner.plan(shape.substitute(Parameter.slots(cells)))
+        except ReproError:
+            return _Prepared(generation, None, cells, [])
+        return _Prepared(generation, op, cells, scanned_tables(op))
 
     def _execute_statement(self, stmt: sql_ast.Statement) -> Cursor:
         catalog, planner = self._catalog, self._planner

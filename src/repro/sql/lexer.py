@@ -172,6 +172,51 @@ def lex(text: str) -> tuple[list[Token], list[str], list[str]]:
     raise AssertionError("unreachable: the pattern always matches")
 
 
+# A number run of a statement's fast key: an unsigned integer or decimal
+# with no word character or dot on either side.  The first digit leads the
+# pattern so that the scan skips to digits in C; the lookbehind after it
+# then rejects a digit glued to a word or a dot.  Groups: the integer
+# part, the decimal point (None for an integer), the fraction.
+_RUN = re.compile(
+    r"([0-9](?<![0-9A-Za-z_.][0-9])[0-9]*)(?:(\.)([0-9]+))?(?![0-9A-Za-z_.])"
+)
+
+
+def fast_key(text: str) -> tuple[tuple, list[str]] | None:
+    """``(key, literals)`` of a text whose shape may be found without
+    :func:`lex`, or None for a text that must be lexed.
+
+    Only an ASCII text with no quote and no ``--`` has a fast key: there,
+    every literal is a number.  The key is the text around the number runs
+    plus each run's class (integer or decimal); ``literals`` are the runs'
+    texts.  A key stands for a shape only once :func:`fast_key_agrees` has
+    held on a text with that key: then every text with the key lexes to
+    the same lexemes, with its runs as its NUMBER tokens.
+    """
+    if not text.isascii() or "'" in text or '"' in text or "--" in text:
+        return None
+    parts = _RUN.split(text)
+    points = parts[2::4]
+    literals = parts[1::4]
+    if "." in points:
+        literals = [
+            whole if point is None else f"{whole}.{fraction}"
+            for whole, point, fraction in zip(literals, points, parts[3::4])
+        ]
+    return (tuple(parts[0::4]), tuple(points)), literals
+
+
+def fast_key_agrees(text: str, tokens: list[Token]) -> bool:
+    """Whether :func:`fast_key`'s number runs of ``text`` are exactly the
+    spans of its NUMBER ``tokens`` (:func:`lex`'s)."""
+    numbers = [
+        (t.position, t.position + len(t.value))
+        for t in tokens
+        if t.type is TokenType.NUMBER
+    ]
+    return numbers == [m.span() for m in _RUN.finditer(text)]
+
+
 def tokenize(text: str) -> list[Token]:
     """Tokenize SQL text; raises :class:`SqlLexError` on bad input."""
     return lex(text)[0]

@@ -44,7 +44,7 @@ from .ast import (
     UnionAll,
     Update,
 )
-from .lexer import SHOW_TARGETS, Token, TokenType, lex
+from .lexer import SHOW_TARGETS, Token, TokenType, fast_key, fast_key_agrees, lex
 from .template import builder
 
 _AGGREGATES = aggregate_function_names()
@@ -760,34 +760,56 @@ def _parse_number(text: str) -> object:
 class Shape:
     """One cached statement shape: its template and how to refill it."""
 
-    __slots__ = ("_template", "_build", "_numbers", "_fingerprint")
+    __slots__ = ("template", "_slots", "_build", "_numbers", "_fingerprint")
 
     def __init__(
         self, template: Statement, slots: dict[int, int], numbers: tuple[int, ...]
     ):
-        self._template = template
+        #: The statement as first parsed; never handed out to be mutated.
+        self.template = template
+        self._slots = slots
         self._build = builder(template, slots)
         self._numbers = numbers  # slot literals that are NUMBER tokens
         self._fingerprint: tuple[str, str] | None = None
 
-    def build(self, literals: list[str]) -> Statement:
-        """The statement with these literals (:func:`~repro.sql.lexer.lex`'s)."""
+    def values(self, literals: list[str]) -> list[object]:
+        """The literals (:func:`~repro.sql.lexer.lex`'s) as the values their
+        ``Literal`` nodes hold: each NUMBER slot parsed, the rest as is."""
         values: list[object] = list(literals)
         for i in self._numbers:
             values[i] = _parse_number(literals[i])
-        return self._build(values)
+        return values
+
+    def build(self, literals: list[str]) -> Statement:
+        """The statement with these literals (:func:`~repro.sql.lexer.lex`'s)."""
+        return self._build(self.values(literals))
+
+    def substitute(self, nodes: list[Expression]) -> Statement:
+        """The template with the ``Literal`` of slot ``i`` replaced by
+        ``nodes[i]`` (a prepared plan's parameters)."""
+        return builder(self.template, self._slots, leaf=lambda node: node)(nodes)
 
     @property
     def fingerprint(self) -> tuple[str, str]:
         """The shape's ``(fingerprint, normalized sql)`` workload key."""
         if self._fingerprint is None:
-            self._fingerprint = fingerprint(self._template)
+            self._fingerprint = fingerprint(self.template)
         return self._fingerprint
 
 
-# Shapes kept by a StatementCache (least recently used out): room for every
-# shape a serving workload repeats, bounded for ad-hoc text.
-_CAPACITY = 256
+#: Shapes kept by a StatementCache, and plans by a database (least recently
+#: used out): room for every shape a serving workload repeats, bounded for
+#: ad-hoc text.
+CAPACITY = 256
+
+
+def lru_put(entries: OrderedDict, key, value) -> None:
+    """Keep ``key`` in ``entries`` as the most recently used, dropping the
+    least recently used entry past ``CAPACITY``."""
+    entries[key] = value
+    entries.move_to_end(key)
+    if len(entries) > CAPACITY:
+        entries.popitem(last=False)
 
 
 class StatementCache:
@@ -800,8 +822,15 @@ class StatementCache:
     class, SHOW and DEPLOY arguments, INSERT values) joins the key by
     value.  A hit rebuilds the statement with its own slot values.
 
+    A text with a fast key (:func:`~repro.sql.lexer.fast_key`: ASCII, no
+    quote, no comment) is looked up by that key first, with no lex.  Only
+    a full lex writes a fast entry, and only when the key's number runs are
+    exactly the text's NUMBER tokens; the entry maps the key to the
+    lexemes and by-value positions, so a fast hit finds the shape a lex
+    would.
+
     Parsing is a pure function of the text, so entries never go stale and
-    nothing invalidates them; ``_CAPACITY`` only bounds memory (least
+    nothing invalidates them; ``CAPACITY`` only bounds memory (least
     recently used out).  A statement with literals but no slot, such as
     ``INSERT ... VALUES``, would take one entry per text and is not kept.
     Thread-safe.
@@ -812,6 +841,8 @@ class StatementCache:
         self._by_value: OrderedDict[tuple[str, ...], tuple[int, ...]] = OrderedDict()
         # (shape lexemes, values kept by value) -> Shape
         self._shapes: OrderedDict[tuple, Shape] = OrderedDict()
+        # fast key -> (shape lexemes, positions kept by value)
+        self._fast: OrderedDict[tuple, tuple] = OrderedDict()
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
@@ -821,31 +852,64 @@ class StatementCache:
         with self._lock:
             self._by_value.clear()
             self._shapes.clear()
+            self._fast.clear()
 
     def parse(self, text: str) -> tuple[Statement, Shape | None]:
         """``(statement, its cached shape or None)`` for one SQL statement."""
+        shape, literals, stmt = self.find(text)
+        return (shape.build(literals) if stmt is None else stmt), shape
+
+    def find(
+        self, text: str
+    ) -> tuple[Shape | None, list[str], Statement | None]:
+        """``(shape, literals, statement)`` for one SQL statement.
+
+        The statement is None when the shape was found in the cache: it is
+        ``shape.build(literals)``, left to the caller to build.  The shape
+        is None for a statement the cache does not keep.
+        """
+        fast = fast_key(text)
+        if fast is not None:
+            key, literals = fast
+            with self._lock:
+                known = self._fast.get(key)
+                if known is not None:
+                    lexemes, by_value = known
+                    shape = self._hit(lexemes, tuple([literals[i] for i in by_value]))
+                    if shape is not None:
+                        self._fast.move_to_end(key)
+                        return shape, literals, None
         tokens, lexemes, literals = lex(text)
         lexemes = tuple(lexemes)
-        shape = None
+        stmt = shape = None
         with self._lock:
             by_value = self._by_value.get(lexemes)
             if by_value is not None:
-                key = (lexemes, tuple([literals[i] for i in by_value]))
-                shape = self._shapes.get(key)
-                if shape is not None:
-                    self._by_value.move_to_end(lexemes)
-                    self._shapes.move_to_end(key)
+                shape = self._hit(lexemes, tuple([literals[i] for i in by_value]))
         if shape is None:
             parser = _Parser(tokens)
             stmt = parser.parse_statement()
             if literals and not parser.slots:
-                return stmt, None
+                return None, literals, stmt
             shape, by_value = self._shape(stmt, parser.slots, tokens)
             key = (lexemes, tuple([literals[i] for i in by_value]))
             with self._lock:
-                self._put(self._by_value, lexemes, by_value)
-                self._put(self._shapes, key, shape)
-        return shape.build(literals), shape
+                lru_put(self._by_value, lexemes, by_value)
+                lru_put(self._shapes, key, shape)
+        if fast is not None and fast_key_agrees(text, tokens):
+            with self._lock:
+                lru_put(self._fast, fast[0], (lexemes, by_value))
+        return shape, literals, stmt
+
+    def _hit(self, lexemes: tuple[str, ...], kept: tuple[str, ...]) -> Shape | None:
+        """The shape for these lexemes and by-value literals, if cached;
+        the caller holds the lock."""
+        key = (lexemes, kept)
+        shape = self._shapes.get(key)
+        if shape is not None:
+            self._by_value.move_to_end(lexemes)
+            self._shapes.move_to_end(key)
+        return shape
 
     @staticmethod
     def _shape(
@@ -863,13 +927,6 @@ class StatementCache:
         )
         by_value = tuple(i for i in range(len(literal_tokens)) if i not in used)
         return Shape(stmt, slot_of, numbers), by_value
-
-    @staticmethod
-    def _put(entries: OrderedDict, key, value) -> None:
-        entries[key] = value
-        entries.move_to_end(key)
-        if len(entries) > _CAPACITY:
-            entries.popitem(last=False)
 
 
 #: The process-wide statement cache behind :func:`parse`.

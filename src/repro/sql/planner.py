@@ -10,13 +10,21 @@ paper's unified architecture.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
 
 from ..errors import BindError, PlanError, SqlError
 from ..relational.batch import Batch
-from ..relational.expressions import ColumnRef, Comparison, Expression, Literal, LogicalOp
+from ..relational.expressions import (
+    BoundExpression,
+    ColumnRef,
+    Comparison,
+    Expression,
+    Literal,
+    LogicalOp,
+)
 from ..relational.operators import (
     Aggregate,
     AggregateSpec,
@@ -51,6 +59,43 @@ PredictFunction = Callable[[str, np.ndarray, "int | None"], np.ndarray]
 Relations = Mapping[str, tuple[type, Callable[..., list]]]
 
 
+_LITERAL_TYPES = {int: ColumnType.INT, float: ColumnType.DOUBLE, str: ColumnType.TEXT}
+
+
+@dataclass(frozen=True, eq=False)
+class Parameter(Expression):
+    """A slot of a prepared plan: the value ``cells[index]`` holds when the
+    plan runs, with the type of the slot's literal.  Each parameter equals
+    only itself, so a plan never merges two slots that happen to agree."""
+
+    cells: list
+    index: int
+    ctype: ColumnType
+
+    @staticmethod
+    def slots(values: list[object]) -> list["Parameter"]:
+        """One parameter per literal value (int, float or str), with
+        ``values`` itself as the cells."""
+        return [Parameter(values, i, _LITERAL_TYPES[type(v)]) for i, v in enumerate(values)]
+
+    def bind(self, schema: Schema) -> BoundExpression:
+        cells, index = self.cells, self.index
+        return BoundExpression(
+            lambda row: cells[index], self.ctype, name=f"${index}", constant=True
+        )
+
+
+def scanned_tables(op: Operator) -> list:
+    """The ``TableInfo`` of every table ``op``'s tree scans."""
+    found, stack = [], [op]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, SeqScan):
+            found.append(node.table)
+        stack.extend(node.children())
+    return found
+
+
 class Planner:
     """Builds physical plans against a catalog."""
 
@@ -78,9 +123,17 @@ class Planner:
     def plan_select(self, stmt: Select) -> Operator:
         with self._telemetry.tracer.span("plan", category="sql"):
             self._m_plans.inc()
-            return self._plan_select(stmt)
+            return self.plan(stmt)
 
-    def _plan_select(self, stmt: Select) -> Operator:
+    def count_select(self) -> None:
+        """Count a SELECT whose plan the caller finds in its own "plan"
+        span (a plan prepared earlier, or :meth:`plan`): the planned SELECT
+        count is one per SELECT, however its plan is found."""
+        self._m_plans.inc()
+
+    def plan(self, stmt: Select) -> Operator:
+        """Plan a SELECT, neither counted nor traced (see
+        :meth:`count_select`)."""
         source = self._plan_from(stmt)
         if stmt.where is not None:
             source = Filter(source, stmt.where)

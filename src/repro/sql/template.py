@@ -20,20 +20,23 @@ from ..relational.expressions import Expression, Literal
 Build = Callable[[Sequence[object]], object]
 
 
-def builder(node: object, slots: dict[int, int]) -> Build:
+def builder(
+    node: object, slots: dict[int, int], leaf: Callable[[object], object] = Literal
+) -> Build:
     """``build(values)``: a copy of ``node`` in which each :class:`Literal`
-    whose ``id`` maps to ``i`` in ``slots`` holds ``values[i]``."""
-    build = _compile(node, slots)
+    whose ``id`` maps to ``i`` in ``slots`` becomes ``leaf(values[i])``: a
+    ``Literal`` holding ``values[i]`` by default."""
+    build = _compile(node, slots, leaf)
     return build if build is not None else (lambda values: node)
 
 
-def _compile(node: object, slots: dict[int, int]) -> Build | None:
+def _compile(node: object, slots: dict[int, int], leaf) -> Build | None:
     """A builder for ``node``, or None when ``node`` can be shared."""
     if isinstance(node, Literal):
         index = slots.get(id(node))
         if index is None:
             return None
-        return lambda values: Literal(values[index])
+        return lambda values: leaf(values[index])
     if isinstance(node, list):
         parts, finish = list(node), None
     elif isinstance(node, tuple):
@@ -44,7 +47,7 @@ def _compile(node: object, slots: dict[int, int]) -> Build | None:
         finish = lambda args: make(*args)  # noqa: E731
     else:
         return None  # str, number, bool, None, enum: immutable
-    children = [(i, b) for i, part in enumerate(parts) if (b := _compile(part, slots))]
+    children = [(i, b) for i, part in enumerate(parts) if (b := _compile(part, slots, leaf))]
     if not children and isinstance(node, (tuple, Expression)):
         return None
 

@@ -7,11 +7,12 @@ The pool supports LRU, Clock and 2Q replacement and counts page hits,
 misses, evictions and dirty write-backs in registry counters;
 ``pool.stats`` reads them live for the benchmarks.
 
-A frame holds a page or a share of a *resident block*: a decoded,
-read-only compute block that the relation-centric engine multiplies on
-(:meth:`BufferPool.put_block`).  A block is charged ``⌈bytes / page
-size⌉`` frames and competes with pages under the same policy, so pages
-and blocks together never take more than the pool's capacity.  A block is
+The pool's memory is ``capacity × page size`` bytes.  A page costs a page
+size of it; a *resident block* (a decoded, read-only compute block that
+the relation-centric engine multiplies on, :meth:`BufferPool.put_block`)
+costs its own bytes, so an 8×8 block takes 512 bytes, not a frame.
+Blocks compete with pages under the same policy, and pages and blocks
+together never take more than the pool's bytes.  A block is
 derived data: making room for one evicts clean pages and other owners'
 blocks only, never writing a dirty page back, and an owner's blocks never
 evict each other (they are used together).
@@ -161,14 +162,14 @@ class TwoQueuePolicy(EvictionPolicy):
 
 
 class ResidentBlock:
-    """A compute block held in the pool: read-only, ``frames`` frames."""
+    """A compute block held in the pool: read-only, charged ``nbytes``."""
 
-    __slots__ = ("key", "array", "frames", "pin_count")
+    __slots__ = ("key", "array", "nbytes", "pin_count")
 
-    def __init__(self, key: tuple, array: np.ndarray, frames: int):
+    def __init__(self, key: tuple, array: np.ndarray):
         self.key = key
         self.array = array
-        self.frames = frames
+        self.nbytes = array.nbytes
         self.pin_count = 0
 
 
@@ -209,6 +210,8 @@ class BufferPool:
             raise BufferPoolError("buffer pool needs capacity of at least one page")
         self._disk = disk
         self._capacity = capacity_pages
+        self._page_size = disk.page_size
+        self._budget = capacity_pages * disk.page_size  # bytes
         self._injector = injector if injector is not None else NULL_INJECTOR
         self._policy = policy if policy is not None else LruPolicy()
         self._pages: dict[PageId, Page] = {}
@@ -216,7 +219,7 @@ class BufferPool:
         # A block key's first item names its owner (a heap), so a write to
         # the owner drops its blocks in one step.
         self._owners: dict[Hashable, set[tuple]] = {}
-        self._used = 0  # frames held: one per page, its charge per block
+        self._used = 0  # bytes held: a page size per page, its bytes per block
         self._all_frames = _Frames(self._pages, self._blocks, clean_only=False)
         self._block_room = _Frames(self._pages, self._blocks, clean_only=True)
         # One coarse lock over frame management: pin/unpin, eviction, and
@@ -253,8 +256,23 @@ class BufferPool:
         return self._capacity
 
     @property
+    def page_size(self) -> int:
+        return self._page_size
+
+    @property
+    def capacity_bytes(self) -> int:
+        """The bytes pages and resident blocks share: capacity × page size."""
+        return self._budget
+
+    @property
     def resident_pages(self) -> int:
-        """Frames in use: a page each, and each resident block's charge."""
+        """Frames' worth of memory in use: a page each, and the resident
+        blocks' bytes rounded up to whole pages."""
+        return -(-self._used // self._page_size)
+
+    @property
+    def resident_bytes(self) -> int:
+        """Bytes in use: a page size per page, plus every resident block's."""
         return self._used
 
     @property
@@ -295,8 +313,8 @@ class BufferPool:
     def _add_page(self, page: Page) -> None:
         self._pages[page.page_id] = page
         self._policy.record_access(page.page_id)
-        self._used += 1
-        self._m_resident.set(self._used)
+        self._used += self._page_size
+        self._m_resident.set(self.resident_pages)
 
     def unpin_page(self, page_id: PageId, dirty: bool = False) -> None:
         with self._lock:
@@ -339,7 +357,7 @@ class BufferPool:
                 page = self._pages.get(page_id)
                 if page is not None and not page.dirty and page.pin_count == 0:
                     self._drop_page(page_id)
-            self._m_resident.set(self._used)
+            self._m_resident.set(self.resident_pages)
 
     # -- resident compute blocks ---------------------------------------------
 
@@ -360,18 +378,17 @@ class BufferPool:
         already under ``key`` if there is one.  None (nothing held) when
         free frames, clean pages and other owners' blocks cannot make room
         for it: an owner's blocks never evict each other."""
-        frames = max(1, -(-array.nbytes // self._disk.page_size))
         with self._lock:
             entry = self._blocks.get(key)
             if entry is None:
                 self._block_room.spare = key[0]
-                if frames > self._capacity or not self._make_room(frames, block=True):
+                if array.nbytes > self._budget or not self._make_room(array.nbytes, block=True):
                     return None
                 array.flags.writeable = False
-                entry = self._blocks[key] = ResidentBlock(key, array, frames)
+                entry = self._blocks[key] = ResidentBlock(key, array)
                 self._owners.setdefault(key[0], set()).add(key)
-                self._used += frames
-                self._m_resident.set(self._used)
+                self._used += entry.nbytes
+                self._m_resident.set(self.resident_pages)
             entry.pin_count += 1
             self._policy.record_access(key)
             return entry
@@ -391,22 +408,22 @@ class BufferPool:
         with self._lock:
             for key in self._owners.pop(owner, ()):
                 self._policy.record_removal(key)
-                self._used -= self._blocks.pop(key).frames
-            self._m_resident.set(self._used)
+                self._used -= self._blocks.pop(key).nbytes
+            self._m_resident.set(self.resident_pages)
 
     # -- frame management ------------------------------------------------------
 
     def _ensure_frame_available(self) -> None:
-        self._make_room(1, block=False)
+        self._make_room(self._page_size, block=False)
 
-    def _make_room(self, frames: int, block: bool) -> bool:
-        """Evict until ``frames`` more fit.  A page that finds everything
+    def _make_room(self, nbytes: int, block: bool) -> bool:
+        """Evict until ``nbytes`` more fit.  A page that finds everything
         pinned raises; a block gets False."""
-        while self._used + frames > self._capacity:
+        while self._used + nbytes > self._budget:
             # Fault site fires before any state changes, so a raised fault
             # leaves the pool exactly as it was (the caller's request fails
             # but every resident frame stays valid).
-            self._injector.fire("bufferpool.evict", resident=self._used)
+            self._injector.fire("bufferpool.evict", resident=self.resident_pages)
             victim = self._policy.choose_victim(
                 self._block_room if block else self._all_frames  # type: ignore[arg-type]
             )
@@ -419,7 +436,7 @@ class BufferPool:
             self._m_evictions.inc()
             if isinstance(victim, tuple):
                 self._policy.record_removal(victim)
-                self._used -= self._blocks.pop(victim).frames
+                self._used -= self._blocks.pop(victim).nbytes
                 owned = self._owners[victim[0]]
                 owned.discard(victim)
                 if not owned:
@@ -429,13 +446,13 @@ class BufferPool:
                 if page.dirty:
                     self._disk.write_page(victim, bytes(page.data))
                     self._m_writebacks.inc()
-            self._m_resident.set(self._used)
+            self._m_resident.set(self.resident_pages)
         return True
 
     def _drop_page(self, page_id: PageId) -> Page:
         page = self._pages.pop(page_id)
         self._policy.record_removal(page_id)
-        self._used -= 1
+        self._used -= self._page_size
         return page
 
     def pinned_page_count(self) -> int:

@@ -140,5 +140,10 @@ class Catalog:
     def has_table(self, name: str) -> bool:
         return name.lower() in self._tables
 
+    def current(self, info: TableInfo) -> bool:
+        """Whether ``info`` is still the table its name maps to (not
+        dropped, nor replaced by a table of the same name)."""
+        return self._tables.get(info.name) is info
+
     def tables(self) -> Iterator[TableInfo]:
         return iter(self._tables.values())

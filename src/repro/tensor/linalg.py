@@ -129,7 +129,8 @@ class _Reblock(Operator):
             return
         pool = heap.pool
         owner = (heap.first_page_id, heap.generation, self._shape, self._block_shape, self._factor)
-        held = pool.get_blocks([(*owner, i, j) for i, j in self._grid])
+        keys = [(*owner, i, j) for i, j in self._grid]
+        held = pool.get_blocks(keys)
         if held is not None:
             try:
                 yield _block_batch(*zip(*self._grid), [entry.array for entry in held])
@@ -137,18 +138,16 @@ class _Reblock(Operator):
                 pool.unpin_blocks(held)
             return
         pages: list = []
-        offer = True
+        # A grid that cannot sit in the pool beside the page being read
+        # would only be evicted piecemeal by the scan's own pages.
+        offer = self._shape[0] * self._shape[1] * 8 + pool.page_size <= pool.capacity_bytes
         try:
             for (i, j), block in self._assemble(pages):
                 entry = pool.put_block((*owner, i, j), block) if offer else None
-                if entry is not None:
+                offer = entry is not None  # one block refused: offer no more
+                if offer:
                     pool.release_pages(pages)  # their bytes are in this block or a pending one
                     pages.clear()
-                elif offer:
-                    # Served only whole, a table the pool cannot hold
-                    # whole would just take frames: hold none of it.
-                    offer = False
-                    pool.drop_blocks(owner[0])
                 try:
                     yield _block_batch([i], [j], [block])
                 finally:
@@ -159,6 +158,14 @@ class _Reblock(Operator):
             # table that fails a check fails it on every call.
             pool.drop_blocks(owner[0])
             raise
+        # Served only whole, a table the pool does not hold whole after the
+        # pass (a block refused, or evicted since by the pages the scan
+        # read) would just take room: hold none of it.
+        held = pool.get_blocks(keys) if offer else None
+        if held is None:
+            pool.drop_blocks(owner[0])
+        else:
+            pool.unpin_blocks(held)
 
     def _stored_blocks(
         self, place: Callable[[tuple], np.ndarray], pages: list | None

@@ -101,8 +101,7 @@ def test_compute_blocks_match_the_oracle(
         tensor_block_rows=FLOOR,
         tensor_block_cols=FLOOR,
     )
-    # Room for every compute block: at f = 1 each 8×8 block takes a frame.
-    engine = RelationCentricEngine(make_catalog(2048)[0], config, stripe_rows=STRIPE)
+    engine = RelationCentricEngine(make_catalog(256)[0], config, stripe_rows=STRIPE)
     built = spy_pipelines(engine)
     result = engine.run_vector_stage(model.layers, x, VersionRecord("chain", model))
 

@@ -196,6 +196,34 @@ def test_relation_engine_conv_stage(rng, config):
     np.testing.assert_allclose(out, model.forward(images), atol=1e-9)
 
 
+@pytest.mark.parametrize("spatial,stripe_rows", [(15, 64), (15, 50), (9, 200)])
+def test_relation_engine_conv_result_table_any_geometry(rng, config, spatial, stripe_rows):
+    """Stripes that end mid-block, and images whose patch count is not a
+    multiple of the block rows, still load back in place."""
+    catalog, __ = make_catalog(capacity=256)
+    model = landcover(spatial=spatial, out_channels=40)
+    conv = model.layers[0]
+    images = rng.normal(size=(3, spatial, spatial, 3))
+    engine = RelationCentricEngine(catalog, config, stripe_rows=stripe_rows)
+    engine.run_conv_stage(conv, images, VersionRecord("lc", model), result_table="out")
+    out = engine.load_conv_result("out", 3, spatial, spatial, 40)
+    np.testing.assert_allclose(out, model.forward(images), atol=1e-9)
+
+
+def test_relation_engine_conv_stage_without_a_table_returns_outputs(rng, config):
+    catalog, __ = make_catalog(capacity=256)
+    model = landcover(spatial=15, out_channels=40)
+    images = rng.normal(size=(2, 15, 15, 3))
+    engine = RelationCentricEngine(catalog, config, stripe_rows=50)
+    info = VersionRecord("lc", model)
+    result = engine.run_conv_stage(model.layers[0], images, info)
+    np.testing.assert_allclose(result.outputs, model.forward(images), atol=1e-9)
+    # The scratch result table is gone; the kernel's block table stays.
+    assert [t.name for t in catalog.tables() if "result" in t.name] == []
+    # The stage's peak counts the feature map it returns.
+    assert result.peak_memory_bytes >= result.outputs.nbytes
+
+
 def test_hybrid_executes_adaptive_plan_end_to_end(rng, config):
     catalog, __ = make_catalog(capacity=256)
     model = amazon_14k_fc(scale=0.002)

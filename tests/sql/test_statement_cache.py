@@ -14,7 +14,7 @@ from repro.relational.expressions import ColumnRef, Literal
 from repro.sql import parse, tokenize, unparse
 from repro.sql.ast import SelectItem
 from repro.sql.lexer import TokenType
-from repro.sql.parser import _CAPACITY, StatementCache, _Parser
+from repro.sql.parser import CAPACITY, StatementCache, _Parser
 from repro.telemetry.workload import fingerprint
 
 from .test_sql_fuzz import FUZZ_SETTINGS, statements
@@ -186,12 +186,12 @@ def test_insert_values_bypass_the_cache():
 
 def test_capacity_bounds_the_cache():
     cache = StatementCache()
-    shapes = [cache.parse(f"SELECT c{i} FROM t WHERE id = 1")[1] for i in range(_CAPACITY + 1)]
-    assert len(cache) == _CAPACITY
+    shapes = [cache.parse(f"SELECT c{i} FROM t WHERE id = 1")[1] for i in range(CAPACITY + 1)]
+    assert len(cache) == CAPACITY
     # the least recently used shape went: parsing it again is a miss
     assert cache.parse("SELECT c1 FROM t WHERE id = 1")[1] is shapes[1]
     assert cache.parse("SELECT c0 FROM t WHERE id = 1")[1] is not shapes[0]
-    assert len(cache) == _CAPACITY
+    assert len(cache) == CAPACITY
 
 
 def test_module_parse_goes_through_the_cache():

@@ -1,5 +1,6 @@
 """Resident compute blocks in the buffer pool: pages and blocks share one
-frame budget, a pinned block stays, and an invalidated block is never
+budget of ``capacity × page size`` bytes (a page costs a page size, a block
+its bytes), a pinned block stays, and an invalidated block is never
 returned again."""
 
 import numpy as np
@@ -19,19 +20,32 @@ def make_pool(capacity=8, policy="lru"):
 
 
 def block(frames, fill=0.0):
-    """An array charged exactly ``frames`` frames."""
+    """An array of exactly ``frames`` pages' bytes."""
     return np.full(frames * PAGE // 8, fill)
 
 
-def test_a_block_is_charged_whole_frames():
+def test_a_block_is_charged_its_bytes():
     pool = make_pool()
     entry = pool.put_block(("t", 0, 0), np.zeros(PAGE // 8 + 1))
-    assert entry.frames == 2 and pool.resident_pages == 2 and pool.resident_blocks == 1
+    assert entry.nbytes == PAGE + 8 and pool.resident_bytes == PAGE + 8
+    assert pool.resident_pages == 2 and pool.resident_blocks == 1
     assert not entry.array.flags.writeable
     pool.unpin_blocks([entry])
     [again] = pool.get_blocks([("t", 0, 0)])
     assert again is entry
     pool.unpin_blocks([again])
+
+
+def test_small_blocks_share_a_pages_bytes():
+    """Eight 8×8 blocks (512 bytes each) fit in one 4 KiB page's worth, next
+    to seven pages, in an eight-page pool: nothing is evicted."""
+    pool = make_pool(capacity=8)
+    for __ in range(7):
+        pool.unpin_page(pool.new_page().page_id)
+    small = [pool.put_block(("t", 0, i), np.zeros((8, 8))) for i in range(8)]
+    assert None not in small and pool.stats.evictions == 0
+    assert pool.resident_bytes == 8 * PAGE and pool.resident_pages == 8
+    assert pool.put_block(("t", 0, 8), np.zeros((8, 8))) is None  # the owner's own stay
 
 
 def test_get_is_all_or_nothing():
@@ -103,12 +117,16 @@ def test_dropping_an_owner_invalidates_pinned_blocks_too():
 
 # -- the property ------------------------------------------------------------------
 
+#: Block sizes in doubles: a sliver, an 8×8 block, a page, a page and a
+#: double, several pages.
+SIZES = (1, 64, PAGE // 8, PAGE // 8 + 1, 3 * PAGE // 8, 5 * PAGE // 8)
+
 OPS = st.lists(
     st.one_of(
         st.tuples(st.just("new"), st.booleans()),
         st.tuples(st.just("fetch"), st.integers(0, 40)),
         st.tuples(st.just("unpin_page"), st.integers(0, 40)),
-        st.tuples(st.just("put"), st.sampled_from("abc"), st.integers(0, 5), st.integers(1, 5)),
+        st.tuples(st.just("put"), st.sampled_from("abc"), st.integers(0, 5), st.sampled_from(SIZES)),
         st.tuples(st.just("get"), st.sampled_from("abc"), st.integers(0, 5)),
         st.tuples(st.just("unpin_block"), st.integers(0, 40)),
         st.tuples(st.just("invalidate"), st.sampled_from("abc")),
@@ -140,9 +158,9 @@ def test_pool_bound_pins_and_invalidation_hold_under_any_interleaving(ops, capac
             elif op == "unpin_page" and page_pins:
                 pool.unpin_page(page_pins.pop(args[0] % len(page_pins)))
             elif op == "put":
-                owner, coord, frames = args
+                owner, coord, size = args
                 key = (owner, generation[owner], coord)
-                array = block(frames, fill=float(len(live)))
+                array = np.full(size, float(len(live)))
                 entry = pool.put_block(key, array)
                 if entry is not None:
                     block_pins.append(entry)
@@ -165,7 +183,7 @@ def test_pool_bound_pins_and_invalidation_hold_under_any_interleaving(ops, capac
                 pool.release_pages([pages[args[0] % len(pages)]])
         except BufferPoolError:
             pass  # every frame pinned: the request fails, nothing changes
-        assert pool.resident_pages <= capacity
+        assert pool.resident_bytes <= capacity * PAGE
         # Every block we still pin (and did not invalidate) is resident.
         for entry in block_pins:
             if entry.key in live:
@@ -177,8 +195,9 @@ def test_pool_bound_pins_and_invalidation_hold_under_any_interleaving(ops, capac
             for gen in range(generation[owner]):
                 for coord in range(6):
                     assert pool.get_blocks([(owner, gen, coord)]) is None
-        # The frame count is the sum of what is held.
+        # The bytes in use cover what is held: a page size per pinned
+        # page, and each pinned block's bytes.
         blocks = [e for e in block_pins if e.key in live]
-        assert pool.resident_pages >= len(set(page_pins)) + sum(
-            e.frames for e in {id(e): e for e in blocks}.values()
+        assert pool.resident_bytes >= len(set(page_pins)) * PAGE + sum(
+            e.nbytes for e in {id(e): e for e in blocks}.values()
         )

@@ -264,12 +264,13 @@ def test_reblock_keeps_a_block_tables_compute_blocks_resident(rng):
     np.testing.assert_array_equal(drain_to_matrix(op, SHAPE, (8, 6)).to_dense(), a)
 
 
-@pytest.mark.parametrize("capacity, resident", [(8, 0), (16, 9)])
+@pytest.mark.parametrize("capacity, resident", [(2, 0), (16, 9)])
 def test_a_table_is_resident_whole_or_not_at_all(capacity, resident, rng):
-    """At f = 1 the 3×3 grid takes nine frames: a pool of eight holds none
-    of it (its blocks never evict each other), a pool of sixteen all."""
+    """At f = 1 the 3×3 grid holds 560 bytes: a pool of two 256-byte pages
+    cannot hold it beside the page being read, so none of it is offered; a
+    pool of sixteen holds all of it."""
     a = rng.normal(size=SHAPE)
-    catalog, pool = make_catalog(page_size=512, capacity=capacity)
+    catalog, pool = make_catalog(page_size=256, capacity=capacity)
     info = catalog.create_table("weights", block_table_schema())
     for row in stored_rows(a):
         info.heap.insert(row)
@@ -279,3 +280,47 @@ def test_a_table_is_resident_whole_or_not_at_all(capacity, resident, rng):
         np.testing.assert_array_equal(drain_to_matrix(op, SHAPE, STORED).to_dense(), a)
         assert pool.resident_blocks == resident
         assert pool.resident_pages <= capacity
+
+
+@pytest.mark.parametrize("pinned", [1, 2])
+def test_a_table_whose_room_is_pinned_is_not_kept_in_part(pinned, rng):
+    """Four 256-byte pages pass the size check, but pinned pages hold the
+    room the grid and the scan's pages need: the scan's page reads evict
+    some of the blocks it offered, and the pass drops the rest."""
+    a = rng.normal(size=SHAPE)
+    catalog, pool = make_catalog(page_size=256, capacity=4)
+    info = catalog.create_table("weights", block_table_schema())
+    for row in stored_rows(a):
+        info.heap.insert(row)
+    pool.flush_all()
+    assert SHAPE[0] * SHAPE[1] * 8 + pool.page_size <= pool.capacity_bytes
+    held = [pool.new_page() for __ in range(pinned)]
+    op = reblock(SeqScan(info), SHAPE, STORED, 1)
+    for __ in range(2):
+        np.testing.assert_array_equal(drain_to_matrix(op, SHAPE, STORED).to_dense(), a)
+        assert pool.resident_blocks == 0
+    for page in held:
+        pool.unpin_page(page.page_id)
+
+
+def test_a_block_refused_mid_scan_leaves_none_of_the_table(rng, monkeypatch):
+    """Once ``put_block`` refuses one block, no later block is offered and
+    the blocks already held are dropped when the pass ends."""
+    a = rng.normal(size=SHAPE)
+    catalog, pool = make_catalog(page_size=256, capacity=16)
+    info = catalog.create_table("weights", block_table_schema())
+    for row in stored_rows(a):
+        info.heap.insert(row)
+    offered = []
+    put_block = pool.put_block
+
+    def refuse_the_fourth(key, array):
+        offered.append(key)
+        return None if len(offered) == 4 else put_block(key, array)
+
+    monkeypatch.setattr(pool, "put_block", refuse_the_fourth)
+    op = reblock(SeqScan(info), SHAPE, STORED, 1)
+    np.testing.assert_array_equal(drain_to_matrix(op, SHAPE, STORED).to_dense(), a)
+    assert len(offered) == 4 and pool.resident_blocks == 0
+    np.testing.assert_array_equal(drain_to_matrix(op, SHAPE, STORED).to_dense(), a)
+    assert len(offered) == 4 + 9 and pool.resident_blocks == 9  # the next pass keeps it

@@ -1,6 +1,8 @@
 """Layering: telemetry's recording modules, the fault injector and the
 health report sit below the relational engine, the SQL front end and
-storage, and import none of them (a function-level import counts too)."""
+storage, and import none of them (a function-level import counts too);
+only the session modules touch a Database's private state, and no module
+reads another object's private ``_m_*`` counters."""
 
 from __future__ import annotations
 
@@ -120,6 +122,41 @@ def test_no_module_outside_the_session_touches_database_private_state():
         for path in sorted((SRC / "repro").rglob("*.py"))
         if path.parent.name != "repro" or path.name not in SESSION
         for uses in [private_database_uses(path.read_text(encoding="utf-8"))]
+        if uses
+    }
+    assert offenders == {}
+
+
+def foreign_counter_uses(source: str) -> list[str]:
+    """Every read of another object's private counter (``x._m_<name>``
+    where ``x`` is not ``self``): a collector's counters are its own, and
+    others read them through its public snapshot."""
+    return [
+        f"line {node.lineno}: {ast.unparse(node)}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute)
+        and node.attr.startswith("_m_")
+        and not (isinstance(node.value, ast.Name) and node.value.id == "self")
+    ]
+
+
+def test_foreign_counter_uses_are_found():
+    source = (
+        "def f(self, executor):\n"
+        "    self._m_runs.inc()\n"
+        "    a = executor._m_engine_seconds.value\n"
+        "    return self._models.executor._m_stage_runs, executor.counters()\n"
+    )
+    assert sorted(use.split(": ")[1] for use in foreign_counter_uses(source)) == [
+        "executor._m_engine_seconds", "self._models.executor._m_stage_runs",
+    ]
+
+
+def test_no_module_reads_another_objects_counters():
+    offenders = {
+        str(path.relative_to(SRC)): uses
+        for path in sorted((SRC / "repro").rglob("*.py"))
+        for uses in [foreign_counter_uses(path.read_text(encoding="utf-8"))]
         if uses
     }
     assert offenders == {}
