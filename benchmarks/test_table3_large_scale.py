@@ -160,8 +160,8 @@ def test_table3_grid(amazon_setup, landcover_setup, benchmark, capsys):
         x = tiles[:batch]
         engine = RelationCentricEngine(lc_catalog, lc_config, stripe_rows=2048)
         ours_result, ours = measure_or_oom(
-            lambda: engine.run_conv_stage(
-                conv, x, lc_info, result_table=f"lc_out_b{batch}"
+            lambda: engine.run_vector_stage(
+                [conv], x, lc_info, result_table=f"lc_out_b{batch}"
             )
         )
         udf = _udf(lc_model, x)

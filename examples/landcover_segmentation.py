@@ -64,7 +64,7 @@ def main() -> None:
     info = VersionRecord("landcover", model)
     engine = RelationCentricEngine(catalog, config, stripe_rows=2048)
     pool = catalog.pool
-    result = engine.run_conv_stage(conv, tiles, info, result_table="feature_map")
+    result = engine.run_vector_stage([conv], tiles, info, result_table="feature_map")
     print(
         f"  completed in {result.measured_seconds:.2f}s; peak accounted "
         f"memory {result.peak_memory_bytes / 2**20:.1f} MiB "

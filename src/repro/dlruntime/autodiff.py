@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from ..errors import ShapeError
-from ..tensor.im2col import conv_output_shape
+from ..tensor.im2col import conv_output_shape, im2col
 
 
 class ADTensor:
@@ -138,7 +138,7 @@ class ADTensor:
                 f"conv2d channel mismatch: input has {in_ch}, kernels expect {k_in}"
             )
         out_h, out_w = conv_output_shape(height, width, kh, kw, stride, padding)
-        patches = _batch_im2col(self.data, kh, kw, stride, padding)  # (N*oh*ow, kh*kw*C)
+        patches = im2col(self.data, kh, kw, stride, padding)  # (N*oh*ow, kh*kw*C)
         kernel_flat = kernels.data.reshape(out_ch, -1)
         out_flat = patches @ kernel_flat.T
         out_data = out_flat.reshape(batch, out_h, out_w, out_ch)
@@ -218,37 +218,6 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
         if dim == 1 and grad.shape[axis] != 1:
             grad = grad.sum(axis=axis, keepdims=True)
     return grad
-
-
-def _batch_im2col(
-    images: np.ndarray, kh: int, kw: int, stride: int, padding: int
-) -> np.ndarray:
-    """(N, H, W, C) → (N*out_h*out_w, kh*kw*C) patch matrix."""
-    batch, height, width, channels = images.shape
-    out_h, out_w = conv_output_shape(height, width, kh, kw, stride, padding)
-    if padding:
-        images = np.pad(
-            images,
-            ((0, 0), (padding, padding), (padding, padding), (0, 0)),
-            mode="constant",
-        )
-    strides = images.strides
-    windows = np.lib.stride_tricks.as_strided(
-        images,
-        shape=(batch, out_h, out_w, kh, kw, channels),
-        strides=(
-            strides[0],
-            strides[1] * stride,
-            strides[2] * stride,
-            strides[1],
-            strides[2],
-            strides[3],
-        ),
-        writeable=False,
-    )
-    return np.ascontiguousarray(windows).reshape(
-        batch * out_h * out_w, kh * kw * channels
-    )
 
 
 def _batch_col2im(

@@ -23,8 +23,8 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from ..errors import ModelError, ShapeError
-from ..tensor.im2col import conv_output_shape
-from .autodiff import ADTensor, _batch_im2col
+from ..tensor.im2col import conv_output_shape, im2col
+from .autodiff import ADTensor
 from .memory import MemoryBudget
 
 
@@ -223,7 +223,7 @@ class Conv2d(Layer):
         out_h, out_w = conv_output_shape(
             x.shape[1], x.shape[2], kh, kw, self.stride, self.padding
         )
-        patches = _batch_im2col(x, kh, kw, self.stride, self.padding)
+        patches = im2col(x, kh, kw, self.stride, self.padding)
         flat = patches @ self.kernels.data.reshape(self.out_channels, -1).T
         return flat.reshape(batch, out_h, out_w, self.out_channels) + self.bias.data
 

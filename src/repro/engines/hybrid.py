@@ -44,15 +44,9 @@ from typing import NamedTuple
 import numpy as np
 
 from ..config import SystemConfig
-from ..core.ir import (
-    VECTOR_SAFE_OPS,
-    InferencePlan,
-    LinAlgOp,
-    PlanStage,
-    Representation,
-)
+from ..core.ir import VECTOR_SAFE_OPS, InferencePlan, PlanStage, Representation
 from ..dlruntime.connector import Connector
-from ..dlruntime.layers import Conv2d, Model, ReLU
+from ..dlruntime.layers import Model
 from ..dlruntime.memory import MemoryBudget, OutOfMemoryError
 from ..dlruntime.runtime import ExternalRuntime
 from ..errors import PlanError, StageTimeoutError
@@ -432,35 +426,12 @@ class HybridExecutor:
         if stage.representation is Representation.UDF_CENTRIC:
             return self.udf_engine.run_layers(stage.layers, x, checkpoint=checkpoint)
         if stage.representation is Representation.RELATION_CENTRIC:
-            return self._run_relation_stage(stage, x, model_info, checkpoint)
+            return self.relation_engine.run_vector_stage(
+                stage.layers, x, model_info, checkpoint=checkpoint
+            )
         if stage.representation is Representation.DL_CENTRIC:
             return self._run_dl_stage(stage, x, dl_budget)
         raise PlanError(f"stage has no representation assigned: {stage.describe()}")
-
-    def _run_relation_stage(
-        self,
-        stage: PlanStage,
-        x: np.ndarray,
-        model_info: VersionRecord,
-        checkpoint=None,
-    ) -> EngineResult:
-        first_op = stage.nodes[0].op
-        if first_op is LinAlgOp.CONV2D:
-            conv = stage.nodes[0].layer
-            assert isinstance(conv, Conv2d)
-            apply_relu = len(stage.nodes) > 1 and isinstance(
-                stage.nodes[1].layer, ReLU
-            )
-            if len(stage.nodes) > (2 if apply_relu else 1):
-                raise PlanError(
-                    "relation-centric conv stages support conv [+ relu] only"
-                )
-            return self.relation_engine.run_conv_stage(
-                conv, x, model_info, apply_relu=apply_relu
-            )
-        return self.relation_engine.run_vector_stage(
-            stage.layers, x, model_info, checkpoint=checkpoint
-        )
 
     def _run_dl_stage(
         self, stage: PlanStage, x: np.ndarray, budget: MemoryBudget

@@ -7,6 +7,7 @@ import re
 from typing import NamedTuple
 
 from ..errors import SqlLexError
+from ..telemetry import SHOW_TARGETS  # SHOW <target>'s names, re-exported
 
 KEYWORDS = frozenset(
     """
@@ -23,17 +24,6 @@ KEYWORDS = frozenset(
 # (``CREATE TABLE stats ...`` must keep parsing).  They lex as IDENT
 # tokens; the parser special-cases them by value.
 SOFT_KEYWORDS = frozenset({"METRICS", "STATS", "AUDIT", "ANALYZE"})
-
-#: Every ``SHOW <target> [WHERE ...]`` target: the names of the system
-#: relations a ``Database`` registers (a test keeps the two equal).
-#: ``SHOW TIMELINE <trace_id>`` and ``SHOW WORKLOAD TOP k BY x |
-#: '<fingerprint>'`` are sugar over ``sys.timeline``, ``sys.workload``
-#: and ``sys.workload_detail`` too (see the parser's ``_parse_show``).
-SHOW_TARGETS: tuple[str, ...] = (
-    "tables", "models", "metrics", "stats", "server", "cluster", "audit",
-    "faults", "health", "events", "timeline", "slo", "profile",
-    "deployments", "workload", "workload_detail",
-)
 
 
 class TokenType(enum.Enum):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import threading
 from collections import OrderedDict
 
@@ -22,7 +23,6 @@ from ..relational.expressions import (
 from ..relational.operators.aggregate import aggregate_function_names
 from ..relational.schema import ColumnType
 from ..telemetry.events import TimelineRow
-from ..telemetry.workload import fingerprint
 from .ast import (
     AggregateCall,
     CreateTable,
@@ -46,6 +46,7 @@ from .ast import (
 )
 from .lexer import SHOW_TARGETS, Token, TokenType, fast_key, fast_key_agrees, lex
 from .template import builder
+from .unparse import unparse
 
 _AGGREGATES = aggregate_function_names()
 
@@ -755,6 +756,130 @@ def _parse_number(text: str) -> object:
         return int(text)
     except ValueError as exc:
         raise SqlParseError(f"malformed numeric literal {text!r}") from exc
+
+
+#: The literal placeholder normalized statements carry: a statement's
+#: workload key (:func:`fingerprint`) is its shape with every literal
+#: stripped to it.
+PLACEHOLDER = "?"
+
+
+def _norm_expr(expr: Expression) -> Expression:
+    """One expression with every literal value replaced by ``'?'``."""
+    if isinstance(expr, Literal):
+        return Literal(PLACEHOLDER)
+    if isinstance(expr, ColumnRef):
+        return expr
+    if isinstance(expr, UnaryOp):
+        # "-5" parses as UnaryOp("-", Literal(5)): collapse it with the
+        # positive form so `x = -1` and `x = 1` share a fingerprint.
+        if expr.op == "-" and isinstance(expr.operand, Literal):
+            return Literal(PLACEHOLDER)
+        return UnaryOp(expr.op, _norm_expr(expr.operand))
+    if isinstance(expr, (BinaryOp, Comparison, LogicalOp)):
+        return type(expr)(expr.op, _norm_expr(expr.left), _norm_expr(expr.right))
+    if isinstance(expr, IsNull):
+        return IsNull(_norm_expr(expr.operand), expr.negated)
+    if isinstance(expr, Like):
+        return Like(_norm_expr(expr.operand), PLACEHOLDER, expr.negated)
+    if isinstance(expr, CaseWhen):
+        return CaseWhen(
+            tuple(
+                (_norm_expr(cond), _norm_expr(value))
+                for cond, value in expr.branches
+            ),
+            _norm_expr(expr.default) if expr.default is not None else None,
+        )
+    if isinstance(expr, FunctionCall):
+        return FunctionCall(expr.name, tuple(_norm_expr(a) for a in expr.args))
+    return expr
+
+
+def _norm_item(item):
+    expr = item.expr
+    if isinstance(expr, Star):
+        return item
+    if isinstance(expr, AggregateCall):
+        normalized: object = AggregateCall(
+            expr.func, _norm_expr(expr.arg) if expr.arg is not None else None
+        )
+    elif isinstance(expr, PredictCall):
+        normalized = PredictCall(
+            expr.model, [_norm_expr(a) for a in expr.args], expr.proba_class
+        )
+    else:
+        normalized = _norm_expr(expr)
+    return SelectItem(normalized, item.alias)
+
+
+def _norm_select(stmt):
+    return Select(
+        items=[_norm_item(item) for item in stmt.items],
+        table=stmt.table,
+        joins=[
+            Join(join.table, _norm_expr(join.condition), join.kind)
+            for join in stmt.joins
+        ],
+        where=_norm_expr(stmt.where) if stmt.where is not None else None,
+        group_by=[_norm_expr(e) for e in stmt.group_by],
+        order_by=[(_norm_expr(e), desc) for e, desc in stmt.order_by],
+        # LIMIT/OFFSET values are literals too: `LIMIT 5` and `LIMIT 10`
+        # are the same shape.  Presence is kept, the value is zeroed.
+        limit=0 if stmt.limit is not None else None,
+        offset=0,
+        distinct=stmt.distinct,
+        having=_norm_expr(stmt.having) if stmt.having is not None else None,
+    )
+
+
+def normalize(stmt):
+    """One statement with every literal stripped to ``'?'``.
+
+    The result still unparses/reparses (placeholders are string
+    literals), which is what makes the fingerprint stable across
+    whitespace, casing, and ``parse(unparse(s))`` round-trips: the lexer
+    lowercases identifiers and :func:`unparse` is canonical.
+    """
+    if isinstance(stmt, Select):
+        return _norm_select(stmt)
+    if isinstance(stmt, UnionAll):
+        return UnionAll([_norm_select(q) for q in stmt.queries])
+    if isinstance(stmt, Explain):
+        return Explain(_norm_select(stmt.query), stmt.analyze)
+    if isinstance(stmt, Insert):
+        # Bulk loads differ only in row count and values: collapse to one
+        # row of placeholders, keeping the column arity.
+        arity = len(stmt.rows[0]) if stmt.rows else 0
+        return Insert(stmt.table, [[PLACEHOLDER] * arity])
+    if isinstance(stmt, InsertSelect):
+        return InsertSelect(stmt.table, _norm_select(stmt.query))
+    if isinstance(stmt, CreateTableAs):
+        return CreateTableAs(stmt.name, _norm_select(stmt.query))
+    if isinstance(stmt, Update):
+        return Update(
+            stmt.table,
+            [(col, _norm_expr(expr)) for col, expr in stmt.assignments],
+            _norm_expr(stmt.where) if stmt.where is not None else None,
+        )
+    if isinstance(stmt, Delete):
+        return Delete(
+            stmt.table,
+            _norm_expr(stmt.where) if stmt.where is not None else None,
+        )
+    # CreateTable / DropTable carry no literals.
+    return stmt
+
+
+def fingerprint(stmt) -> tuple[str, str]:
+    """``(fingerprint, normalized sql)`` for one parsed statement.
+
+    The fingerprint is the first 12 hex digits of the SHA-1 of the
+    normalized statement's canonical unparse — short enough to type into
+    ``SHOW WORKLOAD '<fp>'``, long enough that collisions within one
+    session's workload are negligible.
+    """
+    text = unparse(normalize(stmt))
+    return hashlib.sha1(text.encode("utf-8")).hexdigest()[:12], text
 
 
 class Shape:

@@ -42,7 +42,7 @@ from .logs import (
 from .profiler import StageProfiler
 from .query_stats import QueryStats
 from .slo import SloPolicy, SloTracker
-from .workload import WorkloadStore, fingerprint
+from .workload import WorkloadStore
 from .registry import (
     DEFAULT_LATENCY_BUCKETS,
     Counter,
@@ -52,6 +52,19 @@ from .registry import (
     MetricsRegistry,
 )
 from .tracing import Span, TraceContext, Tracer
+
+#: Every system relation a ``Database`` registers (``sys.<name>``), in
+#: order: the targets of ``SHOW <target> [WHERE ...]`` and the tables of a
+#: diagnostics bundle (a test keeps the two equal).  They are named here,
+#: below the SQL front end, so telemetry reads them without importing it.
+#: ``SHOW TIMELINE <trace_id>`` and ``SHOW WORKLOAD TOP k BY x |
+#: '<fingerprint>'`` are sugar over ``sys.timeline``, ``sys.workload``
+#: and ``sys.workload_detail`` too (see the parser's ``_parse_show``).
+SHOW_TARGETS: tuple[str, ...] = (
+    "tables", "models", "metrics", "stats", "server", "cluster", "audit",
+    "faults", "health", "events", "timeline", "slo", "profile",
+    "deployments", "workload", "workload_detail",
+)
 
 
 class Telemetry:
@@ -123,7 +136,6 @@ __all__ = [
     "TRACE_LOG_FORMAT",
     "ROOT_LOGGER_NAME",
     "WorkloadStore",
-    "fingerprint",
     "SloTracker",
     "SloPolicy",
     "StageProfiler",

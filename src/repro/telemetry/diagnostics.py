@@ -26,7 +26,7 @@ import json
 import os
 import time
 
-from ..sql.lexer import SHOW_TARGETS
+from . import SHOW_TARGETS
 from .events import json_safe
 
 #: Bumped when the bundle layout changes incompatibly.  v2 added the

@@ -2,11 +2,11 @@
 
 Recurring query *shapes* — not individual statements — are what the
 plan-compile cache, scale-out placement, and model-versioning layers need
-to reason about.  This module normalizes a parsed statement into a stable
-**fingerprint** (every literal replaced by a ``'?'`` placeholder, then
-rendered through the canonical :func:`repro.sql.unparse.unparse` form and
-hashed), so ``WHERE x = 1`` and ``WHERE x = 2`` — or the same statement
-reformatted or re-cased — collapse into one workload entry.
+to reason about.  The SQL front end keys each statement by a stable
+**fingerprint** (:func:`repro.sql.parser.fingerprint`: every literal
+replaced by a ``'?'`` placeholder, then rendered through the canonical
+unparse form and hashed), so ``WHERE x = 1`` and ``WHERE x = 2`` — or the
+same statement reformatted or re-cased — collapse into one workload entry.
 
 A bounded :class:`WorkloadStore` aggregates per-fingerprint execution
 statistics from :class:`~repro.telemetry.query_stats.QueryStats` on every
@@ -27,41 +27,10 @@ and bumps ``workload_regressions_total``.
 
 from __future__ import annotations
 
-import hashlib
 import threading
 from typing import NamedTuple
 
-from ..relational.expressions import (
-    BinaryOp,
-    CaseWhen,
-    ColumnRef,
-    Comparison,
-    Expression,
-    FunctionCall,
-    IsNull,
-    Like,
-    Literal,
-    LogicalOp,
-    UnaryOp,
-)
 from .registry import DEFAULT_LATENCY_BUCKETS, Histogram, MetricsRegistry
-
-# The sql package transitively imports storage (which imports telemetry
-# for its metrics); loading it lazily on first fingerprint breaks the
-# cycle without pushing imports into the per-query hot path (after the
-# first call these are module-dict lookups).
-sql_ast = None
-unparse = None
-
-
-def _ensure_sql() -> None:
-    global sql_ast, unparse
-    if sql_ast is None:
-        from ..sql import ast as _ast
-        from ..sql.unparse import unparse as _unparse
-
-        sql_ast = _ast
-        unparse = _unparse
 
 
 class WorkloadRow(NamedTuple):
@@ -90,133 +59,6 @@ class WorkloadDetailRow(NamedTuple):
 
     #: The key column (see :meth:`WorkloadStore.detail_rows`).
     KEY = "fingerprint"
-
-
-#: The literal placeholder normalized statements carry.
-PLACEHOLDER = "?"
-
-
-# -- fingerprinting ------------------------------------------------------
-
-
-def _norm_expr(expr: Expression) -> Expression:
-    """One expression with every literal value replaced by ``'?'``."""
-    if isinstance(expr, Literal):
-        return Literal(PLACEHOLDER)
-    if isinstance(expr, ColumnRef):
-        return expr
-    if isinstance(expr, UnaryOp):
-        # "-5" parses as UnaryOp("-", Literal(5)): collapse it with the
-        # positive form so `x = -1` and `x = 1` share a fingerprint.
-        if expr.op == "-" and isinstance(expr.operand, Literal):
-            return Literal(PLACEHOLDER)
-        return UnaryOp(expr.op, _norm_expr(expr.operand))
-    if isinstance(expr, (BinaryOp, Comparison, LogicalOp)):
-        return type(expr)(expr.op, _norm_expr(expr.left), _norm_expr(expr.right))
-    if isinstance(expr, IsNull):
-        return IsNull(_norm_expr(expr.operand), expr.negated)
-    if isinstance(expr, Like):
-        return Like(_norm_expr(expr.operand), PLACEHOLDER, expr.negated)
-    if isinstance(expr, CaseWhen):
-        return CaseWhen(
-            tuple(
-                (_norm_expr(cond), _norm_expr(value))
-                for cond, value in expr.branches
-            ),
-            _norm_expr(expr.default) if expr.default is not None else None,
-        )
-    if isinstance(expr, FunctionCall):
-        return FunctionCall(expr.name, tuple(_norm_expr(a) for a in expr.args))
-    return expr
-
-
-def _norm_item(item):
-    expr = item.expr
-    if isinstance(expr, sql_ast.Star):
-        return item
-    if isinstance(expr, sql_ast.AggregateCall):
-        normalized: object = sql_ast.AggregateCall(
-            expr.func, _norm_expr(expr.arg) if expr.arg is not None else None
-        )
-    elif isinstance(expr, sql_ast.PredictCall):
-        normalized = sql_ast.PredictCall(
-            expr.model, [_norm_expr(a) for a in expr.args], expr.proba_class
-        )
-    else:
-        normalized = _norm_expr(expr)
-    return sql_ast.SelectItem(normalized, item.alias)
-
-
-def _norm_select(stmt):
-    return sql_ast.Select(
-        items=[_norm_item(item) for item in stmt.items],
-        table=stmt.table,
-        joins=[
-            sql_ast.Join(join.table, _norm_expr(join.condition), join.kind)
-            for join in stmt.joins
-        ],
-        where=_norm_expr(stmt.where) if stmt.where is not None else None,
-        group_by=[_norm_expr(e) for e in stmt.group_by],
-        order_by=[(_norm_expr(e), desc) for e, desc in stmt.order_by],
-        # LIMIT/OFFSET values are literals too: `LIMIT 5` and `LIMIT 10`
-        # are the same shape.  Presence is kept, the value is zeroed.
-        limit=0 if stmt.limit is not None else None,
-        offset=0,
-        distinct=stmt.distinct,
-        having=_norm_expr(stmt.having) if stmt.having is not None else None,
-    )
-
-
-def normalize(stmt):
-    """One statement with every literal stripped to ``'?'``.
-
-    The result still unparses/reparses (placeholders are string
-    literals), which is what makes the fingerprint stable across
-    whitespace, casing, and ``parse(unparse(s))`` round-trips: the lexer
-    lowercases identifiers and :func:`unparse` is canonical.
-    """
-    _ensure_sql()
-    if isinstance(stmt, sql_ast.Select):
-        return _norm_select(stmt)
-    if isinstance(stmt, sql_ast.UnionAll):
-        return sql_ast.UnionAll([_norm_select(q) for q in stmt.queries])
-    if isinstance(stmt, sql_ast.Explain):
-        return sql_ast.Explain(_norm_select(stmt.query), stmt.analyze)
-    if isinstance(stmt, sql_ast.Insert):
-        # Bulk loads differ only in row count and values: collapse to one
-        # row of placeholders, keeping the column arity.
-        arity = len(stmt.rows[0]) if stmt.rows else 0
-        return sql_ast.Insert(stmt.table, [[PLACEHOLDER] * arity])
-    if isinstance(stmt, sql_ast.InsertSelect):
-        return sql_ast.InsertSelect(stmt.table, _norm_select(stmt.query))
-    if isinstance(stmt, sql_ast.CreateTableAs):
-        return sql_ast.CreateTableAs(stmt.name, _norm_select(stmt.query))
-    if isinstance(stmt, sql_ast.Update):
-        return sql_ast.Update(
-            stmt.table,
-            [(col, _norm_expr(expr)) for col, expr in stmt.assignments],
-            _norm_expr(stmt.where) if stmt.where is not None else None,
-        )
-    if isinstance(stmt, sql_ast.Delete):
-        return sql_ast.Delete(
-            stmt.table,
-            _norm_expr(stmt.where) if stmt.where is not None else None,
-        )
-    # CreateTable / DropTable carry no literals.
-    return stmt
-
-
-def fingerprint(stmt) -> tuple[str, str]:
-    """``(fingerprint, normalized sql)`` for one parsed statement.
-
-    The fingerprint is the first 12 hex digits of the SHA-1 of the
-    normalized statement's canonical unparse — short enough to type into
-    ``SHOW WORKLOAD '<fp>'``, long enough that collisions within one
-    session's workload are negligible.
-    """
-    _ensure_sql()
-    text = unparse(normalize(stmt))
-    return hashlib.sha1(text.encode("utf-8")).hexdigest()[:12], text
 
 
 # -- the bounded per-fingerprint store -----------------------------------
@@ -340,21 +182,19 @@ class WorkloadStore:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def record(
-        self, stmt: sql_ast.Statement, stats, fingerprinted: tuple[str, str] | None = None
-    ) -> str:
+    def record(self, fingerprinted: tuple[str, str], stats) -> str:
         """Fold one executed statement's ``QueryStats`` into the store.
 
-        Returns the statement's fingerprint (``""`` when disabled).
-        ``fingerprinted`` is
-        :func:`fingerprint`'s result when the caller already has it (the
-        statement cache keeps it per shape).  Called by
+        ``fingerprinted`` is the statement's ``(fingerprint, normalized
+        sql)`` (:func:`repro.sql.parser.fingerprint`; the statement cache
+        keeps it per shape), and ``stats.statement`` names its kind.
+        Returns the fingerprint (``""`` when disabled).  Called by
         ``Database.execute`` after the per-query stats are assembled, so
         it never holds the store lock while the query runs.
         """
         if not self.enabled:
             return ""
-        fp, text = fingerprinted or fingerprint(stmt)
+        fp, text = fingerprinted
         bytes_read = stats.pool_misses * self.page_size
         with self._lock:
             self._clock += 1
@@ -362,7 +202,7 @@ class WorkloadStore:
             if entry is None:
                 if len(self._entries) >= self.max_fingerprints:
                     self._evict_locked()
-                entry = _Entry(fp, text, type(stmt).__name__)
+                entry = _Entry(fp, text, stats.statement)
                 self._entries[fp] = entry
                 self._m_fingerprints.set(len(self._entries))
             entry.last_used = self._clock

@@ -27,38 +27,52 @@ def conv_output_shape(
     return out_h, out_w
 
 
-def im2col(
-    image: np.ndarray, kh: int, kw: int, stride: int = 1, padding: int = 0
+def patch_windows(
+    images: np.ndarray, kh: int, kw: int, stride: int = 1, padding: int = 0
 ) -> np.ndarray:
-    """Flatten an (H, W, C) image into a patch matrix.
-
-    Returns shape ``(out_h * out_w, kh * kw * C)`` where each row is one
-    receptive field in row-major patch order.  This is the paper's
-    "spatial rewriting algorithm" for convolution.
-    """
-    if image.ndim != 3:
-        raise ShapeError(f"im2col expects (H, W, C), got shape {image.shape}")
-    height, width, channels = image.shape
+    """Every receptive field of an (N, H, W, C) batch, as a read-only
+    ``(N, out_h, out_w, kh, kw, C)`` strided view (of a zero-padded copy
+    when ``padding``): nothing is gathered until a caller indexes it."""
+    if images.ndim != 4:
+        raise ShapeError(f"im2col expects (N, H, W, C), got shape {images.shape}")
+    batch, height, width, channels = images.shape
     out_h, out_w = conv_output_shape(height, width, kh, kw, stride, padding)
     if padding:
-        image = np.pad(
-            image, ((padding, padding), (padding, padding), (0, 0)), mode="constant"
+        images = np.pad(
+            images,
+            ((0, 0), (padding, padding), (padding, padding), (0, 0)),
+            mode="constant",
         )
-    # Gather patches with stride tricks, then reshape to the patch matrix.
-    strides = image.strides
-    windows = np.lib.stride_tricks.as_strided(
-        image,
-        shape=(out_h, out_w, kh, kw, channels),
+    strides = images.strides
+    return np.lib.stride_tricks.as_strided(
+        images,
+        shape=(batch, out_h, out_w, kh, kw, channels),
         strides=(
-            strides[0] * stride,
-            strides[1] * stride,
             strides[0],
+            strides[1] * stride,
+            strides[2] * stride,
             strides[1],
             strides[2],
+            strides[3],
         ),
         writeable=False,
     )
-    return windows.reshape(out_h * out_w, kh * kw * channels).astype(np.float64)
+
+
+def im2col(
+    images: np.ndarray, kh: int, kw: int, stride: int = 1, padding: int = 0
+) -> np.ndarray:
+    """Flatten an (N, H, W, C) batch into its patch matrix.
+
+    Returns shape ``(N * out_h * out_w, kh * kw * C)`` where each row is one
+    receptive field, images in order and each in row-major patch order
+    (a single image is ``image[None]``).  This is the paper's "spatial
+    rewriting algorithm" for convolution.
+    """
+    windows = patch_windows(images, kh, kw, stride, padding)
+    return np.ascontiguousarray(windows, dtype=np.float64).reshape(
+        -1, kh * kw * images.shape[3]
+    )
 
 
 def kernel_matrix(kernels: np.ndarray) -> np.ndarray:
@@ -87,7 +101,7 @@ def conv2d_via_im2col(
     out_h, out_w = conv_output_shape(
         image.shape[0], image.shape[1], kh, kw, stride, padding
     )
-    patches = im2col(image, kh, kw, stride, padding)
+    patches = im2col(image[None], kh, kw, stride, padding)
     flat = patches @ kernel_matrix(kernels).T
     return flat.reshape(out_h, out_w, kernels.shape[0])
 

@@ -7,7 +7,7 @@ from repro.config import SystemConfig, mb
 from repro.core import RuleBasedOptimizer, Representation
 from repro.core.ir import PlanStage
 from repro.core.lowering import lower_model
-from repro.dlruntime import MemoryBudget
+from repro.dlruntime import MemoryBudget, ReLU
 from repro.engines import HybridExecutor, RelationCentricEngine
 from repro.errors import OutOfMemoryError, PlanError
 from repro.models import cache_cnn, deepbench_conv1, fraud_fc_256
@@ -42,7 +42,7 @@ def test_hybrid_runs_full_cnn_as_single_udf(rng, config):
 
 
 def test_hybrid_relation_conv_plan(rng, config):
-    """A conv forced relation-centric flows through the conv stage path."""
+    """A conv forced relation-centric runs as a relation-centric stage."""
     catalog = make_catalog(capacity=512)
     model = deepbench_conv1(scale=0.2)  # 22×22×13
     info = VersionRecord("conv", model)
@@ -65,9 +65,7 @@ def test_relation_conv_stage_with_relu(rng, config):
     info = VersionRecord("conv", model)
     engine = RelationCentricEngine(catalog, config, stripe_rows=64)
     images = rng.normal(size=(1,) + model.input_shape)
-    engine.run_conv_stage(
-        conv, images, info, apply_relu=True, result_table="relu_out"
-    )
+    engine.run_vector_stage([conv, ReLU()], images, info, result_table="relu_out")
     side = model.input_shape[0]
     out = engine.load_conv_result("relu_out", 1, side, side, conv.out_channels)
     np.testing.assert_allclose(
@@ -90,7 +88,7 @@ def test_relation_conv_stage_rejects_vectors(rng, config):
     info = VersionRecord("conv", model)
     engine = RelationCentricEngine(catalog, config)
     with pytest.raises(PlanError):
-        engine.run_conv_stage(model.layers[0], rng.normal(size=(2, 5)), info)
+        engine.run_vector_stage(model.layers, rng.normal(size=(2, 5)), info)
 
 
 def test_unassigned_stage_rejected(rng, config):

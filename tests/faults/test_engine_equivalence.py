@@ -25,8 +25,6 @@ def seeded_ffnn(seed: int) -> Model:
 
 
 def seeded_cnn(seed: int) -> Model:
-    # Conv [+ ReLU] is the layer chain every representation (including
-    # the relation-centric conv stage) supports.
     rng = np.random.default_rng(seed)
     return Model(
         f"eq-cnn-{seed}",
@@ -57,27 +55,25 @@ def test_cnn_representations_agree(seed):
     model = seeded_cnn(seed)
     x = np.random.default_rng(seed + 100).normal(size=(4, 10, 10, 3))
     reference = model.forward(x)
-    # Small square tensor blocks so the 8×8 output feature map tiles the
-    # relation-centric result table evenly.
+    # Small square tensor blocks so the 8×8 output feature map spans
+    # several blocks of the relation-centric result table.
     with Database(tensor_block_rows=32, tensor_block_cols=32) as db:
         db.register_model(model, name="m")
         hybrid = db.predict("m", x).outputs
         np.testing.assert_allclose(hybrid, reference, atol=1e-6)
-        # dl-centric and udf-centric materialize outputs directly.
-        for rep in ("dl-centric", "udf-centric"):
+        for rep in FORCED:
             out = db.predict("m", x, force=rep).outputs
             np.testing.assert_allclose(
                 out, reference, atol=1e-6,
                 err_msg=f"{rep} diverged from the reference forward pass",
             )
-        # The relation-centric conv stage streams its feature map into a
-        # result table; load it back and compare against the same truth.
+        # The relation-centric stage can also stream its feature map into
+        # a result table; load it back and compare against the same truth.
         from repro.engines import RelationCentricEngine
 
         engine = RelationCentricEngine(db.catalog, db.config)
-        conv = model.layers[0]
-        engine.run_conv_stage(
-            conv, x, db.model_info("m"), apply_relu=True, result_table="eq_out"
+        engine.run_vector_stage(
+            model.layers, x, db.model_info("m"), result_table="eq_out"
         )
         out = engine.load_conv_result("eq_out", x.shape[0], 8, 8, 8)
         np.testing.assert_allclose(

@@ -24,8 +24,7 @@ from repro import Database
 from repro.data import fraud_transactions
 from repro.models import fraud_fc_256
 from repro.relational.schema import ColumnType, Schema
-from repro.sql.parser import parse
-from repro.telemetry import fingerprint
+from repro.sql.parser import fingerprint, parse
 
 GOLDEN = Path(__file__).with_name("show_golden.json")
 

@@ -14,8 +14,7 @@ from repro.relational.expressions import ColumnRef, Literal
 from repro.sql import parse, tokenize, unparse
 from repro.sql.ast import SelectItem
 from repro.sql.lexer import TokenType
-from repro.sql.parser import CAPACITY, StatementCache, _Parser
-from repro.telemetry.workload import fingerprint
+from repro.sql.parser import CAPACITY, StatementCache, _Parser, fingerprint
 
 from .test_sql_fuzz import FUZZ_SETTINGS, statements
 

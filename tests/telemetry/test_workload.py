@@ -6,15 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sql.parser import parse
+from repro.sql.parser import fingerprint, normalize, parse
 from repro.sql.unparse import unparse
 from repro.telemetry.query_stats import QueryStats
-from repro.telemetry.workload import (
-    WorkloadRow,
-    WorkloadStore,
-    fingerprint,
-    normalize,
-)
+from repro.telemetry.workload import WorkloadRow, WorkloadStore
 
 
 def fp(sql: str) -> str:
@@ -126,10 +121,15 @@ def test_fingerprint_deterministic_across_round_trips(sql):
 # -- the store -----------------------------------------------------------
 
 
+def key(sql: str) -> tuple[str, str]:
+    """The ``(fingerprint, normalized sql)`` a statement is recorded under."""
+    return fingerprint(parse(sql))
+
+
 def test_record_aggregates_per_fingerprint():
     store = WorkloadStore()
-    a = parse("SELECT * FROM t WHERE x = 1")
-    b = parse("SELECT * FROM t WHERE x = 2")
+    a = key("SELECT * FROM t WHERE x = 1")
+    b = key("SELECT * FROM t WHERE x = 2")
     store.record(a, stats(elapsed=0.010, rows=3, pool_misses=2))
     store.record(b, stats(elapsed=0.030, rows=1, cache_hits=1))
     rows = store.top_rows()
@@ -144,9 +144,9 @@ def test_record_aggregates_per_fingerprint():
 
 def test_top_rows_orderings():
     store = WorkloadStore()
-    slow = parse("SELECT * FROM slow_table")
-    hot = parse("SELECT * FROM hot_table")
-    big = parse("SELECT * FROM big_table")
+    slow = key("SELECT * FROM slow_table")
+    hot = key("SELECT * FROM hot_table")
+    big = key("SELECT * FROM big_table")
     store.record(slow, stats(elapsed=1.0))
     for __ in range(10):
         store.record(hot, stats(elapsed=0.001))
@@ -162,7 +162,7 @@ def test_top_rows_orderings():
 
 def test_detail_rows_for_known_and_unknown_fingerprints():
     store = WorkloadStore()
-    stmt = parse("SELECT * FROM t WHERE x = 1")
+    stmt = key("SELECT * FROM t WHERE x = 1")
     fp_hex = store.record(stmt, stats())
     detail = {stat: value for fp, stat, value in store.detail_rows() if fp == fp_hex}
     assert detail["calls"] == 1
@@ -172,9 +172,9 @@ def test_detail_rows_for_known_and_unknown_fingerprints():
 
 def test_eviction_is_lru_and_bounded():
     store = WorkloadStore(max_fingerprints=2)
-    a = parse("SELECT * FROM a")
-    b = parse("SELECT * FROM b")
-    c = parse("SELECT * FROM c")
+    a = key("SELECT * FROM a")
+    b = key("SELECT * FROM b")
+    c = key("SELECT * FROM c")
     fa = store.record(a, stats())
     store.record(b, stats())
     store.record(a, stats())  # refresh a: b is now least recent
@@ -197,7 +197,7 @@ def test_latency_regression_detected_after_warmup():
         regression_min_ms=1.0,
         recorder=Recorder(),
     )
-    stmt = parse("SELECT * FROM t WHERE x = 1")
+    stmt = key("SELECT * FROM t WHERE x = 1")
     for __ in range(4):
         store.record(stmt, stats(elapsed=0.010))
     # 10x the baseline, well past factor 3 and the 1ms floor.
@@ -212,7 +212,7 @@ def test_no_regression_during_warmup_or_below_floor():
     store = WorkloadStore(
         regression_factor=3.0, regression_warmup=4, regression_min_ms=50.0
     )
-    stmt = parse("SELECT * FROM t")
+    stmt = key("SELECT * FROM t")
     store.record(stmt, stats(elapsed=0.100))  # warmup: never flags
     for __ in range(4):
         store.record(stmt, stats(elapsed=0.001))
@@ -229,7 +229,7 @@ def test_plan_change_regression():
             events.append((kind, fields))
 
     store = WorkloadStore(regression_warmup=2, recorder=Recorder())
-    stmt = parse("SELECT * FROM t")
+    stmt = key("SELECT * FROM t")
     for __ in range(3):
         store.record(
             stmt, stats(representations={"dl-centric": 1}, elapsed=0.01)
@@ -254,7 +254,7 @@ def test_persistently_slower_world_rebaselines():
         regression_min_ms=1.0,
         recorder=Recorder(),
     )
-    stmt = parse("SELECT * FROM t")
+    stmt = key("SELECT * FROM t")
     store.record(stmt, stats(elapsed=0.010))
     store.record(stmt, stats(elapsed=0.010))
     # A sustained 10x shift: flags at first, then the EW baseline catches
@@ -266,7 +266,7 @@ def test_persistently_slower_world_rebaselines():
 
 def test_null_store_is_inert():
     store = WorkloadStore(enabled=False)
-    assert store.record(parse("SELECT * FROM t"), stats()) == ""
+    assert store.record(key("SELECT * FROM t"), stats()) == ""
     assert store.top_rows() == []
     assert store.detail_rows() == []
     assert len(store) == 0

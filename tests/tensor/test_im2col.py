@@ -24,13 +24,13 @@ def test_conv_output_shape():
 
 def test_im2col_1x1_kernel_is_reshape(rng):
     image = rng.normal(size=(4, 5, 3))
-    patches = im2col(image, 1, 1)
+    patches = im2col(image[None], 1, 1)
     np.testing.assert_array_equal(patches, image.reshape(20, 3))
 
 
 def test_im2col_patch_contents(rng):
     image = np.arange(16, dtype=float).reshape(4, 4, 1)
-    patches = im2col(image, 2, 2)
+    patches = im2col(image[None], 2, 2)
     assert patches.shape == (9, 4)
     np.testing.assert_array_equal(patches[0], [0, 1, 4, 5])
     np.testing.assert_array_equal(patches[-1], [10, 11, 14, 15])
